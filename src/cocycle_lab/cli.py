@@ -47,7 +47,7 @@ def _parse_prefix(text: str) -> tuple[int, ...]:
 def _model_bases(args, function_bases) -> tuple[int, ...]:
     if getattr(args, "bases", None):
         bases = tuple(int(b) for b in args.bases.split(","))
-    elif getattr(args, "depth", None):
+    elif getattr(args, "depth", None) is not None:
         bases = (2,) * args.depth
     else:
         return tuple(function_bases)
@@ -56,6 +56,15 @@ def _model_bases(args, function_bases) -> tuple[int, ...]:
             f"model bases {bases} do not extend the table's bases {function_bases}"
         )
     return bases
+
+
+def _check_counts(args) -> None:
+    """Reject a zero or negative --depth, --n-max or --count up front."""
+    for name in ("depth", "n_max", "count"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
 def _emit(text: str, args) -> None:
@@ -164,7 +173,7 @@ def _cmd_run(args) -> int:
             obj[key] = value
     if args.bases:
         obj["bases"] = [int(b) for b in args.bases.split(",")]
-    elif args.depth:
+    elif args.depth is not None:
         obj["depth"] = args.depth
     if args.measures:
         obj["measures"] = _load_json(args.measures)
@@ -199,7 +208,7 @@ def _cmd_cocycle(args) -> int:
     if args.subcommand == "density":
         a = _load_cocycle(args)
         markers = MarkerSequence(a.model)
-        n_max = args.n_max or a.model.depth - 1
+        n_max = args.n_max if args.n_max is not None else a.model.depth - 1
         measures = (
             [measure_from_json(m) for m in _load_json(args.measures)]
             if args.measures
@@ -263,6 +272,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "cocycle":

@@ -14,15 +14,18 @@ provided:
 
 The metrics on Z/m and Q^d are conventions of this implementation (any
 compatible translation-invariant metric would do); they are fixed so that
-every derived quantity is a reproducible exact rational.  Float values are
-compared with ``REPORTING_TOLERANCE`` in reports only, never in exact-mode
-verification.
+every derived quantity is a reproducible exact rational.  All but Z/m
+write their metric as the largest of a few ordered coordinate differences
+(``Group.projections``), which lets diameters and window extrema run in
+linear time.  Float values are compared with ``REPORTING_TOLERANCE`` in
+reports only, never in exact-mode verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Any
 
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
@@ -94,6 +97,15 @@ class Group:
     def norm(self, a):
         return self.metric(a, self.zero())
 
+    def projections(self, payloads):
+        """Ordered coordinates p_1 .. p_k of the payloads, one column each.
+
+        They satisfy ``metric(a, b) == max_k |p_k(a) - p_k(b)|`` exactly, so
+        a diameter or a window's farthest value reduces to per-column max
+        and min.  None when the metric has no such form (Z/m).
+        """
+        return None
+
     def values_equal(self, a, b) -> bool:
         return a == b
 
@@ -133,6 +145,9 @@ class IntegerGroup(Group):
     def metric(self, a, b):
         return abs(a - b)
 
+    def projections(self, payloads):
+        return [list(payloads)]
+
     def payload_to_json(self, a):
         return {"t": "int", "n": a}
 
@@ -160,6 +175,9 @@ class RationalGroup(Group):
 
     def metric(self, a, b):
         return abs(a - b)
+
+    def projections(self, payloads):
+        return [list(payloads)]
 
     def payload_to_json(self, a):
         return {"t": "rat", "n": a.numerator, "d": a.denominator}
@@ -271,6 +289,14 @@ class RationalVectorGroup(Group):
     def metric(self, a, b):
         return sum((abs(x - y) for x, y in zip(a, b)), Fraction(0))
 
+    def projections(self, payloads):
+        """Signed coordinate sums s . a with s_1 = +1: the L1 metric is the
+        largest |s . (a - b)| over the 2^(d-1) sign vectors."""
+        return [
+            [a[0] + sum(c if s > 0 else -c for s, c in zip(signs, a[1:])) for a in payloads]
+            for signs in product((1, -1), repeat=self.dim - 1)
+        ]
+
     def payload_to_json(self, a):
         return {"t": "vec", "v": [[c.numerator, c.denominator] for c in a]}
 
@@ -306,6 +332,9 @@ class ApproxRealGroup(Group):
 
     def metric(self, a, b):
         return abs(a - b)
+
+    def projections(self, payloads):
+        return [list(payloads)]
 
     def values_equal(self, a, b) -> bool:
         return abs(a - b) <= REPORTING_TOLERANCE

@@ -25,9 +25,12 @@ additive constant, so the anchor makes them deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .dynamics import (
@@ -123,17 +126,18 @@ class ZCocycle:
 
 
 def _spread_bound(values, group):
-    """Metric diameter of a value set; max - min on totally ordered payloads."""
-    distinct = list(dict.fromkeys(values))
-    if group.tag in ("int", "rat", "dy", "real"):
-        return group.metric(max(distinct), min(distinct))
-    best = 0 if group.exact else 0.0
-    for i, a in enumerate(distinct):
-        for b in distinct[i + 1 :]:
-            d = group.metric(a, b)
-            if d > best:
-                best = d
-    return best
+    """Metric diameter of a value set.
+
+    With ordered projections (``Group.projections``) this is the largest
+    per-column max - min, O(k N) for k columns (k = 1 on the ordered
+    groups, 2^(d-1) on Q^d).  Other groups (Z/m) compare their distinct
+    values pairwise, at most m^2 metric calls whatever N is.
+    """
+    columns = group.projections(values)
+    if columns is not None:
+        return max(max(col) - min(col) for col in columns)
+    distinct = set(values)
+    return max(group.metric(a, b) for a in distinct for b in distinct)
 
 
 @dataclass(frozen=True)
@@ -362,6 +366,138 @@ def two_sided_sum(a: ZCocycle, i: int, j: int):
     return a.group.sub(a._running(i + j + 1), a._running(i - j))
 
 
+def _extended(base, step, length, plus, times):
+    """R(t) for t < length from one period: R(cN + r) = base[r] + c * step."""
+    out = list(base[:length])
+    c = 1
+    while len(out) < length:
+        shift = times(step, c)
+        out.extend(plus(v, shift) for v in base[: length - len(out)])
+        c += 1
+    return out
+
+
+def _window_extrema(seq, width, count):
+    """(max, min) of each window seq[s : s + width], s < count.
+
+    Monotone deques: each position is pushed and popped at most once, so
+    the cost is O(count + width) whatever the width.
+    """
+    out = []
+    up, down = deque(), deque()
+    for t, v in enumerate(seq[: count + width - 1]):
+        while up and seq[up[-1]] <= v:
+            up.pop()
+        up.append(t)
+        while down and seq[down[-1]] >= v:
+            down.pop()
+        down.append(t)
+        s = t - width + 1
+        if s >= 0:
+            if up[0] < s:
+                up.popleft()
+            if down[0] < s:
+                down.popleft()
+            out.append((seq[up[0]], seq[down[0]]))
+    return out
+
+
+def _window_values(seq, width, count):
+    """Distinct values of each window seq[s : s + width], s < count.
+
+    For groups without ordered projections (Z/m): a window holds at most
+    m distinct values, kept as counts, so each step costs O(m).
+    """
+    counts = {}
+    for v in seq[:width]:
+        counts[v] = counts.get(v, 0) + 1
+    out = []
+    for s in range(count):
+        out.append(tuple(counts))
+        if s + 1 < count:
+            gone, new = seq[s], seq[s + width]
+            counts[gone] -= 1
+            if not counts[gone]:
+                del counts[gone]
+            counts[new] = counts.get(new, 0) + 1
+    return out
+
+
+def _by_start(seq, width, size, window_fn):
+    """window_fn over the window of every start b < size, indexed by b.
+
+    The window of b holds seq[b + 1], seq[b + 3], ..., seq[b + 2 width - 1]:
+    one parity class of seq, so each class slides one step per two b.
+    """
+    out = [None] * size
+    out[0::2] = window_fn(seq[1::2], width, (size + 1) // 2)
+    out[1::2] = window_fn(seq[2::2], width, size // 2)
+    return out
+
+
+def _window_reach(a: ZCocycle, scan_to: int):
+    """The farthest running sums from each start, per metric channel.
+
+    The two-sided sum of window (i, j) is R(b + 2j + 1) - R(b) with
+    b = (i - j) mod N, because R(t + N) = R(t) + S cancels in the
+    difference.  So the N (scan_to + 1) windows of the scan become one
+    sliding window per start b.  Returns (seq, reach) per channel: seq is
+    R (or one ordered projection of it) over [0, N + 2 scan_to], and
+    reach[b] lists (value, distance from seq[b]) for every value of b's
+    window that can be the farthest -- its max and min on an ordered
+    projection, every distinct value otherwise.
+    """
+    group = a.group
+    size = a.model.size
+    length = size + 2 * scan_to + 1
+    width = scan_to + 1
+    columns = group.projections(a._partial)
+    if columns is None:
+        seq = _extended(a._partial, a.cycle_sum_payload, length, group.add, group.scale)
+        windows = _by_start(seq, width, size, _window_values)
+        reach = [[(v, group.metric(v, r)) for v in values] for values, r in zip(windows, seq)]
+        return [(seq, reach)]
+    channels = []
+    for base, (step,) in zip(columns, group.projections([a.cycle_sum_payload])):
+        seq = _extended(base, step, length, add, mul)
+        extrema = _by_start(seq, width, size, _window_extrema)
+        reach = [((hi, hi - r), (lo, r - lo)) for (hi, lo), r in zip(extrema, seq)]
+        channels.append((seq, reach))
+    return channels
+
+
+def _first_window(channels, sup, size: int, scan_to: int):
+    """The scan's witness: the least (i, j) in scan order whose sum attains sup.
+
+    The radii j of start b that attain it are the positions t = b + 2j + 1
+    of a farthest value at distance sup inside b's window.  Radius j
+    belongs to prefix i = (b + j) mod N, which restarts at 0 on every wrap
+    j = cN - b, so the least such j of each wrap segment is a candidate.
+    """
+    best = None
+    for seq, reach in channels:
+        targets = [(b, v) for b in range(size) for v, d in reach[b] if d == sup]
+        wanted = {v for _, v in targets}
+        positions = {}
+        for t, v in enumerate(seq):
+            if v in wanted:
+                positions.setdefault((t & 1, v), []).append(t)
+        for b, v in targets:
+            at = positions[(b + 1) & 1, v]
+            first, wrap = 0, 0
+            while first <= scan_to:
+                last = min(scan_to, (wrap + 1) * size - b - 1)
+                k = bisect_left(at, b + 2 * first + 1)
+                if k < len(at) and at[k] <= b + 2 * last + 1:
+                    j = (at[k] - b - 1) // 2
+                    candidate = ((b + j) % size, j)
+                    if best is None or candidate < best:
+                        best = candidate
+                wrap += 1
+                first = wrap * size - b
+    return best
+
+
 def gh_check(
     h,
     horizon: int | None = None,
@@ -372,8 +508,14 @@ def gh_check(
 
     The decision itself is the vanishing of the cycle sum.  The scan
     produces the empirical sup over all prefixes and window radii up to
-    the horizon (default 4N).  For a non-coboundary with ``exceed_target``
-    set, the scan extends past the horizon until a witness sum exceeds the
+    the horizon (default 4N), in O(k (N + horizon)) time through sliding
+    window extrema of the running sums (O(m (N + horizon)) on Z/m); the
+    witness is the first window in (prefix, radius) order that attains
+    it.  On the inexact ``real`` group the sup agrees with the literal
+    window scan to ``REPORTING_TOLERANCE``; it is bit-identical when no
+    window wraps below position 0, since the sums are then formed alike.
+    For a non-coboundary with ``exceed_target`` set, the scan extends
+    past the horizon, O(N) per radius, until a witness sum exceeds the
     target; this terminates whenever nonzero multiples of the cycle sum
     are metrically unbounded (so not in Z/m, whose metric caps at m/2).
     """
@@ -382,19 +524,16 @@ def gh_check(
     size = a.model.size
     if horizon is None:
         horizon = 4 * size
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     decision = group.values_equal(a.cycle_sum_payload, group.zero())
     certificate = coboundary_solve(a) if decision else None
 
-    best = group.metric(group.zero(), group.zero())
-    best_at = (0, 0)
     # For a coboundary the window sums are periodic in j with period N,
     # so radii beyond N-1 repeat earlier values.
     scan_to = min(horizon, size - 1) if decision else horizon
-    for i in range(size):
-        for j in range(scan_to + 1):
-            d = group.norm(two_sided_sum(a, i, j))
-            if d > best:
-                best, best_at = d, (i, j)
+    channels = _window_reach(a, scan_to)
+    best = max(d for _, reach in channels for pairs in reach for _, d in pairs)
     empirical_sup = best
 
     witness = None
@@ -424,6 +563,8 @@ def gh_check(
                         f"no two-sided sum exceeds {exceed_target} within "
                         f"{cap_periods} periods; the value group's metric is bounded"
                     )
+        else:
+            best_at = _first_window(channels, best, size, scan_to)
         i, j = best_at
         witness = GHWitness(
             index_to_prefix(i, a.model.bases),

@@ -229,3 +229,39 @@ def test_report_json_renders_fraction_and_decimal():
 def test_empty_report_csv_is_header_only():
     report = Report("demo", {"seed": 0, "depth": 1}, ("a", "b"))
     assert report.to_csv() == "a,b\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cocycle", "gh", "--depth", "3", "--horizon", "-3"],
+        ["run", "gh", "--depth", "3", "--count", "2", "--horizon", "-1"],
+    ],
+)
+def test_negative_horizon_is_usage_error(generator_file, argv, capsys):
+    if argv[0] == "cocycle":
+        argv = argv + ["--input", generator_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "horizon must be >= 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "density", "--depth", "0"], "--depth"),
+        (["run", "gh", "--depth", "3", "--count", "0"], "--count"),
+        (["run", "density", "--depth", "3", "--n-max", "0"], "--n-max"),
+        (["cocycle", "solve", "--depth", "0"], "--depth"),
+        (["cocycle", "density", "--depth", "3", "--n-max", "0"], "--n-max"),
+        (["cocycle", "density", "--depth", "3", "--n-max", "-2"], "--n-max"),
+    ],
+)
+def test_zero_or_negative_count_flag_is_usage_error(generator_file, argv, flag, capsys):
+    if argv[0] == "cocycle":
+        argv = argv + ["--input", generator_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be >= 1" in captured.err
+    assert captured.out == ""

@@ -1,0 +1,180 @@
+"""The sliding-window gh kernel and the projection spread bound against
+their literal definitions: the O(N * H) window scan and the pairwise
+diameter."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cocycle_lab.dynamics import Odometer
+from cocycle_lab.space import CylinderFunction, index_to_prefix
+from cocycle_lab.values import (
+    APPROX_REALS,
+    DYADICS,
+    INTEGERS,
+    RATIONALS,
+    REPORTING_TOLERANCE,
+    GroupValue,
+    integers_mod,
+    rational_vectors,
+)
+from cocycle_lab.zcocycles import (
+    GHReport,
+    GHWitness,
+    ZCocycle,
+    _spread_bound,
+    coboundary_solve,
+    gh_check,
+    two_sided_sum,
+)
+
+
+def scan_gh_check(a: ZCocycle, horizon=None) -> GHReport:
+    """Oracle: every prefix i and radius j up to the horizon, in scan order.
+
+    The witness is the first (i, j) whose sum strictly improves the best
+    norm so far.  For a coboundary, radii beyond N - 1 repeat.
+    """
+    group = a.group
+    size = a.model.size
+    if horizon is None:
+        horizon = 4 * size
+    decision = group.values_equal(a.cycle_sum_payload, group.zero())
+    best = group.metric(group.zero(), group.zero())
+    best_at = (0, 0)
+    scan_to = min(horizon, size - 1) if decision else horizon
+    for i in range(size):
+        for j in range(scan_to + 1):
+            d = group.norm(two_sided_sum(a, i, j))
+            if d > best:
+                best, best_at = d, (i, j)
+    witness = None
+    if not decision:
+        i, j = best_at
+        witness = GHWitness(
+            index_to_prefix(i, a.model.bases),
+            j,
+            GroupValue(group, two_sided_sum(a, i, j)),
+        )
+    slope = group.norm(a.cycle_sum_payload)
+    slope = Fraction(slope, size) if isinstance(slope, int) else slope / size
+    certificate = coboundary_solve(a) if decision else None
+    return GHReport(decision, a.cycle_sum, horizon, best, certificate, witness, slope)
+
+
+def pairwise_diameter(values, group):
+    """Oracle: the largest metric distance between two values."""
+    return max(group.metric(x, y) for x in values for y in values)
+
+
+def assert_matches_scan(a: ZCocycle, horizon):
+    fast, scan = gh_check(a, horizon=horizon), scan_gh_check(a, horizon)
+    assert fast.to_json() == scan.to_json()
+    assert type(fast.empirical_sup) is type(scan.empirical_sup)
+
+
+@pytest.mark.parametrize("bases", [(2, 2), (3,), (2, 3)])
+def test_exhaustive_small_integer_generators(bases):
+    model = Odometer(bases)
+    n = model.size
+    for table in itertools.product((-1, 0, 1), repeat=n):
+        a = ZCocycle(model, CylinderFunction(bases, INTEGERS, table))
+        for horizon in (0, 1, n - 1, n, None):
+            assert_matches_scan(a, horizon)
+        certificate = coboundary_solve(a)
+        if certificate is not None:
+            assert certificate.spread_bound == pairwise_diameter(a._partial, INTEGERS)
+
+
+def _fractions(max_den):
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, max_den))
+
+
+GROUP_VALUES = {
+    "int": (INTEGERS, st.integers(-2, 2)),
+    "rat": (RATIONALS, _fractions(3)),
+    "dy": (DYADICS, st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))),
+    "mod:2": (integers_mod(2), st.integers(0, 1)),
+    "mod:5": (integers_mod(5), st.integers(0, 4)),
+    "vec:2": (rational_vectors(2), st.tuples(_fractions(2), _fractions(2))),
+    "vec:3": (
+        rational_vectors(3),
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1)).map(
+            lambda v: tuple(Fraction(c) for c in v)
+        ),
+    ),
+}
+
+BASES = st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (3, 3), (2, 2, 3)])
+
+
+@st.composite
+def cocycles(draw):
+    group, values = GROUP_VALUES[draw(st.sampled_from(sorted(GROUP_VALUES)))]
+    bases = draw(BASES)
+    model = Odometer(bases)
+    size = model.size
+    table = [group.validate(v) for v in draw(st.lists(values, min_size=size, max_size=size))]
+    if draw(st.booleans()):
+        # close the cycle: the last value cancels the sum of the others
+        partial = group.zero()
+        for v in table[:-1]:
+            partial = group.add(partial, v)
+        table[-1] = group.neg(partial)
+    return ZCocycle(model, CylinderFunction(bases, group, tuple(table)))
+
+
+# horizons as functions of N: short, up to the coboundary cut N - 1, and long
+HORIZONS = [
+    lambda n: 0,
+    lambda n: 1,
+    lambda n: n - 2,
+    lambda n: n - 1,
+    lambda n: n,
+    lambda n: 4 * n,
+]
+
+
+@given(cocycles(), st.sampled_from(HORIZONS))
+def test_kernel_matches_scan(a, horizon):
+    assert_matches_scan(a, horizon(a.model.size))
+
+
+@given(cocycles())
+def test_spread_bound_is_pairwise_diameter(a):
+    bound = _spread_bound(a._partial, a.group)
+    assert bound == pairwise_diameter(a._partial, a.group)
+
+
+@given(
+    st.sampled_from([(2, 2), (2, 3), (2, 2, 2)]),
+    st.lists(st.floats(-4, 4, allow_nan=False), min_size=8, max_size=8),
+    st.sampled_from(HORIZONS),
+)
+def test_real_sup_agrees_with_scan_to_tolerance(bases, values, horizon):
+    model = Odometer(bases)
+    table = tuple(values[: model.size])
+    a = ZCocycle(model, CylinderFunction(bases, APPROX_REALS, table))
+    h = horizon(model.size)
+    fast, scan = gh_check(a, horizon=h), scan_gh_check(a, h)
+    assert fast.decision == scan.decision
+    assert abs(fast.empirical_sup - scan.empirical_sup) <= REPORTING_TOLERANCE
+    if fast.witness is not None:
+        assert abs(fast.witness.value.norm() - fast.empirical_sup) <= REPORTING_TOLERANCE
+
+
+def test_wrapped_radius_wins_the_tie_break():
+    # Z/5 sums reach the metric cap 2 at many windows; the scan keeps the
+    # first prefix, which for some starts lies past a wrap of the cycle.
+    a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), integers_mod(5), (0, 0, 0, 2)))
+    for horizon in range(0, 20):
+        assert_matches_scan(a, horizon)
+
+
+def test_negative_horizon_is_rejected():
+    a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), INTEGERS, (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="horizon"):
+        gh_check(a, horizon=-3)
