@@ -15,13 +15,10 @@ from .values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
-    add,
     as_fraction,
     group_from_tag,
     integers_mod,
     is_dyadic,
-    metric,
-    negate,
     rational_vectors,
     round_to_dense,
     round_to_dyadic,

@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--count", type=int, help="number of sampled instances")
     runp.add_argument("--n-max", type=int, dest="n_max")
     runp.add_argument("--epsilon-max", dest="epsilon_max")
-    runp.add_argument("--measures", help="JSON file with a list of measure records")
     _add_common(runp)
 
     coc = sub.add_parser("cocycle", help="operations on odometer cocycles")
@@ -175,8 +174,6 @@ def _cmd_run(args) -> int:
         obj["bases"] = [int(b) for b in args.bases.split(",")]
     elif args.depth is not None:
         obj["depth"] = args.depth
-    if args.measures:
-        obj["measures"] = _load_json(args.measures)
     config = ExperimentConfig.from_json(obj)
     report = run_suite(config, args.suite)
     return _emit_report(report, args)

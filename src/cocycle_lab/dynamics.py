@@ -25,8 +25,8 @@ from .space import (
     CylinderFunction,
     DepthError,
     check_bases,
+    full_prefix_index,
     index_to_prefix,
-    prefix_to_index,
     space_size,
     validate_prefix,
 )
@@ -60,23 +60,15 @@ class Odometer:
         return space_size(self.bases)
 
     def step(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Increment: zero the maximal leading run of max digits, bump the next."""
-        x = validate_prefix(x, self.bases)
-        if len(x) != self.depth:
-            raise DepthError("odometer steps full-depth prefixes")
-        out = list(x)
-        for i, b in enumerate(self.bases):
-            if out[i] != b - 1:
-                out[i] += 1
-                return tuple(out)
-            out[i] = 0
-        return tuple(out)  # all-max word wraps to all-zeros
+        """Increment with carry: +1 on the x_1-fastest index, all-max wraps to 0."""
+        i = full_prefix_index(x, self.bases)
+        return index_to_prefix((i + 1) % self.size, self.bases)
 
     def step_index(self, i: int) -> int:
         return (i + 1) % self.size
 
     def step_inverse(self, x: Sequence[int]) -> tuple[int, ...]:
-        i = prefix_to_index(validate_prefix(x, self.bases), self.bases)
+        i = full_prefix_index(x, self.bases)
         return index_to_prefix((i - 1) % self.size, self.bases)
 
     @cached_property
@@ -86,7 +78,7 @@ class Odometer:
 
     def orbit(self, x: Sequence[int]) -> list[tuple[int, ...]]:
         """The full forward orbit of x, of length N."""
-        i = prefix_to_index(validate_prefix(x, self.bases), self.bases)
+        i = full_prefix_index(x, self.bases)
         return [index_to_prefix((i + t) % self.size, self.bases) for t in range(self.size)]
 
     def as_full_group_element(self) -> "FullGroupElement":
@@ -149,7 +141,7 @@ class FullGroupElement:
         return self.permutation[i]
 
     def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        i = prefix_to_index(validate_prefix(x, self.model.bases), self.model.bases)
+        i = full_prefix_index(x, self.model.bases)
         return index_to_prefix(self.permutation[i], self.model.bases)
 
     def compose(self, other: "FullGroupElement") -> "FullGroupElement":
@@ -278,19 +270,6 @@ class TowerDecomposition:
                 seen.extend(self.level_indices(tower, level))
         return sorted(seen) == list(range(self.model.size))
 
-    def position_of(self, i: int) -> tuple[Tower, int]:
-        """The (tower, level) pair containing prefix index i."""
-        return self._positions[i]
-
-    @cached_property
-    def _positions(self) -> dict:
-        pos = {}
-        for tower in self.towers:
-            for level in range(tower.height):
-                for j in self.level_indices(tower, level):
-                    pos[j] = (tower, level)
-        return pos
-
     def to_json(self):
         return {
             "model": self.model.to_json(),
@@ -316,10 +295,7 @@ def _marker_indices(model: Odometer, marker) -> tuple[int, ...]:
                 raise ValueError(f"marker index {entry} out of range")
             indices.add(entry)
         else:
-            x = validate_prefix(entry, model.bases)
-            if len(x) != model.depth:
-                raise DepthError("marker prefixes must have full depth")
-            indices.add(prefix_to_index(x, model.bases))
+            indices.add(full_prefix_index(entry, model.bases))
     return tuple(sorted(indices))
 
 
@@ -379,10 +355,6 @@ class MarkerSequence:
         w = self._check(n)
         return tuple(range(w - 1, self.model.size, w))
 
-    def complement_indices(self, n: int) -> tuple[int, ...]:
-        tops = set(self.top_indices(n))
-        return tuple(i for i in range(self.model.size) if i not in tops)
-
     def marker_prefixes(self, n: int):
         return [index_to_prefix(i, self.model.bases) for i in self.marker_indices(n)]
 
@@ -419,11 +391,10 @@ def stabilization_index(model: Odometer, x: Sequence[int]) -> int:
     approximations disagree with the odometer exactly on the top sets D_i,
     and x lies in D_i iff its first i digits are all maximal.
     """
-    x = validate_prefix(x, model.bases)
-    if len(x) != model.depth:
-        raise DepthError("stabilization index needs a full-depth prefix")
+    i = full_prefix_index(x, model.bases)
     run = 0
-    for d, b in zip(x, model.bases):
+    for b in model.bases:
+        i, d = divmod(i, b)
         if d != b - 1:
             break
         run += 1

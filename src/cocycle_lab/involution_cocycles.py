@@ -36,10 +36,9 @@ from .space import (
     CylinderFunction,
     DepthError,
     check_bases,
+    full_prefix_index,
     index_to_prefix,
-    prefix_to_index,
     space_size,
-    validate_prefix,
 )
 from .values import (
     DYADICS,
@@ -233,17 +232,12 @@ class InvolutionCocycle:
             tables.append(tuple(table))
         return tuple(tables)
 
-    def _index_of(self, x: Sequence[int]) -> int:
-        x = validate_prefix(x, self.bases)
-        if len(x) != self.family.depth:
-            raise DepthError("evaluation needs a full-depth prefix")
-        return prefix_to_index(x, self.bases)
-
     def eval_generator(self, n: int, x: Sequence[int]) -> GroupValue:
         """Generator value c(delta_n, x)."""
         if not 1 <= n <= self.family.count:
             raise IndexError(f"generator index {n} out of range 1..{self.family.count}")
-        return GroupValue(self.group, self._generator_tables[n - 1][self._index_of(x)])
+        i = full_prefix_index(x, self.bases)
+        return GroupValue(self.group, self._generator_tables[n - 1][i])
 
     def eval_word_index(self, word: Sequence[int], i: int):
         """Payload of the cocycle at an ordered flip word, via the identity chain."""
@@ -266,11 +260,8 @@ class InvolutionCocycle:
         """
         if isinstance(word, (set, frozenset)):
             word = sorted(word)
-        return GroupValue(self.group, self.eval_word_index(list(word), self._index_of(x)))
-
-    def generator_cylinder(self, n: int) -> CylinderFunction:
-        """c(delta_n, .) as a cylinder function."""
-        return CylinderFunction(self.bases, self.group, self._generator_tables[n - 1])
+        i = full_prefix_index(x, self.bases)
+        return GroupValue(self.group, self.eval_word_index(list(word), i))
 
 
 @dataclass(frozen=True)
@@ -399,10 +390,7 @@ def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
     """
     if not 0 <= n <= family.count:
         raise IndexError(f"index {n} out of range 0..{family.count}")
-    x = validate_prefix(x, family.bases)
-    if len(x) != family.depth:
-        raise DepthError("psi needs a full-depth prefix")
-    i = prefix_to_index(x, family.bases)
+    i = full_prefix_index(x, family.bases)
     group = family.group
     acc = group.zero()
     for k in range(1, n + 1):
@@ -526,11 +514,28 @@ def _permutation_of(phi, size: int) -> tuple[int, ...]:
     return perm
 
 
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
+def _rotation(phi, size: int, xor: bool = False) -> int:
+    """The s with phi(i) = i + s mod N (or i XOR s), else ConjugationError.
+
+    A permutation commuting with the odometer is such a rotation, and one
+    commuting with every digit flip is such an XOR; either way s = phi(0).
+    """
+    perm = _permutation_of(phi, size)
+    s = perm[0]
+    expected = [s ^ i for i in range(size)] if xor else [*range(s, size), *range(s)]
+    if list(perm) != expected:
+        system = "the digit flips" if xor else "the odometer"
+        raise ConjugationError(
+            f"phi does not commute with {system}; conjugation leaves the "
+            "model's transformation"
+        )
+    return s
+
+
+def _rotate(table: tuple, r: int) -> tuple:
+    """The table of x -> table(x - r) on the N-cycle."""
+    cut = len(table) - r
+    return table[cut:] + table[:cut]
 
 
 def transport(cocycle, phi):
@@ -539,64 +544,45 @@ def transport(cocycle, phi):
     The transported cocycle is a'(gamma, y) = a(gamma, phi^{-1} y), which
     is again a cocycle of the same acting system precisely when phi
     commutes with it; non-commuting permutations conjugate onto a
-    different realization and are rejected.  Coboundaries transport to
-    coboundaries with transfer c(phi^{-1} y), and the cycle sum is
-    preserved.
+    different realization and are rejected.  Commuting with the odometer
+    makes phi a rotation by r, so every table rotates by r; commuting with
+    the digit flips makes phi the XOR with s, so the table of f_n (indexed
+    by digits n+1..m) moves as h -> h XOR (s >> n).  Coboundaries
+    transport to coboundaries with transfer c(phi^{-1} y), and the cycle
+    sum is preserved.
     """
     if isinstance(cocycle, ZCocycle):
         model = cocycle.model
-        size = model.size
-        perm = _permutation_of(phi, size)
-        for i in range(size):
-            if perm[(i + 1) % size] != (perm[i] + 1) % size:
-                raise ConjugationError(
-                    "phi does not commute with the odometer; conjugation "
-                    "leaves the model's transformation"
-                )
-        inv = _inverse(perm)
-        table = cocycle.generator.lift(model.bases).table
+        r = _rotation(phi, model.size)
         return ZCocycle(
             model,
-            CylinderFunction(
-                model.bases, cocycle.group, tuple(table[inv[i]] for i in range(size))
-            ),
+            CylinderFunction(model.bases, cocycle.group, _rotate(cocycle._table, r)),
         )
     if isinstance(cocycle, InvolutionCocycle):
         family = cocycle.family
-        size = 1 << family.depth
-        perm = _permutation_of(phi, size)
-        for n in range(1, family.depth + 1):
-            flip = 1 << (n - 1)
-            if any(perm[i ^ flip] != perm[i] ^ flip for i in range(size)):
-                raise ConjugationError(
-                    f"phi does not commute with the digit-{n} flip"
-                )
-        inv = _inverse(perm)
-        functions = []
-        for n in range(1, family.count + 1):
-            full = [family.generator_payload(n, inv[i]) for i in range(size)]
-            functions.append(CylinderFunction(family.bases, family.group, tuple(full)))
-        return InvolutionCocycle(
-            GeneratorFamily.from_cylinder_functions(family.bases, functions)
+        s = _rotation(phi, 1 << family.depth, xor=True)
+        tables = tuple(
+            tuple(table[h ^ (s >> n)] for h in range(len(table)))
+            for n, table in enumerate(family.tables, start=1)
         )
+        return InvolutionCocycle(GeneratorFamily(family.bases, family.group, tables))
     raise TypeError(f"cannot transport {cocycle!r}")
 
 
 def transport_certificate(
     certificate: CoboundaryCertificate, phi
 ) -> CoboundaryCertificate:
-    """Transport a coboundary certificate: c -> c(phi^{-1} .), re-anchored at 0."""
+    """Transport a coboundary certificate: c -> c(phi^{-1} .), re-anchored at 0.
+
+    phi must commute with the odometer (a rotation), as for ``transport``.
+    """
     model = certificate.model
-    size = model.size
-    perm = _permutation_of(phi, size)
-    inv = _inverse(perm)
+    r = _rotation(phi, model.size)
     group = certificate.generator.group
-    c = certificate.transfer.lift(model.bases).table
-    moved = [c[inv[i]] for i in range(size)]
+    moved = _rotate(certificate.transfer.lift(model.bases).table, r)
     anchor = moved[0]
     moved = tuple(group.sub(v, anchor) for v in moved)
-    f = certificate.generator.lift(model.bases).table
-    moved_generator = tuple(f[inv[i]] for i in range(size))
+    moved_generator = _rotate(certificate.generator.lift(model.bases).table, r)
     return CoboundaryCertificate(
         model,
         CylinderFunction(model.bases, group, moved_generator),

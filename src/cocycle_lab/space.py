@@ -80,6 +80,14 @@ def prefix_to_index(x: Sequence[int], bases: Sequence[int]) -> int:
     return i
 
 
+def full_prefix_index(x: Sequence[int], bases: Sequence[int]) -> int:
+    """Index of a validated full-depth prefix; shorter prefixes are DepthErrors."""
+    x = validate_prefix(x, bases)
+    if len(x) != len(bases):
+        raise DepthError(f"need a prefix of full depth {len(bases)}, got depth {len(x)}")
+    return prefix_to_index(x, bases)
+
+
 def index_to_prefix(i: int, bases: Sequence[int]) -> tuple[int, ...]:
     digits = []
     for b in bases:
@@ -122,13 +130,6 @@ class CylinderFunction:
         bases = check_bases(bases)
         return cls(bases, group, (group.validate(payload),) * space_size(bases))
 
-    @classmethod
-    def from_values(cls, bases, group: Group, values: Iterable) -> "CylinderFunction":
-        payloads = [
-            v.payload if isinstance(v, GroupValue) else v for v in values
-        ]
-        return cls(tuple(bases), group, tuple(payloads))
-
     @property
     def depth(self) -> int:
         return len(self.bases)
@@ -136,9 +137,6 @@ class CylinderFunction:
     @property
     def size(self) -> int:
         return len(self.table)
-
-    def value_at(self, index: int):
-        return self.table[index]
 
     def eval(self, x: Sequence[int]) -> GroupValue:
         """Evaluate at a prefix of depth >= the table depth."""

@@ -24,9 +24,7 @@ from .involution_cocycles import (
 )
 from .space import (
     BernoulliMeasure,
-    Measure,
     exceedance_prefixes,
-    measure_from_json,
     measure_of_cylinder_set,
     tau3_functional,
     tau4_functional,
@@ -48,7 +46,6 @@ class ExperimentConfig:
     seed: int = 0
     eps0: Fraction = Fraction(1, 4)
     horizon: Optional[int] = None
-    measures: tuple[Measure, ...] = ()
     count: Optional[int] = None
     n_max: Optional[int] = None
     epsilon_max: Fraction = Fraction(1)
@@ -62,6 +59,10 @@ class ExperimentConfig:
         if self.eps0 <= 0 or self.epsilon_max <= 0:
             raise UsageError("radii must be positive")
         group_from_tag(self.group)  # validate
+        for name in ("count", "n_max"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, int) and value >= 1):
+                raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -76,8 +77,6 @@ class ExperimentConfig:
         for key in ("eps0", "epsilon_max"):
             if key in obj and obj[key] is not None:
                 kwargs[key] = as_fraction(obj[key])
-        if "measures" in obj:
-            kwargs["measures"] = tuple(measure_from_json(m) for m in obj["measures"])
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
@@ -91,11 +90,6 @@ class ExperimentConfig:
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
-
-    def default_measures(self) -> tuple[Measure, ...]:
-        if self.measures:
-            return self.measures
-        return (BernoulliMeasure.uniform(self.bases),)
 
 
 def _fmt(value) -> str:

@@ -412,9 +412,6 @@ class GroupValue:
     def norm(self):
         return self.group.norm(self.payload)
 
-    def is_zero(self) -> bool:
-        return self.group.values_equal(self.payload, self.group.zero())
-
     def to_json(self):
         return self.group.payload_to_json(self.payload)
 
@@ -439,19 +436,6 @@ def value_from_json(obj) -> GroupValue:
     except KeyError as exc:
         raise UnsupportedValueError(f"unknown value record {obj!r}") from exc
     return GroupValue(group, group.payload_from_json(obj))
-
-
-def add(a: GroupValue, b: GroupValue) -> GroupValue:
-    return a + b
-
-
-def negate(a: GroupValue) -> GroupValue:
-    return -a
-
-
-def metric(a: GroupValue, b: GroupValue):
-    """Translation-invariant distance between two values of one group."""
-    return a.metric_to(b)
 
 
 @dataclass(frozen=True)
@@ -480,16 +464,11 @@ class NeighborhoodChain:
         return [self.epsilon(n) for n in range(1, n_max + 1)]
 
 
-def round_to_dyadic(value: Fraction, eps: Fraction) -> Fraction:
+def _grid_round(value: Fraction, eps: Fraction) -> Fraction:
     """Nearest point of the coarsest binary grid with spacing <= eps.
 
-    Ties round toward zero; dyadic inputs are returned unchanged.  The
-    result r always satisfies |value - r| <= eps.
+    Ties round toward zero.
     """
-    if eps <= 0:
-        raise ValueError("radius must be positive")
-    if is_dyadic(value):
-        return value
     q = 0
     while Fraction(1, 1 << q) > eps:
         q += 1
@@ -507,6 +486,19 @@ def round_to_dyadic(value: Fraction, eps: Fraction) -> Fraction:
     return Fraction(n, den)
 
 
+def round_to_dyadic(value: Fraction, eps: Fraction) -> Fraction:
+    """Nearest point of the coarsest binary grid with spacing <= eps.
+
+    Ties round toward zero; dyadic inputs are returned unchanged.  The
+    result r always satisfies |value - r| <= eps.
+    """
+    if eps <= 0:
+        raise ValueError("radius must be positive")
+    if is_dyadic(value):
+        return value
+    return _grid_round(value, eps)
+
+
 def round_to_dense(v: GroupValue, n: int, chain: NeighborhoodChain) -> GroupValue:
     """Round v into the dense dyadic subgroup at chain radius eps_n.
 
@@ -518,22 +510,7 @@ def round_to_dense(v: GroupValue, n: int, chain: NeighborhoodChain) -> GroupValu
     if v.group in (RATIONALS, DYADICS):
         return GroupValue(DYADICS, round_to_dyadic(v.payload, eps))
     if v.group == APPROX_REALS:
-        exact = Fraction(v.payload)
-        q = 0
-        while Fraction(1, 1 << q) > eps:
-            q += 1
-        den = 1 << q
-        scaled = exact * den
-        lo = scaled.numerator // scaled.denominator
-        frac = scaled - lo
-        half = Fraction(1, 2)
-        if frac < half:
-            k = lo
-        elif frac > half:
-            k = lo + 1
-        else:
-            k = lo if abs(lo) <= abs(lo + 1) else lo + 1
-        return GroupValue(DYADICS, Fraction(k, den))
+        return GroupValue(DYADICS, _grid_round(Fraction(v.payload), eps))
     raise UnsupportedValueError(
         f"round_to_dense supports rational, dyadic, and float values, not {v.group!r}"
     )

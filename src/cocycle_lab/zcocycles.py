@@ -10,9 +10,11 @@ exactly computable from one period of partial sums:
   (a certificate that can be checked exactly on every prefix);
 * every marker set yields a periodic approximation whose cocycles are
   coboundaries with an explicit tower-level transfer;
-* the induced coboundary sequence F_n agrees with f off the top sets, so
-  its tau3-distance to f is bounded by the top-set measure (2^-n under the
-  fair-coin measure on the 2-odometer);
+* over the markers A_n the induced coboundary F_n has a closed form: f
+  off the tower tops, and on each top the value that cancels the sum
+  over its tower (two partial sums).  It agrees with f off the top sets,
+  so its tau3-distance to f is bounded by the top-set measure (2^-n under
+  the fair-coin measure on the 2-odometer);
 * boundedness of two-sided orbit sums characterizes coboundaries, with
   the certificate spread bound as the explicit constant.
 
@@ -38,17 +40,14 @@ from .dynamics import (
     MarkerSequence,
     Odometer,
     TowerDecomposition,
-    periodic_approx,
-    towers_from_marker,
 )
 from .space import (
     CylinderFunction,
     DepthError,
     Measure,
+    full_prefix_index,
     index_to_prefix,
-    prefix_to_index,
     tau3_functional,
-    validate_prefix,
 )
 from .values import GroupValue
 
@@ -113,10 +112,7 @@ class ZCocycle:
 
     def evaluate(self, j: int, x: Sequence[int]) -> GroupValue:
         """Cocycle value a(j, x) for any integer j; a(0, x) = 0."""
-        x = validate_prefix(x, self.model.bases)
-        if len(x) != self.model.depth:
-            raise DepthError("cocycle evaluation needs a full-depth prefix")
-        i = prefix_to_index(x, self.model.bases)
+        i = full_prefix_index(x, self.model.bases)
         return GroupValue(self.group, self.evaluate_index(j, i))
 
     def iterate_function(self, j: int) -> CylinderFunction:
@@ -263,21 +259,19 @@ def density_sequence(
 ) -> CylinderFunction:
     """The n-th coboundary approximant F_n of the generator.
 
-    F_n is the coboundary generated by the transfer of the n-th periodic
-    approximation, so it always solves the coboundary equation, and it
-    agrees with the generator off the top set D_n.
+    With w the tower height over A_n and C the partial sums, F_n is the
+    generator off the tower tops i = w-1 (mod w), and C[i-w+1] - C[i] on
+    a top, which cancels the sum over its tower.  This is the coboundary
+    of the transfer of the n-th periodic approximation
+    (``periodic_coboundary`` over ``periodic_approx``), in closed form.
     """
-    model = a.model
-    decomposition = towers_from_marker(model, markers.marker_indices(n))
-    approx = periodic_approx(model, decomposition)
-    transfer = periodic_coboundary(approx, a, decomposition)
+    w = markers.tower_height(n)
     group = a.group
-    size = model.size
-    table = tuple(
-        group.sub(transfer.table[(i + 1) % size], transfer.table[i])
-        for i in range(size)
-    )
-    return CylinderFunction(model.bases, group, table)
+    partial = a._partial
+    table = list(a._table)
+    for top in range(w - 1, a.model.size, w):
+        table[top] = group.sub(partial[top - w + 1], partial[top])
+    return CylinderFunction(a.model.bases, group, tuple(table))
 
 
 def density_table(
@@ -607,12 +601,9 @@ def skew_orbit(
         raise ValueError("steps must be >= 0")
     a = _as_cocycle(h, model)
     x, g0 = start
-    x = validate_prefix(x, a.model.bases)
-    if len(x) != a.model.depth:
-        raise DepthError("skew orbit needs a full-depth starting prefix")
+    i = full_prefix_index(x, a.model.bases)
     if g0.group != a.group:
         raise DepthError("starting group value lives in the wrong group")
-    i = prefix_to_index(x, a.model.bases)
     group = a.group
     values = []
     radius = group.metric(group.zero(), group.zero())

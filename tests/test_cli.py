@@ -182,6 +182,7 @@ def test_run_with_config_file_and_override(tmp_path):
 
 
 def test_run_with_measures_file(tmp_path):
+    # no suite reads measures, so `run` has no --measures flag (argparse exit 2)
     measures = [
         {
             "kind": "bernoulli",
@@ -191,9 +192,37 @@ def test_run_with_measures_file(tmp_path):
     ]
     mpath = tmp_path / "measures.json"
     mpath.write_text(json.dumps(measures))
-    assert main(
-        ["run", "density", "--depth", "4", "--seed", "2", "--count", "2", "--measures", str(mpath)]
-    ) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["run", "density", "--depth", "4", "--seed", "2", "--count", "2", "--measures", str(mpath)]
+        )
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"depth": 4, "count": 0, "n_max": 0},
+        {"depth": 4, "count": 0},
+        {"depth": 4, "n_max": 0},
+        {"depth": 4, "count": -1},
+        {"depth": 4, "count": 2.5},
+    ],
+)
+def test_config_file_rejects_counts_below_one(tmp_path, config, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "density", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "must be an integer >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_run_density_real_group_meets_the_rate(seed, capsys):
+    # F_n equals f bit-exactly off the tower tops, so no float noise enters tau3
+    argv = ["run", "density", "--depth", "6", "--count", "2", "--group", "real", "--seed", seed]
+    assert main(argv) == 0
 
 
 def test_bad_input_file_is_usage_error(tmp_path, capsys):

@@ -21,6 +21,7 @@ from cocycle_lab.dynamics import (
 from cocycle_lab.space import (
     BernoulliMeasure,
     CylinderFunction,
+    DepthError,
     aut_distance,
     index_to_prefix,
     iter_prefixes,
@@ -73,6 +74,16 @@ def test_quotient_is_a_single_cycle(bases):
 def test_step_inverse():
     for x in iter_prefixes(B3):
         assert M3.step_inverse(M3.step(x)) == x
+
+
+def test_short_prefixes_are_rejected_not_zero_padded():
+    # a depth-1 prefix on a depth-3 model is not a point of the quotient
+    element = FullGroupElement.identity(M3)
+    for call in (M3.step, M3.step_inverse, M3.orbit, element.apply):
+        with pytest.raises(DepthError):
+            call((1,))
+    with pytest.raises(DepthError):
+        stabilization_index(M3, (1, 1))
 
 
 def test_quotient_consistency_under_refinement():

@@ -1,0 +1,107 @@
+"""Golden reports: every suite x value group x seed, byte for byte.
+
+The sha256 digest of the JSON report of
+``run <suite> --depth 5 --count 3 --format json --group <group> --seed <seed>``
+and its exit code were recorded before the closed-form kernels replaced
+the tower and full-group chain; refactors must leave every cell unchanged.
+(``happrox`` needs the rational group: its other cells are usage errors,
+exit 2 with empty output.)
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from cocycle_lab.cli import main
+
+GOLDEN = {
+    ("density", "int", 0): (0, "7672db3b434cc06bfd7e3ae5a4deacd63e5174ef8cb61061422ff914f66a14c1"),
+    ("density", "int", 1): (0, "9a1a2a46ed31254dca6edb7e1ece9814f3cec4ee841cdcd2987bab13faf0c48d"),
+    ("density", "int", 2): (0, "89906d2c8b02a2a809ffb569b9925fac9e41c84414a7954ca9b731bf93be5170"),
+    ("density", "rat", 0): (0, "a2fa305e2ed05b689228f0c00458dccc70ca41648262b41180dfa8a3ac79b984"),
+    ("density", "rat", 1): (0, "dc03f0895ed93a4ee252a1e74f0ab591f0098e9756d124ceb74d085a7a8dab20"),
+    ("density", "rat", 2): (0, "81641cc40c8197980d430a0fb3e7d3cda3611ad6188ba5cdbe283a80dd4b527b"),
+    ("density", "dy", 0): (0, "76bb7a475214c07047b53d3ad4e26163fd3c020885c93523ffbc1cef505a6a74"),
+    ("density", "dy", 1): (0, "7785e050bb1d025f6e55891677ed37bb094dab6660e9b895a8a7c02681c32eb3"),
+    ("density", "dy", 2): (0, "0cbd09384f2428e78a7297afe020894c81fdbc930bc19f2cec804920c9a566ac"),
+    ("density", "mod:5", 0): (0, "890e2e571ee7c76c4743d2449ed41c210bcafa4d6b2f006a265c3b9ae08c32a9"),
+    ("density", "mod:5", 1): (0, "cd3e24ca89079c6781b6a547b1f0d4e61885b2c1d9b6996e6ada3f30036947bd"),
+    ("density", "mod:5", 2): (0, "6110cf398904100257356ec12faae51c72a2e97a70400fa05b45373efee6b3e9"),
+    ("density", "vec:2", 0): (0, "92cc1475a6b0ff37bde8e588b4aff71f842ba6af6282533888f2f41b770c8838"),
+    ("density", "vec:2", 1): (0, "499f0d7b4d55aa0639b3d6cd80c0d2a4a47d18ff69192bca6c9a63a4c99e336e"),
+    ("density", "vec:2", 2): (0, "9cc147f9769fa268685811c3ea311a61bbe792dff3adb1231ed9ba846d8807e5"),
+    ("gh", "int", 0): (0, "5f575b55acfa417d129ddd46f1da013023b0feb30294f3ba0f2ab4a017edec55"),
+    ("gh", "int", 1): (0, "89e68b37bc623191dc36b1788de6d429fb74a4821ffa16963c46b4bf2b2b00c0"),
+    ("gh", "int", 2): (0, "5bc61081cde35e265c13abc48780f12af94771b0e07852adc4b03d40b89bf4f8"),
+    ("gh", "rat", 0): (0, "2e5fc172a231ce6f22258105598a5f4a0bf89538d1974f120dd1b165d0976150"),
+    ("gh", "rat", 1): (0, "7f453e07c323bfb265036a7c2e58ac3c8338fc5716b0e4d9823e45b30e403428"),
+    ("gh", "rat", 2): (0, "f91129c9425349c100977f8a00a1dfa27458109710192a96bfb4f7d8f7c14ac0"),
+    ("gh", "dy", 0): (0, "e087485da742b18b49ab5692972d021e64f11ac36a9dc244c18ba6c3d7c0f7f0"),
+    ("gh", "dy", 1): (0, "07324002cdf824709bc07846ca05ca4de0090a2f85cc25761e40a4e2242b517a"),
+    ("gh", "dy", 2): (0, "0b034ddd2347313d270bed5b13fe141f679c3906648595f02f1ab974dd01751d"),
+    ("gh", "mod:5", 0): (0, "57592cefb6c807f2583a8cb34792cb20c7103c31c7133fa78bf371f9b02c14d2"),
+    ("gh", "mod:5", 1): (0, "3406e7230950db95ee7eb39bab7be6dba9a307f81e75ec651ce5d9898c6c9396"),
+    ("gh", "mod:5", 2): (0, "c0ee96e988ce23c7a7187dad07b8ce9c61a7ea48766dfa39110615c3fd77d5f1"),
+    ("gh", "vec:2", 0): (0, "09e18b81776e2a1a8bdbfd1f8fd7f7e3efb6d40a9c3a9719cf69908a80b82510"),
+    ("gh", "vec:2", 1): (0, "f7ed2810b1ad174ab2c3b223b8e6dbd3f9cba4b87eb58adfb39e50471f8d8033"),
+    ("gh", "vec:2", 2): (0, "4c4f38dcb6b3f2b4bbd81c2b039607fbde259f5291ba11603b53d4c1b1ca93b4"),
+    ("happrox", "int", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "int", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "int", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "rat", 0): (0, "ee3ba0dad8b667c3d4bd13977762ea1510e56d804dfbac09fbf94d57cf2280f3"),
+    ("happrox", "rat", 1): (0, "ef78977e1cb756028c3e533e8b459b0d7278b4e88a4dd88044c84bf164e18bc2"),
+    ("happrox", "rat", 2): (0, "59aa87be682c6cd6c68d8000dd91f9b539dcb76b5bb54fd14c67415f7290d93a"),
+    ("happrox", "dy", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "dy", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "dy", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "mod:5", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "mod:5", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "mod:5", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "vec:2", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "vec:2", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "vec:2", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("odometer", "int", 0): (0, "fb9640b0149f82497f0525f6973feea4216841f1aac3ad278664494f57b9bd07"),
+    ("odometer", "int", 1): (0, "3ccd2c9ebda18a198a6fc33c9bd313d8b43fcaa2d41466396771e469d63fd90c"),
+    ("odometer", "int", 2): (0, "a0d09d189cabc0a7b8072dd26845573f44fd1c0ae9ff0b578dceaaa689bd0654"),
+    ("odometer", "rat", 0): (0, "086a6e1ed513fcf884c13bc4ec35a4878145875ba6d54897c006aa7c22813750"),
+    ("odometer", "rat", 1): (0, "2155bfb069d32a4a026ab8245480d8f6af4fcc1c9205c4febbe8f370b7968071"),
+    ("odometer", "rat", 2): (0, "8f06dba832d6bfafefa940416631626cb3538158904818eeeca859ae38cee8bd"),
+    ("odometer", "dy", 0): (0, "f7df948c66d8b67a5e2bd37f77e8c77b5aa5aff02388b5e5d323cd541099e573"),
+    ("odometer", "dy", 1): (0, "eef8b1f626456f9e0c031944fe3f862b6353df13082787d8b38f599cb932585e"),
+    ("odometer", "dy", 2): (0, "94b70d6ffed5dd03118774248c455b15208edfea02586ff4e0b554ea0335cc93"),
+    ("odometer", "mod:5", 0): (0, "8391245a17496869d16980af4ab793da50019e1875c28394f28a7e7eb80efeaa"),
+    ("odometer", "mod:5", 1): (0, "2b439ffc8f70374af76eaae3f2fb67da63e2f82b8e9b34bc9d7008ffa29ff9b2"),
+    ("odometer", "mod:5", 2): (0, "f8e684ad0120b54a0bc4e211a68ffab15392b860bc12096c316687392e1ac020"),
+    ("odometer", "vec:2", 0): (0, "24b470dad93641a1fb73419d1e3bf83676811b6d8dfe6d113db3d73abb5425f4"),
+    ("odometer", "vec:2", 1): (0, "2a6e79a7aa5c1a28578fe0408101dca47fd866ccba896ad313a549ef7604b363"),
+    ("odometer", "vec:2", 2): (0, "24b6c94f592f7bd2d0036eb67b2c2737e83e22fe52287442761658daafcb6597"),
+    ("topology", "int", 0): (0, "86eed5209959f4a3ea99bca22e41e0dbefc6849daa51c21670c2dc30cd8aed22"),
+    ("topology", "int", 1): (0, "8e2dd9a8c755f8a61a5e31e054da085e5c39ee18015a8a81b9216a9960890009"),
+    ("topology", "int", 2): (0, "3abed93b106ee2d280ebff91d797a3f8b813915dc95ab9450ef9acc418056b61"),
+    ("topology", "rat", 0): (0, "c7dbdac3bb5e096d59b59da238d545029c39051cf5eb06e6e56844c13a337228"),
+    ("topology", "rat", 1): (0, "6308216e93182b31d5b1d21673f7e9cd34f014e2a5076ac574f4e55753c6a253"),
+    ("topology", "rat", 2): (0, "f49455e5064b2d5f724a99ff5d3d2f9ce898e3203f5118053fd8873236ba88f4"),
+    ("topology", "dy", 0): (0, "250bc00e4e0b19f4f9b89883948a6f626104db079a214d5981926fb3d4f4eb69"),
+    ("topology", "dy", 1): (0, "aa2c0499bb45f67514c90de8e34d988c5df2c807a8b7ea66d35cd3b2fd50e2c8"),
+    ("topology", "dy", 2): (0, "88f138041c8b74cb1551abcb4fe71bf874374e2bd241ad8f7b6092c3dc39b3d1"),
+    ("topology", "mod:5", 0): (0, "a0bd0504a2548a481f2693c8c4ad8acdb64db550fbda62aef61afdffd9ea650f"),
+    ("topology", "mod:5", 1): (0, "c25dee8926fbcef36a77d0fa523b2542fdf0b588bf74d3a2e22f029e0b73516e"),
+    ("topology", "mod:5", 2): (0, "e892510215adcd78eed78a0fd11731b30a6af072d1d834139c649d7e0b24adfe"),
+    ("topology", "vec:2", 0): (0, "4c29c908145446553b4f03efc10cb93e9ef32f6dfd56ed3bbc65e062a1686da7"),
+    ("topology", "vec:2", 1): (0, "bba6f143832b7cc87b8a968863b17b6f68a096b03ac07c00dcf03b1ba5e81eb1"),
+    ("topology", "vec:2", 2): (0, "204417997146fe324f0beeccbb3b0b5ca09aecd190a9ac165569a5863509b4ac"),
+}
+
+
+@pytest.mark.parametrize("suite, group, seed", sorted(GOLDEN))
+def test_golden_report(suite, group, seed):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(
+            ["run", suite, "--depth", "5", "--count", "3", "--format", "json",
+             "--group", group, "--seed", str(seed)]
+        )
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (code, digest) == GOLDEN[suite, group, seed]

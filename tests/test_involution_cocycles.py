@@ -345,6 +345,15 @@ def test_transport_rejects_noncommuting_permutation():
         transport(a, tuple(swap))
 
 
+def test_transport_certificate_rejects_noncommuting_permutation():
+    m = Odometer.binary(3)
+    f, _ = coboundary_generator(random.Random(3), B3, RATIONALS)
+    certificate = coboundary_solve(ZCocycle(m, f))
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    with pytest.raises(ConjugationError):
+        transport_certificate(certificate, swap)
+
+
 def test_transport_involution_cocycle_along_flips():
     rng = random.Random(37)
     fam = invariant_family(rng, 4, 3, RATIONALS)

@@ -15,6 +15,7 @@ from cocycle_lab.space import (
     aut_distance,
     convergence_rows,
     exceedance_prefixes,
+    full_prefix_index,
     index_to_prefix,
     iter_prefixes,
     measure_from_json,
@@ -50,6 +51,15 @@ def test_index_order_is_x1_fastest():
     assert index_to_prefix(0, B3) == (0, 0, 0)
     assert index_to_prefix(1, B3) == (1, 0, 0)
     assert index_to_prefix(2, B3) == (0, 1, 0)
+
+
+def test_full_prefix_index_needs_valid_full_depth():
+    bases = (2, 3, 2)
+    for i in range(12):
+        assert full_prefix_index(index_to_prefix(i, bases), bases) == i
+    for bad in ((1,), (1, 2), (0, 3, 0), (0, 0, 0, 0)):
+        with pytest.raises(DepthError):
+            full_prefix_index(bad, bases)
 
 
 def test_eval_projects_to_leading_digits():
