@@ -205,7 +205,9 @@ def _cmd_cocycle(args) -> int:
     if args.subcommand == "density":
         a = _load_cocycle(args)
         markers = MarkerSequence(a.model)
-        n_max = args.n_max if args.n_max is not None else a.model.depth - 1
+        n_max = args.n_max if args.n_max is not None else markers.max_index
+        if n_max > markers.max_index:
+            raise UsageError(f"--n-max must lie in 1..{markers.max_index}, got {n_max}")
         measures = (
             [measure_from_json(m) for m in _load_json(args.measures)]
             if args.measures

@@ -37,6 +37,10 @@ class UsageError(ValueError):
     """Configuration or invocation errors (exit code 2)."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Model, value group, seed, and tuning knobs for one experiment."""
@@ -59,9 +63,13 @@ class ExperimentConfig:
         if self.eps0 <= 0 or self.epsilon_max <= 0:
             raise UsageError("radii must be positive")
         group_from_tag(self.group)  # validate
+        if not _is_int(self.seed):
+            raise UsageError(f"seed must be an integer, got {self.seed!r}")
+        if self.horizon is not None and not (_is_int(self.horizon) and self.horizon >= 0):
+            raise UsageError(f"horizon must be >= 0 and an integer, got {self.horizon!r}")
         for name in ("count", "n_max"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, int) and value >= 1):
+            if value is not None and not (_is_int(value) and value >= 1):
                 raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod

@@ -13,8 +13,10 @@ exactly computable from one period of partial sums:
 * over the markers A_n the induced coboundary F_n has a closed form: f
   off the tower tops, and on each top the value that cancels the sum
   over its tower (two partial sums).  It agrees with f off the top sets,
-  so its tau3-distance to f is bounded by the top-set measure (2^-n under
-  the fair-coin measure on the 2-odometer);
+  so its tau3-distance to f is a sum over the N/w tops alone, bounded by
+  the top-set measure (2^-n under the fair-coin measure on the
+  2-odometer); the density rows take it from there, with masses read
+  once per measure on the level-1 tops;
 * boundedness of two-sided orbit sums characterizes coboundaries, with
   the certificate spread bound as the explicit constant.
 
@@ -32,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -254,6 +257,18 @@ def periodic_coboundary(
     return CylinderFunction(a.model.bases, group, tuple(table))
 
 
+def _approximant(a: ZCocycle, w: int) -> list:
+    """Payloads of F_n for tower height w: the generator table with each
+    top i = w-1 (mod w) set to C[i-w+1] - C[i], which cancels the sum over
+    its tower."""
+    group = a.group
+    partial = a._partial
+    table = list(a._table)
+    for top in range(w - 1, a.model.size, w):
+        table[top] = group.sub(partial[top - w + 1], partial[top])
+    return table
+
+
 def density_sequence(
     a: ZCocycle, markers: MarkerSequence, n: int
 ) -> CylinderFunction:
@@ -265,13 +280,8 @@ def density_sequence(
     of the transfer of the n-th periodic approximation
     (``periodic_coboundary`` over ``periodic_approx``), in closed form.
     """
-    w = markers.tower_height(n)
-    group = a.group
-    partial = a._partial
-    table = list(a._table)
-    for top in range(w - 1, a.model.size, w):
-        table[top] = group.sub(partial[top - w + 1], partial[top])
-    return CylinderFunction(a.model.bases, group, tuple(table))
+    table = _approximant(a, markers.tower_height(n))
+    return CylinderFunction(a.model.bases, a.group, tuple(table))
 
 
 def density_table(
@@ -280,17 +290,58 @@ def density_table(
     n_max: int,
     measures: Sequence[Measure] = (),
 ) -> list[dict]:
-    """Rows (n, tau3 per measure, certificate bound) for n = 1..n_max."""
+    """Rows (n, tau3 per measure, certificate bound) for n = 1..n_max.
+
+    Each row equals ``coboundary_solve`` of ``density_sequence`` and
+    ``tau3_functional`` against the generator, computed from the tower
+    tops: F_n equals f off the tops, so tau3 sums over the N/w tops only.
+    Masses are taken once per measure on the level-1 tops, and the level-n
+    tops are every (w/p_1)-th of them.  The certificate runs the partial
+    sums of ``ZCocycle._partial`` over F_n in the same order, so the rows
+    are identical, float rounding on ``real`` included.  Each measure's
+    base vector must extend the model's (DepthError naming it otherwise).
+    """
+    model = a.model
+    for k, mu in enumerate(measures):
+        if mu.bases[: model.depth] != model.bases:
+            raise DepthError(
+                f"measure {k} has bases {mu.bases}, which do not extend "
+                f"the model's bases {model.bases}"
+            )
+    if n_max < 1:
+        return []
+    group = a.group
+    zero = group.zero()
+    f = a._table
+    p1 = model.bases[0]
+    masses = [
+        [mu.mass(index_to_prefix(i, model.bases)) for i in range(p1 - 1, model.size, p1)]
+        for mu in measures
+    ]
+    one = Fraction(1)
+    # the literal sum also adds mass * 0 off the tops: on ``real`` that
+    # zero is 0.0, which makes the sum a float even when every top term
+    # is an exact mass
+    start = Fraction(0) * group.metric(zero, zero)
     rows = []
-    f_full = a.generator.lift(a.model.bases)
     for n in range(1, n_max + 1):
-        approximant = density_sequence(a, markers, n)
-        certificate = coboundary_solve(ZCocycle(a.model, approximant))
-        row = {"n": n, "certified": certificate is not None}
-        if certificate is not None:
-            row["M"] = certificate.spread_bound
-        for k, mu in enumerate(measures):
-            row[f"tau3_{k}"] = tau3_functional(approximant, f_full, mu)
+        w = markers.tower_height(n)
+        table = _approximant(a, w)
+        partial = list(accumulate(table[:-1], group.add, initial=zero))
+        certified = group.values_equal(group.add(partial[-1], table[-1]), zero)
+        row = {"n": n, "certified": certified}
+        if certified:
+            row["M"] = _spread_bound(partial, group)
+        clipped = []
+        for top in range(w - 1, model.size, w):
+            d = group.metric(table[top], f[top])
+            clipped.append(d if d < one else one)
+        step = w // p1
+        for k, level1 in enumerate(masses):
+            total = start
+            for m, d in zip(level1[step - 1 :: step], clipped):
+                total += m * d
+            row[f"tau3_{k}"] = total
         rows.append(row)
     return rows
 

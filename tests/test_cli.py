@@ -82,6 +82,44 @@ def test_cocycle_density_csv(generator_file, capsys):
         assert Fraction(value) <= Fraction(1, 2 ** int(n))
 
 
+def test_cocycle_density_depth_one_has_no_rows(generator_file, capsys):
+    # the default n_max is depth - 1 = 0: no approximant, an empty table
+    assert main(["cocycle", "density", "--input", generator_file, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+
+@pytest.mark.parametrize("depth, n_max", [("4", "4"), ("4", "9"), ("1", "1")])
+def test_cocycle_density_n_max_beyond_the_markers_is_usage_error(generator_file, depth, n_max, capsys):
+    argv = ["cocycle", "density", "--input", generator_file, "--depth", depth, "--n-max", n_max]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--n-max must lie in 1..{int(depth) - 1}, got {n_max}" in captured.err
+    assert captured.out == ""
+
+
+def _bernoulli_record(bases):
+    return {"kind": "bernoulli", "bases": list(bases), "weights": [[f"1/{b}"] * b for b in bases]}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _bernoulli_record((3, 3, 3, 3)),  # another odometer
+        _bernoulli_record((2, 2)),  # too short for the model
+        _bernoulli_record((2, 3, 2, 2)),  # right length, one base off
+    ],
+)
+def test_cocycle_density_rejects_measures_off_the_model(generator_file, tmp_path, bad, capsys):
+    mpath = tmp_path / "measures.json"
+    mpath.write_text(json.dumps([_bernoulli_record((2, 2, 2, 2, 2)), bad]))
+    argv = ["cocycle", "density", "--input", generator_file, "--depth", "4", "--measures", str(mpath)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "measure 1 has bases" in captured.err
+    assert "exceeds model depth" not in captured.err
+    assert captured.out == ""
+
+
 def test_cocycle_gh(nonsolvable_file, capsys):
     assert main(["cocycle", "gh", "--input", nonsolvable_file, "--depth", "3", "--horizon", "16"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -215,6 +253,25 @@ def test_config_file_rejects_counts_below_one(tmp_path, config, capsys):
     assert main(["run", "density", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert "must be an integer >= 1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"depth": 4, "seed": "x"}, "seed must be an integer"),
+        ({"depth": 4, "seed": True}, "seed must be an integer"),
+        ({"depth": 4, "seed": 1.5}, "seed must be an integer"),
+        ({"depth": 4, "horizon": "x"}, "horizon must be >= 0"),
+        ({"depth": 4, "horizon": 2.5}, "horizon must be >= 0"),
+    ],
+)
+def test_config_file_rejects_bad_seed_and_horizon(tmp_path, config, message, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "gh", "--count", "2", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
     assert captured.out == ""
 
 

@@ -1,19 +1,27 @@
 """Closed forms on the single cycle against the generic constructions.
 
 The density approximants F_n are computed from the tower-top partial sums,
-and transport along a commuting permutation rotates or XORs the tables.
-The oracles are the generic chains they replace: towers over the marker
-A_n, the periodic approximation, its transfer and the differences of that
-transfer; and transport by reading tables at phi^{-1} through an explicit
+the density rows from the tower tops alone, and transport along a
+commuting permutation rotates or XORs the tables.  The oracles are the
+generic chains they replace: towers over the marker A_n, the periodic
+approximation, its transfer and the differences of that transfer; each
+density row as the approximant, its coboundary solve and tau3 over every
+prefix; and transport by reading tables at phi^{-1} through an explicit
 inverse permutation.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cocycle_lab.cli import main
 from cocycle_lab.dynamics import (
     MarkerSequence,
     Odometer,
@@ -27,8 +35,19 @@ from cocycle_lab.involution_cocycles import (
     transport,
     transport_certificate,
 )
-from cocycle_lab.sampling import coboundary_generator, cylinder_function, invariant_family
-from cocycle_lab.space import CylinderFunction
+from cocycle_lab.sampling import (
+    bernoulli_measure,
+    coboundary_generator,
+    cylinder_function,
+    invariant_family,
+)
+from cocycle_lab.space import (
+    CylinderFunction,
+    DiracMeasure,
+    MarkovMeasure,
+    MixtureMeasure,
+    tau3_functional,
+)
 from cocycle_lab.values import APPROX_REALS, INTEGERS, RATIONALS, group_from_tag
 from cocycle_lab.zcocycles import (
     CoboundaryCertificate,
@@ -36,6 +55,7 @@ from cocycle_lab.zcocycles import (
     _spread_bound,
     coboundary_solve,
     density_sequence,
+    density_table,
     periodic_coboundary,
 )
 
@@ -105,6 +125,137 @@ def test_density_real_is_bit_exact_off_the_tops(seed):
         table = approximant.table
         assert all(table[i] == f[i] for i in range(model.size) if i not in tops)
         assert coboundary_solve(ZCocycle(model, approximant)) is not None
+
+
+# --- density rows ----------------------------------------------------------------------
+
+
+def literal_density_table(a: ZCocycle, markers: MarkerSequence, n_max: int, measures) -> list:
+    """Each row through the approximant, its coboundary solve and tau3 over every prefix."""
+    f_full = a.generator.lift(a.model.bases)
+    rows = []
+    for n in range(1, n_max + 1):
+        approximant = density_sequence(a, markers, n)
+        certificate = coboundary_solve(ZCocycle(a.model, approximant))
+        row = {"n": n, "certified": certificate is not None}
+        if certificate is not None:
+            row["M"] = certificate.spread_bound
+        for k, mu in enumerate(measures):
+            row[f"tau3_{k}"] = tau3_functional(approximant, f_full, mu)
+        rows.append(row)
+    return rows
+
+
+def assert_same_rows(new: list, old: list) -> None:
+    # repr carries the type: Fraction(0, 1), 0 and 0.0 are equal but print apart
+    assert new == old
+    assert [{k: repr(v) for k, v in row.items()} for row in new] == [
+        {k: repr(v) for k, v in row.items()} for row in old
+    ]
+
+
+def probability_vector(rng: random.Random, size: int) -> tuple:
+    cuts = [rng.randint(0, 4) for _ in range(size)]
+    cuts[rng.randrange(size)] += 1
+    return tuple(Fraction(c, sum(cuts)) for c in cuts)
+
+
+def density_measures(rng: random.Random, bases: tuple) -> list:
+    """A Bernoulli, a Markov, a Dirac and a mixture measure on the bases."""
+    bernoulli = bernoulli_measure(rng, bases)
+    markov = MarkovMeasure(
+        bases,
+        probability_vector(rng, bases[0]),
+        tuple(
+            tuple(probability_vector(rng, bases[step + 1]) for _ in range(bases[step]))
+            for step in range(len(bases) - 1)
+        ),
+    )
+    dirac = DiracMeasure(bases, tuple(rng.randrange(b) for b in bases))
+    mixture = MixtureMeasure((bernoulli, dirac, markov), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    return [bernoulli, markov, dirac, mixture]
+
+
+@pytest.mark.parametrize("bases", [(2, 2, 2), (3, 2), (2, 3)])
+def test_density_table_exhaustive_small(bases):
+    model = Odometer(bases)
+    markers = MarkerSequence(model)
+    markov = density_measures(random.Random(5), bases)[1]
+    for values in itertools.product((-1, 0, 1), repeat=model.size):
+        a = ZCocycle(model, CylinderFunction(bases, INTEGERS, values))
+        rows = density_table(a, markers, model.depth - 1, [markov])
+        assert_same_rows(rows, literal_density_table(a, markers, model.depth - 1, [markov]))
+
+
+@given(
+    tag=st.sampled_from(EXACT_TAGS + ("real",)),
+    bases=st.sampled_from(((2, 2, 2), (2,) * 5, (3, 2, 2), (2, 3, 2, 2))),
+    generator_depth=st.integers(1, 5),
+    n_max=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_density_table_matches_literal_rows(tag, bases, generator_depth, n_max, seed):
+    group = group_from_tag(tag)
+    rng = random.Random(seed)
+    model = Odometer(bases)
+    n_max = min(n_max, model.depth - 1)
+    f = cylinder_function(rng, bases[:generator_depth], group)
+    a = ZCocycle(model, f)
+    markers = MarkerSequence(model)
+    measures = density_measures(rng, bases)
+    rows = density_table(a, markers, n_max, measures)
+    assert_same_rows(rows, literal_density_table(a, markers, n_max, measures))
+
+
+def test_density_table_real_tops_all_far():
+    # every top moves by >= 1, so each top term is an exact Fraction mass; the
+    # off-top terms mass * 0.0 still make the literal sum a float
+    model = Odometer.binary(4)
+    markers = MarkerSequence(model)
+    f = CylinderFunction(model.bases, APPROX_REALS, (1.5,) * model.size)
+    a = ZCocycle(model, f)
+    measures = density_measures(random.Random(9), model.bases)
+    rows = density_table(a, markers, 3, measures)
+    assert_same_rows(rows, literal_density_table(a, markers, 3, measures))
+    assert all(isinstance(row["tau3_0"], float) for row in rows)
+
+
+# sha256 of `cocycle density --measures --format json` on density_golden_inputs,
+# recorded before density_table summed over the tower tops only
+DENSITY_GOLDEN = {
+    ((2, 2, 2, 2, 2, 2), "int"): "28f7e5f4455f2f8236b82dafdbaca9e2e6ce1d8cbe3a004c2a9082d3be380d08",
+    ((2, 2, 2, 2, 2, 2), "rat"): "aa5c457834de5bd256ca9b8095263224b60a572d578776980e018a128c6d1ff2",
+    ((2, 2, 2, 2, 2, 2), "dy"): "bd6559c31fcb44379f37a7f9abf92fa4800733d124368a0dfcde11535402518e",
+    ((2, 2, 2, 2, 2, 2), "mod:5"): "632623f1e6ee7332446635123111c76ba3d00820c68e2d8ec2995b327fc7da84",
+    ((2, 2, 2, 2, 2, 2), "vec:2"): "dbb4da878152ceefeab7f4b440ab6a84e86220724ff7fe5b5e5109a063a4589c",
+    ((2, 2, 2, 2, 2, 2), "real"): "d7ecc939a84f46ac42dbda4a21cef86483b30c2af63c49db4eaa386067f5eea6",
+    ((3, 2, 2), "int"): "00e9d1b69c1d74e8471a37fbe96c2c65f9695449bc34b6f08c1220c30227d677",
+    ((3, 2, 2), "rat"): "bcdb4954a22fdd949a88115721edf8da7a82cc3b86d118dc06ea3dcc593af586",
+    ((3, 2, 2), "dy"): "0233b42b8d9e73bdd9141f7b13b4fc73b5a9eebe3009fc60d66f81e80cd1c045",
+    ((3, 2, 2), "mod:5"): "7273f477ef79ed2df9879cccc00877335e6fe75991a615b9fc71a837a10e6a9f",
+    ((3, 2, 2), "vec:2"): "85c74e10f5876ac845d2205e37f6809967456d6929f4e8bbe22fafc271e48743",
+    ((3, 2, 2), "real"): "aace7eaf55face3cb53bb55aed7924e58f5aef86947bf8f1d0824f47c06db04e",
+}
+
+
+def density_golden_inputs(tmp_path, bases: tuple, tag: str) -> tuple:
+    rng = random.Random(0)
+    f = cylinder_function(rng, bases, group_from_tag(tag))
+    generator = tmp_path / "gen.json"
+    generator.write_text(json.dumps(f.to_json()))
+    measures = tmp_path / "measures.json"
+    measures.write_text(json.dumps([mu.to_json() for mu in density_measures(rng, bases)]))
+    return str(generator), str(measures)
+
+
+@pytest.mark.parametrize("bases, tag", sorted(DENSITY_GOLDEN))
+def test_density_measures_golden(tmp_path, bases, tag):
+    generator, measures = density_golden_inputs(tmp_path, bases, tag)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["cocycle", "density", "--input", generator, "--measures", measures, "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DENSITY_GOLDEN[bases, tag]
 
 
 # --- transport -------------------------------------------------------------------------
