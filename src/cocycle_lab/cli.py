@@ -36,8 +36,14 @@ from .values import NeighborhoodChain, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
-def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+def _decode(path: str, parse):
+    """``parse`` of a JSON input file; malformed content is a usage error
+    naming the file (an unreadable file stays an OSError)."""
+    text = Path(path).read_text()
+    try:
+        return parse(json.loads(text))
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
 def _parse_prefix(text: str) -> tuple[int, ...]:
@@ -165,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    obj = _load_json(args.config) if args.config else {}
+    # a config file must hold a JSON object; {**x} is a TypeError otherwise
+    obj = _decode(args.config, lambda x: {**x}) if args.config else {}
     for key in ("group", "seed", "horizon", "count", "n_max", "eps0", "epsilon_max"):
         value = getattr(args, key, None)
         if value is not None:
@@ -180,7 +187,7 @@ def _cmd_run(args) -> int:
 
 
 def _load_cocycle(args) -> ZCocycle:
-    f = CylinderFunction.from_json(_load_json(args.input))
+    f = _decode(args.input, CylinderFunction.from_json)
     model = Odometer(_model_bases(args, f.bases))
     return ZCocycle(model, f)
 
@@ -209,7 +216,7 @@ def _cmd_cocycle(args) -> int:
         if n_max > markers.max_index:
             raise UsageError(f"--n-max must lie in 1..{markers.max_index}, got {n_max}")
         measures = (
-            [measure_from_json(m) for m in _load_json(args.measures)]
+            _decode(args.measures, lambda ms: [measure_from_json(m) for m in ms])
             if args.measures
             else [BernoulliMeasure.uniform(a.model.bases)]
         )
@@ -241,7 +248,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    family = GeneratorFamily.from_json(_load_json(args.input))
+    family = _decode(args.input, GeneratorFamily.from_json)
     if args.subcommand == "verify":
         check = verify_identities(InvolutionCocycle(family))
         _emit(
@@ -278,10 +285,7 @@ def main(argv=None) -> int:
             return _cmd_cocycle(args)
         if args.command == "gamma":
             return _cmd_gamma(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

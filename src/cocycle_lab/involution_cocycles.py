@@ -185,6 +185,23 @@ def word_apply_index(word: Iterable[int], i: int) -> int:
     return i
 
 
+def _subset_words(count: int):
+    """Every reduced flip word over 1..count, in increasing order, listed so
+    that the i-th word's flip mask is i."""
+    for bits in range(1 << count):
+        yield [n for n in range(1, count + 1) if (bits >> (n - 1)) & 1]
+
+
+def _chain(tables, group: Group, word: Sequence[int], i: int):
+    """Cocycle payload at an ordered flip word through the identity chain:
+    the generator values of the word's letters, right to left."""
+    acc = group.zero()
+    for n in reversed(word):
+        acc = group.add(acc, tables[n - 1][i])
+        i ^= 1 << (n - 1)
+    return acc
+
+
 def word_apply(word: Iterable[int], x: Sequence[int]) -> tuple[int, ...]:
     x = tuple(int(d) for d in x)
     out = list(x)
@@ -241,16 +258,11 @@ class InvolutionCocycle:
 
     def eval_word_index(self, word: Sequence[int], i: int):
         """Payload of the cocycle at an ordered flip word, via the identity chain."""
-        group = self.group
-        acc = group.zero()
-        for n in reversed(list(word)):
+        word = list(word)
+        for n in reversed(word):
             if not 1 <= n <= self.family.count:
-                raise IndexError(
-                    f"generator index {n} out of range 1..{self.family.count}"
-                )
-            acc = group.add(acc, self._generator_tables[n - 1][i])
-            i ^= 1 << (n - 1)
-        return acc
+                raise IndexError(f"generator index {n} out of range 1..{self.family.count}")
+        return _chain(self._generator_tables, self.group, word, i)
 
     def eval_word(self, word, x: Sequence[int]) -> GroupValue:
         """Cocycle value at a word of flips; the empty word gives 0.
@@ -310,17 +322,9 @@ def verify_identities(
     bases = _check_binary(bases)
     tables, group = _oracle_tables(cocycle, count, bases, group)
     size = space_size(bases)
-
-    def chain(word: Sequence[int], i: int):
-        acc = group.zero()
-        for n in reversed(word):
-            acc = group.add(acc, tables[n - 1][i])
-            i ^= 1 << (n - 1)
-        return acc
-
     for i in range(size):
         for n in range(1, count + 1):
-            v = chain((n, n), i)
+            v = _chain(tables, group, (n, n), i)
             if not group.values_equal(v, group.zero()):
                 return IdentityCheck(
                     False,
@@ -332,8 +336,8 @@ def verify_identities(
                     },
                 )
             for k in range(1, n):
-                lhs = chain((n, k), i)
-                rhs = chain((k, n), i)
+                lhs = _chain(tables, group, (n, k), i)
+                rhs = _chain(tables, group, (k, n), i)
                 if not group.values_equal(lhs, rhs):
                     return IdentityCheck(
                         False,
@@ -391,12 +395,17 @@ def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
     if not 0 <= n <= family.count:
         raise IndexError(f"index {n} out of range 0..{family.count}")
     i = full_prefix_index(x, family.bases)
+    return GroupValue(family.group, _psi(n, family, i))
+
+
+def _psi(n: int, family: GeneratorFamily, i: int):
+    """Payload of psi_n at the full-depth index i."""
     group = family.group
     acc = group.zero()
     for k in range(1, n + 1):
         if (i >> (k - 1)) & 1:
             acc = group.sub(acc, family.generator_payload(k, i))
-    return GroupValue(group, acc)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -415,7 +424,7 @@ class TransferReport:
     radii: tuple[Fraction, ...]
     radius_bound: Fraction
 
-    @property
+    @cached_property
     def beta(self) -> InvolutionCocycle:
         return InvolutionCocycle(self.rounded_family)
 
@@ -435,25 +444,23 @@ def h_approximate(
 
     Each f_n is rounded valuewise at chain radius eps_n (rounding cannot
     break invariance), and the transfer is the finite sum
-    g(x) = sum_n x_n (f_n(x) - fbar_n(x)).  With ``verify=True`` the
-    cohomology equation is checked exhaustively over all flip words and
-    prefixes; the check is a theorem for invariant families, so a failure
-    raises.
+    g(x) = sum_n x_n (f_n(x) - fbar_n(x)) = psi_N(fbar)(x) - psi_N(f)(x),
+    exact on Q.  With ``verify=True`` the cohomology equation is checked
+    exhaustively over all flip words and prefixes; the check is a theorem
+    for invariant families, so a failure raises.
     """
     if family.group not in (RATIONALS, DYADICS):
         raise UnsupportedValueError(
             "dyadic approximation needs a rational-valued family"
         )
     group = RATIONALS
-    rounded_tables = []
-    radii = []
-    for n in range(1, family.count + 1):
-        eps = chain.epsilon(n)
-        radii.append(eps)
-        rounded_tables.append(
-            tuple(round_to_dyadic(Fraction(v), eps) for v in family.tables[n - 1])
-        )
-    rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
+    count = family.count
+    radii = tuple(chain.radii(count))
+    rounded_tables = tuple(
+        tuple(round_to_dyadic(v, eps) for v in table)
+        for table, eps in zip(family.tables, radii)
+    )
+    rounded = GeneratorFamily(family.bases, group, rounded_tables)
     base = (
         family
         if family.group == group
@@ -461,21 +468,13 @@ def h_approximate(
     )
 
     size = 1 << family.depth
-    g_table = []
-    for i in range(size):
-        acc = Fraction(0)
-        for n in range(1, family.count + 1):
-            if (i >> (n - 1)) & 1:
-                acc += base.generator_payload(n, i) - rounded.generator_payload(n, i)
-        g_table.append(acc)
+    g_table = [_psi(count, rounded, i) - _psi(count, base, i) for i in range(size)]
     transfer = CylinderFunction(family.bases, group, tuple(g_table))
-    report = TransferReport(
-        base, rounded, transfer, tuple(radii), sum(radii, Fraction(0))
-    )
+    report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
 
     if verify:
-        alpha = InvolutionCocycle(base)
-        beta = report.beta
+        alpha = InvolutionCocycle(base)._generator_tables
+        beta = report.beta._generator_tables
         bound = report.radius_bound
         if bound > chain.eps0:
             raise AssertionError("radius bound exceeds the base radius")
@@ -485,13 +484,10 @@ def h_approximate(
                     f"transfer value {g} at {index_to_prefix(i, family.bases)} "
                     f"exceeds the bound {bound}"
                 )
-        indices = list(range(1, family.count + 1))
-        for bits in range(1 << family.count):
-            word = [n for n in indices if (bits >> (n - 1)) & 1]
+        for mask, word in enumerate(_subset_words(count)):
             for i in range(size):
-                wi = word_apply_index(word, i)
-                lhs = alpha.eval_word_index(word, i)
-                rhs = g_table[wi] + beta.eval_word_index(word, i) - g_table[i]
+                lhs = _chain(alpha, group, word, i)
+                rhs = g_table[i ^ mask] + _chain(beta, group, word, i) - g_table[i]
                 if lhs != rhs:
                     raise AssertionError(
                         f"cohomology equation failed at word {word}, "

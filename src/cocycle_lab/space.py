@@ -151,9 +151,12 @@ class CylinderFunction:
         """Reindex over a deeper base vector extending this one.
 
         The lifted table is this table tiled, which is pointwise equality
-        of functions in x_1-fastest order.
+        of functions in x_1-fastest order; lifting to its own bases returns
+        the function itself.
         """
         bases = check_bases(bases)
+        if bases == self.bases:
+            return self
         if len(bases) < self.depth or bases[: self.depth] != self.bases:
             raise DepthError(f"{bases} does not extend {self.bases}")
         reps = space_size(bases) // self.size

@@ -18,6 +18,7 @@ from . import sampling
 from .dynamics import MarkerSequence, Odometer
 from .involution_cocycles import (
     InvolutionCocycle,
+    _subset_words,
     h_approximate,
     recover_generators,
     verify_identities,
@@ -74,18 +75,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        kwargs = {}
-        if "bases" in obj:
-            kwargs["bases"] = tuple(obj["bases"])
-        elif "depth" in obj:
-            kwargs["bases"] = (2,) * int(obj["depth"])
-        for key in ("group", "seed", "horizon", "count", "n_max"):
-            if key in obj and obj[key] is not None:
-                kwargs[key] = obj[key]
-        for key in ("eps0", "epsilon_max"):
-            if key in obj and obj[key] is not None:
-                kwargs[key] = as_fraction(obj[key])
         try:
+            kwargs = {}
+            if "bases" in obj:
+                kwargs["bases"] = tuple(obj["bases"])
+            elif "depth" in obj:
+                depth = obj["depth"]
+                if not (_is_int(depth) and depth >= 1):
+                    raise UsageError(f"depth must be an integer >= 1, got {depth!r}")
+                kwargs["bases"] = (2,) * depth
+            for key in ("group", "seed", "horizon", "count", "n_max"):
+                if key in obj and obj[key] is not None:
+                    kwargs[key] = obj[key]
+            for key in ("eps0", "epsilon_max"):
+                if key in obj and obj[key] is not None:
+                    kwargs[key] = as_fraction(obj[key])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
@@ -306,8 +310,8 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         beta = result.beta
         size = 1 << depth
         dyadic_ok = all(
-            is_dyadic(beta.eval_word_index(sorted(w), i))
-            for w in _subsets(n_gen)
+            is_dyadic(beta.eval_word_index(w, i))
+            for w in _subset_words(n_gen)
             for i in range(size)
         )
         max_g = max(abs(v) for v in result.transfer.table)
@@ -325,11 +329,6 @@ def happrox_suite(config: ExperimentConfig) -> Report:
             witness=f"max|g|={max_g}",
         )
     return report
-
-
-def _subsets(n: int):
-    for bits in range(1 << n):
-        yield [k for k in range(1, n + 1) if (bits >> (k - 1)) & 1]
 
 
 def gh_suite(config: ExperimentConfig) -> Report:

@@ -44,7 +44,10 @@ def as_fraction(x: Any) -> Fraction:
     """Parse an exact rational from an int, Fraction, or 'p/q' string.
 
     Floats are rejected: exact mode must never silently absorb rounding.
+    A Fraction is returned as it is, so re-validating exact tables is cheap.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise UnsupportedValueError("bool is not an exact rational")
     if isinstance(x, (int, Fraction)):
@@ -122,7 +125,26 @@ class Group:
         return self.tag
 
 
-class IntegerGroup(Group):
+class _ScalarGroup(Group):
+    """Number payloads (int, Fraction, float) under +, metric |a - b|."""
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def scale(self, a, k):
+        return a * k
+
+    def metric(self, a, b):
+        return abs(a - b)
+
+    def projections(self, payloads):
+        return [list(payloads)]
+
+
+class IntegerGroup(_ScalarGroup):
     tag = "int"
 
     def zero(self):
@@ -133,21 +155,6 @@ class IntegerGroup(Group):
             raise UnsupportedValueError(f"integer group needs int, got {payload!r}")
         return payload
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, k):
-        return a * k
-
-    def metric(self, a, b):
-        return abs(a - b)
-
-    def projections(self, payloads):
-        return [list(payloads)]
-
     def payload_to_json(self, a):
         return {"t": "int", "n": a}
 
@@ -155,7 +162,7 @@ class IntegerGroup(Group):
         return self.validate(obj["n"])
 
 
-class RationalGroup(Group):
+class RationalGroup(_ScalarGroup):
     tag = "rat"
 
     def zero(self):
@@ -163,21 +170,6 @@ class RationalGroup(Group):
 
     def validate(self, payload):
         return as_fraction(payload)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, k):
-        return a * k
-
-    def metric(self, a, b):
-        return abs(a - b)
-
-    def projections(self, payloads):
-        return [list(payloads)]
 
     def payload_to_json(self, a):
         return {"t": "rat", "n": a.numerator, "d": a.denominator}
@@ -204,12 +196,11 @@ class DyadicGroup(RationalGroup):
         return self.validate(Fraction(obj["n"], 1 << obj["k"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ModularGroup(Group):
     """Z/m with the circular metric min(d, m - d)."""
 
     modulus: int
-    exact = True
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -248,16 +239,12 @@ class ModularGroup(Group):
             raise GroupMismatchError(f"modulus {obj['m']} != {self.modulus}")
         return self.validate(obj["r"])
 
-    def __repr__(self) -> str:
-        return self.tag
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RationalVectorGroup(Group):
     """Q^d with the sum-of-absolute-differences metric (exact on rationals)."""
 
     dim: int
-    exact = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -303,11 +290,8 @@ class RationalVectorGroup(Group):
     def payload_from_json(self, obj):
         return self.validate([Fraction(n, d) for n, d in obj["v"]])
 
-    def __repr__(self) -> str:
-        return self.tag
 
-
-class ApproxRealGroup(Group):
+class ApproxRealGroup(_ScalarGroup):
     """Float-backed reals.  Inexact; for reporting and demos only."""
 
     tag = "real"
@@ -320,21 +304,6 @@ class ApproxRealGroup(Group):
         if isinstance(payload, bool) or not isinstance(payload, (int, float)):
             raise UnsupportedValueError(f"real group needs float, got {payload!r}")
         return float(payload)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, a, k):
-        return a * k
-
-    def metric(self, a, b):
-        return abs(a - b)
-
-    def projections(self, payloads):
-        return [list(payloads)]
 
     def values_equal(self, a, b) -> bool:
         return abs(a - b) <= REPORTING_TOLERANCE

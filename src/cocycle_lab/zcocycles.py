@@ -85,12 +85,7 @@ class ZCocycle:
     def _partial(self) -> tuple:
         """Partial sums C[t] = f(0) + f(1) + ... + f(t-1) for t = 0..N-1."""
         group = self.group
-        sums = [group.zero()]
-        acc = group.zero()
-        for v in self._table[:-1]:
-            acc = group.add(acc, v)
-            sums.append(acc)
-        return tuple(sums)
+        return tuple(accumulate(self._table[:-1], group.add, initial=group.zero()))
 
     @cached_property
     def cycle_sum_payload(self):
@@ -511,6 +506,11 @@ def _window_reach(a: ZCocycle, scan_to: int):
     return channels
 
 
+def _window_sup(channels):
+    """The largest window sum norm in a ``_window_reach`` result."""
+    return max(d for _, reach in channels for pairs in reach for _, d in pairs)
+
+
 def _first_window(channels, sup, size: int, scan_to: int):
     """The scan's witness: the least (i, j) in scan order whose sum attains sup.
 
@@ -559,10 +559,11 @@ def gh_check(
     it.  On the inexact ``real`` group the sup agrees with the literal
     window scan to ``REPORTING_TOLERANCE``; it is bit-identical when no
     window wraps below position 0, since the sums are then formed alike.
-    For a non-coboundary with ``exceed_target`` set, the scan extends
-    past the horizon, O(N) per radius, until a witness sum exceeds the
-    target; this terminates whenever nonzero multiples of the cycle sum
-    are metrically unbounded (so not in Z/m, whose metric caps at m/2).
+    For a non-coboundary with ``exceed_target`` above that sup, the witness
+    is the first window of the least radius past the horizon whose sum
+    exceeds the target, bisected below a cap of a few periods in
+    O(k (N + cap) log cap); that fails (PeriodicityError) only when the
+    metric is bounded, as in Z/m.  ``empirical_sup`` stays the horizon's.
     """
     a = _as_cocycle(h, model)
     group = a.group
@@ -578,8 +579,7 @@ def gh_check(
     # so radii beyond N-1 repeat earlier values.
     scan_to = min(horizon, size - 1) if decision else horizon
     channels = _window_reach(a, scan_to)
-    best = max(d for _, reach in channels for pairs in reach for _, d in pairs)
-    empirical_sup = best
+    best = empirical_sup = _window_sup(channels)
 
     witness = None
     if not decision:
@@ -596,21 +596,24 @@ def gh_check(
             else:
                 cap_periods = int((exceed_target + best) / norm_2s) + 2
             cap = horizon + size * cap_periods
-            j = scan_to
-            while best <= exceed_target:
-                j += 1
-                for i in range(size):
-                    d = group.norm(two_sided_sum(a, i, j))
-                    if d > best:
-                        best, best_at = d, (i, j)
-                if j > cap:
-                    raise PeriodicityError(
-                        f"no two-sided sum exceeds {exceed_target} within "
-                        f"{cap_periods} periods; the value group's metric is bounded"
-                    )
-        else:
-            best_at = _first_window(channels, best, size, scan_to)
-        i, j = best_at
+            # the sup over radii <= r grows with r: bisect the least r in
+            # (horizon, cap + 1] above the target (cap + 1: none); every
+            # window attaining that sup then has radius r
+            lo, scan_to = horizon, cap + 1
+            while scan_to - lo > 1:
+                mid = (lo + scan_to) // 2
+                reach = _window_reach(a, mid)
+                sup = _window_sup(reach)
+                if sup > exceed_target:
+                    scan_to, channels, best = mid, reach, sup
+                else:
+                    lo = mid
+            if scan_to > cap:
+                raise PeriodicityError(
+                    f"no two-sided sum exceeds {exceed_target} within "
+                    f"{cap_periods} periods; the value group's metric is bounded"
+                )
+        i, j = _first_window(channels, best, size, scan_to)
         witness = GHWitness(
             index_to_prefix(i, a.model.bases),
             j,

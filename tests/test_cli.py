@@ -351,3 +351,57 @@ def test_zero_or_negative_count_flag_is_usage_error(generator_file, argv, flag, 
     captured = capsys.readouterr()
     assert f"{flag} must be >= 1" in captured.err
     assert captured.out == ""
+
+
+INT_X = {"bases": [2], "depth": 1, "group": "int", "table": [{"t": "int", "n": "x"}, {"t": "int", "n": 1}]}
+RAT_ZERO_DEN = {
+    "bases": [2], "depth": 1, "group": "rat",
+    "table": [{"t": "rat", "n": 1, "d": 0}, {"t": "rat", "n": 1, "d": 1}],
+}
+BARE_ENTRY = {"bases": [2], "depth": 1, "group": "int", "table": [5, {"t": "int", "n": 1}]}
+FAMILY_ZERO_DEN = {
+    "N": 1, "depth": 2, "group": "rat",
+    "tables": [[{"t": "rat", "n": 1, "d": 0}, {"t": "rat", "n": 1, "d": 1}]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        (["cocycle", "solve", "--input"], INT_X),
+        (["cocycle", "solve", "--input"], RAT_ZERO_DEN),
+        (["cocycle", "gh", "--input"], BARE_ENTRY),
+        (["cocycle", "eval", "--j", "1", "--x", "0", "--input"], [1, 2]),
+        (["gamma", "verify", "--input"], FAMILY_ZERO_DEN),
+        (["gamma", "happrox", "--input"], [1, 2]),
+        (["gamma", "roundtrip", "--input"], {"N": 1, "depth": 2, "group": "int", "tables": [[1, 2]]}),
+        (["run", "gh", "--count", "1", "--config"], [1, 2]),
+        (["cocycle", "density", "--input", "GEN", "--measures"], [1, 2]),
+        (["cocycle", "density", "--input", "GEN", "--measures"], [{"kind": "bernoulli", "bases": [2], "weights": [["1/0", "1"]]}]),
+    ],
+)
+def test_malformed_file_is_usage_error_naming_it(tmp_path, generator_file, command, document, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = [generator_file if arg == "GEN" else arg for arg in command] + [str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("depth", [4.7, "3", True, 0, -2, None])
+def test_config_depth_must_be_a_positive_integer(tmp_path, depth, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"depth": depth, "count": 1}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "depth must be an integer >= 1" in captured.err
+    assert captured.out == ""
+
+
+def test_config_float_radius_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"depth": 3, "count": 1, "eps0": 0.25}))
+    assert main(["run", "happrox", "--config", str(cfg_path)]) == 2
+    assert "exact rational" in capsys.readouterr().err

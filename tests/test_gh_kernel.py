@@ -1,16 +1,16 @@
 """The sliding-window gh kernel and the projection spread bound against
-their literal definitions: the O(N * H) window scan and the pairwise
-diameter."""
+their literal definitions: the O(N * H) window scan, its radius-by-radius
+extension past the horizon, and the pairwise diameter."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cocycle_lab.dynamics import Odometer
-from cocycle_lab.space import CylinderFunction, index_to_prefix
+from cocycle_lab.space import CylinderFunction, index_to_prefix, space_size
 from cocycle_lab.values import (
     APPROX_REALS,
     DYADICS,
@@ -24,6 +24,7 @@ from cocycle_lab.values import (
 from cocycle_lab.zcocycles import (
     GHReport,
     GHWitness,
+    PeriodicityError,
     ZCocycle,
     _spread_bound,
     coboundary_solve,
@@ -32,11 +33,14 @@ from cocycle_lab.zcocycles import (
 )
 
 
-def scan_gh_check(a: ZCocycle, horizon=None) -> GHReport:
+def scan_gh_check(a: ZCocycle, horizon=None, exceed_target=None) -> GHReport:
     """Oracle: every prefix i and radius j up to the horizon, in scan order.
 
     The witness is the first (i, j) whose sum strictly improves the best
-    norm so far.  For a coboundary, radii beyond N - 1 repeat.
+    norm so far.  For a coboundary, radii beyond N - 1 repeat.  With
+    ``exceed_target`` above the sup of a non-coboundary, the scan goes on
+    radius by radius past the horizon until the best sum exceeds the
+    target, and gives up after scanning radius cap + 1.
     """
     group = a.group
     size = a.model.size
@@ -51,8 +55,29 @@ def scan_gh_check(a: ZCocycle, horizon=None) -> GHReport:
             d = group.norm(two_sided_sum(a, i, j))
             if d > best:
                 best, best_at = d, (i, j)
+    empirical_sup = best
     witness = None
     if not decision:
+        if exceed_target is not None and best <= exceed_target:
+            norm_2s = group.norm(group.scale(a.cycle_sum_payload, 2))
+            modulus = getattr(group, "modulus", None)
+            if modulus is not None:
+                cap_periods = modulus + 2
+            else:
+                cap_periods = int((exceed_target + best) / norm_2s) + 2
+            cap = horizon + size * cap_periods
+            j = scan_to
+            while best <= exceed_target:
+                j += 1
+                for i in range(size):
+                    d = group.norm(two_sided_sum(a, i, j))
+                    if d > best:
+                        best, best_at = d, (i, j)
+                if j > cap:
+                    raise PeriodicityError(
+                        f"no two-sided sum exceeds {exceed_target} within "
+                        f"{cap_periods} periods; the value group's metric is bounded"
+                    )
         i, j = best_at
         witness = GHWitness(
             index_to_prefix(i, a.model.bases),
@@ -62,7 +87,7 @@ def scan_gh_check(a: ZCocycle, horizon=None) -> GHReport:
     slope = group.norm(a.cycle_sum_payload)
     slope = Fraction(slope, size) if isinstance(slope, int) else slope / size
     certificate = coboundary_solve(a) if decision else None
-    return GHReport(decision, a.cycle_sum, horizon, best, certificate, witness, slope)
+    return GHReport(decision, a.cycle_sum, horizon, empirical_sup, certificate, witness, slope)
 
 
 def pairwise_diameter(values, group):
@@ -70,8 +95,15 @@ def pairwise_diameter(values, group):
     return max(group.metric(x, y) for x in values for y in values)
 
 
-def assert_matches_scan(a: ZCocycle, horizon):
-    fast, scan = gh_check(a, horizon=horizon), scan_gh_check(a, horizon)
+def assert_matches_scan(a: ZCocycle, horizon, exceed_target=None):
+    try:
+        scan = scan_gh_check(a, horizon, exceed_target)
+    except PeriodicityError as exc:
+        with pytest.raises(PeriodicityError) as raised:
+            gh_check(a, horizon=horizon, exceed_target=exceed_target)
+        assert str(raised.value) == str(exc)
+        return
+    fast = gh_check(a, horizon=horizon, exceed_target=exceed_target)
     assert fast.to_json() == scan.to_json()
     assert type(fast.empirical_sup) is type(scan.empirical_sup)
 
@@ -178,3 +210,54 @@ def test_negative_horizon_is_rejected():
     a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), INTEGERS, (1, 0, 0, 0)))
     with pytest.raises(ValueError, match="horizon"):
         gh_check(a, horizon=-3)
+
+
+@pytest.mark.parametrize("bases", [(2, 2), (3,), (2, 3)])
+def test_exceed_extension_matches_the_radius_loop_exhaustively(bases):
+    model = Odometer(bases)
+    n = model.size
+    for table in itertools.product((-1, 0, 1), repeat=n):
+        if sum(table) == 0:
+            continue
+        a = ZCocycle(model, CylinderFunction(bases, INTEGERS, table))
+        for horizon in (0, n):
+            for target in (0, 3, 2 * n + 1):
+                assert_matches_scan(a, horizon, target)
+
+
+@st.composite
+def non_coboundaries(draw, tags):
+    group, values = GROUP_VALUES[draw(st.sampled_from(tags))]
+    bases = draw(BASES)
+    size = space_size(bases)
+    table = [group.validate(v) for v in draw(st.lists(values, min_size=size, max_size=size))]
+    a = ZCocycle(Odometer(bases), CylinderFunction(bases, group, tuple(table)))
+    assume(not group.values_equal(a.cycle_sum_payload, group.zero()))
+    return a
+
+
+TARGETS = st.sampled_from([0, Fraction(1, 2), 1, 2, Fraction(7, 3), 5, 11])
+
+
+@given(non_coboundaries(["int", "rat", "vec:2"]), st.sampled_from(HORIZONS), TARGETS)
+def test_exceed_extension_matches_the_radius_loop(a, horizon, target):
+    assert_matches_scan(a, horizon(a.model.size), target)
+
+
+@given(non_coboundaries(["mod:2", "mod:5"]), st.sampled_from(HORIZONS[:3]), TARGETS)
+def test_exceed_extension_on_z_mod_m_raises_where_the_loop_does(a, horizon, target):
+    assert_matches_scan(a, horizon(a.model.size), target)
+
+
+def test_exceed_extension_far_past_the_horizon():
+    # cycle sum 1 at N = 32: the target is first exceeded many periods out
+    bases = (2,) * 5
+    table = (1, -1, 2, 0, -2, 1, 0, -1) * 4
+    table = table[:-1] + (table[-1] + 1,)
+    a = ZCocycle(Odometer(bases), CylinderFunction(bases, INTEGERS, table))
+    for target in (4, 17):
+        assert_matches_scan(a, 3, target)
+    report = gh_check(a, horizon=3, exceed_target=17)
+    assert report.witness.radius > 3 * a.model.size
+    assert report.witness.value.norm() > 17
+    assert report.empirical_sup == gh_check(a, horizon=3).empirical_sup

@@ -25,6 +25,7 @@ from cocycle_lab.involution_cocycles import (
 from cocycle_lab.sampling import coboundary_generator, invariant_family
 from cocycle_lab.space import CylinderFunction, iter_prefixes
 from cocycle_lab.values import (
+    DYADICS,
     INTEGERS,
     RATIONALS,
     GroupValue,
@@ -289,6 +290,32 @@ def test_happrox_random_families_exhaustive():
             word = [n for n in (1, 2, 3, 4) if (bits >> (n - 1)) & 1]
             for i in range(size):
                 assert is_dyadic(beta.eval_word_index(word, i))
+
+
+def test_happrox_transfer_is_the_literal_sum():
+    # g(x) = sum_n x_n (f_n(x) - fbar_n(x)), summed term by term
+    rng = random.Random(31)
+    chain = NeighborhoodChain(Fraction(1, 3))
+    families = [invariant_family(rng, depth, count, RATIONALS)
+                for depth, count in ((1, 1), (3, 2), (4, 4), (5, 3), (6, 5))]
+    families.append(GeneratorFamily(B3, DYADICS, ((Fraction(1, 2),) * 4, (Fraction(-3, 4),) * 2)))
+    for fam in families:
+        report = h_approximate(fam, chain, verify=False)
+        rounded = report.rounded_family
+        for i, x in enumerate(iter_prefixes(fam.bases)):
+            expected = Fraction(0)
+            for n in range(1, fam.count + 1):
+                if x[n - 1]:
+                    expected += fam.generator_payload(n, i) - rounded.generator_payload(n, i)
+            assert report.transfer.table[i] == expected
+            assert type(report.transfer.table[i]) is Fraction
+
+
+def test_happrox_beta_is_built_once():
+    fam = invariant_family(random.Random(3), 4, 3, RATIONALS)
+    report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)), verify=True)
+    assert report.beta is report.beta
+    assert report.beta.family == report.rounded_family
 
 
 def test_happrox_rejects_integer_family():

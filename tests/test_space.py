@@ -82,6 +82,12 @@ def test_lift_identity_and_tiling():
     assert f.lift((2, 2)).lift(B3).table == f.lift(B3).table
 
 
+def test_lift_to_own_bases_is_the_function_itself():
+    f = CylinderFunction((2, 3), RATIONALS, tuple(Fraction(i, 5) for i in range(6)))
+    assert f.lift((2, 3)) is f
+    assert f.lift([2, 3]) is f
+
+
 def test_lift_requires_extension():
     f = CylinderFunction((2, 2), INTEGERS, (1, 2, 3, 4))
     with pytest.raises(DepthError):

@@ -15,6 +15,7 @@ from cocycle_lab.values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
+    as_fraction,
     group_from_tag,
     integers_mod,
     is_dyadic,
@@ -262,3 +263,21 @@ def test_group_tags_roundtrip():
         assert group_from_tag(tag).tag == tag
     with pytest.raises(UnsupportedValueError):
         group_from_tag("nope")
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    # re-validating an exact table then allocates nothing
+    q = Fraction(3, 7)
+    assert as_fraction(q) is q
+    assert as_fraction(3) == Fraction(3) and type(as_fraction(3)) is Fraction
+    assert as_fraction("-1/2") == Fraction(-1, 2)
+    for bad in (True, 0.5):
+        with pytest.raises(UnsupportedValueError):
+            as_fraction(bad)
+
+
+def test_parametrized_groups_repr_as_their_tag():
+    assert repr(integers_mod(5)) == "mod:5"
+    assert repr(rational_vectors(3)) == "vec:3"
+    assert integers_mod(5) == integers_mod(5) and hash(VEC2) == hash(rational_vectors(2))
+    assert repr(GroupValue(MOD4, 7)) == "3@mod:4"
