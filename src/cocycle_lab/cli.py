@@ -32,7 +32,7 @@ from .involution_cocycles import (
 )
 from .space import BernoulliMeasure, CylinderFunction, measure_from_json
 from .suites import ExperimentConfig, Report, UsageError, run as run_suite
-from .values import NeighborhoodChain, as_fraction
+from .values import NeighborhoodChain, UnsupportedValueError, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
@@ -268,7 +268,10 @@ def _cmd_gamma(args) -> int:
         return 0 if ok else 1
     if args.subcommand == "happrox":
         chain = NeighborhoodChain(as_fraction(args.eps0))
-        result = h_approximate(family, chain, verify=True)
+        try:
+            result = h_approximate(family, chain, verify=True)
+        except UnsupportedValueError as exc:  # a family outside Q
+            raise UsageError(str(exc)) from exc
         _emit(json.dumps(result.to_json(), indent=2) + "\n", args)
         return 0
     raise UsageError(f"unknown gamma subcommand {args.subcommand!r}")

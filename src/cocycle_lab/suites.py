@@ -18,7 +18,6 @@ from . import sampling
 from .dynamics import MarkerSequence, Odometer
 from .involution_cocycles import (
     InvolutionCocycle,
-    _subset_words,
     h_approximate,
     recover_generators,
     verify_identities,
@@ -56,7 +55,10 @@ class ExperimentConfig:
     epsilon_max: Fraction = Fraction(1)
 
     def __post_init__(self):
-        self.bases = tuple(int(b) for b in self.bases)
+        self.bases = tuple(self.bases)
+        for k, b in enumerate(self.bases):
+            if not _is_int(b):
+                raise UsageError(f"bases entry {k} must be an integer, got {b!r}")
         if len(self.bases) < 1:
             raise UsageError("depth must be >= 1")
         self.eps0 = as_fraction(self.eps0)
@@ -287,6 +289,13 @@ def odometer_suite(config: ExperimentConfig) -> Report:
     return report
 
 
+def _dyadic_generators(tables) -> bool:
+    """Whether a cocycle with these generator tables is dyadic on every flip
+    word: a word's value is a sum of generator values, and the dyadics are
+    closed under addition."""
+    return all(is_dyadic(v) for table in tables for v in table)
+
+
 def happrox_suite(config: ExperimentConfig) -> Report:
     """Dyadic-valued cohomologous cocycles with bounded transfer."""
     rng = config.rng()
@@ -307,13 +316,7 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         n_gen = rng.randint(1, min(4, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
         result = h_approximate(family, chain, verify=True)
-        beta = result.beta
-        size = 1 << depth
-        dyadic_ok = all(
-            is_dyadic(beta.eval_word_index(w, i))
-            for w in _subset_words(n_gen)
-            for i in range(size)
-        )
+        dyadic_ok = _dyadic_generators(result.beta._generator_tables)
         max_g = max(abs(v) for v in result.transfer.table)
         report.add_row(
             family=idx,

@@ -45,6 +45,7 @@ def as_fraction(x: Any) -> Fraction:
 
     Floats are rejected: exact mode must never silently absorb rounding.
     A Fraction is returned as it is, so re-validating exact tables is cheap.
+    A string with a zero denominator is a ValueError naming the string.
     """
     if type(x) is Fraction:
         return x
@@ -53,7 +54,10 @@ def as_fraction(x: Any) -> Fraction:
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise UnsupportedValueError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -1,6 +1,7 @@
 """Command-line driver: subcommands, report formats, determinism, exit codes."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from cocycle_lab.cli import main
 from cocycle_lab.involution_cocycles import GeneratorFamily
 from cocycle_lab.space import CylinderFunction
-from cocycle_lab.suites import ExperimentConfig, Report, run as run_suite
+from cocycle_lab.sampling import invariant_family
+from cocycle_lab.suites import ExperimentConfig, Report, UsageError, run as run_suite
 from cocycle_lab.values import INTEGERS, RATIONALS
 
 
@@ -405,3 +407,69 @@ def test_config_float_radius_is_usage_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"depth": 3, "count": 1, "eps0": 0.25}))
     assert main(["run", "happrox", "--config", str(cfg_path)]) == 2
     assert "exact rational" in capsys.readouterr().err
+
+
+def test_gamma_happrox_integer_family_is_usage_error(tmp_path, capsys):
+    fam = invariant_family(random.Random(5), 4, 2, INTEGERS)
+    path = tmp_path / "int_family.json"
+    path.write_text(json.dumps(fam.to_json()))
+    assert main(["gamma", "happrox", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: dyadic approximation needs a rational or dyadic family, got group 'int'\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "happrox", "--input", "FAMILY", "--eps0", "1/0"],
+        ["run", "happrox", "--depth", "3", "--count", "1", "--eps0", "1/0"],
+        ["run", "topology", "--depth", "3", "--count", "1", "--epsilon-max", "1/0"],
+    ],
+)
+def test_zero_denominator_radius_flag_is_usage_error(family_file, argv, capsys):
+    argv = [family_file if arg == "FAMILY" else arg for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "'1/0' has a zero denominator" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["eps0", "epsilon_max"])
+def test_config_zero_denominator_radius_is_usage_error(tmp_path, key, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"depth": 3, "count": 1, key: "1/0"}))
+    assert main(["run", "happrox", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad config: '1/0' has a zero denominator\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "bases, bad",
+    [
+        ([2.7, 2, "3"], "bases entry 0 must be an integer, got 2.7"),
+        ([2, "3"], "bases entry 1 must be an integer, got '3'"),
+        ([2, 2, True], "bases entry 2 must be an integer, got True"),
+        ([2, None], "bases entry 1 must be an integer, got None"),
+        ([2.0, 2], "bases entry 0 must be an integer, got 2.0"),
+    ],
+)
+def test_config_bases_entries_must_be_integers(tmp_path, bases, bad, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"bases": bases, "count": 1}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config: {bad}\n"
+    assert captured.out == ""
+
+
+def test_config_integer_bases_still_run(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"bases": [2, 2, 3], "count": 1}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["header"]["bases"] == "2,2,3"
+    with pytest.raises(UsageError, match="bases entry 1"):
+        ExperimentConfig(bases=(2, 2.5))

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cocycle_lab.dynamics import Odometer, delta_permutation
 from cocycle_lab.involution_cocycles import (
     ConjugationError,
     GeneratorFamily,
+    _chain,
+    _check_transfer,
     InvarianceError,
     InvolutionCocycle,
     OracleInconsistencyError,
@@ -23,7 +26,8 @@ from cocycle_lab.involution_cocycles import (
     word_reduce,
 )
 from cocycle_lab.sampling import coboundary_generator, invariant_family
-from cocycle_lab.space import CylinderFunction, iter_prefixes
+from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes
+from cocycle_lab.suites import _dyadic_generators
 from cocycle_lab.values import (
     DYADICS,
     INTEGERS,
@@ -316,6 +320,135 @@ def test_happrox_beta_is_built_once():
     report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)), verify=True)
     assert report.beta is report.beta
     assert report.beta.family == report.rounded_family
+
+
+def _words(count):
+    """Every reduced flip word over 1..count; the k-th word's flip mask is k."""
+    return [[n for n in range(1, count + 1) if (k >> (n - 1)) & 1] for k in range(1 << count)]
+
+
+def scan_cohomology(alpha, beta, g_table, bases):
+    """The literal check: alpha(w, x) = g(wx) + beta(w, x) - g(x) on every
+    reduced flip word w (by flip mask) and prefix x, through the chain."""
+    for mask, word in enumerate(_words(len(alpha))):
+        for i in range(len(g_table)):
+            lhs = _chain(alpha, RATIONALS, word, i)
+            rhs = g_table[i ^ mask] + _chain(beta, RATIONALS, word, i) - g_table[i]
+            if lhs != rhs:
+                raise AssertionError(
+                    f"cohomology equation failed at word {word}, "
+                    f"x={index_to_prefix(i, bases)}"
+                )
+
+
+def scan_dyadic(tables, size):
+    """The literal check: the cocycle is dyadic on every flip word and prefix."""
+    return all(
+        is_dyadic(_chain(tables, RATIONALS, word, i))
+        for word in _words(len(tables))
+        for i in range(size)
+    )
+
+
+def _verdict(check, *args):
+    """None when the check accepts, else its AssertionError message."""
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _transfer_triple(fam, eps0=Fraction(1, 4)):
+    report = h_approximate(fam, NeighborhoodChain(eps0), verify=False)
+    alpha = InvolutionCocycle(report.family)._generator_tables
+    return alpha, report.beta._generator_tables, list(report.transfer.table)
+
+
+def test_check_transfer_accepts_every_small_family_exhaustive():
+    for depth, count in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
+        values = (Fraction(1, 3), Fraction(-5, 2)) + ((Fraction(0),) if depth < 3 else ())
+        sizes = [1 << (depth - n) for n in range(1, count + 1)]
+        for entries in itertools.product(values, repeat=sum(sizes)):
+            tables, start = [], 0
+            for size in sizes:
+                tables.append(entries[start:start + size])
+                start += size
+            fam = GeneratorFamily((2,) * depth, RATIONALS, tuple(tables))
+            alpha, beta, g = _transfer_triple(fam)
+            assert _verdict(scan_cohomology, alpha, beta, g, fam.bases) is None
+            assert _verdict(_check_transfer, alpha, beta, g, fam.bases) is None
+
+
+@given(
+    tag=st.sampled_from(("rat", "dy")),
+    depth=st.integers(1, 6),
+    count=st.integers(1, 5),
+    eps0=st.sampled_from((Fraction(1, 4), Fraction(1, 3), Fraction(5, 7), Fraction(1, 1024))),
+    seed=st.integers(0, 2**16),
+)
+def test_check_transfer_accepts_true_triples(tag, depth, count, eps0, seed):
+    group = DYADICS if tag == "dy" else RATIONALS
+    fam = invariant_family(random.Random(seed), depth, min(count, depth), group)
+    alpha, beta, g = _transfer_triple(fam, eps0)
+    assert _verdict(_check_transfer, alpha, beta, g, fam.bases) is None
+    assert _verdict(scan_cohomology, alpha, beta, g, fam.bases) is None
+    h_approximate(fam, NeighborhoodChain(eps0), verify=True)
+
+
+@pytest.mark.parametrize("depth, count", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+def test_check_transfer_rejects_exactly_what_the_word_walk_rejects(depth, count):
+    fam = invariant_family(random.Random(depth * 10 + count), depth, count, RATIONALS)
+    alpha, beta, g = _transfer_triple(fam)
+    bases = fam.bases
+    cases = []
+    for j in range(len(g)):  # every single-entry perturbation of g
+        for delta in (Fraction(1, 3), Fraction(-2)):
+            moved = list(g)
+            moved[j] += delta
+            cases.append((beta, moved))
+    for n in range(count):  # ... and of each beta generator table
+        for j in range(len(g)):
+            moved = [list(t) for t in beta]
+            moved[n][j] += Fraction(1, 2)
+            cases.append((tuple(map(tuple, moved)), g))
+    # g plus a function of the digits past N is still a transfer
+    shift = [g[i] + Fraction(i >> count, 3) for i in range(len(g))]
+    cases.append((beta, shift))
+    accepted = 0
+    for beta_case, g_case in cases:
+        expected = _verdict(scan_cohomology, alpha, beta_case, g_case, bases)
+        assert _verdict(_check_transfer, alpha, beta_case, g_case, bases) == expected
+        accepted += expected is None
+    assert accepted == 1
+
+
+def test_dyadic_generators_agree_with_the_word_walk():
+    rng = random.Random(43)
+    cases = []
+    for depth, count in ((1, 1), (3, 2), (4, 3), (5, 4), (6, 5)):
+        fam = invariant_family(rng, depth, count, RATIONALS)
+        alpha, beta, _ = _transfer_triple(fam)
+        cases += [(alpha, 1 << depth), (beta, 1 << depth)]
+    # hand-built beta tables: dyadic but for one 1/3 entry, at every position
+    for count, depth in ((1, 2), (2, 3), (3, 3)):
+        size = 1 << depth
+        base = [[Fraction(rng.randint(-8, 8), 4) for _ in range(size)] for _ in range(count)]
+        cases.append((tuple(map(tuple, base)), size))
+        for n in range(count):
+            for j in range(size):
+                tables = [list(t) for t in base]
+                tables[n][j] = Fraction(1, 3)
+                cases.append((tuple(map(tuple, tables)), size))
+    # two non-dyadic letters whose two-letter word is dyadic
+    size = 4
+    cases.append(((tuple([Fraction(1, 3)] * size), tuple([Fraction(-1, 3)] * size)), size))
+    verdicts = set()
+    for tables, size in cases:
+        expected = scan_dyadic(tables, size)
+        assert _dyadic_generators(tables) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_happrox_rejects_integer_family():

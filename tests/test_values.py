@@ -276,6 +276,13 @@ def test_as_fraction_returns_a_fraction_unchanged():
             as_fraction(bad)
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_as_fraction_zero_denominator_is_a_value_error_naming_the_string(text):
+    with pytest.raises(ValueError, match=f"^{text!r} has a zero denominator$") as info:
+        as_fraction(text)
+    assert not isinstance(info.value, ZeroDivisionError)
+
+
 def test_parametrized_groups_repr_as_their_tag():
     assert repr(integers_mod(5)) == "mod:5"
     assert repr(rational_vectors(3)) == "vec:3"
