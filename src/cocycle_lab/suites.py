@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -65,6 +65,8 @@ class ExperimentConfig:
         self.epsilon_max = as_fraction(self.epsilon_max)
         if self.eps0 <= 0 or self.epsilon_max <= 0:
             raise UsageError("radii must be positive")
+        if not isinstance(self.group, str):
+            raise UsageError(f"group must be a string, got {self.group!r}")
         group_from_tag(self.group)  # validate
         if not _is_int(self.seed):
             raise UsageError(f"seed must be an integer, got {self.seed!r}")
@@ -77,21 +79,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """A config from its JSON keys: the field names, or ``depth`` for
+        the 2-odometer of that depth in place of ``bases``.  A null value
+        keeps the default, except for ``bases`` and ``depth``."""
+        kwargs = {k: v for k, v in obj.items() if v is not None or k == "bases"}
         try:
-            kwargs = {}
-            if "bases" in obj:
-                kwargs["bases"] = tuple(obj["bases"])
-            elif "depth" in obj:
-                depth = obj["depth"]
+            for key in obj:
+                if key not in CONFIG_FIELDS and key != "depth":
+                    raise UsageError(
+                        f"unknown key {key!r}; known: depth, {', '.join(CONFIG_FIELDS)}"
+                    )
+            if "bases" in obj and "depth" in obj:
+                raise UsageError("give either bases or depth, not both")
+            if "depth" in obj:
+                depth = kwargs.pop("depth", None)
                 if not (_is_int(depth) and depth >= 1):
                     raise UsageError(f"depth must be an integer >= 1, got {depth!r}")
                 kwargs["bases"] = (2,) * depth
-            for key in ("group", "seed", "horizon", "count", "n_max"):
-                if key in obj and obj[key] is not None:
-                    kwargs[key] = obj[key]
-            for key in ("eps0", "epsilon_max"):
-                if key in obj and obj[key] is not None:
-                    kwargs[key] = as_fraction(obj[key])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
@@ -104,6 +108,9 @@ class ExperimentConfig:
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
+
+
+CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _fmt(value) -> str:

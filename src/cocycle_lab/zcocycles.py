@@ -45,6 +45,7 @@ from .dynamics import (
     TowerDecomposition,
 )
 from .space import (
+    MAX_POINTS,
     CylinderFunction,
     DepthError,
     Measure,
@@ -53,6 +54,11 @@ from .space import (
     tau3_functional,
 )
 from .values import GroupValue
+
+
+#: Longest running-sum list N + 2 scan_to + 1 a gh scan may build; the
+#: default horizon 4N needs at most 9 MAX_POINTS + 1.
+MAX_SCAN = 16 * MAX_POINTS
 
 
 class PeriodicityError(ValueError):
@@ -556,7 +562,8 @@ def gh_check(
     the horizon (default 4N), in O(k (N + horizon)) time through sliding
     window extrema of the running sums (O(m (N + horizon)) on Z/m); the
     witness is the first window in (prefix, radius) order that attains
-    it.  On the inexact ``real`` group the sup agrees with the literal
+    it.  A scan of more than ``MAX_SCAN`` running sums is refused with a
+    ValueError before anything is allocated.  On the inexact ``real`` group the sup agrees with the literal
     window scan to ``REPORTING_TOLERANCE``; it is bit-identical when no
     window wraps below position 0, since the sums are then formed alike.
     For a non-coboundary with ``exceed_target`` above that sup, the witness
@@ -573,11 +580,15 @@ def gh_check(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     decision = group.values_equal(a.cycle_sum_payload, group.zero())
-    certificate = coboundary_solve(a) if decision else None
-
     # For a coboundary the window sums are periodic in j with period N,
     # so radii beyond N-1 repeat earlier values.
     scan_to = min(horizon, size - 1) if decision else horizon
+    if size + 2 * scan_to + 1 > MAX_SCAN:
+        raise ValueError(
+            f"horizon {horizon} needs {size + 2 * scan_to + 1} running sums, "
+            f"more than the limit {MAX_SCAN}"
+        )
+    certificate = coboundary_solve(a) if decision else None
     channels = _window_reach(a, scan_to)
     best = empirical_sup = _window_sup(channels)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cocycle_lab import cli
 from cocycle_lab.cli import main
 from cocycle_lab.involution_cocycles import GeneratorFamily
 from cocycle_lab.space import CylinderFunction
@@ -473,3 +474,124 @@ def test_config_integer_bases_still_run(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["header"]["bases"] == "2,2,3"
     with pytest.raises(UsageError, match="bases entry 1"):
         ExperimentConfig(bases=(2, 2.5))
+
+
+@pytest.mark.parametrize(
+    "group, shown",
+    [(5, "5"), (["rat"], "['rat']"), (True, "True"), ({"tag": "rat"}, "{'tag': 'rat'}")],
+)
+def test_config_group_must_be_a_string(tmp_path, group, shown, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"group": group, "depth": 3, "count": 1}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config: group must be a string, got {shown}\n"
+    assert captured.out == ""
+
+
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"depth": 4, "cuont": 2}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad config: unknown key 'cuont'; known: depth, bases,")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "config, flags, bases",
+    [
+        ({"bases": [2, 2, 2], "count": 1}, ["--depth", "5"], "2,2,2,2,2"),
+        ({"depth": 3, "count": 1}, ["--bases", "2,3"], "2,3"),
+        ({"bases": [2, 2, 2], "count": 1}, ["--bases", "3,2"], "3,2"),
+        ({"depth": 3, "count": 1}, ["--depth", "4"], "2,2,2,2"),
+        ({"bases": [2, 3], "count": 1}, [], "2,3"),
+    ],
+)
+def test_model_flags_override_the_config_model(tmp_path, config, flags, bases, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "gh", "--config", str(cfg_path), *flags]) == 0
+    header = json.loads(capsys.readouterr().out)["header"]
+    assert header["bases"] == bases
+    assert header["depth"] == str(bases.count(",") + 1)
+
+
+def test_config_with_both_depth_and_bases_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"depth": 4, "bases": [2, 2], "count": 1}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad config: give either bases or depth, not both\n"
+    assert captured.out == ""
+    # a model flag replaces both keys of the file
+    assert main(["run", "gh", "--config", str(cfg_path), "--depth", "3"]) == 0
+
+
+def test_horizon_past_the_scan_limit_is_usage_error(nonsolvable_file, tmp_path, capsys):
+    huge = str(1 << 40)  # refused before any running sum is built
+    assert main(["cocycle", "gh", "--input", nonsolvable_file, "--depth", "3", "--horizon", huge]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: horizon {huge} needs ")
+    assert "more than the limit" in captured.err
+    assert captured.out == ""
+    cfg_path = tmp_path / "config.json"
+    # a coboundary case scans radii below N only; the first non-coboundary is refused
+    cfg_path.write_text(json.dumps({"depth": 3, "count": 10, "horizon": 1 << 40}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "more than the limit" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cocycle", "eval", "--input", "GEN", "--j", "1", "--x", "0"],
+        ["cocycle", "solve", "--input", "GEN"],
+        ["cocycle", "gh", "--input", "GEN"],
+        ["gamma", "verify", "--input", "FAMILY"],
+        ["gamma", "roundtrip", "--input", "FAMILY"],
+        ["gamma", "happrox", "--input", "FAMILY"],
+    ],
+)
+def test_format_is_refused_where_nothing_reads_it(generator_file, family_file, argv, capsys):
+    files = {"GEN": generator_file, "FAMILY": family_file}
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --format csv" in captured.err
+    assert captured.out == ""
+
+
+def test_reused_parser_carries_nothing_between_calls(generator_file, nonsolvable_file, tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    calls = [
+        ["cocycle", "gh", "--input", nonsolvable_file, "--depth", "3", "--horizon", "16"],
+        ["cocycle", "gh", "--input", nonsolvable_file, "--depth", "3"],
+        ["cocycle", "solve", "--input", generator_file, "--depth", "3", "--out", str(out_path)],
+        ["cocycle", "solve", "--input", generator_file, "--depth", "3"],
+        ["run", "gh", "--depth", "3", "--count", "2", "--seed", "7", "--horizon", "5"],
+        ["run", "gh", "--depth", "3", "--count", "2"],
+        ["run", "density", "--depth", "4", "--count", "1", "--format", "csv"],
+        ["cocycle", "density", "--input", generator_file, "--depth", "4", "--n-max", "2"],
+        ["run", "density", "--depth", "4", "--count", "1"],
+    ]
+
+    def outcome(argv):
+        out_path.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        written = out_path.read_text() if out_path.exists() else None
+        return code, captured.out, captured.err, written
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()  # each call is the first of its process
+        first.append(outcome(argv))
+    assert [outcome(argv) for argv in calls] == first
+    assert cli._parser() is cli._parser()

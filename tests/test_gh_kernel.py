@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from cocycle_lab import zcocycles
 from cocycle_lab.dynamics import Odometer
-from cocycle_lab.space import CylinderFunction, index_to_prefix, space_size
+from cocycle_lab.space import MAX_POINTS, CylinderFunction, index_to_prefix, space_size
 from cocycle_lab.values import (
     APPROX_REALS,
     DYADICS,
@@ -22,6 +23,7 @@ from cocycle_lab.values import (
     rational_vectors,
 )
 from cocycle_lab.zcocycles import (
+    MAX_SCAN,
     GHReport,
     GHWitness,
     PeriodicityError,
@@ -210,6 +212,26 @@ def test_negative_horizon_is_rejected():
     a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), INTEGERS, (1, 0, 0, 0)))
     with pytest.raises(ValueError, match="horizon"):
         gh_check(a, horizon=-3)
+
+
+def test_scan_past_the_running_sum_limit_is_rejected(monkeypatch):
+    # N = 4, so horizon h builds 4 + 2h + 1 running sums; the refusal comes
+    # before any allocation, so the real limit is tested at no cost too
+    a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), INTEGERS, (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match=f"more than the limit {MAX_SCAN}"):
+        gh_check(a, horizon=MAX_SCAN // 2)
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 4 + 2 * 10 + 1)
+    assert_matches_scan(a, 10)
+    with pytest.raises(ValueError, match="horizon 11 needs 27 running sums"):
+        gh_check(a, horizon=11)
+    # a coboundary scans the radii below N only, whatever its horizon
+    b = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), INTEGERS, (1, -1, 0, 0)))
+    assert gh_check(b, horizon=10**12).decision
+
+
+def test_running_sum_limit_admits_every_default_horizon():
+    # the default horizon 4N at the largest space, N = MAX_POINTS
+    assert MAX_POINTS + 2 * (4 * MAX_POINTS) + 1 <= MAX_SCAN
 
 
 @pytest.mark.parametrize("bases", [(2, 2), (3,), (2, 3)])
