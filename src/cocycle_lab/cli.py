@@ -50,14 +50,18 @@ def _decode(path: str, parse):
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _parse_prefix(text: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in text.replace(" ", "").split(","))
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers of a flag's text."""
+    try:
+        return tuple(int(d) for d in text.replace(" ", "").split(","))
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _flag_bases(args) -> tuple[int, ...] | None:
     """The model named by --bases or else --depth; None when neither is given."""
     if args.bases:
-        return tuple(int(b) for b in args.bases.split(","))
+        return _int_list(args.bases, "--bases")
     if args.depth is not None:
         return (2,) * args.depth
     return None
@@ -120,7 +124,7 @@ def _load_cocycle(args) -> ZCocycle:
 
 def _cmd_eval(args) -> int:
     a = _load_cocycle(args)
-    x = _parse_prefix(args.x)
+    x = _int_list(args.x, "--x")
     _emit_json({"j": args.j, "x": list(x), "value": a.evaluate(args.j, x).to_json()}, args)
     return 0
 

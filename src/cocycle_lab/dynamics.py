@@ -177,10 +177,7 @@ class FullGroupElement:
 
     @classmethod
     def from_json(cls, obj) -> "FullGroupElement":
-        return cls(
-            Odometer(tuple(obj["model"]["bases"])),
-            CylinderFunction.from_json(obj["jump"]),
-        )
+        return cls(Odometer(obj["model"]["bases"]), CylinderFunction.from_json(obj["jump"]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +189,13 @@ def delta_apply(n: int, x: Sequence[int], bases: Sequence[int] | None = None) ->
 
     The flips are involutions and commute with each other.
     """
-    x = tuple(int(d) for d in x)
     if bases is None:
         bases = (2,) * len(x)
     if not 1 <= n <= len(x):
         raise IndexError(f"digit index {n} out of range 1..{len(x)}")
     if bases[n - 1] != 2:
         raise ValueError(f"coordinate {n} has base {bases[n - 1]}, need 2")
-    validate_prefix(x, bases)
-    out = list(x)
+    out = list(validate_prefix(x, bases))
     out[n - 1] ^= 1
     return tuple(out)
 

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
+from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
     DepthError,
@@ -42,6 +43,7 @@ from .space import (
     full_prefix_index,
     index_to_prefix,
     space_size,
+    validate_prefix,
 )
 from .values import (
     DYADICS,
@@ -50,6 +52,7 @@ from .values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
+    _is_int,
     group_from_tag,
     round_to_dyadic,
 )
@@ -165,9 +168,9 @@ class GeneratorFamily:
     def from_json(cls, obj) -> "GeneratorFamily":
         group = group_from_tag(obj["group"])
         depth = obj["depth"]
-        tables = tuple(
-            tuple(group.payload_from_json(v) for v in table) for table in obj["tables"]
-        )
+        if not _is_int(depth):
+            raise ValueError(f"depth must be an integer, got {depth!r}")
+        tables = [[group.payload_from_json(v) for v in table] for table in obj["tables"]]
         if len(tables) != obj.get("N", len(tables)):
             raise ValueError("N field disagrees with the number of tables")
         return cls((2,) * depth, group, tables)
@@ -199,13 +202,11 @@ def _chain(tables, group: Group, word: Sequence[int], i: int):
 
 
 def word_apply(word: Iterable[int], x: Sequence[int]) -> tuple[int, ...]:
-    x = tuple(int(d) for d in x)
-    out = list(x)
+    """Apply a flip word to a binary prefix, one digit flip per letter of its reduction."""
+    x = validate_prefix(x, (2,) * len(x))
     for n in word_reduce(word):
-        if not 1 <= n <= len(x):
-            raise IndexError(f"digit index {n} out of range 1..{len(x)}")
-        out[n - 1] ^= 1
-    return tuple(out)
+        x = delta_apply(n, x)
+    return x
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .values import (
     Group,
     GroupMismatchError,
     GroupValue,
+    _is_int,
     as_fraction,
     group_from_tag,
 )
@@ -41,11 +42,11 @@ class DepthError(ValueError):
 
 
 def check_bases(bases: Sequence[int]) -> tuple[int, ...]:
-    bases = tuple(int(b) for b in bases)
+    bases = tuple(bases)
     if not bases:
         raise ValueError("base vector must be nonempty")
-    if any(b < 2 for b in bases):
-        raise ValueError(f"every base must be >= 2, got {bases}")
+    if not all(_is_int(b) and b >= 2 for b in bases):
+        raise ValueError(f"every base must be an integer >= 2, got {bases}")
     n = 1
     for b in bases:
         n *= b
@@ -62,13 +63,13 @@ def space_size(bases: Sequence[int]) -> int:
 
 
 def validate_prefix(x: Sequence[int], bases: Sequence[int]) -> tuple[int, ...]:
-    """Check digit bounds of x against the leading coordinates of bases."""
-    x = tuple(int(d) for d in x)
+    """Check that x holds integer digits within the leading coordinates of bases."""
+    x = tuple(x)
     if len(x) > len(bases):
         raise DepthError(f"prefix of depth {len(x)} exceeds model depth {len(bases)}")
     for i, (d, b) in enumerate(zip(x, bases)):
-        if not 0 <= d < b:
-            raise DepthError(f"digit {d} at coordinate {i + 1} out of range [0,{b})")
+        if not (_is_int(d) and 0 <= d < b):
+            raise DepthError(f"digit {d!r} at coordinate {i + 1} out of range [0,{b})")
     return x
 
 
@@ -210,6 +211,15 @@ class CylinderFunction:
 # Measures
 
 
+def _probabilities(row, length: int, what: str) -> tuple[Fraction, ...]:
+    """``row`` as exact rationals, checked to be a probability vector of ``length``."""
+    row = tuple(as_fraction(w) for w in row)
+    if len(row) != length or any(w < 0 for w in row) or sum(row) != 1:
+        shown = ", ".join(map(str, row))
+        raise ValueError(f"{what} [{shown}] must be {length} nonnegative weights summing to 1")
+    return row
+
+
 class Measure:
     """Exact Borel probability measure evaluated on cylinder sets.
 
@@ -238,14 +248,7 @@ class BernoulliMeasure(Measure):
         object.__setattr__(self, "bases", bases)
         if len(self.weights) != len(bases):
             raise ValueError("need one weight vector per coordinate")
-        rows = []
-        for b, row in zip(bases, self.weights):
-            row = tuple(as_fraction(w) for w in row)
-            if len(row) != b:
-                raise ValueError(f"weight vector {row} does not match base {b}")
-            if any(w < 0 for w in row) or sum(row) != 1:
-                raise ValueError(f"weights {row} must be nonnegative and sum to 1")
-            rows.append(row)
+        rows = [_probabilities(row, b, "weights") for b, row in zip(bases, self.weights)]
         object.__setattr__(self, "weights", tuple(rows))
 
     @classmethod
@@ -280,24 +283,16 @@ class MarkovMeasure(Measure):
     def __post_init__(self):
         bases = check_bases(self.bases)
         object.__setattr__(self, "bases", bases)
-        init = tuple(as_fraction(w) for w in self.initial)
-        if len(init) != bases[0] or any(w < 0 for w in init) or sum(init) != 1:
-            raise ValueError("initial distribution must be a probability vector")
-        object.__setattr__(self, "initial", init)
+        initial = _probabilities(self.initial, bases[0], "initial distribution")
+        object.__setattr__(self, "initial", initial)
+        if len(self.transitions) != len(bases) - 1:
+            raise ValueError(f"need {len(bases) - 1} transition matrices")
         mats = []
-        for step in range(len(bases) - 1):
-            mat = self.transitions[step]
-            rows = []
+        for step, mat in enumerate(self.transitions):
             if len(mat) != bases[step]:
                 raise ValueError(f"transition {step} needs {bases[step]} rows")
-            for row in mat:
-                row = tuple(as_fraction(w) for w in row)
-                if len(row) != bases[step + 1]:
-                    raise ValueError("transition row length mismatch")
-                if any(w < 0 for w in row) or sum(row) != 1:
-                    raise ValueError(f"transition row {row} must sum to 1")
-                rows.append(row)
-            mats.append(tuple(rows))
+            what = f"transition {step} row"
+            mats.append(tuple(_probabilities(row, bases[step + 1], what) for row in mat))
         object.__setattr__(self, "transitions", tuple(mats))
 
     @classmethod
@@ -359,11 +354,7 @@ class MixtureMeasure(Measure):
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
-        w = tuple(as_fraction(x) for x in self.weights)
-        if len(w) != len(self.components):
-            raise ValueError("one weight per component")
-        if any(x < 0 for x in w) or sum(w) != 1:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
+        w = _probabilities(self.weights, len(self.components), "mixture weights")
         bases = self.components[0].bases
         if any(c.bases != bases for c in self.components):
             raise ValueError("mixture components must share one base vector")
@@ -389,28 +380,17 @@ class MixtureMeasure(Measure):
 
 
 def measure_from_json(obj) -> Measure:
+    """A measure from its ``to_json`` record; the constructors check the values."""
     kind = obj.get("kind")
     if kind == "bernoulli":
-        return BernoulliMeasure(
-            tuple(obj["bases"]),
-            tuple(tuple(Fraction(w) for w in row) for row in obj["weights"]),
-        )
+        return BernoulliMeasure(obj["bases"], obj["weights"])
     if kind == "markov":
-        return MarkovMeasure(
-            tuple(obj["bases"]),
-            tuple(Fraction(w) for w in obj["initial"]),
-            tuple(
-                tuple(tuple(Fraction(w) for w in row) for row in mat)
-                for mat in obj["transitions"]
-            ),
-        )
+        return MarkovMeasure(obj["bases"], obj["initial"], obj["transitions"])
     if kind == "dirac":
-        return DiracMeasure(tuple(obj["bases"]), tuple(obj["point"]))
+        return DiracMeasure(obj["bases"], obj["point"])
     if kind == "mixture":
-        return MixtureMeasure(
-            tuple(measure_from_json(c) for c in obj["components"]),
-            tuple(Fraction(w) for w in obj["weights"]),
-        )
+        components = [measure_from_json(c) for c in obj["components"]]
+        return MixtureMeasure(components, obj["weights"])
     raise ValueError(f"unknown measure record {obj!r}")
 
 

@@ -29,16 +29,12 @@ from .space import (
     tau3_functional,
     tau4_functional,
 )
-from .values import NeighborhoodChain, as_fraction, group_from_tag, is_dyadic
+from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag, is_dyadic
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
 class UsageError(ValueError):
     """Configuration or invocation errors (exit code 2)."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -55,6 +51,8 @@ class ExperimentConfig:
     epsilon_max: Fraction = Fraction(1)
 
     def __post_init__(self):
+        if not isinstance(self.bases, (list, tuple)):
+            raise UsageError(f"bases must be a list of integers, got {self.bases!r}")
         self.bases = tuple(self.bases)
         for k, b in enumerate(self.bases):
             if not _is_int(b):

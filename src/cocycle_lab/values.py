@@ -40,6 +40,11 @@ class UnsupportedValueError(TypeError):
     """Raised when a value variant does not support the requested operation."""
 
 
+def _is_int(value) -> bool:
+    """The one integer test: an int, not a bool (plain ints pass on the fast first test)."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def as_fraction(x: Any) -> Fraction:
     """Parse an exact rational from an int, Fraction, or 'p/q' string.
 
@@ -155,7 +160,7 @@ class IntegerGroup(_ScalarGroup):
         return 0
 
     def validate(self, payload):
-        if isinstance(payload, bool) or not isinstance(payload, int):
+        if not _is_int(payload):
             raise UnsupportedValueError(f"integer group needs int, got {payload!r}")
         return payload
 
@@ -218,7 +223,7 @@ class ModularGroup(Group):
         return 0
 
     def validate(self, payload):
-        if isinstance(payload, bool) or not isinstance(payload, int):
+        if not _is_int(payload):
             raise UnsupportedValueError(f"Z/{self.modulus} needs int, got {payload!r}")
         return payload % self.modulus
 

@@ -549,6 +549,14 @@ def _first_window(channels, sup, size: int, scan_to: int):
     return best
 
 
+def _check_scan(size: int, scan_to: int, what: str) -> None:
+    """Refuse a scan to radius ``scan_to`` of more than ``MAX_SCAN`` running sums."""
+    if size + 2 * scan_to + 1 > MAX_SCAN:
+        raise ValueError(
+            f"{what} needs {size + 2 * scan_to + 1} running sums, more than the limit {MAX_SCAN}"
+        )
+
+
 def gh_check(
     h,
     horizon: int | None = None,
@@ -562,8 +570,7 @@ def gh_check(
     the horizon (default 4N), in O(k (N + horizon)) time through sliding
     window extrema of the running sums (O(m (N + horizon)) on Z/m); the
     witness is the first window in (prefix, radius) order that attains
-    it.  A scan of more than ``MAX_SCAN`` running sums is refused with a
-    ValueError before anything is allocated.  On the inexact ``real`` group the sup agrees with the literal
+    it.  On the inexact ``real`` group the sup agrees with the literal
     window scan to ``REPORTING_TOLERANCE``; it is bit-identical when no
     window wraps below position 0, since the sums are then formed alike.
     For a non-coboundary with ``exceed_target`` above that sup, the witness
@@ -571,6 +578,8 @@ def gh_check(
     exceeds the target, bisected below a cap of a few periods in
     O(k (N + cap) log cap); that fails (PeriodicityError) only when the
     metric is bounded, as in Z/m.  ``empirical_sup`` stays the horizon's.
+    A horizon or cap needing more than ``MAX_SCAN`` running sums is
+    refused with a ValueError before its scan allocates anything.
     """
     a = _as_cocycle(h, model)
     group = a.group
@@ -583,11 +592,7 @@ def gh_check(
     # For a coboundary the window sums are periodic in j with period N,
     # so radii beyond N-1 repeat earlier values.
     scan_to = min(horizon, size - 1) if decision else horizon
-    if size + 2 * scan_to + 1 > MAX_SCAN:
-        raise ValueError(
-            f"horizon {horizon} needs {size + 2 * scan_to + 1} running sums, "
-            f"more than the limit {MAX_SCAN}"
-        )
+    _check_scan(size, scan_to, f"horizon {horizon}")
     certificate = coboundary_solve(a) if decision else None
     channels = _window_reach(a, scan_to)
     best = empirical_sup = _window_sup(channels)
@@ -607,6 +612,7 @@ def gh_check(
             else:
                 cap_periods = int((exceed_target + best) / norm_2s) + 2
             cap = horizon + size * cap_periods
+            _check_scan(size, cap, f"exceed_target {exceed_target}")
             # the sup over radii <= r grows with r: bisect the least r in
             # (horizon, cap + 1] above the target (cap + 1: none); every
             # window attaining that sup then has radius r

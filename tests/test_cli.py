@@ -595,3 +595,38 @@ def test_reused_parser_carries_nothing_between_calls(generator_file, nonsolvable
         first.append(outcome(argv))
     assert [outcome(argv) for argv in calls] == first
     assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["run", "gh", "--bases", "2,x"], "--bases", "2,x"),
+        (["run", "gh", "--bases", "2,2.5"], "--bases", "2,2.5"),
+        (["cocycle", "solve", "--bases", "2,,2"], "--bases", "2,,2"),
+        (["cocycle", "eval", "--j", "1", "--x", "0,a,0"], "--x", "0,a,0"),
+        (["cocycle", "eval", "--j", "1", "--x", "0, 1.0"], "--x", "0, 1.0"),
+    ],
+)
+def test_integer_list_flags_name_the_flag(generator_file, argv, flag, text, capsys):
+    if argv[0] == "cocycle":
+        argv = argv + ["--input", generator_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} needs comma-separated integers, got {text!r}\n"
+    assert captured.out == ""
+
+
+def test_integer_list_flags_still_take_spaces(generator_file, capsys):
+    argv = ["cocycle", "eval", "--input", generator_file, "--bases", "2, 2,2", "--j", "1"]
+    assert main(argv + ["--x", "1, 0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("bases, shown", [(None, "None"), (5, "5"), ("2,2", "'2,2'"), ({}, "{}")])
+def test_config_bases_must_be_a_list(tmp_path, bases, shown, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"bases": bases, "count": 1}))
+    assert main(["run", "gh", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config: bases must be a list of integers, got {shown}\n"
+    assert captured.out == ""

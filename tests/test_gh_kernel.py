@@ -229,6 +229,30 @@ def test_scan_past_the_running_sum_limit_is_rejected(monkeypatch):
     assert gh_check(b, horizon=10**12).decision
 
 
+def test_exceed_target_past_the_running_sum_limit_is_rejected(monkeypatch):
+    # N = 4 and cycle sum 1, so the bisection's cap is h + 4 (int((t + sup) / 2) + 2)
+    # radii; a huge target is refused after the horizon's scan, before the
+    # bisection reaches for anything
+    a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), INTEGERS, (1, 0, 0, 0)))
+    real_reach = zcocycles._window_reach
+    radii = []
+    monkeypatch.setattr(
+        zcocycles, "_window_reach", lambda a, r: radii.append(r) or real_reach(a, r)
+    )
+    target = 10**15
+    with pytest.raises(ValueError, match=f"exceed_target {target} needs .* limit {MAX_SCAN}"):
+        gh_check(a, horizon=4, exceed_target=target)
+    assert radii == [4]
+    # the exact boundary, under a small limit
+    sup = gh_check(a, horizon=4).empirical_sup
+    cap = 4 + 4 * (int((7 + sup) / 2) + 2)
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 4 + 2 * cap + 1)
+    assert_matches_scan(a, 4, 7)
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 4 + 2 * cap)
+    with pytest.raises(ValueError, match=f"exceed_target 7 needs {4 + 2 * cap + 1} running sums"):
+        gh_check(a, horizon=4, exceed_target=7)
+
+
 def test_running_sum_limit_admits_every_default_horizon():
     # the default horizon 4N at the largest space, N = MAX_POINTS
     assert MAX_POINTS + 2 * (4 * MAX_POINTS) + 1 <= MAX_SCAN
