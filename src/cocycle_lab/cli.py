@@ -34,7 +34,7 @@ from .involution_cocycles import (
     recover_generators,
     verify_identities,
 )
-from .space import BernoulliMeasure, CylinderFunction, measure_from_json
+from .space import BernoulliMeasure, CylinderFunction, binary_bases, measure_from_json
 from .suites import CONFIG_FIELDS, ExperimentConfig, UsageError, run as run_suite
 from .values import NeighborhoodChain, UnsupportedValueError, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
@@ -63,7 +63,7 @@ def _flag_bases(args) -> tuple[int, ...] | None:
     if args.bases:
         return _int_list(args.bases, "--bases")
     if args.depth is not None:
-        return (2,) * args.depth
+        return binary_bases(args.depth)
     return None
 
 

@@ -24,6 +24,7 @@ from typing import Sequence
 from .space import (
     CylinderFunction,
     DepthError,
+    binary_bases,
     check_bases,
     full_prefix_index,
     index_to_prefix,
@@ -49,7 +50,7 @@ class Odometer:
     @classmethod
     def binary(cls, depth: int) -> "Odometer":
         """The 2-odometer truncated at the given depth."""
-        return cls((2,) * depth)
+        return cls(binary_bases(depth))
 
     @property
     def depth(self) -> int:

@@ -39,6 +39,7 @@ from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
     DepthError,
+    binary_bases,
     check_bases,
     full_prefix_index,
     index_to_prefix,
@@ -52,7 +53,6 @@ from .values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
-    _is_int,
     group_from_tag,
     round_to_dyadic,
 )
@@ -167,13 +167,11 @@ class GeneratorFamily:
     @classmethod
     def from_json(cls, obj) -> "GeneratorFamily":
         group = group_from_tag(obj["group"])
-        depth = obj["depth"]
-        if not _is_int(depth):
-            raise ValueError(f"depth must be an integer, got {depth!r}")
+        bases = binary_bases(obj["depth"])
         tables = [[group.payload_from_json(v) for v in table] for table in obj["tables"]]
         if len(tables) != obj.get("N", len(tables)):
             raise ValueError("N field disagrees with the number of tables")
-        return cls((2,) * depth, group, tables)
+        return cls(bases, group, tables)
 
 
 def word_reduce(word: Iterable[int]) -> frozenset[int]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .values import (
@@ -35,6 +36,9 @@ from .values import (
 
 #: Largest allowed number of depth-k prefixes (guards machine arithmetic).
 MAX_POINTS = 1 << 20
+
+#: Deepest 2-odometer whose prefix space fits in MAX_POINTS.
+MAX_BINARY_DEPTH = MAX_POINTS.bit_length() - 1
 
 
 class DepthError(ValueError):
@@ -53,6 +57,18 @@ def check_bases(bases: Sequence[int]) -> tuple[int, ...]:
         if n > MAX_POINTS:
             raise ValueError(f"prefix space larger than {MAX_POINTS} points")
     return bases
+
+
+def binary_bases(depth) -> tuple[int, ...]:
+    """The 2-odometer's base vector ``(2,) * depth``; a depth that is not an
+    integer in 1..MAX_BINARY_DEPTH is refused before the tuple is built."""
+    if not _is_int(depth):
+        raise ValueError(f"depth must be an integer, got {depth!r}")
+    if not 1 <= depth <= MAX_BINARY_DEPTH:
+        raise ValueError(
+            f"depth must lie in 1..{MAX_BINARY_DEPTH} (at most {MAX_POINTS} prefixes), got {depth}"
+        )
+    return (2,) * depth
 
 
 def space_size(bases: Sequence[int]) -> int:
@@ -225,11 +241,40 @@ class Measure:
 
     ``mass(x)`` is the measure of the depth-len(x) cylinder [x]; it is
     defined for any depth up to the measure's base vector length.
+    ``mass_table(bases)`` holds the same masses for every cylinder of one
+    depth at once; the functionals below read it, and ``mass`` is its
+    oracle.
     """
 
     bases: tuple[int, ...]
 
     def mass(self, x: Sequence[int]) -> Fraction:
+        raise NotImplementedError
+
+    @cached_property
+    def _mass_tables(self) -> dict:
+        return {}
+
+    def mass_table(self, bases: Sequence[int]) -> tuple[Fraction, ...]:
+        """Masses of all depth-len(bases) cylinders in table-index order
+        (x_1 fastest): entry i is ``mass(index_to_prefix(i, bases))``.
+
+        ``bases`` must be a leading segment of the measure's bases, so that
+        the table is indexed in the measure's own radices (DepthError
+        otherwise).  The table is built in one pass and cached on this
+        instance, keyed by ``bases``.
+        """
+        bases = tuple(bases)
+        table = self._mass_tables.get(bases)
+        if table is None:
+            own = self.bases[: len(bases)]
+            if own != bases:
+                raise DepthError(f"measure bases {self.bases} do not extend {bases}")
+            table = self._mass_tables[own] = tuple(self._build_table(own))
+        return table
+
+    def _build_table(self, bases: tuple[int, ...]) -> list[Fraction]:
+        """The uncached ``mass_table`` of a checked leading segment ``bases``."""
         raise NotImplementedError
 
     def to_json(self):
@@ -263,6 +308,13 @@ class BernoulliMeasure(Measure):
         for i, d in enumerate(x):
             m *= self.weights[i][d]
         return m
+
+    def _build_table(self, bases):
+        # Kronecker product of the weight rows, x_1 fastest
+        table = [Fraction(1)]
+        for row in self.weights[: len(bases)]:
+            table = [m * w for w in row for m in table]
+        return table
 
     def to_json(self):
         return {
@@ -309,6 +361,23 @@ class MarkovMeasure(Measure):
             m *= self.transitions[i][x[i]][x[i + 1]]
         return m
 
+    def _build_table(self, bases):
+        # forward recursion: a depth-(s+2) mass is the depth-(s+1) mass of
+        # its first s+1 digits times the step-s transition into the last one
+        if not bases:
+            return [Fraction(1)]
+        table = list(self.initial)
+        for step, mat in enumerate(self.transitions[: len(bases) - 1]):
+            stride = len(table) // bases[step]
+            blocks = [table[j * stride : (j + 1) * stride] for j in range(bases[step])]
+            table = [
+                m * row[d]
+                for d in range(bases[step + 1])
+                for row, block in zip(mat, blocks)
+                for m in block
+            ]
+        return table
+
     def to_json(self):
         return {
             "kind": "markov",
@@ -339,6 +408,13 @@ class DiracMeasure(Measure):
             if d != expected:
                 return Fraction(0)
         return Fraction(1)
+
+    def _build_table(self, bases):
+        # one-hot at the point, read with its zero tail (prefix_to_index
+        # ignores digits past len(bases) and treats missing ones as 0)
+        table = [Fraction(0)] * space_size(bases)
+        table[prefix_to_index(self.point, bases)] = Fraction(1)
+        return table
 
     def to_json(self):
         return {"kind": "dirac", "bases": list(self.bases), "point": list(self.point)}
@@ -371,6 +447,14 @@ class MixtureMeasure(Measure):
             Fraction(0),
         )
 
+    def _build_table(self, bases):
+        # the components share the mixture's bases, so ``bases`` is checked
+        # for them too; their tables are built here and not cached on them
+        table = [Fraction(0)] * space_size(bases)
+        for w, c in zip(self.weights, self.components):
+            table = [s + w * m for s, m in zip(table, c._build_table(bases))]
+        return table
+
     def to_json(self):
         return {
             "kind": "mixture",
@@ -394,8 +478,21 @@ def measure_from_json(obj) -> Measure:
     raise ValueError(f"unknown measure record {obj!r}")
 
 
-def measure_of_cylinder_set(mu: Measure, prefixes: Iterable[Sequence[int]]) -> Fraction:
-    """Exact measure of a finite disjoint union of same-depth cylinders."""
+def measure_of_cylinder_set(
+    mu: Measure, prefixes: Iterable[Sequence[int]], bases: Sequence[int] | None = None
+) -> Fraction:
+    """Exact measure of a finite disjoint union of same-depth cylinders.
+
+    ``bases`` are the radices the prefixes are written in; they must be a
+    leading segment of the measure's bases as long as the prefixes
+    (DepthError otherwise).  Without them the prefixes are read in the
+    measure's own radices.  Each prefix is validated, and a repeated one
+    is a ValueError.
+    """
+    if bases is not None:
+        bases = tuple(bases)
+        mu.mass_table(bases)  # refuses radices the measure is not written in
+        bases = mu.bases[: len(bases)]  # equal to them, as the measure's own ints
     prefixes = [tuple(x) for x in prefixes]
     if not prefixes:
         return Fraction(0)
@@ -404,7 +501,14 @@ def measure_of_cylinder_set(mu: Measure, prefixes: Iterable[Sequence[int]]) -> F
         raise DepthError("cylinder set must consist of same-depth prefixes")
     if len(set(prefixes)) != len(prefixes):
         raise ValueError("cylinder set contains repeated prefixes")
-    return sum((mu.mass(x) for x in prefixes), Fraction(0))
+    if bases is None:
+        bases = mu.bases[:depth]
+    elif depth != len(bases):
+        raise DepthError(f"prefixes of depth {depth} are not written in bases {bases}")
+    for x in prefixes:
+        validate_prefix(x, bases)
+    table = mu.mass_table(bases)
+    return sum((table[prefix_to_index(x, bases)] for x in prefixes), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +538,8 @@ def tau1_membership(
     eps = as_fraction(eps) if f.group.exact else eps
     delta = as_fraction(delta)
     exceed = exceedance_prefixes(f, g, eps)
-    return all(measure_of_cylinder_set(mu, exceed) < delta for mu in measures)
+    bases = max(f.bases, g.bases, key=len)  # the bases ``_aligned`` lifts to
+    return all(measure_of_cylinder_set(mu, exceed, bases) < delta for mu in measures)
 
 
 def tau3_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
@@ -442,8 +547,8 @@ def tau3_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fr
     bases, diffs = _difference_metrics(f, g)
     one = Fraction(1)
     total = Fraction(0)
-    for i, d in enumerate(diffs):
-        total += mu.mass(index_to_prefix(i, bases)) * (d if d < one else one)
+    for m, d in zip(mu.mass_table(bases), diffs):
+        total += m * (d if d < one else one)
     return total
 
 
@@ -451,8 +556,8 @@ def tau4_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fr
     """Integral of |f - g| / (1 + |f - g|)."""
     bases, diffs = _difference_metrics(f, g)
     total = Fraction(0)
-    for i, d in enumerate(diffs):
-        total += mu.mass(index_to_prefix(i, bases)) * d / (1 + d)
+    for m, d in zip(mu.mass_table(bases), diffs):
+        total += m * d / (1 + d)
     return total
 
 
@@ -483,7 +588,7 @@ def aut_distance(s, t, mu: Measure) -> Fraction:
         for i, (a, b) in enumerate(zip(perm_s, perm_t))
         if a != b
     ]
-    return measure_of_cylinder_set(mu, disagree) if disagree else Fraction(0)
+    return measure_of_cylinder_set(mu, disagree, bases_s)
 
 
 def convergence_rows(

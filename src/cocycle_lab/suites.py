@@ -24,6 +24,7 @@ from .involution_cocycles import (
 )
 from .space import (
     BernoulliMeasure,
+    binary_bases,
     exceedance_prefixes,
     measure_of_cylinder_set,
     tau3_functional,
@@ -93,7 +94,7 @@ class ExperimentConfig:
                 depth = kwargs.pop("depth", None)
                 if not (_is_int(depth) and depth >= 1):
                     raise UsageError(f"depth must be an integer >= 1, got {depth!r}")
-                kwargs["bases"] = (2,) * depth
+                kwargs["bases"] = binary_bases(depth)
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc

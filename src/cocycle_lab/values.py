@@ -31,6 +31,10 @@ from typing import Any
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
 REPORTING_TOLERANCE = 1e-9
 
+#: Largest exponent k of a dyadic value record {"t": "dy", "n": n, "k": k}
+#: (the value n / 2^k); a larger one is refused before 2^k is built.
+MAX_DYADIC_EXPONENT = 1 << 16
+
 
 class GroupMismatchError(TypeError):
     """Raised when an operation mixes values from different groups."""
@@ -43,6 +47,15 @@ class UnsupportedValueError(TypeError):
 def _is_int(value) -> bool:
     """The one integer test: an int, not a bool (plain ints pass on the fast first test)."""
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
+def _ratio(n, d) -> Fraction:
+    """The rational n/d of a value record: integers n and d (not bools), d nonzero."""
+    if not (_is_int(n) and _is_int(d)):
+        raise UnsupportedValueError(f"a value record needs integers, got {n!r} / {d!r}")
+    if d == 0:
+        raise ValueError(f"value record {n}/0 has a zero denominator")
+    return Fraction(n, d)
 
 
 def as_fraction(x: Any) -> Fraction:
@@ -184,7 +197,7 @@ class RationalGroup(_ScalarGroup):
         return {"t": "rat", "n": a.numerator, "d": a.denominator}
 
     def payload_from_json(self, obj):
-        return Fraction(obj["n"], obj["d"])
+        return _ratio(obj["n"], obj["d"])
 
 
 class DyadicGroup(RationalGroup):
@@ -202,7 +215,12 @@ class DyadicGroup(RationalGroup):
         return {"t": "dy", "n": a.numerator, "k": a.denominator.bit_length() - 1}
 
     def payload_from_json(self, obj):
-        return self.validate(Fraction(obj["n"], 1 << obj["k"]))
+        k = obj["k"]
+        if not (_is_int(k) and 0 <= k <= MAX_DYADIC_EXPONENT):
+            raise ValueError(
+                f"dyadic exponent k must be an integer in 0..{MAX_DYADIC_EXPONENT}, got {k!r}"
+            )
+        return self.validate(_ratio(obj["n"], 1 << k))
 
 
 @dataclass(frozen=True, repr=False)
@@ -297,7 +315,7 @@ class RationalVectorGroup(Group):
         return {"t": "vec", "v": [[c.numerator, c.denominator] for c in a]}
 
     def payload_from_json(self, obj):
-        return self.validate([Fraction(n, d) for n, d in obj["v"]])
+        return self.validate([_ratio(n, d) for n, d in obj["v"]])
 
 
 class ApproxRealGroup(_ScalarGroup):

@@ -16,7 +16,7 @@ exactly computable from one period of partial sums:
   so its tau3-distance to f is a sum over the N/w tops alone, bounded by
   the top-set measure (2^-n under the fair-coin measure on the
   2-odometer); the density rows take it from there, with masses read
-  once per measure on the level-1 tops;
+  from each measure's mass table on the level-1 tops;
 * boundedness of two-sided orbit sums characterizes coboundaries, with
   the certificate spread bound as the explicit constant.
 
@@ -296,10 +296,11 @@ def density_table(
     Each row equals ``coboundary_solve`` of ``density_sequence`` and
     ``tau3_functional`` against the generator, computed from the tower
     tops: F_n equals f off the tops, so tau3 sums over the N/w tops only.
-    Masses are taken once per measure on the level-1 tops, and the level-n
-    tops are every (w/p_1)-th of them.  The certificate runs the partial
-    sums of ``ZCocycle._partial`` over F_n in the same order, so the rows
-    are identical, float rounding on ``real`` included.  Each measure's
+    Masses are read from each measure's cached ``mass_table`` on the
+    level-1 tops, and the level-n tops are every (w/p_1)-th of them.  The
+    certificate runs the partial sums of ``ZCocycle._partial`` over F_n in
+    the same order, so the rows are identical, float rounding on ``real``
+    included.  Each measure's
     base vector must extend the model's (DepthError naming it otherwise).
     """
     model = a.model
@@ -315,10 +316,7 @@ def density_table(
     zero = group.zero()
     f = a._table
     p1 = model.bases[0]
-    masses = [
-        [mu.mass(index_to_prefix(i, model.bases)) for i in range(p1 - 1, model.size, p1)]
-        for mu in measures
-    ]
+    masses = [mu.mass_table(model.bases)[p1 - 1 :: p1] for mu in measures]
     one = Fraction(1)
     # the literal sum also adds mass * 0 off the tops: on ``real`` that
     # zero is 0.0, which makes the sum a float even when every top term

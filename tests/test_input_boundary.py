@@ -1,5 +1,6 @@
-"""The input boundary: one integer test for bases, digits and depths, and one
-probability check for measure weights.
+"""The input boundary: one integer test for bases, digits and depths, one
+probability check for measure weights, and value records checked before
+they are evaluated.
 
 Every value below is refused where it enters -- by the Python constructors
 and, where the command line reaches it, by ``cli.main`` with exit code 2 --
@@ -16,17 +17,24 @@ from cocycle_lab.cli import main
 from cocycle_lab.dynamics import Odometer, delta_apply
 from cocycle_lab.involution_cocycles import GeneratorFamily, word_apply
 from cocycle_lab.space import (
+    MAX_BINARY_DEPTH,
     BernoulliMeasure,
     CylinderFunction,
     DepthError,
     DiracMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    binary_bases,
     check_bases,
     measure_from_json,
     validate_prefix,
 )
-from cocycle_lab.values import INTEGERS, UnsupportedValueError
+from cocycle_lab.values import (
+    INTEGERS,
+    MAX_DYADIC_EXPONENT,
+    UnsupportedValueError,
+    group_from_tag,
+)
 
 HALF = ["1/2", "1/2"]
 DIRAC = {"kind": "dirac", "bases": [2, 2], "point": [1]}
@@ -207,3 +215,62 @@ def test_family_depth_must_be_an_integer(tmp_path, capsys, depth):
     assert code == 2
     assert f"depth must be an integer, got {depth!r}" in err
     assert GeneratorFamily.from_json(dict(family, depth=1)).depth == 1
+
+
+# --- depths: refused before (2,) * depth is built ---------------------------
+
+
+@pytest.mark.parametrize("depth", [MAX_BINARY_DEPTH + 1, 100_000_000, 10**30])
+def test_a_huge_depth_is_refused_before_its_bases_are_built(tmp_path, capsys, depth):
+    message = f"depth must lie in 1..{MAX_BINARY_DEPTH}"
+    with pytest.raises(ValueError, match=message):
+        binary_bases(depth)
+    with pytest.raises(ValueError, match=message):
+        Odometer.binary(depth)
+    code, err = _cli(tmp_path, capsys, ["run", "gh", "--depth", str(depth)])
+    assert code == 2 and message in err
+    code, err = _cli(
+        tmp_path, capsys, ["run", "gh", "--config", "config"], config={"depth": depth, "count": 1}
+    )
+    assert code == 2 and message in err
+    family = {"N": 1, "depth": depth, "group": "rat", "tables": [[{"t": "rat", "n": 1, "d": 3}]]}
+    code, err = _cli(tmp_path, capsys, ["gamma", "verify", "--input", "family"], family=family)
+    assert code == 2 and message in err
+    assert binary_bases(MAX_BINARY_DEPTH) == (2,) * MAX_BINARY_DEPTH
+
+
+# --- value records: checked before they are evaluated -----------------------
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (
+            {"t": "dy", "n": 1, "k": 10_000_000_000},
+            f"integer in 0..{MAX_DYADIC_EXPONENT}, got 10000000000",
+        ),
+        ({"t": "dy", "n": 1, "k": -1}, f"integer in 0..{MAX_DYADIC_EXPONENT}, got -1"),
+        ({"t": "dy", "n": 1, "k": True}, f"integer in 0..{MAX_DYADIC_EXPONENT}, got True"),
+        ({"t": "dy", "n": 1.5, "k": 1}, "needs integers, got 1.5 / 2"),
+        ({"t": "rat", "n": True, "d": 3}, "needs integers, got True / 3"),
+        ({"t": "rat", "n": 1, "d": "3"}, "needs integers, got 1 / '3'"),
+        ({"t": "rat", "n": 1, "d": 0}, "value record 1/0 has a zero denominator"),
+    ],
+)
+def test_value_records_are_checked_before_they_are_evaluated(tmp_path, capsys, record, message):
+    with pytest.raises((TypeError, ValueError), match=message):
+        group_from_tag(record["t"]).payload_from_json(record)
+    family = {"N": 1, "depth": 1, "group": record["t"], "tables": [[record]]}
+    code, err = _cli(tmp_path, capsys, ["gamma", "verify", "--input", "family"], family=family)
+    assert code == 2 and message in err
+    good = dict(record, n=3, **({"k": 2} if "k" in record else {"d": 4}))
+    assert group_from_tag(record["t"]).payload_from_json(good) == Fraction(3, 4)
+
+
+def test_vector_value_records_need_integer_pairs():
+    vec = group_from_tag("vec:2")
+    with pytest.raises(UnsupportedValueError, match="needs integers, got True / 1"):
+        vec.payload_from_json({"t": "vec", "v": [[True, 1], [0, 1]]})
+    with pytest.raises(ValueError, match="zero denominator"):
+        vec.payload_from_json({"t": "vec", "v": [[1, 0], [0, 1]]})
+    assert vec.payload_from_json({"t": "vec", "v": [[1, 2], [0, 1]]}) == (Fraction(1, 2), 0)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cocycle_lab.space import (
     BernoulliMeasure,
@@ -21,6 +21,7 @@ from cocycle_lab.space import (
     measure_from_json,
     measure_of_cylinder_set,
     prefix_to_index,
+    space_size,
     tau1_membership,
     tau3_functional,
     tau4_functional,
@@ -213,6 +214,80 @@ def test_measure_json_roundtrip(mu):
         assert again.mass(x) == mu.mass(x)
 
 
+# --- mass tables -------------------------------------------------------------
+
+
+@st.composite
+def probability_vectors(draw, size):
+    cuts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+    return tuple(rat(c, sum(cuts)) for c in cuts)
+
+
+@st.composite
+def measures(draw, bases=None, nesting=2):
+    """A measure of any kind on mixed bases; mixtures nest up to ``nesting`` deep."""
+    if bases is None:
+        bases = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=4)))
+    kinds = ("bernoulli", "markov", "dirac") + (("mixture",) if nesting else ())
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bernoulli":
+        return BernoulliMeasure(bases, tuple(draw(probability_vectors(b)) for b in bases))
+    if kind == "markov":
+        transitions = tuple(
+            tuple(draw(probability_vectors(bases[k + 1])) for _ in range(bases[k]))
+            for k in range(len(bases) - 1)
+        )
+        return MarkovMeasure(bases, draw(probability_vectors(bases[0])), transitions)
+    if kind == "dirac":  # the point may be shorter than the bases (zero tail)
+        length = draw(st.integers(0, len(bases)))
+        return DiracMeasure(bases, tuple(draw(st.integers(0, b - 1)) for b in bases[:length]))
+    components = draw(st.lists(measures(bases, nesting - 1), min_size=1, max_size=3))
+    return MixtureMeasure(tuple(components), draw(probability_vectors(len(components))))
+
+
+NESTED_MARKOV = MarkovMeasure(
+    (3, 2, 2),
+    (rat(1, 6), rat(1, 2), rat(1, 3)),
+    (
+        ((rat(1, 4), rat(3, 4)), (rat(1), rat(0)), (rat(2, 5), rat(3, 5))),
+        ((rat(1, 3), rat(2, 3)), (rat(1, 2), rat(1, 2))),
+    ),
+)
+
+
+@given(measures())
+@example(DiracMeasure((3, 2, 2), (2,)))
+@example(
+    MixtureMeasure(
+        (
+            MixtureMeasure(
+                (NESTED_MARKOV, DiracMeasure((3, 2, 2), (1, 1))), (rat(1, 3), rat(2, 3))
+            ),
+            BernoulliMeasure.uniform((3, 2, 2)),
+        ),
+        (rat(3, 4), rat(1, 4)),
+    )
+)
+def test_mass_table_is_the_mass_of_every_prefix(mu):
+    for depth in range(1, len(mu.bases) + 1):
+        bases = mu.bases[:depth]
+        table = mu.mass_table(bases)
+        assert len(table) == space_size(bases)
+        for i, m in enumerate(table):
+            assert type(m) is Fraction
+            assert m == mu.mass(index_to_prefix(i, bases))
+        assert sum(table) == 1
+        assert mu.mass_table(list(bases)) is table  # cached on the instance
+
+
+def test_mass_table_needs_a_leading_segment_of_the_bases():
+    mu = BernoulliMeasure.uniform((2, 3, 2))
+    assert mu.mass_table((2, 3)) == (rat(1, 6),) * 6
+    for bad in ((3,), (2, 2), (2, 3, 2, 2)):
+        with pytest.raises(DepthError):
+            mu.mass_table(bad)
+
+
 # --- tau functionals ---------------------------------------------------------
 
 
@@ -388,6 +463,54 @@ def test_aut_distance_depth_mismatch():
 
     with pytest.raises(DepthError):
         aut_distance(Odometer.binary(2), Odometer.binary(3), BernoulliMeasure.uniform((2, 2)))
+
+
+# --- measures in other radices ----------------------------------------------
+# A mass table is indexed in the measure's radices, so a measure whose bases
+# do not extend the function's or the prefixes' is refused, not paired digit
+# by digit across different radices.
+
+F22 = CylinderFunction((2, 2), RATIONALS, (rat(0), rat(1, 2), rat(2), rat(-1)))
+ZERO22 = CylinderFunction.constant((2, 2), RATIONALS, 0)
+MU33 = BernoulliMeasure.uniform((3, 3))
+MU223 = BernoulliMeasure.uniform((2, 2, 3))
+
+
+def test_tau3_refuses_a_measure_in_other_radices():
+    with pytest.raises(DepthError, match="do not extend"):
+        tau3_functional(F22, ZERO22, MU33)
+    assert tau3_functional(F22, ZERO22, MU223) == brute_tau3(F22, ZERO22, MU223, (2, 2))
+
+
+def test_tau4_refuses_a_measure_in_other_radices():
+    with pytest.raises(DepthError, match="do not extend"):
+        tau4_functional(F22, ZERO22, MU33)
+    assert tau4_functional(F22, ZERO22, MU223) == brute_tau4(F22, ZERO22, MU223, (2, 2))
+
+
+def test_measure_of_cylinder_set_refuses_a_measure_in_other_radices():
+    with pytest.raises(DepthError, match="do not extend"):
+        measure_of_cylinder_set(MU33, [(1, 1)], (2, 2))
+    with pytest.raises(DepthError, match="do not extend"):
+        measure_of_cylinder_set(MU33, [], (2, 2))
+    with pytest.raises(DepthError, match="not written in bases"):
+        measure_of_cylinder_set(MU223, [(1,)], (2, 2))
+    with pytest.raises(DepthError, match="at coordinate 2"):
+        measure_of_cylinder_set(MU223, [(1, 2)], (2, 2))
+    with pytest.raises(ValueError, match="repeated"):
+        measure_of_cylinder_set(MU223, [(1, 1), (1, 1)], (2, 2))
+    assert measure_of_cylinder_set(MU223, [(1, 1), (0, 1)], (2, 2)) == rat(1, 2)
+    assert measure_of_cylinder_set(MU33, [(1, 1), (2, 2)]) == rat(2, 9)
+
+
+def test_aut_distance_refuses_a_measure_in_other_radices():
+    from cocycle_lab.dynamics import Odometer
+
+    m2 = Odometer.binary(2)
+    for s in (m2, (tuple(range(4)), (2, 2))):
+        with pytest.raises(DepthError, match="do not extend"):
+            aut_distance(s, m2, MU33)
+    assert aut_distance((tuple(range(4)), (2, 2)), m2, MU223) == 1
 
 
 # --- convergence table -------------------------------------------------------
