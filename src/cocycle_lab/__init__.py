@@ -34,6 +34,7 @@ from .space import (
     aut_distance,
     convergence_csv,
     convergence_rows,
+    exceedance_mass,
     exceedance_prefixes,
     index_to_prefix,
     iter_prefixes,

@@ -183,7 +183,7 @@ def _cmd_happrox(args) -> int:
     family = _decode(args.input, GeneratorFamily.from_json)
     chain = NeighborhoodChain(as_fraction(args.eps0))
     try:
-        result = h_approximate(family, chain, verify=True)
+        result = h_approximate(family, chain)
     except UnsupportedValueError as exc:  # a family outside Q
         raise UsageError(str(exc)) from exc
     _emit_json(result.to_json(), args)

@@ -308,7 +308,9 @@ def verify_identities(
 
     Accepts an InvolutionCocycle or a raw oracle (n, prefix) -> GroupValue;
     every invariant generator family passes, and a violation is returned
-    with its first witness.
+    with its first witness.  On the generator tables t_n = c(delta_n, .)
+    the identities read t_n(x) + t_n(delta_n x) = 0 and
+    t_k(x) + t_n(delta_k x) = t_n(x) + t_k(delta_n x).
     """
     if isinstance(cocycle, InvolutionCocycle):
         count = cocycle.family.count
@@ -317,35 +319,23 @@ def verify_identities(
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
     tables, group = _oracle_tables(cocycle, count, bases, group)
-    size = space_size(bases)
-    for i in range(size):
-        for n in range(1, count + 1):
-            v = _chain(tables, group, (n, n), i)
-            if not group.values_equal(v, group.zero()):
-                return IdentityCheck(
-                    False,
-                    {
-                        "identity": "square",
-                        "n": n,
-                        "x": index_to_prefix(i, bases),
-                        "value": GroupValue(group, v),
-                    },
-                )
-            for k in range(1, n):
-                lhs = _chain(tables, group, (n, k), i)
-                rhs = _chain(tables, group, (k, n), i)
-                if not group.values_equal(lhs, rhs):
-                    return IdentityCheck(
-                        False,
-                        {
-                            "identity": "commutation",
-                            "n": n,
-                            "k": k,
-                            "x": index_to_prefix(i, bases),
-                            "lhs": GroupValue(group, lhs),
-                            "rhs": GroupValue(group, rhs),
-                        },
-                    )
+    add, equal, zero = group.add, group.values_equal, group.zero()
+    for i in range(space_size(bases)):
+        for n, t_n in enumerate(tables, start=1):
+            i_n = i ^ (1 << (n - 1))
+            v = add(t_n[i], t_n[i_n])
+            if not equal(v, zero):
+                x = index_to_prefix(i, bases)
+                witness = dict(identity="square", n=n, x=x, value=GroupValue(group, v))
+                return IdentityCheck(False, witness)
+            for k, t_k in enumerate(tables[: n - 1], start=1):
+                lhs = add(t_k[i], t_n[i ^ (1 << (k - 1))])
+                rhs = add(t_n[i], t_k[i_n])
+                if not equal(lhs, rhs):
+                    x = index_to_prefix(i, bases)
+                    lhs, rhs = GroupValue(group, lhs), GroupValue(group, rhs)
+                    witness = dict(identity="commutation", n=n, k=k, x=x, lhs=lhs, rhs=rhs)
+                    return IdentityCheck(False, witness)
     return IdentityCheck(True)
 
 
@@ -442,18 +432,16 @@ def _check_transfer(alpha, beta, g_table, bases) -> None:
                 )
 
 
-def h_approximate(
-    family: GeneratorFamily, chain: NeighborhoodChain, verify: bool = True
-) -> TransferReport:
+def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> TransferReport:
     """Replace a rational family by a dyadic-valued cohomologous one.
 
     Each f_n is rounded valuewise at chain radius eps_n (rounding cannot
     break invariance), and the transfer is the finite sum
     g(x) = sum_n x_n (f_n(x) - fbar_n(x)) = psi_N(fbar)(x) - psi_N(f)(x),
-    exact on Q.  With ``verify=True`` the bounds on the radii and on |g|
-    are checked, and so is the cohomology equation at the N generators and
-    every prefix, which gives it on every flip word by telescoping; the
-    check is a theorem for invariant families, so a failure raises.
+    exact on Q.  The bounds on the radii and on |g| are checked, and so is
+    the cohomology equation at the N generators and every prefix, which
+    gives it on every flip word by telescoping; the check is a theorem for
+    invariant families, so a failure raises.
     """
     if family.group not in (RATIONALS, DYADICS):
         raise UnsupportedValueError(
@@ -481,19 +469,17 @@ def h_approximate(
     transfer = CylinderFunction(family.bases, group, tuple(g_table))
     report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
 
-    if verify:
-        alpha = InvolutionCocycle(base)._generator_tables
-        beta = report.beta._generator_tables
-        bound = report.radius_bound
-        if bound > chain.eps0:
-            raise AssertionError("radius bound exceeds the base radius")
-        for i, g in enumerate(g_table):
-            if abs(g) > bound:
-                raise AssertionError(
-                    f"transfer value {g} at {index_to_prefix(i, family.bases)} "
-                    f"exceeds the bound {bound}"
-                )
-        _check_transfer(alpha, beta, g_table, family.bases)
+    bound = report.radius_bound
+    if bound > chain.eps0:
+        raise AssertionError("radius bound exceeds the base radius")
+    for i, g in enumerate(g_table):
+        if abs(g) > bound:
+            raise AssertionError(
+                f"transfer value {g} at {index_to_prefix(i, family.bases)} "
+                f"exceeds the bound {bound}"
+            )
+    alpha = InvolutionCocycle(base)._generator_tables
+    _check_transfer(alpha, report.beta._generator_tables, g_table, family.bases)
     return report
 
 

@@ -507,8 +507,13 @@ def measure_of_cylinder_set(
         raise DepthError(f"prefixes of depth {depth} are not written in bases {bases}")
     for x in prefixes:
         validate_prefix(x, bases)
+    return _index_mass(mu, bases, [prefix_to_index(x, bases) for x in prefixes])
+
+
+def _index_mass(mu: Measure, bases: tuple[int, ...], indices: Iterable[int]) -> Fraction:
+    """mu's mass on the cylinders at ``indices``, read from ``mu.mass_table(bases)``."""
     table = mu.mass_table(bases)
-    return sum((table[prefix_to_index(x, bases)] for x in prefixes), Fraction(0))
+    return sum((table[i] for i in indices), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +526,22 @@ def _difference_metrics(f: CylinderFunction, g: CylinderFunction):
     return f.bases, [met(a, b) for a, b in zip(f.table, g.table)]
 
 
+def _exceedance(f: CylinderFunction, g: CylinderFunction, eps):
+    """The bases f and g align to, and the table indices where |f - g| > eps."""
+    bases, diffs = _difference_metrics(f, g)
+    return bases, [i for i, d in enumerate(diffs) if d > eps]
+
+
 def exceedance_prefixes(f: CylinderFunction, g: CylinderFunction, eps) -> list:
     """Prefixes of the set {x : |f(x) - g(x)| > eps}, strict inequality."""
-    bases, diffs = _difference_metrics(f, g)
-    return [index_to_prefix(i, bases) for i, d in enumerate(diffs) if d > eps]
+    bases, indices = _exceedance(f, g, eps)
+    return [index_to_prefix(i, bases) for i in indices]
+
+
+def exceedance_mass(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> Fraction:
+    """mu{x : |f(x) - g(x)| > eps}; mu's bases must extend the aligned bases."""
+    bases, indices = _exceedance(f, g, eps)
+    return _index_mass(mu, bases, indices)
 
 
 def tau1_membership(
@@ -537,9 +554,8 @@ def tau1_membership(
     """True iff every measure gives the exceedance set mass strictly below delta."""
     eps = as_fraction(eps) if f.group.exact else eps
     delta = as_fraction(delta)
-    exceed = exceedance_prefixes(f, g, eps)
-    bases = max(f.bases, g.bases, key=len)  # the bases ``_aligned`` lifts to
-    return all(measure_of_cylinder_set(mu, exceed, bases) < delta for mu in measures)
+    bases, exceed = _exceedance(f, g, eps)
+    return all(_index_mass(mu, bases, exceed) < delta for mu in measures)
 
 
 def tau3_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
@@ -581,14 +597,10 @@ def aut_distance(s, t, mu: Measure) -> Fraction:
     """
     perm_s, bases_s = _resolve_permutation(s)
     perm_t, bases_t = _resolve_permutation(t)
-    if bases_s != bases_t or len(perm_s) != len(perm_t):
+    if bases_s != bases_t or not len(perm_s) == len(perm_t) == space_size(bases_s):
         raise DepthError("automorphisms act on different prefix spaces")
-    disagree = [
-        index_to_prefix(i, bases_s)
-        for i, (a, b) in enumerate(zip(perm_s, perm_t))
-        if a != b
-    ]
-    return measure_of_cylinder_set(mu, disagree, bases_s)
+    disagree = [i for i, (a, b) in enumerate(zip(perm_s, perm_t)) if a != b]
+    return _index_mass(mu, bases_s, disagree)
 
 
 def convergence_rows(

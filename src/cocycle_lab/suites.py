@@ -25,8 +25,7 @@ from .involution_cocycles import (
 from .space import (
     BernoulliMeasure,
     binary_bases,
-    exceedance_prefixes,
-    measure_of_cylinder_set,
+    exceedance_mass,
     tau3_functional,
     tau4_functional,
 )
@@ -250,7 +249,7 @@ def topology_suite(config: ExperimentConfig) -> Report:
         delta = Fraction(rng.randint(1, 8), 8)
         t3 = tau3_functional(f, g, mu)
         t4 = tau4_functional(f, g, mu)
-        exceed = measure_of_cylinder_set(mu, exceedance_prefixes(f, g, eps))
+        exceed = exceedance_mass(f, g, eps, mu)
         report.add_row(case=case, eps=eps, delta=delta, tau3=t3, tau4=t4, exceedance=exceed)
         if t3 < eps * delta:
             antecedents += 1
@@ -321,7 +320,7 @@ def happrox_suite(config: ExperimentConfig) -> Report:
     for idx in range(count):
         n_gen = rng.randint(1, min(4, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
-        result = h_approximate(family, chain, verify=True)
+        result = h_approximate(family, chain)
         dyadic_ok = _dyadic_generators(result.beta._generator_tables)
         max_g = max(abs(v) for v in result.transfer.table)
         report.add_row(

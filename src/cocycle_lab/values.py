@@ -463,12 +463,11 @@ class NeighborhoodChain:
 def _grid_round(value: Fraction, eps: Fraction) -> Fraction:
     """Nearest point of the coarsest binary grid with spacing <= eps.
 
-    Ties round toward zero.
+    Ties round toward zero.  The spacing 2^-q has the least q with
+    2^q >= ceil(1/eps), read off the bit length of ceil(1/eps) - 1.
     """
-    q = 0
-    while Fraction(1, 1 << q) > eps:
-        q += 1
-    den = 1 << q
+    top, bottom = eps.as_integer_ratio()
+    den = 1 << (-(-bottom // top) - 1).bit_length()
     scaled = value * den
     lo = scaled.numerator // scaled.denominator  # floor
     frac = scaled - lo

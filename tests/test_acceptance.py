@@ -147,7 +147,7 @@ def test_criterion_5_dyadic_cohomologous_cocycle():
         rng = random.Random(1005)
         for _ in range(100):
             family = invariant_family(rng, 6, rng.randint(1, 4), RATIONALS)
-            report = h_approximate(family, chain, verify=False)
+            report = h_approximate(family, chain)
             alpha = InvolutionCocycle(report.family)
             beta = report.beta
             g = report.transfer.table

@@ -19,7 +19,11 @@ from hypothesis import given, settings, strategies as st
 from cocycle_lab.cli import main
 
 #: Enough examples to reach crashes two mutations deep, in a few seconds.
-FUZZ = settings(max_examples=300)
+#: A mutation that drops ``count`` runs a suite at its default count (up to
+#: about 0.06 s at the default depth on a 2-vCPU host), so the deadline is
+#: 5 s: far above any run at a default count on a slow host, but finite, so
+#: a mutation that starts an unbounded scan still fails.
+FUZZ = settings(max_examples=300, deadline=5000)
 
 REPLACEMENTS = (-1, 0, 2.5, "3", True, None, [], {})
 

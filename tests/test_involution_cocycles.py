@@ -25,8 +25,8 @@ from cocycle_lab.involution_cocycles import (
     word_apply,
     word_reduce,
 )
-from cocycle_lab.sampling import coboundary_generator, invariant_family
-from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes
+from cocycle_lab.sampling import coboundary_generator, invariant_family, payload
+from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes, prefix_to_index
 from cocycle_lab.suites import _dyadic_generators
 from cocycle_lab.values import (
     DYADICS,
@@ -34,6 +34,7 @@ from cocycle_lab.values import (
     RATIONALS,
     GroupValue,
     NeighborhoodChain,
+    group_from_tag,
     is_dyadic,
 )
 from cocycle_lab.zcocycles import ZCocycle, coboundary_solve
@@ -182,6 +183,69 @@ def test_identities_fail_for_broken_invariance():
     assert check.witness["identity"] == "square"
 
 
+def chain_identities(tables, group, bases):
+    """The literal check: the words (n, n), (n, k) and (k, n) walked through
+    the identity chain at every prefix, in (prefix, n, k) order."""
+    zero = group.zero()
+    for i in range(1 << len(bases)):
+        x = index_to_prefix(i, bases)
+        for n in range(1, len(tables) + 1):
+            v = _chain(tables, group, (n, n), i)
+            if not group.values_equal(v, zero):
+                return False, {"identity": "square", "n": n, "x": x,
+                               "value": GroupValue(group, v)}
+            for k in range(1, n):
+                lhs = _chain(tables, group, (n, k), i)
+                rhs = _chain(tables, group, (k, n), i)
+                if not group.values_equal(lhs, rhs):
+                    return False, {"identity": "commutation", "n": n, "k": k, "x": x,
+                                   "lhs": GroupValue(group, lhs),
+                                   "rhs": GroupValue(group, rhs)}
+    return True, None
+
+
+def _raw_oracle(tables, group, bases):
+    return lambda n, x: GroupValue(group, tables[n - 1][prefix_to_index(x, bases)])
+
+
+def _agrees_with_the_chain(tables, group, bases):
+    check = verify_identities(_raw_oracle(tables, group, bases), len(tables), bases, group)
+    assert (check.ok, check.witness) == chain_identities(tables, group, bases)
+    return check
+
+
+def test_identities_match_the_chain_on_every_small_raw_oracle_exhaustive():
+    bases = (2, 2)
+    kinds = set()
+    for count in (1, 2):
+        for entries in itertools.product((-1, 0, 1), repeat=4 * count):
+            tables = tuple(entries[4 * n:4 * n + 4] for n in range(count))
+            check = _agrees_with_the_chain(tables, INTEGERS, bases)
+            kinds.add(check.witness["identity"] if check.witness else "ok")
+    assert kinds == {"ok", "square", "commutation"}
+
+
+@given(
+    tag=st.sampled_from(("mod:5", "vec:2")),
+    depth=st.integers(1, 4),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 2**16)),
+                   max_size=3),
+)
+def test_identities_match_the_chain_on_edited_raw_tables(tag, depth, count, seed, edits):
+    # a family's generator tables, with up to three entries overwritten
+    group = group_from_tag(tag)
+    rng = random.Random(seed)
+    cocycle = InvolutionCocycle(invariant_family(rng, depth, min(count, depth), group))
+    tables = [list(t) for t in cocycle._generator_tables]
+    for n, i, s in edits:
+        tables[n % len(tables)][i % len(tables[0])] = payload(random.Random(s), group, 2)
+    check = _agrees_with_the_chain(tuple(map(tuple, tables)), group, cocycle.bases)
+    if not edits:
+        assert check.ok and verify_identities(cocycle).ok
+
+
 # --- recovery ---------------------------------------------------------------------------
 
 
@@ -279,7 +343,7 @@ def test_happrox_random_families_exhaustive():
     chain = NeighborhoodChain(Fraction(1, 4))
     for _ in range(5):
         fam = invariant_family(rng, 5, 4, RATIONALS)
-        report = h_approximate(fam, chain, verify=True)  # verify raises on failure
+        report = h_approximate(fam, chain)  # raises on a failed check
         # radii follow the chain and bound the rounding error per index
         assert report.radii == tuple(chain.epsilon(n) for n in (1, 2, 3, 4))
         for n in range(1, 5):
@@ -304,7 +368,7 @@ def test_happrox_transfer_is_the_literal_sum():
                 for depth, count in ((1, 1), (3, 2), (4, 4), (5, 3), (6, 5))]
     families.append(GeneratorFamily(B3, DYADICS, ((Fraction(1, 2),) * 4, (Fraction(-3, 4),) * 2)))
     for fam in families:
-        report = h_approximate(fam, chain, verify=False)
+        report = h_approximate(fam, chain)
         rounded = report.rounded_family
         for i, x in enumerate(iter_prefixes(fam.bases)):
             expected = Fraction(0)
@@ -317,7 +381,7 @@ def test_happrox_transfer_is_the_literal_sum():
 
 def test_happrox_beta_is_built_once():
     fam = invariant_family(random.Random(3), 4, 3, RATIONALS)
-    report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)), verify=True)
+    report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)))
     assert report.beta is report.beta
     assert report.beta.family == report.rounded_family
 
@@ -360,7 +424,7 @@ def _verdict(check, *args):
 
 
 def _transfer_triple(fam, eps0=Fraction(1, 4)):
-    report = h_approximate(fam, NeighborhoodChain(eps0), verify=False)
+    report = h_approximate(fam, NeighborhoodChain(eps0))
     alpha = InvolutionCocycle(report.family)._generator_tables
     return alpha, report.beta._generator_tables, list(report.transfer.table)
 
@@ -393,7 +457,7 @@ def test_check_transfer_accepts_true_triples(tag, depth, count, eps0, seed):
     alpha, beta, g = _transfer_triple(fam, eps0)
     assert _verdict(_check_transfer, alpha, beta, g, fam.bases) is None
     assert _verdict(scan_cohomology, alpha, beta, g, fam.bases) is None
-    h_approximate(fam, NeighborhoodChain(eps0), verify=True)
+    h_approximate(fam, NeighborhoodChain(eps0))
 
 
 @pytest.mark.parametrize("depth, count", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])

@@ -14,6 +14,7 @@ from cocycle_lab.space import (
     MixtureMeasure,
     aut_distance,
     convergence_rows,
+    exceedance_mass,
     exceedance_prefixes,
     full_prefix_index,
     index_to_prefix,
@@ -463,6 +464,11 @@ def test_aut_distance_depth_mismatch():
 
     with pytest.raises(DepthError):
         aut_distance(Odometer.binary(2), Odometer.binary(3), BernoulliMeasure.uniform((2, 2)))
+    # a permutation needs one entry per prefix of its bases
+    mu = BernoulliMeasure.uniform((2, 2))
+    for perm in ((1, 0, 2), (1, 0, 2, 3, 4)):
+        with pytest.raises(DepthError, match="different prefix spaces"):
+            aut_distance((perm, (2, 2)), (perm, (2, 2)), mu)
 
 
 # --- measures in other radices ----------------------------------------------
@@ -511,6 +517,67 @@ def test_aut_distance_refuses_a_measure_in_other_radices():
         with pytest.raises(DepthError, match="do not extend"):
             aut_distance(s, m2, MU33)
     assert aut_distance((tuple(range(4)), (2, 2)), m2, MU223) == 1
+
+
+# --- index sums against the prefix path ---------------------------------------
+# The functionals sum mass-table entries over table indices; the oracle is
+# measure_of_cylinder_set over the literal sets, written as prefixes.
+
+
+def _outcome(fn, *args):
+    """The value, or the exception type for a DepthError."""
+    try:
+        return fn(*args)
+    except DepthError:
+        return DepthError
+
+
+@st.composite
+def function_pairs(draw):
+    """A measure, and f and g of different depths: their bases are a leading
+    segment of the measure's or, sometimes, another mixed base vector."""
+    mu = draw(measures())
+    if draw(st.booleans()):
+        bases = mu.bases[: draw(st.integers(1, len(mu.bases)))]
+    else:
+        bases = tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=4)))
+    short = bases[: draw(st.integers(1, len(bases)))]
+    values = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+    def function(b):
+        return CylinderFunction(b, RATIONALS, draw(st.lists(
+            values, min_size=space_size(b), max_size=space_size(b))))
+
+    f, g = function(bases), function(short)
+    return (f, g) if draw(st.booleans()) else (g, f), mu
+
+
+@given(function_pairs(), st.sampled_from((rat(0), rat(1, 4), rat(1, 2), rat(1))),
+       st.sampled_from((rat(0), rat(1, 3), rat(1, 2), rat(1))))
+def test_exceedance_functionals_match_the_prefix_path(pair, eps, delta):
+    (f, g), mu = pair
+    bases = max(f.bases, g.bases, key=len)
+    exceed = [x for x in iter_prefixes(bases) if abs(f.eval(x).payload - g.eval(x).payload) > eps]
+    assert exceedance_prefixes(f, g, eps) == exceed
+    prefix_mass = _outcome(measure_of_cylinder_set, mu, exceed, bases)
+    if prefix_mass is not DepthError:
+        assert prefix_mass == sum(mu.mass(x) for x in exceed)
+    assert _outcome(exceedance_mass, f, g, eps, mu) == prefix_mass
+    expected = prefix_mass if prefix_mass is DepthError else prefix_mass < delta
+    assert _outcome(tau1_membership, f, g, [mu], eps, delta) == expected
+
+
+@given(st.data(), measures())
+def test_aut_distance_matches_the_prefix_path(data, mu):
+    bases = mu.bases[: data.draw(st.integers(1, len(mu.bases)))]
+    if data.draw(st.booleans()):  # sometimes another base vector of the same size
+        bases = tuple(data.draw(st.permutations(bases)))
+    s, t = (tuple(data.draw(st.permutations(range(space_size(bases))))) for _ in "st")
+    disagree = [index_to_prefix(i, bases) for i in range(len(s)) if s[i] != t[i]]
+    expected = _outcome(measure_of_cylinder_set, mu, disagree, bases)
+    if expected is not DepthError:
+        assert expected == sum(mu.mass(x) for x in disagree)
+    assert _outcome(aut_distance, (s, bases), (t, bases), mu) == expected
 
 
 # --- convergence table -------------------------------------------------------

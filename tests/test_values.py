@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cocycle_lab.values import (
     APPROX_REALS,
@@ -15,6 +15,7 @@ from cocycle_lab.values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
+    _grid_round,
     as_fraction,
     group_from_tag,
     integers_mod,
@@ -175,10 +176,9 @@ def test_chain_rejects_nonpositive_radius():
 # --- dyadic rounding -------------------------------------------------------
 
 
-def brute_nearest_dyadic(v: Fraction, eps: Fraction) -> Fraction:
-    """Independent oracle: scan the admissible grid around v."""
-    if is_dyadic(v):
-        return v
+def literal_grid_round(v: Fraction, eps: Fraction) -> Fraction:
+    """Independent oracle: find the grid 2^-q <= eps by the literal scan
+    over q, then scan that grid around v."""
     q = 0
     while Fraction(1, 2**q) > eps:
         q += 1
@@ -186,6 +186,10 @@ def brute_nearest_dyadic(v: Fraction, eps: Fraction) -> Fraction:
     floor = math.floor(v * den)
     candidates = [Fraction(k, den) for k in range(floor - 2, floor + 3)]
     return min(candidates, key=lambda c: (abs(v - c), abs(c)))
+
+
+def brute_nearest_dyadic(v: Fraction, eps: Fraction) -> Fraction:
+    return v if is_dyadic(v) else literal_grid_round(v, eps)
 
 
 def test_round_examples():
@@ -208,6 +212,22 @@ def test_round_matches_brute_force_and_contract(v, n):
     assert r.payload == brute_nearest_dyadic(v, eps)
     assert is_dyadic(r.payload)
     assert abs(v - r.payload) <= eps
+
+
+@given(rationals, st.fractions(min_value=Fraction(1, 10**6), max_value=8).filter(lambda e: e > 0))
+@example(Fraction(1, 3), Fraction(5, 2))
+def test_grid_round_matches_the_literal_scan(v, eps):
+    assert _grid_round(v, eps) == literal_grid_round(v, eps)
+
+
+@settings(max_examples=25, deadline=2000)  # the literal scan is quadratic in k
+@given(rationals, st.integers(1, 20000), st.integers(-1, 1))
+@example(Fraction(1, 3), 20000, 0)
+@example(Fraction(-7, 5), 20000, -1)
+@example(Fraction(-7, 5), 20000, 1)
+def test_grid_round_matches_the_literal_scan_down_to_2_to_the_minus_20000(v, k, j):
+    eps = Fraction(1, (1 << k) + j)  # 2^-k and its two neighbours
+    assert _grid_round(v, eps) == literal_grid_round(v, eps)
 
 
 def test_round_float_input():
