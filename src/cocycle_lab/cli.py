@@ -15,7 +15,8 @@ Each subcommand declares only the flags it reads and names its handler;
 only ``run`` and ``cocycle density`` take ``--format``.
 
 Exit codes: 0 when every assertion passes, 1 on an assertion failure (the
-witness is printed), 2 on usage errors.
+witness is printed; a failed kernel self-check prints ``error:`` and its
+message), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
     except (OSError, KeyError, ValueError) as exc:  # UsageError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a kernel self-check failed; the message is the witness
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .values import (
     Group,
     GroupMismatchError,
     GroupValue,
+    _integer_numerators,
     _is_int,
     as_fraction,
     group_from_tag,
@@ -310,11 +311,15 @@ class BernoulliMeasure(Measure):
         return m
 
     def _build_table(self, bases):
-        # Kronecker product of the weight rows, x_1 fastest
-        table = [Fraction(1)]
+        # Kronecker product of the weight rows, x_1 fastest, on integer
+        # numerators over the product of the rows' lcms; one Fraction per
+        # entry at the end
+        table, common = [1], 1
         for row in self.weights[: len(bases)]:
-            table = [m * w for w in row for m in table]
-        return table
+            nums, den = _integer_numerators(row)
+            table = [m * w for w in nums for m in table]
+            common *= den
+        return [Fraction(m, common) for m in table]
 
     def to_json(self):
         return {
@@ -526,22 +531,39 @@ def _difference_metrics(f: CylinderFunction, g: CylinderFunction):
     return f.bases, [met(a, b) for a, b in zip(f.table, g.table)]
 
 
-def _exceedance(f: CylinderFunction, g: CylinderFunction, eps):
-    """The bases f and g align to, and the table indices where |f - g| > eps."""
-    bases, diffs = _difference_metrics(f, g)
-    return bases, [i for i, d in enumerate(diffs) if d > eps]
+# The sums below read one mass table and one metric list |f - g| of the
+# same cylinders, in table order, so that ``real`` floats repeat.
+
+
+def _tau3_sum(masses, diffs):
+    one = Fraction(1)
+    total = Fraction(0)
+    for m, d in zip(masses, diffs):
+        total += m * (d if d < one else one)
+    return total
+
+
+def _tau4_sum(masses, diffs):
+    total = Fraction(0)
+    for m, d in zip(masses, diffs):
+        total += m * d / (1 + d)
+    return total
+
+
+def _exceedance_sum(masses, diffs, eps):
+    return sum((m for m, d in zip(masses, diffs) if d > eps), Fraction(0))
 
 
 def exceedance_prefixes(f: CylinderFunction, g: CylinderFunction, eps) -> list:
     """Prefixes of the set {x : |f(x) - g(x)| > eps}, strict inequality."""
-    bases, indices = _exceedance(f, g, eps)
-    return [index_to_prefix(i, bases) for i in indices]
+    bases, diffs = _difference_metrics(f, g)
+    return [index_to_prefix(i, bases) for i, d in enumerate(diffs) if d > eps]
 
 
 def exceedance_mass(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> Fraction:
     """mu{x : |f(x) - g(x)| > eps}; mu's bases must extend the aligned bases."""
-    bases, indices = _exceedance(f, g, eps)
-    return _index_mass(mu, bases, indices)
+    bases, diffs = _difference_metrics(f, g)
+    return _exceedance_sum(mu.mass_table(bases), diffs, eps)
 
 
 def tau1_membership(
@@ -554,27 +576,32 @@ def tau1_membership(
     """True iff every measure gives the exceedance set mass strictly below delta."""
     eps = as_fraction(eps) if f.group.exact else eps
     delta = as_fraction(delta)
-    bases, exceed = _exceedance(f, g, eps)
-    return all(_index_mass(mu, bases, exceed) < delta for mu in measures)
+    bases, diffs = _difference_metrics(f, g)
+    return all(_exceedance_sum(mu.mass_table(bases), diffs, eps) < delta for mu in measures)
 
 
 def tau3_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
     """Integral of min(|f - g|, 1) as a finite exact sum over cylinders."""
     bases, diffs = _difference_metrics(f, g)
-    one = Fraction(1)
-    total = Fraction(0)
-    for m, d in zip(mu.mass_table(bases), diffs):
-        total += m * (d if d < one else one)
-    return total
+    return _tau3_sum(mu.mass_table(bases), diffs)
 
 
 def tau4_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
     """Integral of |f - g| / (1 + |f - g|)."""
     bases, diffs = _difference_metrics(f, g)
-    total = Fraction(0)
-    for m, d in zip(mu.mass_table(bases), diffs):
-        total += m * d / (1 + d)
-    return total
+    return _tau4_sum(mu.mass_table(bases), diffs)
+
+
+def _tau_sums(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> tuple:
+    """(tau3, tau4, exceedance mass) of f and g against mu, equal to the
+    three public functions, from one metric pass and one mass-table read."""
+    bases, diffs = _difference_metrics(f, g)
+    masses = mu.mass_table(bases)
+    return (
+        _tau3_sum(masses, diffs),
+        _tau4_sum(masses, diffs),
+        _exceedance_sum(masses, diffs, eps),
+    )
 
 
 def _resolve_permutation(t):

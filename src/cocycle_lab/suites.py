@@ -22,13 +22,7 @@ from .involution_cocycles import (
     recover_generators,
     verify_identities,
 )
-from .space import (
-    BernoulliMeasure,
-    binary_bases,
-    exceedance_mass,
-    tau3_functional,
-    tau4_functional,
-)
+from .space import BernoulliMeasure, _tau_sums, binary_bases
 from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag, is_dyadic
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
@@ -247,9 +241,7 @@ def topology_suite(config: ExperimentConfig) -> Report:
         mu = sampling.bernoulli_measure(rng, config.bases)
         eps = Fraction(rng.randint(1, 8), 8) * config.epsilon_max
         delta = Fraction(rng.randint(1, 8), 8)
-        t3 = tau3_functional(f, g, mu)
-        t4 = tau4_functional(f, g, mu)
-        exceed = exceedance_mass(f, g, eps, mu)
+        t3, t4, exceed = _tau_sums(f, g, eps, mu)
         report.add_row(case=case, eps=eps, delta=delta, tau3=t3, tau4=t4, exceedance=exceed)
         if t3 < eps * delta:
             antecedents += 1

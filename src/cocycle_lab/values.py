@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Any
 
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
@@ -77,6 +78,19 @@ def as_fraction(x: Any) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
     raise UnsupportedValueError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _integer_numerators(values) -> tuple[list[int], int]:
+    """Exact rationals (ints or Fractions) as ints over one denominator.
+
+    Returns (nums, L) with L the lcm of the reduced denominators and
+    nums[i] / L == values[i]; L == 1 on ints.  Sums, differences and
+    comparisons of the nums then run without a gcd per operation.
+    """
+    dens = {v.denominator for v in values}
+    common = lcm(*dens)
+    factor = {d: common // d for d in dens}
+    return [v.numerator * factor[v.denominator] for v in values], common
 
 
 def is_dyadic(q: Fraction) -> bool:

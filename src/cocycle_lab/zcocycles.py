@@ -16,7 +16,10 @@ exactly computable from one period of partial sums:
   so its tau3-distance to f is a sum over the N/w tops alone, bounded by
   the top-set measure (2^-n under the fair-coin measure on the
   2-odometer); the density rows take it from there, with masses read
-  from each measure's mass table on the level-1 tops;
+  from each measure's mass table on the level-1 tops.  On int, rat and
+  dy all rows come from one pass over integer numerators: the partial
+  sums of F_n are C[t] - C[base], so each row's certificate bound is read
+  from per-tower extremes of C that merge level by level, O(N) in all;
 * boundedness of two-sided orbit sums characterizes coboundaries, with
   the certificate spread bound as the explicit constant.
 
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .dynamics import (
@@ -53,7 +56,7 @@ from .space import (
     index_to_prefix,
     tau3_functional,
 )
-from .values import GroupValue
+from .values import GroupValue, IntegerGroup, RationalGroup, _integer_numerators
 
 
 #: Longest running-sum list N + 2 scan_to + 1 a gh scan may build; the
@@ -297,13 +300,19 @@ def density_table(
     ``tau3_functional`` against the generator, computed from the tower
     tops: F_n equals f off the tops, so tau3 sums over the N/w tops only.
     Masses are read from each measure's cached ``mass_table`` on the
-    level-1 tops, and the level-n tops are every (w/p_1)-th of them.  The
-    certificate runs the partial sums of ``ZCocycle._partial`` over F_n in
-    the same order, so the rows are identical, float rounding on ``real``
-    included.  Each measure's
-    base vector must extend the model's (DepthError naming it otherwise).
+    level-1 tops, and the level-n tops are every (w/p_1)-th of them.
+
+    On int, rat and dy the rows come from one integer pass
+    (``_scalar_density_rows``), O(N) for all rows together.  On real,
+    Z/m and Q^d the certificate runs the partial sums of
+    ``ZCocycle._partial`` over F_n in the same order, O(k N) per row, so
+    the rows are identical, float rounding on ``real`` included.  The
+    markers must live on the cocycle's model, and each measure's base
+    vector must extend the model's (DepthError naming it otherwise).
     """
     model = a.model
+    if markers.model != model:
+        raise DepthError("markers live on a different model")
     for k, mu in enumerate(measures):
         if mu.bases[: model.depth] != model.bases:
             raise DepthError(
@@ -313,10 +322,12 @@ def density_table(
     if n_max < 1:
         return []
     group = a.group
-    zero = group.zero()
-    f = a._table
     p1 = model.bases[0]
     masses = [mu.mass_table(model.bases)[p1 - 1 :: p1] for mu in measures]
+    if isinstance(group, (IntegerGroup, RationalGroup)):
+        return _scalar_density_rows(a, markers, n_max, masses)
+    zero = group.zero()
+    f = a._table
     one = Fraction(1)
     # the literal sum also adds mass * 0 off the tops: on ``real`` that
     # zero is 0.0, which makes the sum a float even when every top term
@@ -341,6 +352,55 @@ def density_table(
             for m, d in zip(level1[step - 1 :: step], clipped):
                 total += m * d
             row[f"tau3_{k}"] = total
+        rows.append(row)
+    return rows
+
+
+def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masses) -> list[dict]:
+    """``density_table`` rows on int, rat and dy, from one integer pass.
+
+    The generator is held as ints over the lcm L of its denominators
+    (L = 1 on int), so its partial sums C are ints, and each measure's
+    level-1 top masses as ints over their lcm D.  The partial sums of F_n
+    are C[t] - C[base of t's tower], so M is (max over towers of
+    (max C - C[base])) - (min over towers of (min C - C[base])), over L.
+    The per-tower max and min of C for row n merge those of row n - 1
+    over p_n strided slices, so all rows cost O(N) together.  A top of
+    F_n is C[base] - C[top]; the certificate is the cycle sum of F_n
+    (f's, less f's tops, plus F_n's) read from the same ints; tau3 is
+    the sum of mass * min(|F_n - f|, L) over the tops, over D L.  A
+    Fraction is built only for a reported value, and M stays an int on
+    int, as ``_spread_bound`` leaves it.
+    """
+    model = a.model
+    table = a.generator.table
+    nums, scale = _integer_numerators(table)
+    f = nums * (model.size // len(table))
+    c = list(accumulate(f[:-1], initial=0))
+    cycle = c[-1] + f[-1]
+    weighted = [_integer_numerators(level1) for level1 in masses]
+    ints = isinstance(a.group, IntegerGroup)
+    p1 = model.bases[0]
+    hi = lo = c
+    rows = []
+    for n in range(1, n_max + 1):
+        w = markers.tower_height(n)
+        p = model.bases[n - 1]
+        hi = list(map(max, *(hi[j::p] for j in range(p))))
+        lo = list(map(min, *(lo[j::p] for j in range(p))))
+        base = c[::w]
+        f_tops = f[w - 1 :: w]
+        tops = list(map(sub, base, c[w - 1 :: w]))
+        certified = cycle - sum(f_tops) + sum(tops) == 0
+        row = {"n": n, "certified": certified}
+        if certified:
+            bound = max(map(sub, hi, base)) - min(map(sub, lo, base))
+            row["M"] = bound if ints else Fraction(bound, scale)
+        clipped = [min(abs(t - v), scale) for t, v in zip(tops, f_tops)]
+        step = w // p1
+        for k, (level1, den) in enumerate(weighted):
+            total = sum(map(mul, level1[step - 1 :: step], clipped))
+            row[f"tau3_{k}"] = Fraction(total, den * scale)
         rows.append(row)
     return rows
 

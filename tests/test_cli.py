@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocycle_lab import cli
+from cocycle_lab import cli, involution_cocycles
 from cocycle_lab.cli import main
 from cocycle_lab.involution_cocycles import GeneratorFamily
 from cocycle_lab.space import CylinderFunction
@@ -419,6 +419,25 @@ def test_gamma_happrox_integer_family_is_usage_error(tmp_path, capsys):
     assert captured.err == (
         "error: dyadic approximation needs a rational or dyadic family, got group 'int'\n"
     )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "happrox", "--input", "FAMILY"],
+        ["run", "happrox", "--depth", "3", "--count", "1"],
+    ],
+)
+def test_failed_self_check_exits_1_with_its_message(argv, family_file, monkeypatch, capsys):
+    def broken(alpha, beta, g_table, bases):
+        raise AssertionError("cohomology equation failed at word [1], x=(0, 0)")
+
+    monkeypatch.setattr(involution_cocycles, "_check_transfer", broken)
+    argv = [family_file if a == "FAMILY" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: cohomology equation failed at word [1], x=(0, 0)\n"
     assert captured.out == ""
 
 

@@ -42,7 +42,9 @@ from cocycle_lab.sampling import (
     invariant_family,
 )
 from cocycle_lab.space import (
+    BernoulliMeasure,
     CylinderFunction,
+    DepthError,
     DiracMeasure,
     MarkovMeasure,
     MixtureMeasure,
@@ -218,6 +220,70 @@ def test_density_table_real_tops_all_far():
     rows = density_table(a, markers, 3, measures)
     assert_same_rows(rows, literal_density_table(a, markers, 3, measures))
     assert all(isinstance(row["tau3_0"], float) for row in rows)
+
+
+# --- the integer pass on int, rat and dy --------------------------------------------------
+
+PRIMES = tuple(q for q in range(2, 2000) if all(q % r for r in range(2, int(q**0.5) + 1)))
+
+
+def test_density_table_coprime_denominators():
+    # every generator entry and every Bernoulli row has its own prime
+    # denominator, so the common denominators L and D are products of many primes
+    model = Odometer.binary(6)
+    markers = MarkerSequence(model)
+    rng = random.Random(11)
+    table = tuple(Fraction(rng.randint(-3 * q, 3 * q), q) for q in PRIMES[: model.size])
+    a = ZCocycle(model, CylinderFunction(model.bases, RATIONALS, table))
+    primes = PRIMES[model.size : model.size + model.depth]
+    weights = tuple((Fraction(k, q), Fraction(q - k, q)) for k, q in zip(range(1, 7), primes))
+    measures = [BernoulliMeasure(model.bases, weights)] + density_measures(rng, model.bases)
+    rows = density_table(a, markers, model.depth - 1, measures)
+    assert_same_rows(rows, literal_density_table(a, markers, model.depth - 1, measures))
+    assert all(row["tau3_0"].denominator > 1 for row in rows)
+
+
+@pytest.mark.parametrize("tag", ["int", "rat", "dy"])
+def test_density_table_every_row_at_depth_10(tag):
+    model = Odometer.binary(10)
+    markers = MarkerSequence(model)
+    rng = random.Random(3)
+    a = ZCocycle(model, cylinder_function(rng, model.bases, group_from_tag(tag)))
+    measures = density_measures(rng, model.bases)
+    rows = density_table(a, markers, 9, measures)
+    assert [row["n"] for row in rows] == list(range(1, 10))
+    assert_same_rows(rows, literal_density_table(a, markers, 9, measures))
+
+
+@pytest.mark.parametrize("bases", [(2, 3, 3, 2), (3, 3, 3), (2, 2, 3, 2, 3)])
+@pytest.mark.parametrize("tag", ["int", "rat", "dy"])
+def test_density_table_radix_3_levels(bases, tag):
+    # a level of radix 3 merges three sub-towers per tower
+    model = Odometer(bases)
+    markers = MarkerSequence(model)
+    rng = random.Random(7)
+    for generator_depth in range(1, model.depth + 1):
+        f = cylinder_function(rng, bases[:generator_depth], group_from_tag(tag))
+        a = ZCocycle(model, f)
+        measures = density_measures(rng, bases)
+        rows = density_table(a, markers, model.depth - 1, measures)
+        assert_same_rows(rows, literal_density_table(a, markers, model.depth - 1, measures))
+
+
+def test_density_table_int_bound_stays_int():
+    model = Odometer((2, 3, 2, 2))
+    markers = MarkerSequence(model)
+    a = ZCocycle(model, cylinder_function(random.Random(2), model.bases, INTEGERS))
+    rows = density_table(a, markers, 3, [BernoulliMeasure.uniform(model.bases)])
+    assert_same_rows(rows, literal_density_table(a, markers, 3, [BernoulliMeasure.uniform(model.bases)]))
+    assert all(type(row["M"]) is int and type(row["tau3_0"]) is Fraction for row in rows)
+
+
+def test_density_table_refuses_markers_of_another_model():
+    model = Odometer.binary(4)
+    a = ZCocycle(model, CylinderFunction((2,), INTEGERS, (1, -1)))
+    with pytest.raises(DepthError):
+        density_table(a, MarkerSequence(Odometer.binary(5)), 3)
 
 
 # sha256 of `cocycle density --measures --format json` on density_golden_inputs,

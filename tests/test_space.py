@@ -258,6 +258,17 @@ NESTED_MARKOV = MarkovMeasure(
 
 @given(measures())
 @example(DiracMeasure((3, 2, 2), (2,)))
+@example(  # pairwise-coprime row denominators: the table's is their product
+    BernoulliMeasure(
+        (2, 3, 2, 2),
+        (
+            (rat(1, 3), rat(2, 3)),
+            (rat(1, 5), rat(2, 5), rat(2, 5)),
+            (rat(3, 7), rat(4, 7)),
+            (rat(0), rat(1)),
+        ),
+    )
+)
 @example(
     MixtureMeasure(
         (

@@ -16,6 +16,7 @@ from cocycle_lab.values import (
     NeighborhoodChain,
     UnsupportedValueError,
     _grid_round,
+    _integer_numerators,
     as_fraction,
     group_from_tag,
     integers_mod,
@@ -294,6 +295,14 @@ def test_as_fraction_returns_a_fraction_unchanged():
     for bad in (True, 0.5):
         with pytest.raises(UnsupportedValueError):
             as_fraction(bad)
+
+
+@given(st.one_of(st.lists(rationals), st.lists(st.integers(-50, 50))))
+def test_integer_numerators_share_the_least_common_denominator(values):
+    nums, common = _integer_numerators(values)
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, common) for n in nums] == values
+    assert common == math.lcm(*(Fraction(v).denominator for v in values))
 
 
 @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
