@@ -223,7 +223,10 @@ def _parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", help="JSON config file")
     runp.add_argument("--depth", type=int)
     runp.add_argument("--bases", help="comma-separated base vector, e.g. 2,2,2")
-    runp.add_argument("--group", help="value group tag (int, rat, dy, mod:m, vec:d)")
+    runp.add_argument(
+        "--group",
+        help="value group tag (int, rat, dy, mod:m, vec:d, or real: inexact floats)",
+    )
     runp.add_argument("--seed", type=int)
     runp.add_argument("--eps0", help="base radius for the neighborhood chain")
     runp.add_argument("--horizon", type=int)

@@ -3,25 +3,29 @@
 The group generated by the digit flips delta_1, delta_2, ... (each an
 involution, all commuting) acts on binary prefixes.  Its cocycles are
 parametrized by generator families (f_n): each f_n invariant under the
-first n flips, with the generator values
+first n flips.  On the finite quotient every such cocycle is the
+coboundary of one potential,
 
-    c(delta_n, x) = x_1 f_1(delta_n x) + ... + x_{n-1} f_{n-1}(delta_n x)
-                    + (-1)^{x_n} f_n(x)
-                    - x_{n-1} f_{n-1}(x) - ... - x_1 f_1(x),
+    P(x) = x_1 f_1(x) + ... + x_N f_N(x),    c(delta_n, x) = P(delta_n x) - P(x),
 
-digit coefficients acting as integer multiples and (-1) as negation.
-Both directions are implemented: a family yields a cocycle whose defining
-identities can be verified exhaustively, and a cocycle oracle yields back
-its family by reading generator values on the leading-zeros cylinder and
-extending by invariance.  The dyadic approximation checks its cohomology
+digit coefficients acting as integer multiples.  The terms k < n keep
+their digit and give x_k (f_k(delta_n x) - f_k(x)); the term k = n gives
+(-1)^{x_n} f_n(x), because f_n ignores digit n; the terms k > n ignore
+digit n and cancel.  One walk over the family builds P and the N
+generator tables together, O(N 2^m) group operations.  Both directions
+are implemented: a family yields a cocycle whose defining identities can
+be verified exhaustively, and a cocycle oracle yields back its family by
+reading generator values on the leading-zeros cylinder
+x_1 = ... = x_n = 0, where c(delta_n, .) = f_n, and extending by
+invariance.  The dyadic approximation checks its cohomology
 equation only at the N generators: a word's value is the sum of its
 letters' generator values along the flip path, so the generator equations
 give every word by telescoping.
 
 Families here are finite truncations: f_n = 0 for n > N, and the family
 depth m must be at least N.  This is a modeling choice of the finite
-artifact (it makes the transfer-function limit a finite exact sum), not a
-statement about the infinite product space.
+artifact (it makes the potential, and with it the transfer function, a
+finite exact sum), not a statement about the infinite product space.
 
 Invariance is stored structurally: the table of f_n is indexed only by
 digits n+1..m, so the invariance hypothesis cannot be violated after
@@ -69,6 +73,11 @@ class OracleInconsistencyError(ValueError):
 
 class ConjugationError(ValueError):
     """Raised when a permutation does not conjugate the acting system to itself."""
+
+
+def _check_prefix_index(i: int, depth: int) -> None:
+    if not 0 <= i < 1 << depth:
+        raise IndexError(f"prefix index {i} out of range 0..{(1 << depth) - 1}")
 
 
 def _check_binary(bases) -> tuple[int, ...]:
@@ -122,6 +131,7 @@ class GeneratorFamily:
         """Value of f_n at the prefix with full-depth index ``index``."""
         if not 1 <= n <= self.count:
             raise IndexError(f"generator index {n} out of range 1..{self.count}")
+        _check_prefix_index(index, self.depth)
         return self.tables[n - 1][index >> n]
 
     def generator_function(self, n: int) -> CylinderFunction:
@@ -189,6 +199,36 @@ def word_apply_index(word: Iterable[int], i: int) -> int:
     return i
 
 
+def _potential_walk(family: GeneratorFamily) -> tuple[tuple, list]:
+    """The generator tables c(delta_n, .) for n = 1..N and the potential P.
+
+    P_n = x_1 f_1 + ... + x_n f_n is one running table: step n adds f_n
+    where x_n = 1.  The terms k > n of P ignore digit n, so
+    c(delta_n, x) = P_n(delta_n x) - P_n(x): v = P_n[i ^ e_n] - P_n[i] at
+    x_n = 0 and -v at x_n = 1.  On x_1 = ... = x_n = 0, P_{n-1} vanishes
+    on both sides, so the entry there is f_n itself, written without
+    arithmetic: exact even in floats.
+    """
+    group = family.group
+    add, sub, neg = group.add, group.sub, group.neg
+    size = 1 << family.depth
+    potential = [group.zero()] * size
+    tables = []
+    for n, f in enumerate(family.tables, start=1):
+        flip = 1 << (n - 1)
+        table = [None] * size
+        for start in range(0, size, flip << 1):
+            # x_1 = ... = x_n = 0 at start
+            f_n = potential[start + flip] = table[start] = f[start >> n]
+            table[start + flip] = neg(f_n)
+            for i in range(start + 1, start + flip):
+                up = potential[i + flip] = add(potential[i + flip], f_n)
+                table[i] = v = sub(up, potential[i])
+                table[i + flip] = neg(v)
+        tables.append(tuple(table))
+    return tuple(tables), potential
+
+
 def _chain(tables, group: Group, word: Sequence[int], i: int):
     """Cocycle payload at an ordered flip word through the identity chain:
     the generator values of the word's letters, right to left."""
@@ -224,26 +264,7 @@ class InvolutionCocycle:
     @cached_property
     def _generator_tables(self) -> tuple:
         """Full-depth value tables of c(delta_n, .) for n = 1..N."""
-        family = self.family
-        group = family.group
-        f = family.tables
-        size = 1 << family.depth
-        tables = []
-        for n in range(1, family.count + 1):
-            flip = 1 << (n - 1)
-            table = []
-            for i in range(size):
-                i_flipped = i ^ flip
-                acc = f[n - 1][i >> n]
-                if i & flip:
-                    acc = group.neg(acc)
-                for k in range(1, n):
-                    if (i >> (k - 1)) & 1:
-                        acc = group.add(acc, f[k - 1][i_flipped >> k])
-                        acc = group.sub(acc, f[k - 1][i >> k])
-                table.append(acc)
-            tables.append(tuple(table))
-        return tuple(tables)
+        return _potential_walk(self.family)[0]
 
     def eval_generator(self, n: int, x: Sequence[int]) -> GroupValue:
         """Generator value c(delta_n, x)."""
@@ -258,6 +279,7 @@ class InvolutionCocycle:
         for n in reversed(word):
             if not 1 <= n <= self.family.count:
                 raise IndexError(f"generator index {n} out of range 1..{self.family.count}")
+        _check_prefix_index(i, self.family.depth)
         return _chain(self._generator_tables, self.group, word, i)
 
     def eval_word(self, word, x: Sequence[int]) -> GroupValue:
@@ -376,7 +398,8 @@ def recover_generators(
 def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
     """Signed digit-weighted partial sum -x_n f_n(x) - ... - x_1 f_1(x).
 
-    psi_0 = 0, and psi_n(x) = psi_{n-1}(x) - x_n f_n(x).
+    psi_0 = 0, and psi_n(x) = psi_{n-1}(x) - x_n f_n(x).  At n = N this is
+    -P, the negated potential whose coboundary is the family's cocycle.
     """
     if not 0 <= n <= family.count:
         raise IndexError(f"index {n} out of range 0..{family.count}")
@@ -436,11 +459,12 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     """Replace a rational family by a dyadic-valued cohomologous one.
 
     Each f_n is rounded valuewise at chain radius eps_n (rounding cannot
-    break invariance), and the transfer is the finite sum
-    g(x) = sum_n x_n (f_n(x) - fbar_n(x)) = psi_N(fbar)(x) - psi_N(f)(x),
-    exact on Q.  The bounds on the radii and on |g| are checked, and so is
-    the cohomology equation at the N generators and every prefix, which
-    gives it on every flip word by telescoping; the check is a theorem for
+    break invariance), and the transfer is the difference of the two
+    potentials, g = P(f) - P(fbar) = sum_n x_n (f_n - fbar_n), exact on Q;
+    one walk over each family gives its potential and generator tables.
+    The bounds on the radii and on |g| are checked, and so is the
+    cohomology equation at the N generators and every prefix, which gives
+    it on every flip word by telescoping; the check is a theorem for
     invariant families, so a failure raises.
     """
     if family.group not in (RATIONALS, DYADICS):
@@ -460,14 +484,12 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
         if family.group == group
         else GeneratorFamily(family.bases, group, family.tables)
     )
-
-    diffs = [[v - w for v, w in zip(*t)] for t in zip(base.tables, rounded_tables)]
-    g_table = [
-        sum((d[i >> n] for n, d in enumerate(diffs, 1) if (i >> (n - 1)) & 1), Fraction(0))
-        for i in range(1 << family.depth)
-    ]
+    beta, p_rounded = _potential_walk(rounded)
+    alpha, p_base = _potential_walk(base)
+    g_table = [p - q for p, q in zip(p_base, p_rounded)]
     transfer = CylinderFunction(family.bases, group, tuple(g_table))
     report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
+    vars(report.beta)["_generator_tables"] = beta  # the walk's tables, not a second walk
 
     bound = report.radius_bound
     if bound > chain.eps0:
@@ -478,8 +500,7 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
                 f"transfer value {g} at {index_to_prefix(i, family.bases)} "
                 f"exceeds the bound {bound}"
             )
-    alpha = InvolutionCocycle(base)._generator_tables
-    _check_transfer(alpha, report.beta._generator_tables, g_table, family.bases)
+    _check_transfer(alpha, beta, g_table, family.bases)
     return report
 
 

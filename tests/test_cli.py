@@ -169,6 +169,18 @@ def test_run_suites_pass(suite, tmp_path):
     assert payload["header"]["seed"] == "5"
 
 
+def test_run_odometer_round_trips_on_the_inexact_reals(tmp_path):
+    # float generator tables: recovery reads f_n where no arithmetic touched it
+    out_path = tmp_path / "report.json"
+    args = ["run", "odometer", "--depth", "6", "--count", "6", "--group", "real"]
+    assert main(args + ["--out", str(out_path)]) == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["header"]["group"] == "real"
+    roundtrips = [c for c in payload["checks"] if c["name"].endswith("-roundtrip")]
+    assert len(roundtrips) == 6 and all(c["passed"] for c in roundtrips)
+    assert payload["passed"] is True
+
+
 def test_run_unknown_suite_is_usage_error(capsys):
     assert main(["run", "nosuch"]) == 2
     assert "unknown suite" in capsys.readouterr().err

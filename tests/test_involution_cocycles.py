@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cocycle_lab.dynamics import Odometer, delta_permutation
 from cocycle_lab.involution_cocycles import (
@@ -13,6 +13,7 @@ from cocycle_lab.involution_cocycles import (
     GeneratorFamily,
     _chain,
     _check_transfer,
+    _potential_walk,
     InvarianceError,
     InvolutionCocycle,
     OracleInconsistencyError,
@@ -29,9 +30,11 @@ from cocycle_lab.sampling import coboundary_generator, invariant_family, payload
 from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes, prefix_to_index
 from cocycle_lab.suites import _dyadic_generators
 from cocycle_lab.values import (
+    APPROX_REALS,
     DYADICS,
     INTEGERS,
     RATIONALS,
+    REPORTING_TOLERANCE,
     GroupValue,
     NeighborhoodChain,
     group_from_tag,
@@ -116,6 +119,107 @@ def test_eval_generator_range_check():
     c = InvolutionCocycle(fam)
     with pytest.raises(IndexError):
         c.eval_generator(3, (0, 0, 0))
+
+
+def test_prefix_index_range_check():
+    fam, _ = family_n2_depth3()
+    c = InvolutionCocycle(fam)
+    for i in (-1, 1 << fam.depth):
+        with pytest.raises(IndexError, match=r"prefix index -?\d+ out of range 0\.\.7"):
+            fam.generator_payload(1, i)
+        for word in ([1], []):
+            with pytest.raises(IndexError, match=r"out of range 0\.\.7"):
+                c.eval_word_index(word, i)
+    assert fam.generator_payload(1, 7) == fam.tables[0][3]
+    assert c.eval_word_index([1], 7) == c.eval_generator(1, (1, 1, 1)).payload
+
+
+# --- the potential walk against the literal formula --------------------------------
+
+EXACT_TAGS = ("int", "rat", "dy", "mod:5", "vec:2")
+
+
+def literal_generator_tables(family):
+    """c(delta_n, x) = (-1)^{x_n} f_n(x) + sum_{k<n} x_k (f_k(delta_n x) - f_k(x)),
+    term by term at every generator and prefix: O(N^2 2^depth)."""
+    group = family.group
+    f = family.tables
+    size = 1 << family.depth
+    tables = []
+    for n in range(1, family.count + 1):
+        flip = 1 << (n - 1)
+        table = []
+        for i in range(size):
+            i_flipped = i ^ flip
+            acc = f[n - 1][i >> n]
+            if i & flip:
+                acc = group.neg(acc)
+            for k in range(1, n):
+                if (i >> (k - 1)) & 1:
+                    acc = group.add(acc, f[k - 1][i_flipped >> k])
+                    acc = group.sub(acc, f[k - 1][i >> k])
+            table.append(acc)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _assert_walk_is_literal(fam):
+    walked, literal = InvolutionCocycle(fam)._generator_tables, literal_generator_tables(fam)
+    assert walked == literal
+    assert repr(walked) == repr(literal)  # same payload types, not just equal values
+
+
+def test_walk_matches_the_literal_formula_exhaustive():
+    # every depth <= 4 and every generator count N <= depth, on each exact group
+    for tag in EXACT_TAGS:
+        group = group_from_tag(tag)
+        for depth in range(1, 5):
+            for count in range(1, depth + 1):
+                for seed in range(3):
+                    fam = invariant_family(random.Random(seed), depth, count, group)
+                    _assert_walk_is_literal(fam)
+
+
+@settings(max_examples=30, deadline=None)  # the literal formula is quadratic in N
+@given(
+    tag=st.sampled_from(EXACT_TAGS),
+    depth=st.integers(1, 10),
+    count=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+@example(tag="rat", depth=10, count=10, seed=0)
+@example(tag="vec:2", depth=10, count=7, seed=1)
+def test_walk_matches_the_literal_formula(tag, depth, count, seed):
+    group = group_from_tag(tag)
+    _assert_walk_is_literal(invariant_family(random.Random(seed), depth, min(count, depth), group))
+
+
+def test_potential_is_minus_psi_and_its_coboundary_is_the_cocycle():
+    for tag in EXACT_TAGS:
+        group = group_from_tag(tag)
+        for depth, count in ((1, 1), (3, 2), (4, 4), (5, 3), (6, 6)):
+            fam = invariant_family(random.Random(depth), depth, count, group)
+            tables, potential = _potential_walk(fam)
+            for i, x in enumerate(iter_prefixes(fam.bases)):
+                assert potential[i] == group.neg(psi(count, fam, x).payload)
+                for n, table in enumerate(tables, start=1):
+                    assert table[i] == group.sub(potential[i ^ (1 << (n - 1))], potential[i])
+
+
+def test_walk_on_the_reals_is_the_literal_formula_up_to_rounding():
+    mismatched = 0
+    for depth in range(1, 8):
+        for count in range(1, depth + 1):
+            fam = invariant_family(random.Random(depth * 10 + count), depth, count, APPROX_REALS)
+            walked, literal = _potential_walk(fam)[0], literal_generator_tables(fam)
+            for n in range(1, count + 1):
+                for i in range(1 << depth):
+                    w, v = walked[n - 1][i], literal[n - 1][i]
+                    assert abs(w - v) <= REPORTING_TOLERANCE
+                    mismatched += w != v
+                    if i & ((1 << n) - 1) == 0:  # x_1 = ... = x_n = 0: exactly f_n
+                        assert w == v == fam.generator_payload(n, i)
+    assert mismatched  # float sums in a different order do round differently
 
 
 # --- word evaluation ---------------------------------------------------------------
@@ -361,7 +465,7 @@ def test_happrox_random_families_exhaustive():
 
 
 def test_happrox_transfer_is_the_literal_sum():
-    # g(x) = sum_n x_n (f_n(x) - fbar_n(x)), summed term by term
+    # g = P(f) - P(fbar) is g(x) = sum_n x_n (f_n(x) - fbar_n(x)), summed term by term
     rng = random.Random(31)
     chain = NeighborhoodChain(Fraction(1, 3))
     families = [invariant_family(rng, depth, count, RATIONALS)
@@ -376,7 +480,7 @@ def test_happrox_transfer_is_the_literal_sum():
                 if x[n - 1]:
                     expected += fam.generator_payload(n, i) - rounded.generator_payload(n, i)
             assert report.transfer.table[i] == expected
-            assert type(report.transfer.table[i]) is Fraction
+            assert repr(report.transfer.table[i]) == repr(expected)
 
 
 def test_happrox_beta_is_built_once():
