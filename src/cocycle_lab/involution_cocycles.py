@@ -57,6 +57,7 @@ from .values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
+    _is_int,
     group_from_tag,
     round_to_dyadic,
 )
@@ -305,9 +306,24 @@ class IdentityCheck:
 GeneratorOracle = Callable[[int, tuple[int, ...]], GroupValue]
 
 
-def _oracle_tables(oracle, count: int, bases, group: Group):
+def _oracle_tables(oracle, count: int, bases, group: Group | None):
+    """The first ``count`` generator tables of a cocycle or raw oracle, and
+    their group; a count, bases or group the oracle cannot answer is a
+    ValueError naming the value given and the one expected."""
     if isinstance(oracle, InvolutionCocycle):
-        return oracle._generator_tables, oracle.group
+        limit, what = oracle.family.count, "the cocycle's generator count"
+    else:
+        limit, what = len(bases), "the depth"
+    if not (_is_int(count) and 1 <= count <= limit):
+        raise ValueError(f"count must be between 1 and {limit} ({what}), got {count!r}")
+    if isinstance(oracle, InvolutionCocycle):
+        if bases != oracle.bases:
+            raise ValueError(f"bases {bases} do not match the cocycle's bases {oracle.bases}")
+        if group is not None and group != oracle.group:
+            raise ValueError(
+                f"group {group!r} does not match the cocycle's group {oracle.group!r}"
+            )
+        return oracle._generator_tables[:count], oracle.group
     size = space_size(bases)
     tables = []
     for n in range(1, count + 1):
@@ -323,24 +339,61 @@ def _oracle_tables(oracle, count: int, bases, group: Group):
     return tuple(tables), group
 
 
+def _replay(tables, bases, group: Group):
+    """The family read off the leading-zeros cylinders, and the first
+    (n, index, value, replayed value) in n-major order where the tables
+    differ from that family's cocycle, or None.
+
+    On x_1 = ... = x_n = 0 the family's generator value is f_n itself, so
+    f_n is t_n there, extended by invariance; one potential walk rebuilds
+    its tables.
+    """
+    f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
+    family = GeneratorFamily(bases, group, f)
+    equal = group.values_equal
+    for n, (table, replayed) in enumerate(zip(tables, _potential_walk(family)[0]), start=1):
+        for i, (v, w) in enumerate(zip(table, replayed)):
+            if not equal(v, w):
+                return family, (n, i, v, w)
+    return family, None
+
+
 def verify_identities(
     cocycle, count: int | None = None, bases=None, group: Group | None = None
 ) -> IdentityCheck:
     """Exhaustively check c(dn dk, .) = c(dk dn, .) and c(dn^2, .) = 0.
 
-    Accepts an InvolutionCocycle or a raw oracle (n, prefix) -> GroupValue;
-    every invariant generator family passes, and a violation is returned
-    with its first witness.  On the generator tables t_n = c(delta_n, .)
-    the identities read t_n(x) + t_n(delta_n x) = 0 and
+    Accepts an InvolutionCocycle (count and bases default to its family's)
+    or a raw oracle (n, prefix) -> GroupValue; every invariant generator
+    family passes, and a violation is returned with its first witness.  On
+    the generator tables t_n = c(delta_n, .) the identities read
+    t_n(x) + t_n(delta_n x) = 0 and
     t_k(x) + t_n(delta_k x) = t_n(x) + t_k(delta_n x).
+
+    On an exact group they hold exactly when the tables equal the cocycle
+    of the family read off the leading-zeros cylinders, the replay that
+    ``recover_generators`` runs, O(N 2^m).  If the identities hold, the
+    flips act freely on each block of 2^N prefixes as (Z/2)^N, whose
+    relations they are, so t_n(x) = Q(delta_n x) - Q(x) for one potential
+    Q with Q = 0 at the block's base x0 (first N digits zero).  Setting the
+    digits N, N-1, ..., 1 of x0 to those of x in turn, the step at digit k
+    starts from a prefix whose digits 1..k are zero and whose later digits
+    are x's, where t_k is f_k(x); so Q(x) = x_1 f_1(x) + ... + x_N f_N(x),
+    the family's potential, and the tables are its cocycle.  Conversely a
+    family's cocycle is a coboundary and satisfies both identities.  Only
+    when the replay disagrees, or on ``real`` (whose tolerance does not
+    telescope), does the O(N^2 2^m) scan run, in (prefix, n, k) order,
+    and its first failure is the witness.
     """
     if isinstance(cocycle, InvolutionCocycle):
-        count = cocycle.family.count
-        bases = cocycle.bases
+        count = cocycle.family.count if count is None else count
+        bases = cocycle.bases if bases is None else bases
     elif count is None or bases is None:
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
     tables, group = _oracle_tables(cocycle, count, bases, group)
+    if group.exact and _replay(tables, bases, group)[1] is None:
+        return IdentityCheck(True)
     add, equal, zero = group.add, group.values_equal, group.zero()
     for i in range(space_size(bases)):
         for n, t_n in enumerate(tables, start=1):
@@ -369,29 +422,23 @@ def recover_generators(
     f_n is the generator value on the cylinder x_1 = ... = x_n = 0,
     extended by invariance.  The whole oracle is then replayed against the
     recovered family; any disagreement means the oracle was not generated
-    by an invariant family, and is reported with a witness.
+    by an invariant family, and is reported with its first witness in
+    n-major order.  On an exact group the replay agrees exactly when the
+    oracle satisfies the defining identities, so the two checks answer
+    alike: the identities make the tables the coboundary of one potential Q
+    on each block of 2^N prefixes, and telescoping along the flips of the
+    digits N, ..., 1 gives x_1 f_1(x) + ... + x_N f_N(x) = Q(x) - Q(x0),
+    x0 being x with its first N digits zeroed (see ``verify_identities``).
     """
     bases = _check_binary(bases)
     tables, group = _oracle_tables(oracle, count, bases, group)
-    depth = len(bases)
-    family = GeneratorFamily(
-        bases,
-        group,
-        tuple(
-            tuple(tables[n - 1][h << n] for h in range(1 << (depth - n)))
-            for n in range(1, count + 1)
-        ),
-    )
-    rebuilt = InvolutionCocycle(family)
-    for n in range(1, count + 1):
-        expected = rebuilt._generator_tables[n - 1]
-        for i, v in enumerate(tables[n - 1]):
-            if not group.values_equal(v, expected[i]):
-                raise OracleInconsistencyError(
-                    f"oracle disagrees with its invariance extension at "
-                    f"n={n}, x={index_to_prefix(i, bases)}: "
-                    f"{v!r} vs {expected[i]!r}"
-                )
+    family, mismatch = _replay(tables, bases, group)
+    if mismatch is not None:
+        n, i, v, w = mismatch
+        raise OracleInconsistencyError(
+            f"oracle disagrees with its invariance extension at "
+            f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
+        )
     return family
 
 

@@ -148,9 +148,6 @@ class Group:
     def values_equal(self, a, b) -> bool:
         return a == b
 
-    def value(self, payload) -> "GroupValue":
-        return GroupValue(self, self.validate(payload))
-
     def payload_to_json(self, a):
         raise NotImplementedError
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -330,7 +331,7 @@ def test_identities_match_the_chain_on_every_small_raw_oracle_exhaustive():
 
 
 @given(
-    tag=st.sampled_from(("mod:5", "vec:2")),
+    tag=st.sampled_from(("int", "rat", "dy", "mod:5", "vec:2")),
     depth=st.integers(1, 4),
     count=st.integers(1, 4),
     seed=st.integers(0, 2**16),
@@ -345,9 +346,84 @@ def test_identities_match_the_chain_on_edited_raw_tables(tag, depth, count, seed
     tables = [list(t) for t in cocycle._generator_tables]
     for n, i, s in edits:
         tables[n % len(tables)][i % len(tables[0])] = payload(random.Random(s), group, 2)
-    check = _agrees_with_the_chain(tuple(map(tuple, tables)), group, cocycle.bases)
+    tables = tuple(map(tuple, tables))
+    check = _agrees_with_the_chain(tables, group, cocycle.bases)
     if not edits:
         assert check.ok and verify_identities(cocycle).ok
+    # on an exact group the recovery replay fails exactly when an identity does
+    oracle = _raw_oracle(tables, group, cocycle.bases)
+    try:
+        recover_generators(oracle, len(tables), cocycle.bases, group)
+    except OracleInconsistencyError:
+        assert not check.ok
+    else:
+        assert check.ok
+
+
+def test_inexact_reals_keep_the_identity_scan():
+    """Two entries off by 8e-10 each stay within the tolerance of the
+    recovery replay, but their commutation identity is off by 1.6e-9."""
+    family = GeneratorFamily((2, 2), APPROX_REALS, ((1.0, 2.0), (3.0,)))
+    tables = [list(t) for t in InvolutionCocycle(family)._generator_tables]
+    tables[0][3] += 8e-10
+    tables[1][1] += 8e-10
+    oracle = _raw_oracle(tables, APPROX_REALS, (2, 2))
+    recover_generators(oracle, 2, (2, 2), APPROX_REALS)
+    check = verify_identities(oracle, 2, (2, 2), APPROX_REALS)
+    assert not check.ok
+    assert (check.witness["identity"], check.witness["n"], check.witness["k"]) == (
+        "commutation", 2, 1)
+    assert check.witness["x"] == (1, 0)
+
+
+# --- oracle arguments -----------------------------------------------------------------
+
+
+def _zero_oracle(n, x):
+    return GroupValue(RATIONALS, Fraction(0))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_counts_below_one_are_refused(count):
+    for check in (verify_identities, recover_generators):
+        with pytest.raises(ValueError, match=rf"between 1 and 2 \(the depth\), got {count}"):
+            check(_zero_oracle, count, (2, 2))
+
+
+def test_counts_above_the_depth_are_refused():
+    for check in (verify_identities, recover_generators):
+        with pytest.raises(ValueError, match=r"between 1 and 2 \(the depth\), got 3"):
+            check(_zero_oracle, 3, (2, 2))
+
+
+def test_groups_off_a_cocycles_group_are_refused():
+    fam, _ = family_n2_depth3()
+    for check in (verify_identities, recover_generators):
+        with pytest.raises(ValueError, match="group int does not match the cocycle's group rat"):
+            check(InvolutionCocycle(fam), 2, B3, INTEGERS)
+
+
+def test_counts_past_a_cocycles_generators_are_refused():
+    fam, _ = family_n2_depth3()
+    for check in (verify_identities, recover_generators):
+        with pytest.raises(ValueError, match=r"1 and 2 \(the cocycle's generator count\), got 3"):
+            check(InvolutionCocycle(fam), 3, B3)
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_bases_off_a_cocycles_depth_are_refused(depth):
+    fam, _ = family_n2_depth3()
+    bases = (2,) * depth
+    for check in (verify_identities, recover_generators):
+        with pytest.raises(ValueError, match=rf"bases {re.escape(str(bases))} do not match"):
+            check(InvolutionCocycle(fam), 2, bases)
+
+
+def test_a_cocycle_answers_a_shorter_count_with_its_leading_generators():
+    fam, _ = family_n2_depth3()
+    rec = recover_generators(InvolutionCocycle(fam), 1, B3, RATIONALS)
+    assert rec.tables == fam.tables[:1]
+    assert verify_identities(InvolutionCocycle(fam), 1).ok
 
 
 # --- recovery ---------------------------------------------------------------------------
