@@ -32,6 +32,10 @@ from typing import Any
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
 REPORTING_TOLERANCE = 1e-9
 
+#: Most signed coordinate terms n * d * 2^(d-1) that Q^d's ``projections``
+#: of n values may sum; vec:2 and vec:3 stay under it up to 2^20 values.
+MAX_PROJECTION_TERMS = 1 << 24
+
 #: Largest exponent k of a dyadic value record {"t": "dy", "n": n, "k": k}
 #: (the value n / 2^k); a larger one is refused before 2^k is built.
 MAX_DYADIC_EXPONENT = 1 << 16
@@ -241,8 +245,8 @@ class ModularGroup(Group):
     modulus: int
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+        if not (_is_int(self.modulus) and self.modulus >= 1):
+            raise ValueError(f"modulus must be an integer >= 1, got {self.modulus!r}")
 
     @property
     def tag(self) -> str:  # type: ignore[override]
@@ -285,8 +289,8 @@ class RationalVectorGroup(Group):
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (_is_int(self.dim) and self.dim >= 1):
+            raise ValueError(f"dimension must be an integer >= 1, got {self.dim!r}")
 
     @property
     def tag(self) -> str:  # type: ignore[override]
@@ -316,7 +320,14 @@ class RationalVectorGroup(Group):
 
     def projections(self, payloads):
         """Signed coordinate sums s . a with s_1 = +1: the L1 metric is the
-        largest |s . (a - b)| over the 2^(d-1) sign vectors."""
+        largest |s . (a - b)| over the 2^(d-1) sign vectors.  More than
+        ``MAX_PROJECTION_TERMS`` terms is refused before any is summed."""
+        terms = len(payloads) * self.dim << (self.dim - 1)
+        if terms > MAX_PROJECTION_TERMS:
+            raise ValueError(
+                f"Q^{self.dim} projections of {len(payloads)} values need {terms} "
+                f"signed terms, more than the limit {MAX_PROJECTION_TERMS}"
+            )
         return [
             [a[0] + sum(c if s > 0 else -c for s, c in zip(signs, a[1:])) for a in payloads]
             for signs in product((1, -1), repeat=self.dim - 1)
@@ -373,11 +384,9 @@ def group_from_tag(tag: str) -> Group:
     if tag in plain:
         return plain[tag]
     kind, _, arg = tag.partition(":")
-    if kind == "mod" and arg:
-        return ModularGroup(int(arg))
-    if kind == "vec" and arg:
-        return RationalVectorGroup(int(arg))
-    raise UnsupportedValueError(f"unknown group tag {tag!r}")
+    if kind not in ("mod", "vec") or not arg.removeprefix("-").isdecimal():
+        raise UnsupportedValueError(f"unknown group tag {tag!r}")
+    return (ModularGroup if kind == "mod" else RationalVectorGroup)(int(arg))
 
 
 @dataclass(frozen=True)
@@ -426,22 +435,17 @@ class GroupValue:
         return f"{self.payload!r}@{self.group!r}"
 
 
-_JSON_GROUPS = {
-    "int": lambda obj: INTEGERS,
-    "rat": lambda obj: RATIONALS,
-    "dy": lambda obj: DYADICS,
-    "real": lambda obj: APPROX_REALS,
-    "mod": lambda obj: ModularGroup(obj["m"]),
-    "vec": lambda obj: RationalVectorGroup(len(obj["v"])),
-}
-
-
 def value_from_json(obj) -> GroupValue:
-    """Parse a tagged value record, e.g. {"t":"rat","n":1,"d":3}."""
-    try:
-        group = _JSON_GROUPS[obj["t"]](obj)
-    except KeyError as exc:
-        raise UnsupportedValueError(f"unknown value record {obj!r}") from exc
+    """Parse a tagged value record, e.g. {"t":"rat","n":1,"d":3}; a ``mod``
+    record's integer ``m`` or a ``vec`` record's length is its tag's argument."""
+    kind = obj.get("t") if isinstance(obj, dict) else None
+    if kind == "mod" and _is_int(obj.get("m")):
+        kind = f"mod:{obj['m']}"
+    elif kind == "vec" and isinstance(obj.get("v"), list):
+        kind = f"vec:{len(obj['v'])}"
+    elif kind not in ("int", "rat", "dy", "real"):
+        raise UnsupportedValueError(f"unknown value record {obj!r}")
+    group = group_from_tag(kind)
     return GroupValue(group, group.payload_from_json(obj))
 
 

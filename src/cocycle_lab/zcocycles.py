@@ -32,7 +32,7 @@ additive constant, so the anchor makes them deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,14 +133,18 @@ def _spread_bound(values, group):
 
     With ordered projections (``Group.projections``) this is the largest
     per-column max - min, O(k N) for k columns (k = 1 on the ordered
-    groups, 2^(d-1) on Q^d).  Other groups (Z/m) compare their distinct
-    values pairwise, at most m^2 metric calls whatever N is.
+    groups, 2^(d-1) on Q^d).  On Z/m the distinct residues are sorted
+    round the ring, O(k log k) for k of them: one of the two residues of
+    a farthest pair lies at most floor(m/2) steps on from the other, so
+    the diameter is the largest distance from a residue a to the last
+    residue at or below a + floor(m/2), taken mod m with wrap-around.
     """
     columns = group.projections(values)
     if columns is not None:
         return max(max(col) - min(col) for col in columns)
-    distinct = set(values)
-    return max(group.metric(a, b) for a in distinct for b in distinct)
+    m = group.modulus
+    ring = sorted(set(values))
+    return max(group.metric(a, ring[bisect_right(ring, (a + m // 2) % m) - 1]) for a in ring)
 
 
 @dataclass(frozen=True)
@@ -510,7 +514,8 @@ def _window_values(seq, width, count):
     """Distinct values of each window seq[s : s + width], s < count.
 
     For groups without ordered projections (Z/m): a window holds at most
-    m distinct values, kept as counts, so each step costs O(m).
+    min(m, width) distinct values, kept as counts, and each of the count
+    windows copies them, O(count min(m, width)) in all.
     """
     counts = {}
     for v in seq[:width]:
@@ -607,11 +612,20 @@ def _first_window(channels, sup, size: int, scan_to: int):
     return best
 
 
-def _check_scan(size: int, scan_to: int, what: str) -> None:
-    """Refuse a scan to radius ``scan_to`` of more than ``MAX_SCAN`` running sums."""
+def _check_scan(group, size: int, scan_to: int, what: str) -> None:
+    """Refuse a scan to radius ``scan_to`` of more than ``MAX_SCAN`` running
+    sums, or on Z/m of more than ``MAX_SCAN`` window residues: each of the
+    N windows keeps up to min(m, scan_to + 1) distinct residues."""
     if size + 2 * scan_to + 1 > MAX_SCAN:
         raise ValueError(
             f"{what} needs {size + 2 * scan_to + 1} running sums, more than the limit {MAX_SCAN}"
+        )
+    modulus = getattr(group, "modulus", None)
+    residues = size * min(modulus, scan_to + 1) if modulus is not None else 0
+    if residues > MAX_SCAN:
+        raise ValueError(
+            f"{what} needs {residues} window residues on {group.tag}, "
+            f"more than the limit {MAX_SCAN}"
         )
 
 
@@ -626,7 +640,7 @@ def gh_check(
     The decision itself is the vanishing of the cycle sum.  The scan
     produces the empirical sup over all prefixes and window radii up to
     the horizon (default 4N), in O(k (N + horizon)) time through sliding
-    window extrema of the running sums (O(m (N + horizon)) on Z/m); the
+    window extrema of the running sums (O(N min(m, horizon)) on Z/m); the
     witness is the first window in (prefix, radius) order that attains
     it.  On the inexact ``real`` group the sup agrees with the literal
     window scan to ``REPORTING_TOLERANCE``; it is bit-identical when no
@@ -636,8 +650,9 @@ def gh_check(
     exceeds the target, bisected below a cap of a few periods in
     O(k (N + cap) log cap); that fails (PeriodicityError) only when the
     metric is bounded, as in Z/m.  ``empirical_sup`` stays the horizon's.
-    A horizon or cap needing more than ``MAX_SCAN`` running sums is
-    refused with a ValueError before its scan allocates anything.
+    A horizon or cap needing more than ``MAX_SCAN`` running sums, or on
+    Z/m more than ``MAX_SCAN`` window residues, is refused with a
+    ValueError before its scan allocates anything.
     """
     a = _as_cocycle(h, model)
     group = a.group
@@ -650,7 +665,7 @@ def gh_check(
     # For a coboundary the window sums are periodic in j with period N,
     # so radii beyond N-1 repeat earlier values.
     scan_to = min(horizon, size - 1) if decision else horizon
-    _check_scan(size, scan_to, f"horizon {horizon}")
+    _check_scan(group, size, scan_to, f"horizon {horizon}")
     certificate = coboundary_solve(a) if decision else None
     channels = _window_reach(a, scan_to)
     best = empirical_sup = _window_sup(channels)
@@ -670,7 +685,7 @@ def gh_check(
             else:
                 cap_periods = int((exceed_target + best) / norm_2s) + 2
             cap = horizon + size * cap_periods
-            _check_scan(size, cap, f"exceed_target {exceed_target}")
+            _check_scan(group, size, cap, f"exceed_target {exceed_target}")
             # the sup over radii <= r grows with r: bisect the least r in
             # (horizon, cap + 1] above the target (cap + 1: none); every
             # window attaining that sup then has radius r

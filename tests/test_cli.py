@@ -12,7 +12,7 @@ from cocycle_lab.involution_cocycles import GeneratorFamily
 from cocycle_lab.space import CylinderFunction
 from cocycle_lab.sampling import invariant_family
 from cocycle_lab.suites import ExperimentConfig, Report, UsageError, run as run_suite
-from cocycle_lab.values import INTEGERS, RATIONALS
+from cocycle_lab.values import INTEGERS, RATIONALS, integers_mod
 
 
 @pytest.fixture
@@ -572,6 +572,25 @@ def test_horizon_past_the_scan_limit_is_usage_error(nonsolvable_file, tmp_path, 
     assert main(["run", "gh", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert "more than the limit" in captured.err
+    assert captured.out == ""
+
+
+def test_scans_past_the_value_group_limits_are_usage_errors(tmp_path, capsys):
+    # Q^20 spread bounds need 8 * 20 * 2^19 signed terms at N = 8
+    assert main(["run", "density", "--depth", "3", "--count", "1", "--group", "vec:20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Q^20 projections of 8 values need 83886080 ")
+    assert "more than the limit 16777216" in captured.err
+    # a depth-11 non-coboundary on Z/1000003 keeps 2048 windows of up to 8193 residues
+    table = CylinderFunction((2,) * 11, integers_mod(1000003), tuple(range(1, 1 << 11)) + (0,))
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(table.to_json()))
+    assert main(["cocycle", "gh", "--input", str(path), "--depth", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: horizon 8192 needs {2048 * 8193} window residues on mod:1000003, "
+        "more than the limit 16777216\n"
+    )
     assert captured.out == ""
 
 

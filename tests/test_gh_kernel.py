@@ -131,8 +131,11 @@ GROUP_VALUES = {
     "int": (INTEGERS, st.integers(-2, 2)),
     "rat": (RATIONALS, _fractions(3)),
     "dy": (DYADICS, st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 4]))),
+    "mod:1": (integers_mod(1), st.just(0)),
     "mod:2": (integers_mod(2), st.integers(0, 1)),
     "mod:5": (integers_mod(5), st.integers(0, 4)),
+    "mod:7": (integers_mod(7), st.integers(0, 6)),
+    "mod:1000003": (integers_mod(1000003), st.integers(0, 1000002)),
     "vec:2": (rational_vectors(2), st.tuples(_fractions(2), _fractions(2))),
     "vec:3": (
         rational_vectors(3),
@@ -181,6 +184,20 @@ def test_kernel_matches_scan(a, horizon):
 def test_spread_bound_is_pairwise_diameter(a):
     bound = _spread_bound(a._partial, a.group)
     assert bound == pairwise_diameter(a._partial, a.group)
+
+
+def test_z_mod_m_spread_bound_on_every_residue_set():
+    # the ring diameter against the pairwise one, on every set of residues
+    # of Z/m for m <= 8 (even and odd halves) and on wide moduli
+    for m in range(1, 9):
+        group = integers_mod(m)
+        for k in range(1, m + 1):
+            for values in itertools.combinations(range(m), k):
+                assert _spread_bound(values, group) == pairwise_diameter(values, group)
+    for m in (16, 101, 1000003):
+        group = integers_mod(m)
+        for values in itertools.combinations((0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 1), 3):
+            assert _spread_bound(values, group) == pairwise_diameter(values, group)
 
 
 @given(
@@ -256,6 +273,40 @@ def test_exceed_target_past_the_running_sum_limit_is_rejected(monkeypatch):
 def test_running_sum_limit_admits_every_default_horizon():
     # the default horizon 4N at the largest space, N = MAX_POINTS
     assert MAX_POINTS + 2 * (4 * MAX_POINTS) + 1 <= MAX_SCAN
+
+
+def test_z_mod_m_scan_past_the_window_residue_limit_is_rejected(monkeypatch):
+    # N = 4 on Z/7: horizon h keeps 4 min(7, h + 1) window residues and
+    # builds 4 + 2h + 1 running sums; at h = 2 that is 12 and 9
+    a = ZCocycle(Odometer((2, 2)), CylinderFunction((2, 2), integers_mod(7), (1, 0, 0, 0)))
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 12)
+    assert_matches_scan(a, 2)
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 11)
+    with pytest.raises(
+        ValueError, match="horizon 2 needs 12 window residues on mod:7, more than the limit 11"
+    ):
+        gh_check(a, horizon=2)
+    # a residue keeps at most m = 7 places per window, however wide the window
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 28)
+    assert_matches_scan(a, 9)
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 27)
+    with pytest.raises(ValueError, match="horizon 9 needs 28 window residues"):
+        gh_check(a, horizon=9)
+
+
+def test_z_mod_m_window_residues_on_a_large_modulus_are_refused():
+    # depth 11 at the default horizon: 2048 windows of up to 8193 residues
+    bases = (2,) * 11
+    table = tuple(range(1, 1 << 11))
+    a = ZCocycle(Odometer(bases), CylinderFunction(bases, integers_mod(1000003), table + (0,)))
+    with pytest.raises(ValueError, match=f"needs {2048 * 8193} window residues .* limit {MAX_SCAN}"):
+        gh_check(a)
+
+
+def test_window_residue_limit_admits_every_default_horizon_on_mod_5():
+    # 5 N residues at most, with N = MAX_POINTS; the check allocates nothing
+    for scan_to in (MAX_POINTS - 1, 4 * MAX_POINTS):
+        zcocycles._check_scan(integers_mod(5), MAX_POINTS, scan_to, "horizon")
 
 
 @pytest.mark.parametrize("bases", [(2, 2), (3,), (2, 3)])

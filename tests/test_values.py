@@ -12,7 +12,9 @@ from cocycle_lab.values import (
     INTEGERS,
     RATIONALS,
     GroupMismatchError,
+    MAX_PROJECTION_TERMS,
     GroupValue,
+    ModularGroup,
     NeighborhoodChain,
     UnsupportedValueError,
     _grid_round,
@@ -26,6 +28,8 @@ from cocycle_lab.values import (
     round_to_dyadic,
     value_from_json,
 )
+from cocycle_lab import values
+from cocycle_lab.space import MAX_POINTS
 
 MOD4 = integers_mod(4)
 VEC2 = rational_vectors(2)
@@ -284,6 +288,86 @@ def test_group_tags_roundtrip():
         assert group_from_tag(tag).tag == tag
     with pytest.raises(UnsupportedValueError):
         group_from_tag("nope")
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda: integers_mod(2.5), "got 2.5"),
+        (lambda: integers_mod(True), "got True"),
+        (lambda: rational_vectors(2.0), "got 2.0"),
+        (lambda: ModularGroup("5"), "got '5'"),
+        (lambda: integers_mod(0), "got 0"),
+        (lambda: group_from_tag("mod:True"), "'mod:True'"),
+        (lambda: group_from_tag("vec:2.5"), "'vec:2.5'"),
+        (lambda: group_from_tag("mod:-3"), "got -3"),
+    ],
+)
+def test_group_parameters_must_be_integers(make, shown):
+    # a float or bool modulus used to give Z/2.5 (1 + 2 = 0.5) or Z/True
+    with pytest.raises((TypeError, ValueError), match=shown):
+        make()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"t": "mod", "m": True, "r": 1},
+        {"t": "mod", "m": 2.5, "r": 1},
+        {"t": "mod", "m": "5", "r": 1},
+        {"t": "mod", "r": 1},
+        {"t": "mod:5", "m": 5, "r": 1},
+        {"t": "vec", "v": 3},
+        {"t": "vec"},
+        {"n": 1},
+        {"t": 5, "n": 1},
+        {"t": ["int"], "n": 1},
+        {"t": "nope", "n": 1},
+        ["int", 1],
+    ],
+)
+def test_ill_formed_value_records_are_unknown(record):
+    with pytest.raises(UnsupportedValueError, match="unknown value record"):
+        value_from_json(record)
+
+
+def test_value_records_name_their_group_as_a_tag_does():
+    assert value_from_json({"t": "mod", "m": 7, "r": 9}) == GroupValue(integers_mod(7), 2)
+    assert value_from_json({"t": "vec", "v": [[1, 2]] * 3}).group == rational_vectors(3)
+    with pytest.raises(ValueError, match="modulus must be an integer >= 1, got 0"):
+        value_from_json({"t": "mod", "m": 0, "r": 1})
+    with pytest.raises(ValueError, match="dimension must be an integer >= 1, got 0"):
+        value_from_json({"t": "vec", "v": []})
+
+
+def test_vector_projections_past_the_term_limit_are_refused(monkeypatch):
+    zero = rational_vectors(20).zero()
+    with pytest.raises(ValueError, match=f"Q\\^20 .* 8 values need 83886080 .* limit {MAX_PROJECTION_TERMS}"):
+        rational_vectors(20).projections([zero] * 8)
+    # the exact boundary: 2 values of Q^3 are 2 * 3 * 4 = 24 signed terms
+    vec3 = rational_vectors(3)
+    pair = [(Fraction(1), Fraction(2), Fraction(-1)), vec3.zero()]
+    monkeypatch.setattr(values, "MAX_PROJECTION_TERMS", 24)
+    assert vec3.projections(pair) == [[2, 0], [4, 0], [-2, 0], [0, 0]]
+    monkeypatch.setattr(values, "MAX_PROJECTION_TERMS", 23)
+    with pytest.raises(ValueError, match="2 values need 24 signed terms, more than the limit 23"):
+        vec3.projections(pair)
+
+
+class _Unread:
+    """MAX_POINTS values that fail when read: the term check reads only the count."""
+
+    def __len__(self):
+        return MAX_POINTS
+
+    def __iter__(self):
+        raise LookupError("read")
+
+
+@pytest.mark.parametrize("d, admitted", [(2, True), (3, True), (4, False)])
+def test_vector_projections_admit_vec2_and_vec3_at_every_size(d, admitted):
+    with pytest.raises(LookupError if admitted else ValueError):
+        rational_vectors(d).projections(_Unread())
 
 
 def test_as_fraction_returns_a_fraction_unchanged():
