@@ -23,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .values import (
     Group,
     GroupMismatchError,
     GroupValue,
+    RationalGroup,
     _integer_numerators,
     _is_int,
     as_fraction,
@@ -243,7 +245,8 @@ class Measure:
     ``mass(x)`` is the measure of the depth-len(x) cylinder [x]; it is
     defined for any depth up to the measure's base vector length.
     ``mass_table(bases)`` holds the same masses for every cylinder of one
-    depth at once; the functionals below read it, and ``mass`` is its
+    depth at once, built from integer numerators over one denominator;
+    the functionals below read those numerators, and ``mass`` is their
     oracle.
     """
 
@@ -253,8 +256,27 @@ class Measure:
         raise NotImplementedError
 
     @cached_property
+    def _numerator_tables(self) -> dict:
+        return {}
+
+    @cached_property
     def _mass_tables(self) -> dict:
         return {}
+
+    def _mass_numerators(self, bases: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(nums, D): ``mass_table(bases)`` as ints over one denominator, so
+        that entry i is nums[i] / D.  Built once by ``_build_table`` and
+        cached on this instance, keyed by ``bases``; ``bases`` must be a
+        leading segment of the measure's bases (DepthError otherwise)."""
+        bases = tuple(bases)
+        entry = self._numerator_tables.get(bases)
+        if entry is None:
+            own = self.bases[: len(bases)]
+            if own != bases:
+                raise DepthError(f"measure bases {self.bases} do not extend {bases}")
+            nums, den = self._build_table(own)
+            entry = self._numerator_tables[own] = (tuple(nums), den)
+        return entry
 
     def mass_table(self, bases: Sequence[int]) -> tuple[Fraction, ...]:
         """Masses of all depth-len(bases) cylinders in table-index order
@@ -262,20 +284,18 @@ class Measure:
 
         ``bases`` must be a leading segment of the measure's bases, so that
         the table is indexed in the measure's own radices (DepthError
-        otherwise).  The table is built in one pass and cached on this
-        instance, keyed by ``bases``.
+        otherwise).  The table is read off ``_mass_numerators`` and cached
+        on this instance, keyed by ``bases``.
         """
         bases = tuple(bases)
         table = self._mass_tables.get(bases)
         if table is None:
-            own = self.bases[: len(bases)]
-            if own != bases:
-                raise DepthError(f"measure bases {self.bases} do not extend {bases}")
-            table = self._mass_tables[own] = tuple(self._build_table(own))
+            nums, den = self._mass_numerators(bases)
+            table = self._mass_tables[bases] = tuple(Fraction(n, den) for n in nums)
         return table
 
-    def _build_table(self, bases: tuple[int, ...]) -> list[Fraction]:
-        """The uncached ``mass_table`` of a checked leading segment ``bases``."""
+    def _build_table(self, bases: tuple[int, ...]) -> tuple[list[int], int]:
+        """The uncached ``_mass_numerators`` of a checked leading segment ``bases``."""
         raise NotImplementedError
 
     def to_json(self):
@@ -312,14 +332,13 @@ class BernoulliMeasure(Measure):
 
     def _build_table(self, bases):
         # Kronecker product of the weight rows, x_1 fastest, on integer
-        # numerators over the product of the rows' lcms; one Fraction per
-        # entry at the end
+        # numerators over the product of the rows' lcms
         table, common = [1], 1
         for row in self.weights[: len(bases)]:
             nums, den = _integer_numerators(row)
             table = [m * w for w in nums for m in table]
             common *= den
-        return [Fraction(m, common) for m in table]
+        return table, common
 
     def to_json(self):
         return {
@@ -368,20 +387,25 @@ class MarkovMeasure(Measure):
 
     def _build_table(self, bases):
         # forward recursion: a depth-(s+2) mass is the depth-(s+1) mass of
-        # its first s+1 digits times the step-s transition into the last one
+        # its first s+1 digits times the step-s transition into the last
+        # one, on integer numerators with each step's matrix over its lcm
         if not bases:
-            return [Fraction(1)]
-        table = list(self.initial)
+            return [1], 1
+        table, common = _integer_numerators(self.initial)
         for step, mat in enumerate(self.transitions[: len(bases) - 1]):
+            width = bases[step + 1]
+            flat, den = _integer_numerators([w for row in mat for w in row])
+            rows = [flat[j * width : (j + 1) * width] for j in range(bases[step])]
             stride = len(table) // bases[step]
             blocks = [table[j * stride : (j + 1) * stride] for j in range(bases[step])]
             table = [
                 m * row[d]
-                for d in range(bases[step + 1])
-                for row, block in zip(mat, blocks)
+                for d in range(width)
+                for row, block in zip(rows, blocks)
                 for m in block
             ]
-        return table
+            common *= den
+        return table, common
 
     def to_json(self):
         return {
@@ -417,9 +441,9 @@ class DiracMeasure(Measure):
     def _build_table(self, bases):
         # one-hot at the point, read with its zero tail (prefix_to_index
         # ignores digits past len(bases) and treats missing ones as 0)
-        table = [Fraction(0)] * space_size(bases)
-        table[prefix_to_index(self.point, bases)] = Fraction(1)
-        return table
+        table = [0] * space_size(bases)
+        table[prefix_to_index(self.point, bases)] = 1
+        return table, 1
 
     def to_json(self):
         return {"kind": "dirac", "bases": list(self.bases), "point": list(self.point)}
@@ -454,11 +478,16 @@ class MixtureMeasure(Measure):
 
     def _build_table(self, bases):
         # the components share the mixture's bases, so ``bases`` is checked
-        # for them too; their tables are built here and not cached on them
-        table = [Fraction(0)] * space_size(bases)
-        for w, c in zip(self.weights, self.components):
-            table = [s + w * m for s, m in zip(table, c._build_table(bases))]
-        return table
+        # for them too; their tables are built here and not cached on them.
+        # Component c's numerators over D_c, weighted by w_c, sit over
+        # w_c's denominator times D_c; the mixture's D is the lcm of those
+        parts = [(w, c._build_table(bases)) for w, c in zip(self.weights, self.components)]
+        common = lcm(*(w.denominator * den for w, (_, den) in parts))
+        table = [0] * space_size(bases)
+        for w, (nums, den) in parts:
+            k = w.numerator * (common // (w.denominator * den))
+            table = [s + k * m for s, m in zip(table, nums)]
+        return table, common
 
     def to_json(self):
         return {
@@ -496,7 +525,7 @@ def measure_of_cylinder_set(
     """
     if bases is not None:
         bases = tuple(bases)
-        mu.mass_table(bases)  # refuses radices the measure is not written in
+        mu._mass_numerators(bases)  # refuses radices the measure is not written in
         bases = mu.bases[: len(bases)]  # equal to them, as the measure's own ints
     prefixes = [tuple(x) for x in prefixes]
     if not prefixes:
@@ -516,13 +545,25 @@ def measure_of_cylinder_set(
 
 
 def _index_mass(mu: Measure, bases: tuple[int, ...], indices: Iterable[int]) -> Fraction:
-    """mu's mass on the cylinders at ``indices``, read from ``mu.mass_table(bases)``."""
-    table = mu.mass_table(bases)
-    return sum((table[i] for i in indices), Fraction(0))
+    """mu's mass on the cylinders at ``indices``, read from ``mu._mass_numerators(bases)``."""
+    nums, den = mu._mass_numerators(bases)
+    return Fraction(sum(nums[i] for i in indices), den)
 
 
 # ---------------------------------------------------------------------------
 # Convergence-in-measure functionals
+#
+# On the exact groups every functional reads the mu-law of |f - g| from
+# ``_metric_law``: the mass of each distinct metric value, as ints over
+# the mass table's denominator D, so that tau3, tau4 and the exceedance
+# mass cost one term per distinct value.  ``real`` keeps the literal
+# sums over the table below, whose term order fixes its float bytes.
+
+
+def _exact_eps(f: CylinderFunction, eps):
+    """The exceedance radius as every functional reads it: an exact
+    rational (``as_fraction``) on the exact groups, as given on ``real``."""
+    return as_fraction(eps) if f.group.exact else eps
 
 
 def _difference_metrics(f: CylinderFunction, g: CylinderFunction):
@@ -531,8 +572,69 @@ def _difference_metrics(f: CylinderFunction, g: CylinderFunction):
     return f.bases, [met(a, b) for a, b in zip(f.table, g.table)]
 
 
-# The sums below read one mass table and one metric list |f - g| of the
-# same cylinders, in table order, so that ``real`` floats repeat.
+def _metric_law(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> tuple[dict, int]:
+    """(law, D): the mu-law of |f - g| on an exact group.
+
+    ``law`` maps each distinct metric value p/q, as the reduced pair
+    (p, q) of ints, to its mass over D, the denominator of
+    ``mu._mass_numerators`` on the aligned bases; cylinders of mass 0 are
+    left out.  On rat and dy the pair is formed from the payloads'
+    numerators and denominators with one gcd, so no Fraction is built;
+    on the other exact groups it is read off ``group.metric`` (on int,
+    |a - b| over 1).
+    """
+    f, g = f._aligned(g)
+    nums, den = mu._mass_numerators(f.bases)
+    law = {}
+    get = law.get
+    if isinstance(f.group, RationalGroup):
+        for a, b, m in zip(f.table, g.table, nums):
+            if m:
+                ad, bd = a.denominator, b.denominator
+                p, q = a.numerator * bd - b.numerator * ad, ad * bd
+                c = gcd(p, q)
+                key = (abs(p) // c, q // c)
+                law[key] = get(key, 0) + m
+        return law, den
+    metric = f.group.metric
+    for a, b, m in zip(f.table, g.table, nums):
+        if m:
+            v = metric(a, b)
+            law[v] = get(v, 0) + m
+    return {(v.numerator, v.denominator): m for v, m in law.items()}, den
+
+
+def _law_sum(terms, den: int) -> Fraction:
+    """The sum of n a / b over the terms (n, a, b), over ``den``.
+
+    The numerators are summed per distinct b as ints, and the Fractions
+    of those sums are added pairwise: with many coprime b, a running sum
+    would carry the product of all of them through every addition.
+    """
+    by_den = {}
+    for n, a, b in terms:
+        by_den[b] = by_den.get(b, 0) + n * a
+    parts = [Fraction(s, b) for b, s in by_den.items()]
+    while len(parts) > 1:
+        parts = [x + y for x, y in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+    return sum(parts, Fraction(0)) / den
+
+
+def _law_tau3(law: dict, den: int) -> Fraction:
+    return _law_sum(((n, p, q) if p < q else (n, 1, 1) for (p, q), n in law.items()), den)
+
+
+def _law_tau4(law: dict, den: int) -> Fraction:
+    return _law_sum(((n, p, p + q) for (p, q), n in law.items()), den)
+
+
+def _law_exceedance(law: dict, den: int, eps: Fraction) -> Fraction:
+    top, bottom = eps.numerator, eps.denominator
+    return Fraction(sum(n for (p, q), n in law.items() if p * bottom > top * q), den)
+
+
+# The literal sums on ``real`` read one mass table and one metric list
+# |f - g| of the same cylinders, in table order, so that floats repeat.
 
 
 def _tau3_sum(masses, diffs):
@@ -556,14 +658,18 @@ def _exceedance_sum(masses, diffs, eps):
 
 def exceedance_prefixes(f: CylinderFunction, g: CylinderFunction, eps) -> list:
     """Prefixes of the set {x : |f(x) - g(x)| > eps}, strict inequality."""
+    eps = _exact_eps(f, eps)
     bases, diffs = _difference_metrics(f, g)
     return [index_to_prefix(i, bases) for i, d in enumerate(diffs) if d > eps]
 
 
 def exceedance_mass(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> Fraction:
     """mu{x : |f(x) - g(x)| > eps}; mu's bases must extend the aligned bases."""
-    bases, diffs = _difference_metrics(f, g)
-    return _exceedance_sum(mu.mass_table(bases), diffs, eps)
+    eps = _exact_eps(f, eps)
+    if not f.group.exact:
+        bases, diffs = _difference_metrics(f, g)
+        return _exceedance_sum(mu.mass_table(bases), diffs, eps)
+    return _law_exceedance(*_metric_law(f, g, mu), eps)
 
 
 def tau1_membership(
@@ -574,34 +680,42 @@ def tau1_membership(
     delta,
 ) -> bool:
     """True iff every measure gives the exceedance set mass strictly below delta."""
-    eps = as_fraction(eps) if f.group.exact else eps
+    eps = _exact_eps(f, eps)
     delta = as_fraction(delta)
-    bases, diffs = _difference_metrics(f, g)
-    return all(_exceedance_sum(mu.mass_table(bases), diffs, eps) < delta for mu in measures)
+    return all(exceedance_mass(f, g, eps, mu) < delta for mu in measures)
 
 
 def tau3_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
     """Integral of min(|f - g|, 1) as a finite exact sum over cylinders."""
-    bases, diffs = _difference_metrics(f, g)
-    return _tau3_sum(mu.mass_table(bases), diffs)
+    if not f.group.exact:
+        bases, diffs = _difference_metrics(f, g)
+        return _tau3_sum(mu.mass_table(bases), diffs)
+    return _law_tau3(*_metric_law(f, g, mu))
 
 
 def tau4_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
     """Integral of |f - g| / (1 + |f - g|)."""
-    bases, diffs = _difference_metrics(f, g)
-    return _tau4_sum(mu.mass_table(bases), diffs)
+    if not f.group.exact:
+        bases, diffs = _difference_metrics(f, g)
+        return _tau4_sum(mu.mass_table(bases), diffs)
+    return _law_tau4(*_metric_law(f, g, mu))
 
 
 def _tau_sums(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> tuple:
     """(tau3, tau4, exceedance mass) of f and g against mu, equal to the
-    three public functions, from one metric pass and one mass-table read."""
-    bases, diffs = _difference_metrics(f, g)
-    masses = mu.mass_table(bases)
-    return (
-        _tau3_sum(masses, diffs),
-        _tau4_sum(masses, diffs),
-        _exceedance_sum(masses, diffs, eps),
-    )
+    three public functions, from one mu-law (one metric list and one
+    mass-table read on ``real``)."""
+    eps = _exact_eps(f, eps)
+    if not f.group.exact:
+        bases, diffs = _difference_metrics(f, g)
+        masses = mu.mass_table(bases)
+        return (
+            _tau3_sum(masses, diffs),
+            _tau4_sum(masses, diffs),
+            _exceedance_sum(masses, diffs, eps),
+        )
+    law, den = _metric_law(f, g, mu)
+    return _law_tau3(law, den), _law_tau4(law, den), _law_exceedance(law, den, eps)
 
 
 def _resolve_permutation(t):

@@ -303,8 +303,9 @@ def density_table(
     Each row equals ``coboundary_solve`` of ``density_sequence`` and
     ``tau3_functional`` against the generator, computed from the tower
     tops: F_n equals f off the tops, so tau3 sums over the N/w tops only.
-    Masses are read from each measure's cached ``mass_table`` on the
-    level-1 tops, and the level-n tops are every (w/p_1)-th of them.
+    Masses are read from each measure's cached mass table (its integer
+    numerators on int, rat and dy) on the level-1 tops, and the level-n
+    tops are every (w/p_1)-th of them.
 
     On int, rat and dy the rows come from one integer pass
     (``_scalar_density_rows``), O(N) for all rows together.  On real,
@@ -327,9 +328,11 @@ def density_table(
         return []
     group = a.group
     p1 = model.bases[0]
-    masses = [mu.mass_table(model.bases)[p1 - 1 :: p1] for mu in measures]
     if isinstance(group, (IntegerGroup, RationalGroup)):
+        weighted = [mu._mass_numerators(model.bases) for mu in measures]
+        masses = [(nums[p1 - 1 :: p1], den) for nums, den in weighted]
         return _scalar_density_rows(a, markers, n_max, masses)
+    masses = [mu.mass_table(model.bases)[p1 - 1 :: p1] for mu in measures]
     zero = group.zero()
     f = a._table
     one = Fraction(1)
@@ -364,9 +367,10 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
     """``density_table`` rows on int, rat and dy, from one integer pass.
 
     The generator is held as ints over the lcm L of its denominators
-    (L = 1 on int), so its partial sums C are ints, and each measure's
-    level-1 top masses as ints over their lcm D.  The partial sums of F_n
-    are C[t] - C[base of t's tower], so M is (max over towers of
+    (L = 1 on int), so its partial sums C are ints.  ``masses`` holds one
+    (level-1 top numerators, D) per measure: a slice of its mass-table
+    numerators, over their denominator D.  The partial sums of F_n are
+    C[t] - C[base of t's tower], so M is (max over towers of
     (max C - C[base])) - (min over towers of (min C - C[base])), over L.
     The per-tower max and min of C for row n merge those of row n - 1
     over p_n strided slices, so all rows cost O(N) together.  A top of
@@ -382,7 +386,6 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
     f = nums * (model.size // len(table))
     c = list(accumulate(f[:-1], initial=0))
     cycle = c[-1] + f[-1]
-    weighted = [_integer_numerators(level1) for level1 in masses]
     ints = isinstance(a.group, IntegerGroup)
     p1 = model.bases[0]
     hi = lo = c
@@ -402,7 +405,7 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
             row["M"] = bound if ints else Fraction(bound, scale)
         clipped = [min(abs(t - v), scale) for t, v in zip(tops, f_tops)]
         step = w // p1
-        for k, (level1, den) in enumerate(weighted):
+        for k, (level1, den) in enumerate(masses):
             total = sum(map(mul, level1[step - 1 :: step], clipped))
             row[f"tau3_{k}"] = Fraction(total, den * scale)
         rows.append(row)
@@ -673,17 +676,27 @@ def gh_check(
     witness = None
     if not decision:
         if exceed_target is not None and best <= exceed_target:
-            # widening the window by one full period adds two cycle sums,
-            # so along j, j+N, j+2N, ... the norm grows by norm(2S) per
-            # period (less the bounded part); that bounds the search for
-            # any group with homogeneous norm.  Z/m values repeat after at
-            # most m periods instead.
-            norm_2s = group.norm(group.scale(a.cycle_sum_payload, 2))
+            # widening the window by k full periods adds k times two cycle
+            # sums, W(i, j + kN) = W(i, j) + k 2S, so radius j + kN exceeds
+            # the target once norm(k 2S) > target + best; on a homogeneous
+            # norm that k is read off norm(2S).  On Z/m the least such k
+            # is searched while its cap fits MAX_SCAN running sums (k 2S
+            # repeats after m periods, and no norm exceeds m // 2); without
+            # one, m + 2 periods bound the search, since the values repeat.
+            two_s = group.scale(a.cycle_sum_payload, 2)
             modulus = getattr(group, "modulus", None)
             if modulus is not None:
                 cap_periods = modulus + 2
+                room = (MAX_SCAN - size - 1) // 2 - horizon  # radii a cap may add
+                if exceed_target + best < modulus // 2:
+                    shift = two_s
+                    for k in range(1, min(modulus, room // size - 2) + 1):
+                        if group.norm(shift) > exceed_target + best:
+                            cap_periods = k + 2
+                            break
+                        shift = group.add(shift, two_s)
             else:
-                cap_periods = int((exceed_target + best) / norm_2s) + 2
+                cap_periods = int((exceed_target + best) / group.norm(two_s)) + 2
             cap = horizon + size * cap_periods
             _check_scan(group, size, cap, f"exceed_target {exceed_target}")
             # the sup over radii <= r grows with r: bisect the least r in

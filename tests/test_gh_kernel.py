@@ -303,6 +303,20 @@ def test_z_mod_m_window_residues_on_a_large_modulus_are_refused():
         gh_check(a)
 
 
+def test_exceed_target_on_a_large_modulus_caps_at_the_first_exceeding_period():
+    # cycle sum S = 136 on N = 16: norm(k 2S) = 272 k first exceeds
+    # target + sup = 2208 at k = 9, so the cap is 11 periods, where m + 2
+    # periods would need more running sums than MAX_SCAN
+    bases = (2,) * 4
+    h = CylinderFunction(bases, integers_mod(1000003), tuple(range(1, 17)))
+    a = ZCocycle(Odometer(bases), h)
+    assert gh_check(a).empirical_sup == 1104
+    assert_matches_scan(a, None, 1104)
+    # no norm on Z/m exceeds m // 2: that target keeps the m + 2 period cap
+    with pytest.raises(ValueError, match=f"exceed_target 500000 needs .* limit {MAX_SCAN}"):
+        gh_check(a, exceed_target=500000)
+
+
 def test_window_residue_limit_admits_every_default_horizon_on_mod_5():
     # 5 N residues at most, with N = MAX_POINTS; the check allocates nothing
     for scan_to in (MAX_POINTS - 1, 4 * MAX_POINTS):

@@ -12,6 +12,7 @@ from cocycle_lab.space import (
     DiracMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    _tau_sums,
     aut_distance,
     convergence_rows,
     exceedance_mass,
@@ -27,7 +28,14 @@ from cocycle_lab.space import (
     tau3_functional,
     tau4_functional,
 )
-from cocycle_lab.values import INTEGERS, RATIONALS, GroupMismatchError
+from cocycle_lab.values import (
+    APPROX_REALS,
+    INTEGERS,
+    RATIONALS,
+    GroupMismatchError,
+    UnsupportedValueError,
+    group_from_tag,
+)
 
 B3 = (2, 2, 2)
 
@@ -256,39 +264,72 @@ NESTED_MARKOV = MarkovMeasure(
 )
 
 
+# pairwise-coprime row denominators: the table's is their product
+COPRIME_BERNOULLI = BernoulliMeasure(
+    (2, 3, 2, 2),
+    (
+        (rat(1, 3), rat(2, 3)),
+        (rat(1, 5), rat(2, 5), rat(2, 5)),
+        (rat(3, 7), rat(4, 7)),
+        (rat(0), rat(1)),
+    ),
+)
+
+# each step's transition matrix over its own prime: 3, then 5, then 7
+COPRIME_MARKOV = MarkovMeasure(
+    (2, 3, 2, 2),
+    (rat(1, 2), rat(1, 2)),
+    (
+        ((rat(1, 3), rat(1, 3), rat(1, 3)), (rat(2, 3), rat(0), rat(1, 3))),
+        ((rat(1, 5), rat(4, 5)), (rat(2, 5), rat(3, 5)), (rat(1), rat(0))),
+        ((rat(3, 7), rat(4, 7)), (rat(6, 7), rat(1, 7))),
+    ),
+)
+
+# components over pairwise-coprime denominators 3^k, 5^k and 7^k; weights
+# of a probability vector cannot have pairwise-coprime denominators > 1,
+# so theirs are 6, 3 and 2
+COPRIME_MIXTURE = MixtureMeasure(
+    (
+        BernoulliMeasure((2, 2, 2), ((rat(1, 3), rat(2, 3)),) * 3),
+        BernoulliMeasure((2, 2, 2), ((rat(2, 5), rat(3, 5)),) * 3),
+        MarkovMeasure.homogeneous(
+            (2, 2, 2), (rat(3, 7), rat(4, 7)), ((rat(1, 7), rat(6, 7)), (rat(5, 7), rat(2, 7)))
+        ),
+    ),
+    (rat(1, 6), rat(1, 3), rat(1, 2)),
+)
+
+NESTED_MIXTURE = MixtureMeasure(
+    (
+        MixtureMeasure(
+            (NESTED_MARKOV, DiracMeasure((3, 2, 2), (1, 1))), (rat(1, 3), rat(2, 3))
+        ),
+        BernoulliMeasure.uniform((3, 2, 2)),
+    ),
+    (rat(3, 4), rat(1, 4)),
+)
+
+
 @given(measures())
 @example(DiracMeasure((3, 2, 2), (2,)))
-@example(  # pairwise-coprime row denominators: the table's is their product
-    BernoulliMeasure(
-        (2, 3, 2, 2),
-        (
-            (rat(1, 3), rat(2, 3)),
-            (rat(1, 5), rat(2, 5), rat(2, 5)),
-            (rat(3, 7), rat(4, 7)),
-            (rat(0), rat(1)),
-        ),
-    )
-)
-@example(
-    MixtureMeasure(
-        (
-            MixtureMeasure(
-                (NESTED_MARKOV, DiracMeasure((3, 2, 2), (1, 1))), (rat(1, 3), rat(2, 3))
-            ),
-            BernoulliMeasure.uniform((3, 2, 2)),
-        ),
-        (rat(3, 4), rat(1, 4)),
-    )
-)
+@example(COPRIME_BERNOULLI)
+@example(COPRIME_MARKOV)
+@example(COPRIME_MIXTURE)
+@example(NESTED_MIXTURE)
 def test_mass_table_is_the_mass_of_every_prefix(mu):
     for depth in range(1, len(mu.bases) + 1):
         bases = mu.bases[:depth]
+        nums, den = numerators = mu._mass_numerators(bases)
+        assert type(den) is int and den >= 1
+        assert all(type(n) is int for n in nums)
+        assert sum(nums) == den
+        assert mu._mass_numerators(list(bases)) is numerators  # cached on the instance
         table = mu.mass_table(bases)
-        assert len(table) == space_size(bases)
-        for i, m in enumerate(table):
+        assert type(table) is tuple and len(table) == space_size(bases)
+        for i, (m, n) in enumerate(zip(table, nums)):
             assert type(m) is Fraction
-            assert m == mu.mass(index_to_prefix(i, bases))
-        assert sum(table) == 1
+            assert m == Fraction(n, den) == mu.mass(index_to_prefix(i, bases))
         assert mu.mass_table(list(bases)) is table  # cached on the instance
 
 
@@ -303,20 +344,33 @@ def test_mass_table_needs_a_leading_segment_of_the_bases():
 # --- tau functionals ---------------------------------------------------------
 
 
+# The oracles sum over the prefixes in table order with mu.mass, term by
+# term as the functionals' literal sums do, so that on ``real`` they
+# repeat the float bytes too.
+
+
+def _brute_metrics(f, g, bases):
+    metric = f.group.metric
+    for x in iter_prefixes(bases):
+        yield x, metric(f.eval(x).payload, g.eval(x).payload)
+
+
 def brute_tau3(f, g, mu, bases):
     total = Fraction(0)
-    for x in iter_prefixes(bases):
-        d = abs(f.eval(x).payload - g.eval(x).payload)
-        total += mu.mass(x) * min(d, Fraction(1))
+    for x, d in _brute_metrics(f, g, bases):
+        total += mu.mass(x) * (d if d < 1 else Fraction(1))
     return total
 
 
 def brute_tau4(f, g, mu, bases):
     total = Fraction(0)
-    for x in iter_prefixes(bases):
-        d = abs(f.eval(x).payload - g.eval(x).payload)
+    for x, d in _brute_metrics(f, g, bases):
         total += mu.mass(x) * d / (1 + d)
     return total
+
+
+def brute_exceedance(f, g, eps, mu, bases):
+    return sum((mu.mass(x) for x, d in _brute_metrics(f, g, bases) if d > eps), Fraction(0))
 
 
 def test_tau1_examples():
@@ -379,6 +433,125 @@ def test_tau_functionals_match_brute_force(tf, tg):
     mu = BernoulliMeasure.uniform(B3)
     assert tau3_functional(f, g, mu) == brute_tau3(f, g, mu, B3)
     assert tau4_functional(f, g, mu) == brute_tau4(f, g, mu, B3)
+
+
+GROUP_PAYLOADS = {
+    "int": st.integers(-3, 3),
+    "rat": st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    "dy": st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-8, 8), st.integers(0, 3)),
+    "mod:5": st.integers(0, 4),
+    "vec:2": st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=4)] * 2),
+    "real": st.floats(-3, 3),
+}
+EXACT_TAGS = ("int", "rat", "dy", "mod:5", "vec:2")
+RADII = (rat(0), rat(1, 4), rat(1, 2), rat(1), rat(2))
+
+
+@st.composite
+def law_cases(draw, tags):
+    """(f, g, mu, eps): a measure of any kind, and f and g of different
+    depths on a leading segment of its bases, in one group of ``tags``."""
+    mu = draw(measures())
+    tag = draw(st.sampled_from(tags))
+    group = group_from_tag(tag)
+    bases = mu.bases[: draw(st.integers(1, len(mu.bases)))]
+    short = bases[: draw(st.integers(1, len(bases)))]
+
+    def function(b):
+        size = space_size(b)
+        return CylinderFunction(
+            b, group, draw(st.lists(GROUP_PAYLOADS[tag], min_size=size, max_size=size))
+        )
+
+    f, g = function(bases), function(short)
+    return (f, g) if draw(st.booleans()) else (g, f), mu, draw(st.sampled_from(RADII))
+
+
+def _primes(count):
+    found, n = [], 2
+    while len(found) < count:
+        if all(n % p for p in found):
+            found.append(n)
+        n += 1
+    return found
+
+
+# f and g over 48 distinct primes, against a measure whose rows' denominators
+# are pairwise coprime too: every metric value is its own law entry
+_P = _primes(49)[1:]
+COPRIME_PAIR = (
+    CylinderFunction((2, 3, 2, 2), RATIONALS, [rat(7 * i - 40, p) for i, p in enumerate(_P[:24])]),
+    CylinderFunction((2, 3, 2, 2), RATIONALS, [rat(p - 3 * i, p) for i, p in enumerate(_P[24:])]),
+)
+
+
+def _expected_sums(f, g, eps, mu):
+    bases = max(f.bases, g.bases, key=len)
+    return (
+        brute_tau3(f, g, mu, bases),
+        brute_tau4(f, g, mu, bases),
+        brute_exceedance(f, g, eps, mu, bases),
+    )
+
+
+@given(law_cases(EXACT_TAGS))
+@example((COPRIME_PAIR, COPRIME_BERNOULLI, rat(1, 2)))
+@example((COPRIME_PAIR, COPRIME_MARKOV, rat(1)))
+def test_functionals_from_the_law_match_the_literal_sums(case):
+    (f, g), mu, eps = case
+    sums = _tau_sums(f, g, eps, mu)
+    public = (tau3_functional(f, g, mu), tau4_functional(f, g, mu), exceedance_mass(f, g, eps, mu))
+    expected = _expected_sums(f, g, eps, mu)
+    assert sums == public == expected
+    assert list(map(repr, sums)) == list(map(repr, public)) == list(map(repr, expected))
+    assert all(type(v) is Fraction for v in sums + public)
+
+
+@given(law_cases(("real",)))
+@example((
+    (
+        CylinderFunction((2, 2), APPROX_REALS, (0.1, 1.0, 2.5, -0.3)),
+        CylinderFunction((2,), APPROX_REALS, (0.0, 1.0 / 3)),
+    ),
+    COPRIME_MIXTURE,
+    rat(1, 2),
+))
+def test_functionals_on_real_repeat_the_literal_float_sums(case):
+    (f, g), mu, eps = case
+    sums = _tau_sums(f, g, eps, mu)
+    public = (tau3_functional(f, g, mu), tau4_functional(f, g, mu), exceedance_mass(f, g, eps, mu))
+    expected = _expected_sums(f, g, eps, mu)
+    for got in (sums, public):  # bit for bit: type and repr
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in expected]
+
+
+H2 = CylinderFunction((2,), RATIONALS, (rat(0), rat(1)))
+ZERO2 = CylinderFunction.constant((2,), RATIONALS, 0)
+MU2 = BernoulliMeasure.uniform((2,))
+EXCEEDANCE_READERS = {
+    "exceedance_prefixes": lambda f, g, eps: len(exceedance_prefixes(f, g, eps)),
+    "exceedance_mass": lambda f, g, eps: exceedance_mass(f, g, eps, MU2),
+    "_tau_sums": lambda f, g, eps: _tau_sums(f, g, eps, MU2)[2],
+    "tau1_membership": lambda f, g, eps: tau1_membership(f, g, [MU2], eps, rat(3, 4)),
+}
+
+
+@pytest.mark.parametrize("reader", EXCEEDANCE_READERS)
+def test_every_exceedance_reader_takes_an_exact_radius_string(reader):
+    read = EXCEEDANCE_READERS[reader]
+    assert read(H2, ZERO2, "1/2") == read(H2, ZERO2, rat(1, 2))
+    assert read(H2, ZERO2, "1") == read(H2, ZERO2, rat(1))
+
+
+@pytest.mark.parametrize("reader", EXCEEDANCE_READERS)
+def test_every_exceedance_reader_refuses_a_float_radius_on_an_exact_group(reader):
+    with pytest.raises(UnsupportedValueError, match="exact rational"):
+        EXCEEDANCE_READERS[reader](H2, ZERO2, 0.5)
+    # on real the radius is read as it is given
+    h = CylinderFunction((2,), APPROX_REALS, (0.0, 1.0))
+    zero = CylinderFunction.constant((2,), APPROX_REALS, 0.0)
+    read = EXCEEDANCE_READERS[reader]
+    assert read(h, zero, 0.5) == read(h, zero, rat(1, 2))
 
 
 @given(tables3, tables3)
