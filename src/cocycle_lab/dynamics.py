@@ -299,23 +299,18 @@ def towers_from_marker(model: Odometer, marker) -> TowerDecomposition:
     """First-return tower decomposition over a marker set.
 
     On the single-cycle quotient any nonempty marker meets the orbit, the
-    heights are the first-return times, and the levels partition the
+    heights are the first-return times -- the gaps between consecutive
+    sorted marker indices round the cycle -- and the levels partition the
     prefix space.
     """
     indices = _marker_indices(model, marker)
     if not indices:
         raise ValueError("marker set must be nonempty")
-    in_marker = set(indices)
-    n = model.size
     by_height: dict[int, list[int]] = {}
-    for a in indices:
-        t = 1
-        while (a + t) % n not in in_marker:
-            t += 1
-        by_height.setdefault(t, []).append(a)
+    for a, b in zip(indices, indices[1:] + (indices[0] + model.size,)):
+        by_height.setdefault(b - a, []).append(a)
     towers = tuple(
-        Tower(height, tuple(sorted(bases_)))
-        for height, bases_ in sorted(by_height.items())
+        Tower(height, tuple(bases_)) for height, bases_ in sorted(by_height.items())
     )
     decomposition = TowerDecomposition(model, indices, towers)
     if not decomposition.verify_partition():

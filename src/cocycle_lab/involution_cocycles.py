@@ -104,6 +104,8 @@ class GeneratorFamily:
     def __post_init__(self):
         bases = _check_binary(self.bases)
         object.__setattr__(self, "bases", bases)
+        if not self.tables:
+            raise ValueError("family needs at least one generator")
         if len(self.tables) > len(bases):
             raise DepthError(
                 f"{len(self.tables)} generators need depth >= {len(self.tables)}, "

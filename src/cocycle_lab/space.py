@@ -753,18 +753,14 @@ def convergence_rows(
 ) -> list[dict]:
     """Rows (n, tau1, tau3, tau4) for a sequence of functions against a target.
 
-    tau1 is the 0/1 membership indicator at the supplied (eps, delta).
+    tau1 is the 0/1 membership indicator at the supplied (eps, delta); a
+    row reads all three columns off one mu-law (``_tau_sums``).
     """
     rows = []
     for n, fn in enumerate(functions, start=1):
-        rows.append(
-            {
-                "n": n,
-                "tau1": int(tau1_membership(fn, target, [mu], eps, delta)),
-                "tau3": tau3_functional(fn, target, mu),
-                "tau4": tau4_functional(fn, target, mu),
-            }
-        )
+        tau3, tau4, exceedance = _tau_sums(fn, target, eps, mu)
+        tau1 = int(exceedance < as_fraction(delta))
+        rows.append({"n": n, "tau1": tau1, "tau3": tau3, "tau4": tau4})
     return rows
 
 

@@ -56,7 +56,7 @@ from .space import (
     index_to_prefix,
     tau3_functional,
 )
-from .values import GroupValue, IntegerGroup, RationalGroup, _integer_numerators
+from .values import GroupValue, IntegerGroup, RationalGroup, _integer_numerators, _is_int
 
 
 #: Longest running-sum list N + 2 scan_to + 1 a gh scan may build; the
@@ -215,40 +215,26 @@ def periodic_coboundary(
     Returns g with a-hat(P^n, x) = g(P^n x) - g(x) for every n and prefix,
     where a-hat is the full-group extension of a; g vanishes on the orbit
     base points (tower bases when a decomposition is supplied, otherwise
-    the minimal index of each orbit).  Raises PeriodicityError when an
-    orbit's accumulated jump wraps the cycle with a nonzero cycle sum, in
-    which case no transfer exists.
+    the minimal index of each orbit).  Each orbit is walked once from its
+    base point, summing a-hat(P, .); without towers the indices are
+    scanned upward and each one not yet reached is its orbit's least.
+    Raises PeriodicityError when an orbit's accumulated jump wraps the
+    cycle with a nonzero cycle sum, in which case no transfer exists.
     """
-    if element.model != a.model:
-        raise DepthError("full-group element lives on a different model")
+    steps = extend_to_full_group(a, element).table
     group = a.group
-    size = a.model.size
-    if towers is not None:
-        bases_ = towers.base_indices()
-    else:
-        perm = element.permutation
-        seen = [False] * size
-        bases_ = []
-        for start in range(size):
-            if seen[start]:
-                continue
-            orbit_min = start
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                orbit_min = min(orbit_min, j)
-            bases_.append(orbit_min)
-    table = [None] * size
     perm = element.permutation
-    for base in bases_:
+    table = [None] * a.model.size
+    for base in range(a.model.size) if towers is None else towers.base_indices():
         if table[base] is not None:
+            if towers is None:
+                continue
             raise PeriodicityError(f"two base points on one orbit (index {base})")
         acc = group.zero()
         table[base] = acc
         j = base
         while True:
-            acc = group.add(acc, a.evaluate_index(element.jump_at(j), j))
+            acc = group.add(acc, steps[j])
             j = perm[j]
             if j == base:
                 break
@@ -662,6 +648,8 @@ def gh_check(
     size = a.model.size
     if horizon is None:
         horizon = 4 * size
+    if not _is_int(horizon):
+        raise ValueError(f"horizon must be >= 0 and an integer, got {horizon!r}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     decision = group.values_equal(a.cycle_sum_payload, group.zero())
@@ -754,6 +742,8 @@ def skew_orbit(
     the largest metric distance from the starting value.  The radius stays
     within the certificate bound exactly when h is a coboundary.
     """
+    if not _is_int(steps):
+        raise ValueError(f"steps must be >= 0 and an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     a = _as_cocycle(h, model)

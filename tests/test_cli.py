@@ -405,6 +405,16 @@ def test_malformed_file_is_usage_error_naming_it(tmp_path, generator_file, comma
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "roundtrip", "happrox"])
+def test_empty_family_is_usage_error_naming_it(tmp_path, command, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"N": 0, "depth": 3, "group": "rat", "tables": []}))
+    assert main(["gamma", command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: family needs at least one generator\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("depth", [4.7, "3", True, 0, -2, None])
 def test_config_depth_must_be_a_positive_integer(tmp_path, depth, capsys):
     cfg_path = tmp_path / "config.json"

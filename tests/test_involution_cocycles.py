@@ -79,6 +79,16 @@ def test_family_depth_must_cover_generators():
         GeneratorFamily((2,), RATIONALS, ((Fraction(1),), (Fraction(1),)))
 
 
+def test_family_needs_at_least_one_generator():
+    for build in (
+        lambda: GeneratorFamily(B3, RATIONALS, ()),
+        lambda: GeneratorFamily.from_cylinder_functions(B3, []),
+        lambda: GeneratorFamily.from_json({"N": 0, "depth": 3, "group": "rat", "tables": []}),
+    ):
+        with pytest.raises(ValueError, match="^family needs at least one generator$"):
+            build()
+
+
 def test_family_json_roundtrip():
     fam, _ = family_n2_depth3()
     again = GeneratorFamily.from_json(fam.to_json())

@@ -780,6 +780,35 @@ def test_convergence_rows_columns():
     assert rows[2]["tau1"] == 1  # 1/8 <= 1/4 so the exceedance set is empty
 
 
+DELTAS = (rat(0), rat(1, 4), rat(1, 2), rat(1), "3/4")
+
+
+@given(law_cases(EXACT_TAGS + ("real",)), st.sampled_from(DELTAS))
+def test_convergence_rows_match_the_three_public_functions(case, delta):
+    (f, g), mu, eps = case
+    functions = [f, g, f]
+    expected = [
+        {
+            "n": n,
+            "tau1": int(tau1_membership(fn, g, [mu], eps, delta)),
+            "tau3": tau3_functional(fn, g, mu),
+            "tau4": tau4_functional(fn, g, mu),
+        }
+        for n, fn in enumerate(functions, start=1)
+    ]
+    rows = convergence_rows(functions, g, mu, eps, delta)
+    assert rows == expected
+    assert repr(rows) == repr(expected)
+
+
+@pytest.mark.parametrize("group", [RATIONALS, APPROX_REALS])
+def test_convergence_rows_refuse_a_float_delta(group):
+    mu = BernoulliMeasure.uniform(B3)
+    target = CylinderFunction.constant(B3, group, 0)
+    with pytest.raises(UnsupportedValueError):
+        convergence_rows([target], target, mu, rat(1, 4), 0.5)
+
+
 def test_convergence_csv_header_and_exact_fractions():
     from cocycle_lab.space import convergence_csv
 

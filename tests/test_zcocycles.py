@@ -1,14 +1,20 @@
 """Cocycle evaluation, coboundary certificates, density, and bounded sums."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cocycle_lab.dynamics import (
     FullGroupElement,
     MarkerSequence,
     Odometer,
+    Tower,
+    TowerDecomposition,
+    _marker_indices,
+    delta_element,
     periodic_approx,
     towers_from_marker,
 )
@@ -20,6 +26,7 @@ from cocycle_lab.sampling import (
 from cocycle_lab.space import (
     BernoulliMeasure,
     CylinderFunction,
+    DepthError,
     DiracMeasure,
     MixtureMeasure,
     index_to_prefix,
@@ -27,7 +34,7 @@ from cocycle_lab.space import (
     prefix_to_index,
     tau3_functional,
 )
-from cocycle_lab.values import INTEGERS, RATIONALS, GroupValue, integers_mod
+from cocycle_lab.values import INTEGERS, RATIONALS, GroupValue, group_from_tag, integers_mod
 from cocycle_lab.zcocycles import (
     PeriodicityError,
     ZCocycle,
@@ -286,6 +293,178 @@ def test_periodic_coboundary_rejects_wrapping_orbit():
     assert g.table == cert.transfer.table
 
 
+# The two-pass transfer and the probing tower builder, kept literally as
+# oracles: the first pass finds each orbit's least index by a full walk,
+# and each first-return time is probed one step at a time.
+
+
+def literal_periodic_coboundary(element, a, towers=None):
+    if element.model != a.model:
+        raise DepthError("full-group element lives on a different model")
+    group = a.group
+    size = a.model.size
+    if towers is not None:
+        bases_ = towers.base_indices()
+    else:
+        perm = element.permutation
+        seen = [False] * size
+        bases_ = []
+        for start in range(size):
+            if seen[start]:
+                continue
+            orbit_min = start
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                orbit_min = min(orbit_min, j)
+            bases_.append(orbit_min)
+    table = [None] * size
+    perm = element.permutation
+    for base in bases_:
+        if table[base] is not None:
+            raise PeriodicityError(f"two base points on one orbit (index {base})")
+        acc = group.zero()
+        table[base] = acc
+        j = base
+        while True:
+            acc = group.add(acc, a.evaluate_index(element.jump_at(j), j))
+            j = perm[j]
+            if j == base:
+                break
+            if table[j] is not None:
+                raise PeriodicityError(f"two base points on one orbit (index {j})")
+            table[j] = acc
+        if not group.values_equal(acc, group.zero()):
+            raise PeriodicityError(
+                f"orbit of index {base} wraps the cycle with holonomy {acc!r}; "
+                "no transfer exists"
+            )
+    if any(v is None for v in table):
+        raise PeriodicityError("base points do not meet every orbit")
+    return CylinderFunction(a.model.bases, group, tuple(table))
+
+
+def literal_towers_from_marker(model, marker):
+    indices = _marker_indices(model, marker)
+    if not indices:
+        raise ValueError("marker set must be nonempty")
+    in_marker = set(indices)
+    n = model.size
+    by_height = {}
+    for a in indices:
+        t = 1
+        while (a + t) % n not in in_marker:
+            t += 1
+        by_height.setdefault(t, []).append(a)
+    towers = tuple(
+        Tower(height, tuple(sorted(bases_)))
+        for height, bases_ in sorted(by_height.items())
+    )
+    return TowerDecomposition(model, indices, towers)
+
+
+CHAIN_PAYLOADS = {
+    "int": st.integers(-3, 3),
+    "rat": st.fractions(min_value=-3, max_value=3, max_denominator=8),
+    "dy": st.builds(lambda n, k: Fraction(n, 1 << k), st.integers(-8, 8), st.integers(0, 3)),
+    "mod:5": st.integers(0, 4),
+    "vec:2": st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=4)] * 2),
+    "real": st.floats(-3, 3),
+}
+
+
+@st.composite
+def markers(draw, model):
+    """A nonempty marker set, each entry an index or its prefix."""
+    indices = draw(st.sets(st.integers(0, model.size - 1), min_size=1, max_size=model.size))
+    return [
+        index_to_prefix(i, model.bases) if draw(st.booleans()) else i for i in sorted(indices)
+    ]
+
+
+@st.composite
+def full_group_elements(draw, model, depth=2):
+    """A periodic approximation, the odometer, the identity, a digit flip,
+    or (up to ``depth`` deep) a composition of two of these."""
+    flips = [n for n, b in enumerate(model.bases, start=1) if b == 2]
+    kinds = ["approx", "odometer", "identity"] + ["flip"] * bool(flips) + ["compose"] * bool(depth)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "approx":
+        return periodic_approx(model, draw(markers(model)))
+    if kind == "odometer":
+        return model.as_full_group_element()
+    if kind == "identity":
+        return FullGroupElement.identity(model)
+    if kind == "flip":
+        return delta_element(model, draw(st.sampled_from(flips)))
+    first = draw(full_group_elements(model, depth - 1))
+    return first.compose(draw(full_group_elements(model, depth - 1)))
+
+
+@st.composite
+def chain_cases(draw):
+    """(element, cocycle, towers) on mixed radices over one group; the
+    generator's cycle sum is cancelled half the time, so that wrapping
+    orbits also admit a transfer."""
+    model = Odometer(tuple(draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))))
+    tag = draw(st.sampled_from(sorted(CHAIN_PAYLOADS)))
+    group = group_from_tag(tag)
+    size = model.size
+    table = draw(st.lists(CHAIN_PAYLOADS[tag], min_size=size, max_size=size))
+    if draw(st.booleans()):
+        total = group.zero()
+        for v in table[:-1]:
+            total = group.add(total, v)
+        table[-1] = group.sub(group.zero(), total)
+    a = ZCocycle(model, CylinderFunction(model.bases, group, tuple(table)))
+    element = draw(full_group_elements(model))
+    towers = draw(st.none() | markers(model).map(lambda m: towers_from_marker(model, m)))
+    return element, a, towers
+
+
+def _transfer_outcome(fn, element, a, towers):
+    try:
+        return repr(fn(element, a, towers).table)
+    except PeriodicityError as exc:
+        return ("PeriodicityError", str(exc))
+
+
+@given(st.data())
+def test_towers_from_marker_match_the_probing_oracle(data):
+    model = Odometer(tuple(data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=5))))
+    marker = data.draw(markers(model))
+    assert towers_from_marker(model, marker) == literal_towers_from_marker(model, marker)
+
+
+@given(chain_cases())
+def test_periodic_coboundary_matches_the_two_pass_oracle(case):
+    element, a, towers = case
+    expected = _transfer_outcome(literal_periodic_coboundary, element, a, towers)
+    assert _transfer_outcome(periodic_coboundary, element, a, towers) == expected
+
+
+def test_periodic_coboundary_oracle_examples_cover_every_outcome():
+    # a periodic approximation over its own towers, over none, over the
+    # towers of another marker, and the odometer's single wrapping orbit
+    m = Odometer((2, 3, 2))
+    ones = ZCocycle(m, CylinderFunction.constant((2,), INTEGERS, 1))
+    own = towers_from_marker(m, [0, 5])
+    other = towers_from_marker(m, [0, 1, 7])
+    p = periodic_approx(m, own)
+    cases = [(p, own), (p, None), (p, other), (p, towers_from_marker(m, [0])),
+             (m.as_full_group_element(), None), (delta_element(m, 3).compose(p), None)]
+    outcomes = [_transfer_outcome(periodic_coboundary, e, ones, t) for e, t in cases]
+    assert outcomes == [_transfer_outcome(literal_periodic_coboundary, e, ones, t) for e, t in cases]
+    assert [o[1].split(" (")[0] for o in outcomes if isinstance(o, tuple)] == [
+        "two base points on one orbit",
+        "base points do not meet every orbit",
+        "orbit of index 0 wraps the cycle with holonomy 12; no transfer exists",
+    ]
+    with pytest.raises(DepthError, match="different model"):
+        periodic_coboundary(p, ZCocycle(Odometer.binary(3), PM1))
+
+
 # --- density of coboundaries ------------------------------------------------------------
 
 
@@ -379,6 +558,16 @@ def test_gh_witness_exceeds_requested_target():
     assert a.group.norm(report.witness.value.payload) > 50
 
 
+@pytest.mark.parametrize(
+    "horizon, message",
+    [(h, f"horizon must be >= 0 and an integer, got {h!r}") for h in (True, 2.5, "3", Fraction(4))]
+    + [(-1, "horizon must be >= 0, got -1")],
+)
+def test_gh_horizon_must_be_a_nonnegative_integer(horizon, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gh_check(ZCocycle(M3, PM1), horizon=horizon)
+
+
 def test_gh_coboundary_sup_periodicity():
     # scanning two cycles or twenty gives the same sup for a coboundary
     a = ZCocycle(M3, PM1)
@@ -404,6 +593,16 @@ def test_skew_orbit_examples():
     orbit = skew_orbit(ones, ((0, 0, 0), GroupValue(INTEGERS, 0)), 8, model=M3)
     assert [v.payload for v in orbit.values] == list(range(1, 9))
     assert orbit.radius == 8
+
+
+@pytest.mark.parametrize("steps", [2.5, "3", True])
+def test_skew_orbit_steps_must_be_an_integer(steps):
+    start = ((0, 0, 0), GroupValue(INTEGERS, 0))
+    message = f"steps must be >= 0 and an integer, got {steps!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        skew_orbit(ZCocycle(M3, PM1), start, steps)
+    with pytest.raises(ValueError, match="^steps must be >= 0$"):
+        skew_orbit(ZCocycle(M3, PM1), start, -1)
 
 
 def test_skew_radius_bounded_iff_coboundary():
