@@ -34,9 +34,12 @@ construction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
+from math import floor
 from typing import Callable, Iterable, Optional, Sequence
 
 from .dynamics import delta_apply
@@ -52,11 +55,13 @@ from .space import (
 )
 from .values import (
     DYADICS,
+    INTEGERS,
     RATIONALS,
     Group,
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
+    _integer_numerators,
     _is_int,
     group_from_tag,
     round_to_dyadic,
@@ -202,8 +207,44 @@ def word_apply_index(word: Iterable[int], i: int) -> int:
     return i
 
 
-def _potential_walk(family: GeneratorFamily) -> tuple[tuple, list]:
-    """The generator tables c(delta_n, .) for n = 1..N and the potential P.
+_INT_OPS = (0, operator.add, operator.sub, operator.neg)
+
+
+def _group_ops(group: Group) -> tuple:
+    """zero, add, sub and neg of a group, for ``_potential_walk`` on payloads."""
+    return group.zero(), group.add, group.sub, group.neg
+
+
+def _on_numerators(group: Group) -> bool:
+    """Whether the kernels run on int numerators over one denominator: on
+    int, rat and dy, where sums and comparisons then need no gcd."""
+    return group.tag in ("int", "rat", "dy")
+
+
+def _numerators(tables) -> tuple[tuple, int]:
+    """Exact rational tables as int tables over L, the lcm of all their
+    reduced denominators (L = 1 on int), and L."""
+    flat, den = _integer_numerators([v for table in tables for v in table])
+    flat = iter(flat)
+    return tuple(tuple(islice(flat, len(table))) for table in tables), den
+
+
+def _as_payloads(values, den: int | None, group: Group) -> tuple:
+    """Values in a kernel's representation as the group's payloads:
+    numerators over ``den`` become Fractions (ints on int, where den is 1);
+    payloads (``den`` None) stay as they are."""
+    if den is None or group == INTEGERS:
+        return tuple(values)
+    return tuple(Fraction(v, den) for v in values)
+
+
+def _potential_walk(f_tables, depth: int, zero, add, sub, neg) -> tuple[tuple, list]:
+    """The generator tables c(delta_n, .) for n = 1..N and the potential P
+    of the family with tables ``f_tables`` at ``depth``.
+
+    The caller picks the representation: payloads with the group's
+    operations (``_group_ops``), or int numerators over one denominator
+    with ``_INT_OPS``; the tables come back in the same one.
 
     P_n = x_1 f_1 + ... + x_n f_n is one running table: step n adds f_n
     where x_n = 1.  The terms k > n of P ignore digit n, so
@@ -212,12 +253,10 @@ def _potential_walk(family: GeneratorFamily) -> tuple[tuple, list]:
     on both sides, so the entry there is f_n itself, written without
     arithmetic: exact even in floats.
     """
-    group = family.group
-    add, sub, neg = group.add, group.sub, group.neg
-    size = 1 << family.depth
-    potential = [group.zero()] * size
+    size = 1 << depth
+    potential = [zero] * size
     tables = []
-    for n, f in enumerate(family.tables, start=1):
+    for n, f in enumerate(f_tables, start=1):
         flip = 1 << (n - 1)
         table = [None] * size
         for start in range(0, size, flip << 1):
@@ -266,8 +305,17 @@ class InvolutionCocycle:
 
     @cached_property
     def _generator_tables(self) -> tuple:
-        """Full-depth value tables of c(delta_n, .) for n = 1..N."""
-        return _potential_walk(self.family)[0]
+        """Full-depth value tables of c(delta_n, .) for n = 1..N: the
+        payload view, for the public readers."""
+        family = self.family
+        return _potential_walk(family.tables, family.depth, *_group_ops(self.group))[0]
+
+    @cached_property
+    def _generator_numerators(self) -> tuple[tuple, int]:
+        """The same tables as ints over one denominator L, and L; on int,
+        rat and dy the identity check and the recovery replay read these."""
+        f, den = _numerators(self.family.tables)
+        return _potential_walk(f, self.family.depth, *_INT_OPS)[0], den
 
     def eval_generator(self, n: int, x: Sequence[int]) -> GroupValue:
         """Generator value c(delta_n, x)."""
@@ -309,9 +357,11 @@ GeneratorOracle = Callable[[int, tuple[int, ...]], GroupValue]
 
 
 def _oracle_tables(oracle, count: int, bases, group: Group | None):
-    """The first ``count`` generator tables of a cocycle or raw oracle, and
-    their group; a count, bases or group the oracle cannot answer is a
-    ValueError naming the value given and the one expected."""
+    """The first ``count`` generator tables of a cocycle or raw oracle,
+    their group, and their denominator: on int, rat and dy the tables are
+    int numerators over it, elsewhere payloads and the denominator is None.
+    A count, bases or group the oracle cannot answer is a ValueError naming
+    the value given and the one expected."""
     if isinstance(oracle, InvolutionCocycle):
         limit, what = oracle.family.count, "the cocycle's generator count"
     else:
@@ -325,7 +375,10 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
             raise ValueError(
                 f"group {group!r} does not match the cocycle's group {oracle.group!r}"
             )
-        return oracle._generator_tables[:count], oracle.group
+        if _on_numerators(oracle.group):
+            tables, den = oracle._generator_numerators
+            return tables[:count], oracle.group, den
+        return oracle._generator_tables[:count], oracle.group, None
     size = space_size(bases)
     tables = []
     for n in range(1, count + 1):
@@ -338,26 +391,33 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
                 raise ValueError("oracle values must share one group")
             row.append(v.payload)
         tables.append(tuple(row))
-    return tuple(tables), group
+    if _on_numerators(group):
+        tables, den = _numerators(tables)
+        return tables, group, den
+    return tuple(tables), group, None
 
 
-def _replay(tables, bases, group: Group):
-    """The family read off the leading-zeros cylinders, and the first
-    (n, index, value, replayed value) in n-major order where the tables
-    differ from that family's cocycle, or None.
+def _replay(tables, den: int | None, depth: int, group: Group):
+    """The family tables read off the leading-zeros cylinders, and the
+    first (n, index, value, replayed value) in n-major order where the
+    tables differ from that family's cocycle, or None; both in the tables'
+    representation (numerators over ``den``, or payloads when it is None).
 
     On x_1 = ... = x_n = 0 the family's generator value is f_n itself, so
     f_n is t_n there, extended by invariance; one potential walk rebuilds
     its tables.
     """
     f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
-    family = GeneratorFamily(bases, group, f)
-    equal = group.values_equal
-    for n, (table, replayed) in enumerate(zip(tables, _potential_walk(family)[0]), start=1):
+    if den is None:
+        ops, equal = _group_ops(group), group.values_equal
+    else:
+        ops, equal = _INT_OPS, operator.eq
+    replayed_tables = _potential_walk(f, depth, *ops)[0]
+    for n, (table, replayed) in enumerate(zip(tables, replayed_tables), start=1):
         for i, (v, w) in enumerate(zip(table, replayed)):
             if not equal(v, w):
-                return family, (n, i, v, w)
-    return family, None
+                return f, (n, i, v, w)
+    return f, None
 
 
 def verify_identities(
@@ -393,9 +453,10 @@ def verify_identities(
     elif count is None or bases is None:
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
-    tables, group = _oracle_tables(cocycle, count, bases, group)
-    if group.exact and _replay(tables, bases, group)[1] is None:
+    tables, group, den = _oracle_tables(cocycle, count, bases, group)
+    if group.exact and _replay(tables, den, len(bases), group)[1] is None:
         return IdentityCheck(True)
+    tables = [_as_payloads(table, den, group) for table in tables]
     add, equal, zero = group.add, group.values_equal, group.zero()
     for i in range(space_size(bases)):
         for n, t_n in enumerate(tables, start=1):
@@ -433,15 +494,16 @@ def recover_generators(
     x0 being x with its first N digits zeroed (see ``verify_identities``).
     """
     bases = _check_binary(bases)
-    tables, group = _oracle_tables(oracle, count, bases, group)
-    family, mismatch = _replay(tables, bases, group)
+    tables, group, den = _oracle_tables(oracle, count, bases, group)
+    f, mismatch = _replay(tables, den, len(bases), group)
     if mismatch is not None:
         n, i, v, w = mismatch
+        v, w = _as_payloads((v, w), den, group)
         raise OracleInconsistencyError(
             f"oracle disagrees with its invariance extension at "
             f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
         )
-    return family
+    return GeneratorFamily(bases, group, tuple(_as_payloads(t, den, group) for t in f))
 
 
 def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
@@ -490,10 +552,17 @@ class TransferReport:
         }
 
 
+def _round_table(table, eps: Fraction) -> tuple:
+    """round_to_dyadic at radius eps on every entry, once per distinct value."""
+    rounded = {v: round_to_dyadic(v, eps) for v in set(table)}
+    return tuple(map(rounded.__getitem__, table))
+
+
 def _check_transfer(alpha, beta, g_table, bases) -> None:
     """Raise unless alpha(delta_n, x) = g(delta_n x) + beta(delta_n, x) - g(x)
     at every generator n and prefix x; a word's value sums its letters'
-    generator values along its flip path, so this holds on every word."""
+    generator values along its flip path, so this holds on every word.
+    The tables may hold payloads or numerators over one denominator."""
     for n, (alpha_n, beta_n) in enumerate(zip(alpha, beta), start=1):
         flip = 1 << (n - 1)
         for i, g in enumerate(g_table):
@@ -511,10 +580,13 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     break invariance), and the transfer is the difference of the two
     potentials, g = P(f) - P(fbar) = sum_n x_n (f_n - fbar_n), exact on Q;
     one walk over each family gives its potential and generator tables.
-    The bounds on the radii and on |g| are checked, and so is the
-    cohomology equation at the N generators and every prefix, which gives
-    it on every flip word by telescoping; the check is a theorem for
-    invariant families, so a failure raises.
+    Both walks, g and the checks run on int numerators over one
+    denominator D = lcm(L, 2^k), L being the lcm of the family's
+    denominators and 2^k the rounded family's.  The bounds on the radii
+    and on |g| are checked, and so is the cohomology equation at the N
+    generators and every prefix, which gives it on every flip word by
+    telescoping; the check is a theorem for invariant families, so a
+    failure raises.
     """
     if family.group not in (RATIONALS, DYADICS):
         raise UnsupportedValueError(
@@ -524,8 +596,7 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     group = RATIONALS
     radii = tuple(chain.radii(family.count))
     rounded_tables = tuple(
-        tuple(round_to_dyadic(v, eps) for v in table)
-        for table, eps in zip(family.tables, radii)
+        _round_table(table, eps) for table, eps in zip(family.tables, radii)
     )
     rounded = GeneratorFamily(family.bases, group, rounded_tables)
     base = (
@@ -533,20 +604,23 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
         if family.group == group
         else GeneratorFamily(family.bases, group, family.tables)
     )
-    beta, p_rounded = _potential_walk(rounded)
-    alpha, p_base = _potential_walk(base)
+    nums, den = _numerators(base.tables + rounded.tables)
+    alpha, p_base = _potential_walk(nums[: family.count], family.depth, *_INT_OPS)
+    beta, p_rounded = _potential_walk(nums[family.count :], family.depth, *_INT_OPS)
     g_table = [p - q for p, q in zip(p_base, p_rounded)]
-    transfer = CylinderFunction(family.bases, group, tuple(g_table))
+    transfer = CylinderFunction(family.bases, group, _as_payloads(g_table, den, group))
     report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
-    vars(report.beta)["_generator_tables"] = beta  # the walk's tables, not a second walk
+    # the walk's numerators, not a second walk
+    vars(report.beta)["_generator_numerators"] = beta, den
 
     bound = report.radius_bound
     if bound > chain.eps0:
         raise AssertionError("radius bound exceeds the base radius")
+    limit = floor(bound * den)  # |g| / D > bound exactly when the int |g| > limit
     for i, g in enumerate(g_table):
-        if abs(g) > bound:
+        if abs(g) > limit:
             raise AssertionError(
-                f"transfer value {g} at {index_to_prefix(i, family.bases)} "
+                f"transfer value {Fraction(g, den)} at {index_to_prefix(i, family.bases)} "
                 f"exceeds the bound {bound}"
             )
     _check_transfer(alpha, beta, g_table, family.bases)

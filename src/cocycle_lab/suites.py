@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional
 
 from . import sampling
@@ -23,7 +24,7 @@ from .involution_cocycles import (
     verify_identities,
 )
 from .space import BernoulliMeasure, _tau_sums, binary_bases
-from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag, is_dyadic
+from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
@@ -286,11 +287,17 @@ def odometer_suite(config: ExperimentConfig) -> Report:
     return report
 
 
-def _dyadic_generators(tables) -> bool:
-    """Whether a cocycle with these generator tables is dyadic on every flip
-    word: a word's value is a sum of generator values, and the dyadics are
-    closed under addition."""
-    return all(is_dyadic(v) for table in tables for v in table)
+def _dyadic_generators(tables, den: int) -> bool:
+    """Whether a cocycle whose generator tables hold ints over ``den`` is
+    dyadic on every flip word: a word's value is a sum of generator values,
+    and the dyadics are closed under addition.  v / den reduces to the
+    denominator den // gcd(v, den), which must be a power of two."""
+    for table in tables:
+        for v in table:
+            d = den // gcd(v, den)
+            if d & (d - 1):
+                return False
+    return True
 
 
 def happrox_suite(config: ExperimentConfig) -> Report:
@@ -313,7 +320,7 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         n_gen = rng.randint(1, min(4, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
         result = h_approximate(family, chain)
-        dyadic_ok = _dyadic_generators(result.beta._generator_tables)
+        dyadic_ok = _dyadic_generators(*result.beta._generator_numerators)
         max_g = max(abs(v) for v in result.transfer.table)
         report.add_row(
             family=idx,

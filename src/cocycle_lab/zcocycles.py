@@ -219,9 +219,12 @@ def periodic_coboundary(
     base point, summing a-hat(P, .); without towers the indices are
     scanned upward and each one not yet reached is its orbit's least.
     Raises PeriodicityError when an orbit's accumulated jump wraps the
-    cycle with a nonzero cycle sum, in which case no transfer exists.
+    cycle with a nonzero cycle sum, in which case no transfer exists, and
+    DepthError when the element or the towers live on another model.
     """
     steps = extend_to_full_group(a, element).table
+    if towers is not None and towers.model != a.model:
+        raise DepthError("tower decomposition lives on a different model")
     group = a.group
     perm = element.permutation
     table = [None] * a.model.size

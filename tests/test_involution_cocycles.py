@@ -1,6 +1,7 @@
 """Generator families, the flip-group cocycle formula, and dyadic approximation."""
 
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -8,12 +9,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cocycle_lab import involution_cocycles
 from cocycle_lab.dynamics import Odometer, delta_permutation
 from cocycle_lab.involution_cocycles import (
+    _INT_OPS,
     ConjugationError,
     GeneratorFamily,
+    TransferReport,
+    _as_payloads,
     _chain,
     _check_transfer,
+    _group_ops,
+    _numerators,
+    _on_numerators,
     _potential_walk,
     InvarianceError,
     InvolutionCocycle,
@@ -40,6 +48,7 @@ from cocycle_lab.values import (
     NeighborhoodChain,
     group_from_tag,
     is_dyadic,
+    round_to_dyadic,
 )
 from cocycle_lab.zcocycles import ZCocycle, coboundary_solve
 
@@ -174,6 +183,11 @@ def literal_generator_tables(family):
     return tuple(tables)
 
 
+def walk(fam):
+    """The potential walk on the family's payloads, with its group's operations."""
+    return _potential_walk(fam.tables, fam.depth, *_group_ops(fam.group))
+
+
 def _assert_walk_is_literal(fam):
     walked, literal = InvolutionCocycle(fam)._generator_tables, literal_generator_tables(fam)
     assert walked == literal
@@ -210,7 +224,7 @@ def test_potential_is_minus_psi_and_its_coboundary_is_the_cocycle():
         group = group_from_tag(tag)
         for depth, count in ((1, 1), (3, 2), (4, 4), (5, 3), (6, 6)):
             fam = invariant_family(random.Random(depth), depth, count, group)
-            tables, potential = _potential_walk(fam)
+            tables, potential = walk(fam)
             for i, x in enumerate(iter_prefixes(fam.bases)):
                 assert potential[i] == group.neg(psi(count, fam, x).payload)
                 for n, table in enumerate(tables, start=1):
@@ -222,7 +236,7 @@ def test_walk_on_the_reals_is_the_literal_formula_up_to_rounding():
     for depth in range(1, 8):
         for count in range(1, depth + 1):
             fam = invariant_family(random.Random(depth * 10 + count), depth, count, APPROX_REALS)
-            walked, literal = _potential_walk(fam)[0], literal_generator_tables(fam)
+            walked, literal = walk(fam)[0], literal_generator_tables(fam)
             for n in range(1, count + 1):
                 for i in range(1 << depth):
                     w, v = walked[n - 1][i], literal[n - 1][i]
@@ -700,7 +714,7 @@ def test_dyadic_generators_agree_with_the_word_walk():
     verdicts = set()
     for tables, size in cases:
         expected = scan_dyadic(tables, size)
-        assert _dyadic_generators(tables) == expected
+        assert _dyadic_generators(*_numerators(tables)) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -790,3 +804,284 @@ def test_transport_involution_rejects_odometer_rotation():
     rotation = tuple((i + 1) % 8 for i in range(8))
     with pytest.raises(ConjugationError):
         transport(c, rotation)
+
+
+# --- integer-numerator kernels against the Fraction kernels ----------------------------------
+# The payload bodies of the walk, the replay, the transfer check and the
+# dyadic approximation, kept literally as oracles: on int, rat and dy the
+# package now runs them on int numerators over one denominator.
+
+
+def fraction_potential_walk(family):
+    group = family.group
+    add, sub, neg = group.add, group.sub, group.neg
+    size = 1 << family.depth
+    potential = [group.zero()] * size
+    tables = []
+    for n, f in enumerate(family.tables, start=1):
+        flip = 1 << (n - 1)
+        table = [None] * size
+        for start in range(0, size, flip << 1):
+            # x_1 = ... = x_n = 0 at start
+            f_n = potential[start + flip] = table[start] = f[start >> n]
+            table[start + flip] = neg(f_n)
+            for i in range(start + 1, start + flip):
+                up = potential[i + flip] = add(potential[i + flip], f_n)
+                table[i] = v = sub(up, potential[i])
+                table[i + flip] = neg(v)
+        tables.append(tuple(table))
+    return tuple(tables), potential
+
+
+def fraction_replay(tables, bases, group):
+    f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
+    family = GeneratorFamily(bases, group, f)
+    equal = group.values_equal
+    for n, (table, replayed) in enumerate(
+        zip(tables, fraction_potential_walk(family)[0]), start=1
+    ):
+        for i, (v, w) in enumerate(zip(table, replayed)):
+            if not equal(v, w):
+                return family, (n, i, v, w)
+    return family, None
+
+
+def fraction_recover(tables, bases, group):
+    """The recovery as it ran on payload tables: the family, or the
+    OracleInconsistencyError text."""
+    family, mismatch = fraction_replay(tables, bases, group)
+    if mismatch is not None:
+        n, i, v, w = mismatch
+        return (
+            f"oracle disagrees with its invariance extension at "
+            f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
+        )
+    return family
+
+
+def fraction_verify(tables, bases, group):
+    """The identity check as it ran on payload tables: the replay decides,
+    and the (prefix, n, k) scan names the witness."""
+    if fraction_replay(tables, bases, group)[1] is None:
+        return True, None
+    return chain_identities(tables, group, bases)
+
+
+def fraction_check_transfer(alpha, beta, g_table, bases):
+    for n, (alpha_n, beta_n) in enumerate(zip(alpha, beta), start=1):
+        flip = 1 << (n - 1)
+        for i, g in enumerate(g_table):
+            if alpha_n[i] != g_table[i ^ flip] + beta_n[i] - g:
+                raise AssertionError(
+                    f"cohomology equation failed at word {[n]}, "
+                    f"x={index_to_prefix(i, bases)}"
+                )
+
+
+def fraction_h_approximate(family, chain):
+    """h_approximate on Fractions; returns the report and beta's tables."""
+    group = RATIONALS
+    radii = tuple(chain.radii(family.count))
+    rounded_tables = tuple(
+        tuple(round_to_dyadic(v, eps) for v in table)
+        for table, eps in zip(family.tables, radii)
+    )
+    rounded = GeneratorFamily(family.bases, group, rounded_tables)
+    base = (
+        family
+        if family.group == group
+        else GeneratorFamily(family.bases, group, family.tables)
+    )
+    beta, p_rounded = fraction_potential_walk(rounded)
+    alpha, p_base = fraction_potential_walk(base)
+    g_table = [p - q for p, q in zip(p_base, p_rounded)]
+    transfer = CylinderFunction(family.bases, group, tuple(g_table))
+    report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
+
+    bound = report.radius_bound
+    if bound > chain.eps0:
+        raise AssertionError("radius bound exceeds the base radius")
+    for i, g in enumerate(g_table):
+        if abs(g) > bound:
+            raise AssertionError(
+                f"transfer value {g} at {index_to_prefix(i, family.bases)} "
+                f"exceeds the bound {bound}"
+            )
+    fraction_check_transfer(alpha, beta, g_table, family.bases)
+    return report, beta
+
+
+ALL_TAGS = ("int", "rat", "dy", "mod:5", "vec:2", "real")
+
+
+def _same(new, old):
+    assert new == old
+    assert repr(new) == repr(old)  # same payload types, not just equal values
+
+
+def _payload_view(tables, den, group):
+    return tuple(_as_payloads(t, den, group) for t in tables)
+
+
+def _outcome(call, *args):
+    """A call's result, or the text of the error it raised."""
+    try:
+        return call(*args)
+    except (OracleInconsistencyError, AssertionError) as exc:
+        return str(exc)
+
+
+def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
+    group, bases = fam.group, fam.bases
+    tables, potential = fraction_potential_walk(fam)
+    cocycle = InvolutionCocycle(fam)
+    if _on_numerators(group):
+        nums, den = cocycle._generator_numerators
+        _same(_payload_view(nums, den, group), tables)
+        f, den = _numerators(fam.tables)
+        walked, walked_potential = _potential_walk(f, fam.depth, *_INT_OPS)
+        _same(_payload_view(walked, den, group), tables)
+        _same(_as_payloads(walked_potential, den, group), tuple(potential))
+    else:
+        walked, walked_potential = walk(fam)
+        _same(walked, tables)
+        _same(walked_potential, potential)
+    # the recovery and the identity check, from the cocycle and from a raw oracle
+    expected = fraction_recover(tables, bases, group)
+    for oracle in (cocycle, _raw_oracle(tables, group, bases)):
+        recovered = recover_generators(oracle, fam.count, bases, group)
+        _same(recovered.tables, expected.tables)
+        _same(recovered.tables, fam.tables)
+    assert verify_identities(cocycle).ok
+    # on int, rat and dy no payload view is built on these paths
+    assert ("_generator_tables" in vars(cocycle)) != _on_numerators(group)
+    _same(cocycle._generator_tables, tables)
+    if group not in (RATIONALS, DYADICS):
+        return
+    for eps0 in eps0s:
+        chain = NeighborhoodChain(eps0)
+        report, beta = fraction_h_approximate(fam, chain)
+        new = h_approximate(fam, chain)
+        assert json.dumps(new.to_json()).encode() == json.dumps(report.to_json()).encode()
+        _same(new.transfer.table, report.transfer.table)
+        _same(new.rounded_family.tables, report.rounded_family.tables)
+        assert "_generator_tables" not in vars(new.beta)
+        nums, den = new.beta._generator_numerators
+        _same(_payload_view(nums, den, RATIONALS), beta)
+        _same(new.beta._generator_tables, beta)
+        assert _dyadic_generators(nums, den)
+        # the rounding runs once per distinct value, and is round_to_dyadic on every entry
+        for table, rounded, eps in zip(fam.tables, new.rounded_family.tables, new.radii):
+            _same(rounded, tuple(round_to_dyadic(v, eps) for v in table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from(ALL_TAGS),
+    depth=st.integers(1, 10),
+    count=st.integers(1, 10),
+    span=st.sampled_from((2, 8, 30)),
+    seed=st.integers(0, 2**16),
+)
+@example(tag="rat", depth=10, count=10, span=8, seed=0)
+@example(tag="int", depth=10, count=4, span=8, seed=1)
+@example(tag="real", depth=9, count=9, span=8, seed=2)
+def test_numerator_kernels_match_the_fraction_kernels(tag, depth, count, span, seed):
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(seed), depth, min(count, depth), group, span)
+    _assert_kernels_match(fam, (Fraction(1, 4), Fraction(5, 7), Fraction(1, 1024)))
+
+
+def _primes(count):
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def coprime_family(depth, count, seed):
+    """A rat family whose entries have pairwise-coprime odd prime denominators."""
+    rng = random.Random(seed)
+    sizes = [1 << (depth - n) for n in range(1, count + 1)]
+    primes = iter(_primes(sum(sizes) + 1)[1:])
+
+    def entry(p):
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, min(p - 1, 50)), p)
+
+    tables = tuple(tuple(entry(next(primes)) for _ in range(size)) for size in sizes)
+    return GeneratorFamily((2,) * depth, RATIONALS, tables)
+
+
+@pytest.mark.parametrize("depth, count", [(7, 7), (8, 3), (8, 8)])
+def test_numerator_kernels_on_pairwise_coprime_denominators(depth, count):
+    fam = coprime_family(depth, count, depth * 10 + count)
+    den = _numerators(fam.tables)[1]
+    assert len(str(den)) > 200  # exact big ints, no size cutoff
+    _assert_kernels_match(fam, (Fraction(1, 4), Fraction(1, 3), Fraction(1, 1 << 20)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from(EXACT_TAGS),
+    depth=st.integers(1, 6),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 63), st.integers(0, 2**16)),
+                   min_size=1, max_size=3),
+)
+@example(tag="rat", depth=3, count=2, seed=0, edits=[(1, 5, 7)])
+def test_edited_raw_tables_fail_as_the_fraction_kernels_do(tag, depth, count, seed, edits):
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(seed), depth, min(count, depth), group)
+    tables = [list(t) for t in fraction_potential_walk(fam)[0]]
+    for n, i, s in edits:
+        tables[n % len(tables)][i % len(tables[0])] = payload(random.Random(s), group, 2)
+    tables = tuple(map(tuple, tables))
+    oracle = _raw_oracle(tables, group, fam.bases)
+    old = fraction_recover(tables, fam.bases, group)
+    new = _outcome(recover_generators, oracle, len(tables), fam.bases, group)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        _same(new.tables, old.tables)
+    check = verify_identities(oracle, len(tables), fam.bases, group)
+    assert (check.ok, check.witness) == fraction_verify(tables, fam.bases, group)
+    assert repr(check.witness) == repr(fraction_verify(tables, fam.bases, group)[1])
+
+
+def test_an_edit_on_coprime_denominators_fails_as_the_fraction_kernels_do():
+    fam = coprime_family(7, 5, 3)
+    tables = [list(t) for t in fraction_potential_walk(fam)[0]]
+    tables[2][37] += Fraction(1, 7919)
+    tables = tuple(map(tuple, tables))
+    oracle = _raw_oracle(tables, RATIONALS, fam.bases)
+    old = fraction_recover(tables, fam.bases, RATIONALS)
+    assert old.startswith("oracle disagrees with its invariance extension at n=3, ")
+    assert _outcome(recover_generators, oracle, 5, fam.bases, RATIONALS) == old
+    check = verify_identities(oracle, 5, fam.bases, RATIONALS)
+    assert not check.ok
+    assert repr(check.witness) == repr(fraction_verify(tables, fam.bases, RATIONALS)[1])
+
+
+def test_a_transfer_past_its_bound_raises_as_the_fraction_kernel_does(monkeypatch):
+    # a rounding that overshoots its radius: the |g| bound is what catches it
+    def overshoot(value, eps, rounding=round_to_dyadic):
+        return rounding(value, eps) + 3 * eps
+
+    monkeypatch.setattr(involution_cocycles, "round_to_dyadic", overshoot)
+    monkeypatch.setitem(globals(), "round_to_dyadic", overshoot)
+    for fam in (invariant_family(random.Random(5), 5, 3, RATIONALS), coprime_family(6, 4, 1)):
+        chain = NeighborhoodChain(Fraction(1, 4))
+        old = _outcome(fraction_h_approximate, fam, chain)
+        assert old.startswith("transfer value ") and " exceeds the bound " in old
+        assert _outcome(h_approximate, fam, chain) == old
+
+
+def test_dyadic_generators_read_numerators_over_a_shared_denominator():
+    # 3/12 = 1/4 is dyadic although 12 is not a power of two; 2/12 = 1/6 is not
+    assert _dyadic_generators(((3, -9, 0), (6, 12)), 12)
+    assert not _dyadic_generators(((3, -9, 0), (6, 2)), 12)
+    assert not _dyadic_generators(((1,),), 3)
+    assert _dyadic_generators(((5,),), 1 << 40)

@@ -465,6 +465,19 @@ def test_periodic_coboundary_oracle_examples_cover_every_outcome():
         periodic_coboundary(p, ZCocycle(Odometer.binary(3), PM1))
 
 
+@pytest.mark.parametrize("tower_depth", [2, 4])
+def test_periodic_coboundary_refuses_towers_on_another_model(tower_depth):
+    # deeper towers once indexed past the table (a bare IndexError), and
+    # shallower ones returned a table without any error
+    m = Odometer.binary(3)
+    tm = Odometer.binary(tower_depth)
+    towers = towers_from_marker(tm, MarkerSequence(tm).marker_indices(1))
+    a = ZCocycle(m, CylinderFunction.constant((2,), INTEGERS, 0))
+    p = periodic_approx(m, MarkerSequence(m).marker_indices(1))
+    with pytest.raises(DepthError, match="^tower decomposition lives on a different model$"):
+        periodic_coboundary(p, a, towers)
+
+
 # --- density of coboundaries ------------------------------------------------------------
 
 
