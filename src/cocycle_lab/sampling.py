@@ -2,12 +2,28 @@
 
 All randomness flows through an explicit ``random.Random`` so that a
 config seed fixes every sampled object exactly.
+
+Stream contract: each table entry consumes exactly the draws of one
+``payload(rng, group, span)`` call (``small_integer_function``: of one
+``rng.randint(lo, hi)``), in table order, so a table and the generator
+state after it equal those of the literal per-entry loop.  ``rng`` must be
+a ``random.Random`` whose ``_randbelow`` is the getrandbits-based one
+(``randint(a, b)`` is ``a + _randbelow(b - a + 1)``, and ``_randbelow(w)``
+draws ``getrandbits(w.bit_length())`` until the result is below w), as on
+CPython 3.10 to 3.13.  On ``int``, ``rat``, ``dy`` and ``mod:m`` the draws
+of a table run through one loop, ``_keys``, over a bound ``getrandbits``:
+an entry's draws combine into one int key, and the value of each key is
+read off a table built once per group and span (on ``mod:m`` the key is
+the value).  ``real`` and ``vec:d`` draw each entry through ``payload``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import cycle, islice
+from math import prod
 from typing import Sequence
 
 from .involution_cocycles import GeneratorFamily
@@ -43,22 +59,119 @@ def payload(rng: random.Random, group: Group, span: int = 8):
     raise TypeError(f"no sampler for group {group!r}")
 
 
+def _keys(rng: random.Random, widths: tuple[int, ...], n: int) -> list[int]:
+    """The keys of n entries, each drawing ``rng._randbelow(w)`` for w in ``widths``.
+
+    The draws of an entry are the digits of its key, first draw most
+    significant (radix ``widths``).  One loop over a bound ``getrandbits``
+    consumes the generator exactly as the ``_randbelow`` calls would; a
+    width of 1 still draws.
+    """
+    getrandbits = rng.getrandbits
+    spec = [(w, w.bit_length(), prod(widths[i + 1 :])) for i, w in enumerate(widths)]
+    draws = []
+    append = draws.append
+    for w, k, place in islice(cycle(spec), n * len(spec)):
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        append(r * place)
+    if len(spec) == 1:
+        return draws
+    return list(map(sum, zip(*[iter(draws)] * len(spec))))
+
+
+@cache
+def _value_table(group: Group, span: int) -> tuple[tuple[int, ...], tuple]:
+    """The draw widths of one ``payload(rng, group, span)`` entry and the value of each key."""
+    if group == INTEGERS:
+        lo, hi = -span // 2, span // 2
+        return (hi - lo + 1,), tuple(range(lo, hi + 1))
+    if group == RATIONALS:
+        return (2 * span + 1, span), tuple(
+            Fraction(a - span, b + 1) for a in range(2 * span + 1) for b in range(span)
+        )
+    return (2 * span + 1, 4), tuple(
+        Fraction(a - span, 1 << b) for a in range(2 * span + 1) for b in range(4)
+    )
+
+
+def _keyed(group: Group, span: int):
+    """(widths, values) when ``payload`` draws a group entry as one key, else None.
+
+    ``values[key]`` is the entry (on ``mod:m`` the key itself).  None on
+    ``real`` and ``vec:d``, and wherever ``span`` leaves a width below 1, so
+    that the literal ``payload`` call runs there and raises as it always has.
+    """
+    if isinstance(group, ModularGroup):
+        return (group.modulus,), range(group.modulus)
+    if not (group in (INTEGERS, RATIONALS, DYADICS) and type(span) is int):
+        return None
+    widths, values = _value_table(group, span)
+    return (widths, values) if min(widths) >= 1 else None
+
+
+def _payloads(rng: random.Random, group: Group, span: int, n: int) -> list:
+    """n entries, equal to n literal ``payload(rng, group, span)`` calls."""
+    keyed = _keyed(group, span)
+    if keyed is None:
+        return [payload(rng, group, span) for _ in range(n)]
+    widths, values = keyed
+    return list(map(values.__getitem__, _keys(rng, widths, n)))
+
+
 def cylinder_function(
     rng: random.Random, bases: Sequence[int], group: Group, span: int = 8
 ) -> CylinderFunction:
     bases = tuple(bases)
-    return CylinderFunction(
-        bases, group, tuple(payload(rng, group, span) for _ in range(space_size(bases)))
-    )
+    return CylinderFunction(bases, group, _payloads(rng, group, span, space_size(bases)))
+
+
+@cache
+def _sum_table(group: Group, span: int, h_span: int) -> tuple[int, tuple]:
+    """(h width, sums): f key * width + h key -> the sum of the two values.
+
+    Equal sums share one object: on ``rat`` the 1,360 pairs of spans 8 and
+    2 have 219 distinct sums.
+    """
+    f, h = _value_table(group, span)[1], _value_table(group, h_span)[1]
+    seen = {}
+    return len(h), tuple(seen.setdefault(s, s) for s in (group.add(a, b) for a in f for b in h))
+
+
+def perturbed_pair(
+    rng: random.Random, bases: Sequence[int], group: Group
+) -> tuple[CylinderFunction, CylinderFunction]:
+    """f and g = f + h for a random f and a small random perturbation h.
+
+    Equal to ``f = cylinder_function(rng, bases, group)`` followed by
+    ``g = f + cylinder_function(rng, bases, group, span=2)``, in draws and
+    in values, which is what runs on ``mod:m``, ``real`` and ``vec:d``.  On
+    ``int``, ``rat`` and ``dy`` an entry of g is read from a table from the
+    (f key, h key) pair to the sum, built once per process.
+    """
+    bases = tuple(bases)
+    span, h_span = 8, 2
+    if group not in (INTEGERS, RATIONALS, DYADICS):
+        f = cylinder_function(rng, bases, group, span)
+        return f, f + cylinder_function(rng, bases, group, h_span)
+    widths, values = _value_table(group, span)
+    n = space_size(bases)
+    f_keys = _keys(rng, widths, n)
+    f = CylinderFunction(bases, group, list(map(values.__getitem__, f_keys)))
+    h_keys = _keys(rng, _value_table(group, h_span)[0], n)
+    width, sums = _sum_table(group, span, h_span)
+    return f, CylinderFunction(bases, group, [sums[a * width + b] for a, b in zip(f_keys, h_keys)])
 
 
 def small_integer_function(
     rng: random.Random, bases: Sequence[int], lo: int = -1, hi: int = 1
 ) -> CylinderFunction:
     bases = tuple(bases)
-    return CylinderFunction(
-        bases, INTEGERS, tuple(rng.randint(lo, hi) for _ in range(space_size(bases)))
-    )
+    if hi < lo:
+        rng.randint(lo, hi)  # raises randrange's empty-range ValueError, drawing nothing
+    keys = _keys(rng, (hi - lo + 1,), space_size(bases))
+    return CylinderFunction(bases, INTEGERS, [lo + k for k in keys])
 
 
 def coboundary_generator(
@@ -84,19 +197,17 @@ def invariant_family(
     """A generator family with the structural invariance built in."""
     if count > depth:
         raise ValueError("family size cannot exceed the depth")
-    tables = tuple(
-        tuple(payload(rng, group, span) for _ in range(1 << (depth - n)))
-        for n in range(1, count + 1)
-    )
+    tables = tuple(_payloads(rng, group, span, 1 << (depth - n)) for n in range(1, count + 1))
     return GeneratorFamily((2,) * depth, group, tables)
 
 
 def bernoulli_measure(rng: random.Random, bases: Sequence[int]) -> BernoulliMeasure:
     """Product measure with random positive rational weights."""
     bases = tuple(bases)
+    draws = iter(_keys(rng, (6,), sum(bases)))
     rows = []
     for b in bases:
-        cuts = [rng.randint(1, 6) for _ in range(b)]
+        cuts = [1 + k for k in islice(draws, b)]
         total = sum(cuts)
         rows.append(tuple(Fraction(c, total) for c in cuts))
     return BernoulliMeasure(bases, tuple(rows))

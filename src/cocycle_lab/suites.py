@@ -237,8 +237,7 @@ def topology_suite(config: ExperimentConfig) -> Report:
     report.header["epsilon_max"] = config.epsilon_max
     antecedents = 0
     for case in range(count):
-        f = sampling.cylinder_function(rng, config.bases, group)
-        g = f + sampling.cylinder_function(rng, config.bases, group, span=2)
+        f, g = sampling.perturbed_pair(rng, config.bases, group)
         mu = sampling.bernoulli_measure(rng, config.bases)
         eps = Fraction(rng.randint(1, 8), 8) * config.epsilon_max
         delta = Fraction(rng.randint(1, 8), 8)

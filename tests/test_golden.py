@@ -5,7 +5,10 @@ The sha256 digest of the JSON report of
 and its exit code were recorded before the closed-form kernels replaced
 the tower and full-group chain; refactors must leave every cell unchanged.
 (``happrox`` needs the rational group: its other cells are usage errors,
-exit 2 with empty output.)
+exit 2 with empty output.)  The ``real`` cells, which pin the float
+fallback that draws one ``rng.uniform`` per entry, were recorded later, on
+the code as it stood before the exact groups' draws moved to one
+``getrandbits`` loop; they are the same on CPython 3.10 to 3.13.
 """
 
 import contextlib
@@ -92,6 +95,23 @@ GOLDEN = {
     ("topology", "vec:2", 0): (0, "4c29c908145446553b4f03efc10cb93e9ef32f6dfd56ed3bbc65e062a1686da7"),
     ("topology", "vec:2", 1): (0, "bba6f143832b7cc87b8a968863b17b6f68a096b03ac07c00dcf03b1ba5e81eb1"),
     ("topology", "vec:2", 2): (0, "204417997146fe324f0beeccbb3b0b5ca09aecd190a9ac165569a5863509b4ac"),
+    # The float fallback (one rng.uniform per entry), recorded before input
+    # sampling moved to one getrandbits draw loop.
+    ("density", "real", 0): (0, "6b827c0cdf429ec01245cd7f87a3277b1bb682f56810feb355fd1e2d530bac99"),
+    ("density", "real", 1): (0, "bd3b1ed5b80a26fbd3c6a052c0b39d0c7bcb1e18e9bc4e1f12d0884e70ed7048"),
+    ("density", "real", 2): (0, "78f41bf05e37768f01724c6456b08810cb527d606b5818013949c14fb6879b54"),
+    ("gh", "real", 0): (0, "b1652b3e862ac7ef061bcbb7339fffb8b62cffd93015a272fe4c98a24c2541e1"),
+    ("gh", "real", 1): (0, "c6d2916dce3c592ecbcfc0d90ff54b395ef62a73fcd5733e4214e64e9a10a983"),
+    ("gh", "real", 2): (0, "a78efbb57820841483cf02ab3b18ba8da31ccf0c2e8d904bce3274de1535656f"),
+    ("happrox", "real", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "real", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "real", 2): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("odometer", "real", 0): (0, "81ba4e12dedc4ae8ef1228067569389600027dfce8d170ba8a1bcc3b32be5be8"),
+    ("odometer", "real", 1): (0, "9c3d139c95ba5c1abfbd8185b1f98166b6d2dccdd63547bbdfca85e558d41e45"),
+    ("odometer", "real", 2): (0, "a615f53371aaba39b33f1d8358ff852a103e8e32509218b3ef1cbe7f4de1910e"),
+    ("topology", "real", 0): (0, "65a7e0530c72d323a681017017d691c227fbac5168d7d66483a3f6b71a542451"),
+    ("topology", "real", 1): (0, "d678faaf791566610c6ea029ffbf386877cbcf980a0e70fb09f660ad2f10d76e"),
+    ("topology", "real", 2): (0, "fe622e6cd4a7ada7d4a2478b357d314dbe0ba722b79f33187faa11270c9da464"),
 }
 
 
