@@ -41,6 +41,15 @@ from .values import NeighborhoodChain, UnsupportedValueError, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
+def _message(exc: Exception) -> str:
+    """An error's text, naming the interpreter's int digit limit (which
+    the CLI keeps: past it int <-> text is quadratic) in the CLI's words."""
+    if "integer string conversion" not in str(exc):
+        return str(exc)
+    limit = sys.get_int_max_str_digits()
+    return f"an exact value exceeds the interpreter's {limit}-digit limit for an integer's text"
+
+
 def _decode(path: str, parse):
     """``parse`` of a JSON input file; malformed content is a usage error
     naming the file (an unreadable file stays an OSError)."""
@@ -48,7 +57,7 @@ def _decode(path: str, parse):
     try:
         return parse(json.loads(text))
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{path}: {exc}") from exc
+        raise UsageError(f"{path}: {_message(exc)}") from exc
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -145,6 +154,8 @@ def _cmd_density(args) -> int:
     markers = MarkerSequence(a.model)
     n_max = args.n_max if args.n_max is not None else markers.max_index
     if n_max > markers.max_index:
+        if markers.max_index < 1:
+            raise UsageError(f"the density rows need depth >= 2, got depth {a.model.depth}")
         raise UsageError(f"--n-max must lie in 1..{markers.max_index}, got {n_max}")
     measures = (
         _decode(args.measures, lambda ms: [measure_from_json(m) for m in ms])
@@ -266,7 +277,7 @@ def main(argv=None) -> int:
         _check_counts(args)
         return args.handler(args)
     except (OSError, KeyError, ValueError) as exc:  # UsageError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
     except AssertionError as exc:  # a kernel self-check failed; the message is the witness
         print(f"error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import floor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .dynamics import delta_apply
 from .space import (
@@ -207,23 +207,12 @@ def word_apply_index(word: Iterable[int], i: int) -> int:
     return i
 
 
-_INT_OPS = (0, operator.add, operator.sub, operator.neg)
-
-
-def _group_ops(group: Group) -> tuple:
-    """zero, add, sub and neg of a group, for ``_potential_walk`` on payloads."""
-    return group.zero(), group.add, group.sub, group.neg
-
-
-def _on_numerators(group: Group) -> bool:
-    """Whether the kernels run on int numerators over one denominator: on
-    int, rat and dy, where sums and comparisons then need no gcd."""
-    return group.tag in ("int", "rat", "dy")
-
-
-def _numerators(tables) -> tuple[tuple, int]:
-    """Exact rational tables as int tables over L, the lcm of all their
-    reduced denominators (L = 1 on int), and L."""
+def _kernel_form(tables, group: Group) -> tuple[tuple, int | None]:
+    """Tables in the kernels' representation, and its denominator: on a
+    ``rational`` group int tables over the lcm L of all their reduced
+    denominators (L = 1 on int); elsewhere the payload tables, and None."""
+    if not group.rational:
+        return tuple(tables), None
     flat, den = _integer_numerators([v for table in tables for v in table])
     flat = iter(flat)
     return tuple(tuple(islice(flat, len(table))) for table in tables), den
@@ -238,13 +227,11 @@ def _as_payloads(values, den: int | None, group: Group) -> tuple:
     return tuple(Fraction(v, den) for v in values)
 
 
-def _potential_walk(f_tables, depth: int, zero, add, sub, neg) -> tuple[tuple, list]:
+def _potential_walk(f_tables, depth: int, group: Group, den: int | None) -> tuple[tuple, list]:
     """The generator tables c(delta_n, .) for n = 1..N and the potential P
-    of the family with tables ``f_tables`` at ``depth``.
-
-    The caller picks the representation: payloads with the group's
-    operations (``_group_ops``), or int numerators over one denominator
-    with ``_INT_OPS``; the tables come back in the same one.
+    of the family with tables ``f_tables`` at ``depth``, in their kernel
+    form: payloads under the group's operations when ``den`` is None, int
+    numerators over ``den`` under int ones otherwise.
 
     P_n = x_1 f_1 + ... + x_n f_n is one running table: step n adds f_n
     where x_n = 1.  The terms k > n of P ignore digit n, so
@@ -253,6 +240,10 @@ def _potential_walk(f_tables, depth: int, zero, add, sub, neg) -> tuple[tuple, l
     on both sides, so the entry there is f_n itself, written without
     arithmetic: exact even in floats.
     """
+    if den is None:
+        zero, add, sub, neg = group.zero(), group.add, group.sub, group.neg
+    else:
+        zero, add, sub, neg = 0, operator.add, operator.sub, operator.neg
     size = 1 << depth
     potential = [zero] * size
     tables = []
@@ -304,18 +295,17 @@ class InvolutionCocycle:
         return self.family.bases
 
     @cached_property
-    def _generator_tables(self) -> tuple:
-        """Full-depth value tables of c(delta_n, .) for n = 1..N: the
-        payload view, for the public readers."""
-        family = self.family
-        return _potential_walk(family.tables, family.depth, *_group_ops(self.group))[0]
+    def _kernel_tables(self) -> tuple[tuple, int | None]:
+        """Full-depth value tables of c(delta_n, .) for n = 1..N from the one
+        potential walk, in kernel form (``_kernel_form``), and their denominator."""
+        f, den = _kernel_form(self.family.tables, self.group)
+        return _potential_walk(f, self.family.depth, self.group, den)[0], den
 
     @cached_property
-    def _generator_numerators(self) -> tuple[tuple, int]:
-        """The same tables as ints over one denominator L, and L; on int,
-        rat and dy the identity check and the recovery replay read these."""
-        f, den = _numerators(self.family.tables)
-        return _potential_walk(f, self.family.depth, *_INT_OPS)[0], den
+    def _generator_tables(self) -> tuple:
+        """The payload view of ``_kernel_tables``, for the public readers."""
+        tables, den = self._kernel_tables
+        return tuple(_as_payloads(table, den, self.group) for table in tables)
 
     def eval_generator(self, n: int, x: Sequence[int]) -> GroupValue:
         """Generator value c(delta_n, x)."""
@@ -353,13 +343,10 @@ class IdentityCheck:
     witness: Optional[dict] = None
 
 
-GeneratorOracle = Callable[[int, tuple[int, ...]], GroupValue]
-
-
 def _oracle_tables(oracle, count: int, bases, group: Group | None):
     """The first ``count`` generator tables of a cocycle or raw oracle,
-    their group, and their denominator: on int, rat and dy the tables are
-    int numerators over it, elsewhere payloads and the denominator is None.
+    their group, and their denominator, in the kernel form of
+    ``_kernel_form``: a cocycle's are its cached walk.
     A count, bases or group the oracle cannot answer is a ValueError naming
     the value given and the one expected."""
     if isinstance(oracle, InvolutionCocycle):
@@ -375,10 +362,8 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
             raise ValueError(
                 f"group {group!r} does not match the cocycle's group {oracle.group!r}"
             )
-        if _on_numerators(oracle.group):
-            tables, den = oracle._generator_numerators
-            return tables[:count], oracle.group, den
-        return oracle._generator_tables[:count], oracle.group, None
+        tables, den = oracle._kernel_tables
+        return tables[:count], oracle.group, den
     size = space_size(bases)
     tables = []
     for n in range(1, count + 1):
@@ -391,10 +376,8 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
                 raise ValueError("oracle values must share one group")
             row.append(v.payload)
         tables.append(tuple(row))
-    if _on_numerators(group):
-        tables, den = _numerators(tables)
-        return tables, group, den
-    return tuple(tables), group, None
+    tables, den = _kernel_form(tables, group)
+    return tables, group, den
 
 
 def _replay(tables, den: int | None, depth: int, group: Group):
@@ -408,11 +391,8 @@ def _replay(tables, den: int | None, depth: int, group: Group):
     its tables.
     """
     f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
-    if den is None:
-        ops, equal = _group_ops(group), group.values_equal
-    else:
-        ops, equal = _INT_OPS, operator.eq
-    replayed_tables = _potential_walk(f, depth, *ops)[0]
+    replayed_tables = _potential_walk(f, depth, group, den)[0]
+    equal = group.values_equal if den is None else operator.eq
     for n, (table, replayed) in enumerate(zip(tables, replayed_tables), start=1):
         for i, (v, w) in enumerate(zip(table, replayed)):
             if not equal(v, w):
@@ -604,14 +584,14 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
         if family.group == group
         else GeneratorFamily(family.bases, group, family.tables)
     )
-    nums, den = _numerators(base.tables + rounded.tables)
-    alpha, p_base = _potential_walk(nums[: family.count], family.depth, *_INT_OPS)
-    beta, p_rounded = _potential_walk(nums[family.count :], family.depth, *_INT_OPS)
+    nums, den = _kernel_form(base.tables + rounded.tables, group)
+    alpha, p_base = _potential_walk(nums[: family.count], family.depth, group, den)
+    beta, p_rounded = _potential_walk(nums[family.count :], family.depth, group, den)
     g_table = [p - q for p, q in zip(p_base, p_rounded)]
     transfer = CylinderFunction(family.bases, group, _as_payloads(g_table, den, group))
     report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
     # the walk's numerators, not a second walk
-    vars(report.beta)["_generator_numerators"] = beta, den
+    vars(report.beta)["_kernel_tables"] = beta, den
 
     bound = report.radius_bound
     if bound > chain.eps0:

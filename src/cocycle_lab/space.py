@@ -233,7 +233,8 @@ class CylinderFunction:
 def _probabilities(row, length: int, what: str) -> tuple[Fraction, ...]:
     """``row`` as exact rationals, checked to be a probability vector of ``length``."""
     row = tuple(as_fraction(w) for w in row)
-    if len(row) != length or any(w < 0 for w in row) or sum(row) != 1:
+    nums, den = _integer_numerators(row)
+    if len(row) != length or any(n < 0 for n in nums) or sum(nums) != den:
         shown = ", ".join(map(str, row))
         raise ValueError(f"{what} [{shown}] must be {length} nonnegative weights summing to 1")
     return row

@@ -197,6 +197,8 @@ def density_suite(config: ExperimentConfig) -> Report:
     group = config.value_group()
     markers = MarkerSequence(model)
     n_max = config.n_max or model.depth - 1
+    if model.depth < 2:
+        raise UsageError(f"the density rows need depth >= 2, got depth {model.depth}")
     if not 1 <= n_max <= model.depth - 1:
         raise UsageError(f"n_max must lie in 1..{model.depth - 1}")
     fair = BernoulliMeasure.uniform(config.bases)
@@ -289,14 +291,14 @@ def odometer_suite(config: ExperimentConfig) -> Report:
 def _dyadic_generators(tables, den: int) -> bool:
     """Whether a cocycle whose generator tables hold ints over ``den`` is
     dyadic on every flip word: a word's value is a sum of generator values,
-    and the dyadics are closed under addition.  v / den reduces to the
-    denominator den // gcd(v, den), which must be a power of two."""
+    and the dyadics are closed under addition.  The reduced denominators
+    den // gcd(v, den) are powers of two exactly when their lcm,
+    den // gcd(den, every v), is one."""
+    common = den
     for table in tables:
-        for v in table:
-            d = den // gcd(v, den)
-            if d & (d - 1):
-                return False
-    return True
+        common = gcd(common, *table)
+    d = den // common
+    return d & (d - 1) == 0
 
 
 def happrox_suite(config: ExperimentConfig) -> Report:
@@ -319,7 +321,7 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         n_gen = rng.randint(1, min(4, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
         result = h_approximate(family, chain)
-        dyadic_ok = _dyadic_generators(*result.beta._generator_numerators)
+        dyadic_ok = _dyadic_generators(*result.beta._kernel_tables)
         max_g = max(abs(v) for v in result.transfer.table)
         report.add_row(
             family=idx,

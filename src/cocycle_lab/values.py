@@ -14,7 +14,8 @@ provided:
 
 The metrics on Z/m and Q^d are conventions of this implementation (any
 compatible translation-invariant metric would do); they are fixed so that
-every derived quantity is a reproducible exact rational.  All but Z/m
+every derived quantity is a reproducible exact rational; ``Group.rational``
+marks Z, Q and the dyadics, whose kernels run on int numerators.  All but Z/m
 write their metric as the largest of a few ordered coordinate differences
 (``Group.projections``), which lets diameters and window extrema run in
 linear time.  Float values are compared with ``REPORTING_TOLERANCE`` in
@@ -114,6 +115,7 @@ class Group:
 
     tag: str = "?"
     exact: bool = True
+    rational: bool = False  # payloads are ints or Fractions
 
     def zero(self):
         raise NotImplementedError
@@ -183,6 +185,7 @@ class _ScalarGroup(Group):
 
 class IntegerGroup(_ScalarGroup):
     tag = "int"
+    rational = True
 
     def zero(self):
         return 0
@@ -201,6 +204,7 @@ class IntegerGroup(_ScalarGroup):
 
 class RationalGroup(_ScalarGroup):
     tag = "rat"
+    rational = True
 
     def zero(self):
         return Fraction(0)

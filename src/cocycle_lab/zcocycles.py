@@ -56,7 +56,7 @@ from .space import (
     index_to_prefix,
     tau3_functional,
 )
-from .values import GroupValue, IntegerGroup, RationalGroup, _integer_numerators, _is_int
+from .values import GroupValue, IntegerGroup, _integer_numerators, _is_int
 
 
 #: Longest running-sum list N + 2 scan_to + 1 a gh scan may build; the
@@ -317,7 +317,7 @@ def density_table(
         return []
     group = a.group
     p1 = model.bases[0]
-    if isinstance(group, (IntegerGroup, RationalGroup)):
+    if group.rational:
         weighted = [mu._mass_numerators(model.bases) for mu in measures]
         masses = [(nums[p1 - 1 :: p1], den) for nums, den in weighted]
         return _scalar_density_rows(a, markers, n_max, masses)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -96,8 +97,77 @@ def test_cocycle_density_n_max_beyond_the_markers_is_usage_error(generator_file,
     argv = ["cocycle", "density", "--input", generator_file, "--depth", depth, "--n-max", n_max]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"--n-max must lie in 1..{int(depth) - 1}, got {n_max}" in captured.err
+    if depth == "1":  # no marker at all: say so, not an empty range
+        assert "the density rows need depth >= 2, got depth 1" in captured.err
+        assert "1..0" not in captured.err
+    else:
+        assert f"--n-max must lie in 1..{int(depth) - 1}, got {n_max}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "density", "--depth", "1"],
+        ["run", "density", "--bases", "2"],
+        ["run", "density", "--depth", "1", "--n-max", "1"],
+        ["cocycle", "density", "--input", "GEN", "--n-max", "1"],
+        ["cocycle", "density", "--input", "GEN", "--n-max", "1", "--format", "json"],
+    ],
+)
+def test_density_at_depth_one_says_the_rows_need_depth_two(generator_file, argv, capsys):
+    argv = [generator_file if a == "GEN" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the density rows need depth >= 2, got depth 1\n"
+    assert captured.out == ""
+
+
+def _prime_denominator_generator(depth):
+    """A valid rat generator whose entries 1/p have distinct odd prime denominators p."""
+    primes, k = [], 3
+    while len(primes) < 1 << depth:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 2
+    return CylinderFunction((2,) * depth, RATIONALS, tuple(Fraction(1, p) for p in primes))
+
+
+# CPython limits int <-> decimal text conversion since 3.10.7 and 3.11
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+
+
+@needs_int_limit
+@pytest.mark.parametrize(
+    "command",
+    [["cocycle", "density"], ["cocycle", "density", "--format", "json"], ["cocycle", "solve"]],
+)
+def test_an_exact_value_too_wide_to_print_is_named_in_the_cli_words(tmp_path, command, capsys):
+    # depth 12: tau3 and the cycle sum have over 30,000 digits, past CPython's 4,300
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_prime_denominator_generator(12).to_json()))
+    assert main(command + ["--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: an exact value exceeds the interpreter's "
+        f"{sys.get_int_max_str_digits()}-digit limit for an integer's text\n"
+    )
+    assert "set_int_max_str_digits" not in captured.err
+    assert captured.out == ""
+
+
+@needs_int_limit
+def test_an_input_integer_too_wide_to_read_is_named_in_the_cli_words(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    entry = '{"t": "int", "n": ' + "7" * (sys.get_int_max_str_digits() + 1) + "}"
+    table = '{"bases": [2], "depth": 1, "group": "int", "table": [' + entry + ', {"t": "int", "n": 1}]}'
+    path.write_text(table)
+    assert main(["cocycle", "solve", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: an exact value exceeds the interpreter's ")
+    assert "set_int_max_str_digits" not in captured.err
 
 
 def _bernoulli_record(bases):

@@ -12,16 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from cocycle_lab import involution_cocycles
 from cocycle_lab.dynamics import Odometer, delta_permutation
 from cocycle_lab.involution_cocycles import (
-    _INT_OPS,
     ConjugationError,
     GeneratorFamily,
     TransferReport,
     _as_payloads,
     _chain,
     _check_transfer,
-    _group_ops,
-    _numerators,
-    _on_numerators,
+    _kernel_form,
     _potential_walk,
     InvarianceError,
     InvolutionCocycle,
@@ -185,7 +182,7 @@ def literal_generator_tables(family):
 
 def walk(fam):
     """The potential walk on the family's payloads, with its group's operations."""
-    return _potential_walk(fam.tables, fam.depth, *_group_ops(fam.group))
+    return _potential_walk(fam.tables, fam.depth, fam.group, None)
 
 
 def _assert_walk_is_literal(fam):
@@ -714,7 +711,7 @@ def test_dyadic_generators_agree_with_the_word_walk():
     verdicts = set()
     for tables, size in cases:
         expected = scan_dyadic(tables, size)
-        assert _dyadic_generators(*_numerators(tables)) == expected
+        assert _dyadic_generators(*_kernel_form(tables, RATIONALS)) == expected
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -935,17 +932,13 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
     group, bases = fam.group, fam.bases
     tables, potential = fraction_potential_walk(fam)
     cocycle = InvolutionCocycle(fam)
-    if _on_numerators(group):
-        nums, den = cocycle._generator_numerators
-        _same(_payload_view(nums, den, group), tables)
-        f, den = _numerators(fam.tables)
-        walked, walked_potential = _potential_walk(f, fam.depth, *_INT_OPS)
-        _same(_payload_view(walked, den, group), tables)
-        _same(_as_payloads(walked_potential, den, group), tuple(potential))
-    else:
-        walked, walked_potential = walk(fam)
-        _same(walked, tables)
-        _same(walked_potential, potential)
+    kernel, den = cocycle._kernel_tables
+    assert (den is not None) == group.rational  # numerators exactly on int, rat and dy
+    _same(_payload_view(kernel, den, group), tables)
+    f, den = _kernel_form(fam.tables, group)
+    walked, walked_potential = _potential_walk(f, fam.depth, group, den)
+    _same(_payload_view(walked, den, group), tables)
+    _same(_as_payloads(walked_potential, den, group), tuple(potential))
     # the recovery and the identity check, from the cocycle and from a raw oracle
     expected = fraction_recover(tables, bases, group)
     for oracle in (cocycle, _raw_oracle(tables, group, bases)):
@@ -953,8 +946,8 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
         _same(recovered.tables, expected.tables)
         _same(recovered.tables, fam.tables)
     assert verify_identities(cocycle).ok
-    # on int, rat and dy no payload view is built on these paths
-    assert ("_generator_tables" in vars(cocycle)) != _on_numerators(group)
+    # on every group these paths read the walk and build no payload view
+    assert "_generator_tables" not in vars(cocycle)
     _same(cocycle._generator_tables, tables)
     if group not in (RATIONALS, DYADICS):
         return
@@ -966,7 +959,7 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
         _same(new.transfer.table, report.transfer.table)
         _same(new.rounded_family.tables, report.rounded_family.tables)
         assert "_generator_tables" not in vars(new.beta)
-        nums, den = new.beta._generator_numerators
+        nums, den = new.beta._kernel_tables
         _same(_payload_view(nums, den, RATIONALS), beta)
         _same(new.beta._generator_tables, beta)
         assert _dyadic_generators(nums, den)
@@ -990,6 +983,41 @@ def test_numerator_kernels_match_the_fraction_kernels(tag, depth, count, span, s
     group = group_from_tag(tag)
     fam = invariant_family(random.Random(seed), depth, min(count, depth), group, span)
     _assert_kernels_match(fam, (Fraction(1, 4), Fraction(5, 7), Fraction(1, 1024)))
+
+
+@pytest.mark.parametrize("tag", ["int", "rat", "dy"])
+def test_a_verified_cocycle_walks_once_for_its_checks_and_readers(monkeypatch, tag):
+    walks = []
+    potential_walk = involution_cocycles._potential_walk
+
+    def counted(*args):
+        walks.append(args)
+        return potential_walk(*args)
+
+    monkeypatch.setattr(involution_cocycles, "_potential_walk", counted)
+    fam = invariant_family(random.Random(7), 6, 4, group_from_tag(tag))
+    cocycle = InvolutionCocycle(fam)
+    assert verify_identities(cocycle).ok
+    # the cocycle's own walk, and the replay of the family read back off it
+    assert len(walks) == 2
+    walked = cocycle._kernel_tables
+    for i, x in enumerate(iter_prefixes(fam.bases)):
+        for n in range(1, fam.count + 1):
+            assert cocycle.eval_generator(n, x).payload == Fraction(walked[0][n - 1][i], walked[1])
+        cocycle.eval_word([3, 1, 3, 2], x)
+        cocycle.eval_word({2, 4}, x)
+    assert len(walks) == 2  # the payload view reads the walk; it is no second one
+    assert cocycle._kernel_tables is walked
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("mod", "vec")), arg=st.integers(1, 2**70))
+@example(kind="mod", arg=1)
+@example(kind="vec", arg=1)
+def test_rational_holds_exactly_on_int_rat_and_dy(kind, arg):
+    for tag in ("int", "rat", "dy", "real"):
+        assert group_from_tag(tag).rational == (tag != "real")
+    assert not group_from_tag(f"{kind}:{arg}").rational
 
 
 def _primes(count):
@@ -1017,7 +1045,7 @@ def coprime_family(depth, count, seed):
 @pytest.mark.parametrize("depth, count", [(7, 7), (8, 3), (8, 8)])
 def test_numerator_kernels_on_pairwise_coprime_denominators(depth, count):
     fam = coprime_family(depth, count, depth * 10 + count)
-    den = _numerators(fam.tables)[1]
+    den = _kernel_form(fam.tables, RATIONALS)[1]
     assert len(str(den)) > 200  # exact big ints, no size cutoff
     _assert_kernels_match(fam, (Fraction(1, 4), Fraction(1, 3), Fraction(1, 1 << 20)))
 
