@@ -12,7 +12,9 @@ Subcommands:
 * ``gamma happrox``      -- dyadic-valued cohomologous cocycle
 
 Each subcommand declares only the flags it reads and names its handler;
-only ``run`` and ``cocycle density`` take ``--format``.
+only ``run`` and ``cocycle density`` take ``--format``.  JSON output is
+``json.dumps(obj, indent=2)`` byte for byte, plus a newline, written by
+``suites.render_json``.
 
 Exit codes: 0 when every assertion passes, 1 on an assertion failure (the
 witness is printed; a failed kernel self-check prints ``error:`` and its
@@ -36,7 +38,7 @@ from .involution_cocycles import (
     verify_identities,
 )
 from .space import BernoulliMeasure, CylinderFunction, binary_bases, measure_from_json
-from .suites import CONFIG_FIELDS, ExperimentConfig, UsageError, run as run_suite
+from .suites import CONFIG_FIELDS, ExperimentConfig, UsageError, render_json, run as run_suite
 from .values import NeighborhoodChain, UnsupportedValueError, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
@@ -105,7 +107,7 @@ def _emit(text: str, args) -> None:
 
 
 def _emit_json(obj, args) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", args)
+    _emit(render_json(obj) + "\n", args)
 
 
 def _cmd_run(args) -> int:
@@ -171,7 +173,11 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gh(args) -> int:
-    _emit_json(gh_check(_load_cocycle(args), horizon=args.horizon).to_json(), args)
+    a = _load_cocycle(args)
+    # the report prints the cycle sum: one past the int digit limit is
+    # refused (int-to-text's ValueError) before the scan, not after it
+    render_json(a.cycle_sum.to_json())
+    _emit_json(gh_check(a, horizon=args.horizon).to_json(), args)
     return 0
 
 

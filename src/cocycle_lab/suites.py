@@ -8,11 +8,11 @@ order and fractions are rendered exactly, so reruns are byte-identical.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from math import gcd
+from json.encoder import encode_basestring_ascii as _json_string
+from math import gcd, inf
 from typing import Callable, Optional
 
 from . import sampling
@@ -106,6 +106,86 @@ class ExperimentConfig:
 CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
+def _json_scalar(o) -> str:
+    """JSON text of a str, None, bool, int or float, as ``json.dumps`` writes it."""
+    if isinstance(o, str):
+        return _json_string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == inf:
+            return "Infinity"
+        if o == -inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _write_json(o, put, nl: str, memo: dict) -> None:
+    """Append the text of ``o`` at indentation ``nl`` (a newline and the
+    indent) through ``put``.  A dict of int and str values (a value
+    record) is rendered once per (indentation, items) into ``memo``.
+    Module level, not a closure over ``put``: a closure that calls itself
+    is a reference cycle, which would keep every part alive until the
+    cyclic collector runs."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        put("[")
+        sep, comma = inner, "," + inner
+        for v in o:
+            put(sep)
+            sep = comma
+            _write_json(v, put, inner, memo)
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        for v in o.values():
+            if type(v) is not int and type(v) is not str:
+                break
+        else:  # bools, floats and -0.0 stay out: they compare equal to other values
+            key = (nl, *o.items())
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "{" + inner + ("," + inner).join(
+                    [_json_string(k) + ": " + _json_scalar(v) for k, v in o.items()]
+                ) + nl + "}"
+            put(text)
+            return
+        put("{")
+        sep, comma = inner, "," + inner
+        for k, v in o.items():
+            put(sep + _json_string(k) + ": ")
+            sep = comma
+            _write_json(v, put, inner, memo)
+        put(nl + "}")
+    else:
+        put(_json_scalar(o))
+
+
+def render_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without CPython's
+    pure-Python encoder (which ``indent`` selects): the text of every
+    report and command output.  Dict keys must be str (a TypeError
+    otherwise), as they are in every output."""
+    parts = []
+    _write_json(obj, parts.append, "\n", {})
+    return "".join(parts)
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -162,7 +242,7 @@ class Report:
             "checks": self.checks,
             "passed": self.passed,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return render_json(payload) + "\n"
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]

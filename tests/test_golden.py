@@ -1,4 +1,5 @@
-"""Golden reports: every suite x value group x seed, byte for byte.
+"""Golden outputs, byte for byte: every suite x value group x seed, and
+every JSON-printing command on seeded inputs (``COMMAND_GOLDEN`` below).
 
 The sha256 digest of the JSON report of
 ``run <suite> --depth 5 --count 3 --format json --group <group> --seed <seed>``
@@ -14,10 +15,15 @@ the code as it stood before the exact groups' draws moved to one
 import contextlib
 import hashlib
 import io
+import json
+import random
 
 import pytest
 
+from cocycle_lab import sampling
 from cocycle_lab.cli import main
+from cocycle_lab.space import binary_bases
+from cocycle_lab.values import group_from_tag
 
 GOLDEN = {
     ("density", "int", 0): (0, "7672db3b434cc06bfd7e3ae5a4deacd63e5174ef8cb61061422ff914f66a14c1"),
@@ -125,3 +131,142 @@ def test_golden_report(suite, group, seed):
         )
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert (code, digest) == GOLDEN[suite, group, seed]
+
+
+# The JSON outputs that are not reports: every command that prints JSON, on
+# seeded depth-5 inputs.  ``gen`` is a sampled generator table, ``cob`` a
+# sampled coboundary (so ``cocycle solve`` prints a certificate) and
+# ``family`` a three-generator involution family; the inputs are written
+# compactly and read back by the CLI.  ``gamma happrox`` refuses ``real``,
+# ``mod:5`` and ``vec:2`` (exit 2, empty output).  Recorded before the
+# JSON writer replaced ``json.dumps(indent=2)``.
+COMMANDS = {
+    "eval": ("gen", ["cocycle", "eval", "--j", "3", "--x", "0,1,0,1,1"]),
+    "solve": ("gen", ["cocycle", "solve"]),
+    "solve-cob": ("cob", ["cocycle", "solve"]),
+    "gh": ("gen", ["cocycle", "gh"]),
+    "gh-cob": ("cob", ["cocycle", "gh"]),
+    "density": ("gen", ["cocycle", "density", "--format", "json"]),
+    "verify": ("family", ["gamma", "verify"]),
+    "roundtrip": ("family", ["gamma", "roundtrip"]),
+    "happrox": ("family", ["gamma", "happrox"]),
+}
+
+
+def _command_input(kind, group, seed):
+    rng = random.Random(seed)
+    bases = binary_bases(5)
+    if kind == "gen":
+        return sampling.cylinder_function(rng, bases, group_from_tag(group)).to_json()
+    if kind == "cob":
+        return sampling.coboundary_generator(rng, bases, group_from_tag(group))[0].to_json()
+    return sampling.invariant_family(rng, 5, 3, group_from_tag(group)).to_json()
+
+
+def _command_output(tmp_path, command, group, seed):
+    kind, argv = COMMANDS[command]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(_command_input(kind, group, seed)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--input", str(path)])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+COMMAND_GOLDEN = {
+    ("eval", "rat", 0): (0, "ddb93da5929d7490d887bfa0367fab80836d500e8a8cdbf831a9b277d9cce6d3"),
+    ("eval", "rat", 1): (0, "502b30b8cf6480a16ec1926d72706dc6b089f8737efc09234228e8a035afabac"),
+    ("eval", "dy", 0): (0, "700f36841c46f67c372d7cb93c71750b45e6c06460ca84e2bd74dbcd21e9d026"),
+    ("eval", "dy", 1): (0, "82bcb2b086992f718f46a20930c0a5025832c5a9fd8f28af5110832e4d3c68ea"),
+    ("eval", "real", 0): (0, "71774c8627229193a1b7782fa6c654fdc36e1ec16b05f47cb80de0c51cfb843c"),
+    ("eval", "real", 1): (0, "48084ccb794690f6b1bf52798f9e9586f7bc7efa87cd1ed16d83f9dbe8796131"),
+    ("eval", "mod:5", 0): (0, "0a69d5c54ecdbb32d84698a309c5f8dbecad77c18e20a4f99f4e40de8110431e"),
+    ("eval", "mod:5", 1): (0, "0a69d5c54ecdbb32d84698a309c5f8dbecad77c18e20a4f99f4e40de8110431e"),
+    ("eval", "vec:2", 0): (0, "a403cfbbc7a8ff9b9077d50ed94bda1a4bcdc15f77946ea144d4da4bbe83ff63"),
+    ("eval", "vec:2", 1): (0, "99cfaa1336ca688a8bedebbe2f125ba449019a3f251950751b476603d7905c17"),
+    ("solve", "rat", 0): (0, "a53066adcf4507db543975c0cda7d6a0208c24940845764d3542ee9f6250ae2e"),
+    ("solve", "rat", 1): (0, "890b6f32f90269c4eaa3c7f47afa532d362341474b1fd9eb6f4f8f6670106214"),
+    ("solve", "dy", 0): (0, "f82a7b586480dafadc2af5221cbbda77b314b7ffd0ad45ca03ed95c04de52ff1"),
+    ("solve", "dy", 1): (0, "fcd8c7201af4ba4008be0befe0f2a0a4ed0e88b2de2cdb0a3f5d0d5ca36f4815"),
+    ("solve", "real", 0): (0, "868b9dbca5975574d2537b227b289bbe6e72e689de621e1880e17d252764f6d6"),
+    ("solve", "real", 1): (0, "abc4e452e2eceef73d54dfd8098d42293b84b1dc0611f0b4de4a21e1b77ea738"),
+    ("solve", "mod:5", 0): (0, "589061d1b88bc5d5fc1700ca839ad4ee49d0768e84f494215fe67b1a3c9774ef"),
+    ("solve", "mod:5", 1): (0, "589061d1b88bc5d5fc1700ca839ad4ee49d0768e84f494215fe67b1a3c9774ef"),
+    ("solve", "vec:2", 0): (0, "dd4840827f265d2cd1b41e8c33c151c075e0f71e38bbb2c13b8a9e8555fb8ca3"),
+    ("solve", "vec:2", 1): (0, "f1ce3b60907d87e5a59abdf307bfffea8cb7bcf1d5be7886ee31c01c3b0aa82a"),
+    ("solve-cob", "rat", 0): (0, "825678061f81e96ec448f23098dbee28223f7f1c7c6b4a25265535d2e84fc4d4"),
+    ("solve-cob", "rat", 1): (0, "e4592f2e1bf77f0ed7e28e6b0dd2837f23350fefa3fb93fa3587963936ef77c0"),
+    ("solve-cob", "dy", 0): (0, "d2c27e426cb86b5fd54639c6de4ea5fde7b665453b578d0cea742929d90f77f7"),
+    ("solve-cob", "dy", 1): (0, "f30b88d4e4f0aa1abd6167a8c530bb76e8cabcefd9736b20c07ba7ff13374a3e"),
+    ("solve-cob", "real", 0): (0, "2cabb0d80d7e8dcd4a4fc230fe7bbdfad82753169e1bb45a15d29d5a8ec1677e"),
+    ("solve-cob", "real", 1): (0, "60546474da3c8f718f0951f9cd43a5f1949fcf0428fcb5b8c1c4c253c1f1fb8c"),
+    ("solve-cob", "mod:5", 0): (0, "49138a8e60ca680a93dde2e9efb21d1470e440388548f8bd16d44c956bb43a7c"),
+    ("solve-cob", "mod:5", 1): (0, "d15c040ec535feca66f2bcd0eaf6e906f11a8df9a182cd3854b066c3580eab52"),
+    ("solve-cob", "vec:2", 0): (0, "b70734c04d1cae14226b7e66c197ec19d8630c6739756849c01edc69982b3f21"),
+    ("solve-cob", "vec:2", 1): (0, "e59070775e7a7a3558c4ee68abd61300258ab08157a83e07faffca9347d06754"),
+    ("gh", "rat", 0): (0, "cf7e7d08a65eaa6cde8238f822f3cbd0604cac7915a93b419a4fbf988af63c2f"),
+    ("gh", "rat", 1): (0, "25cdc55566576a3ee434a0155f99120638a747c9141f255c1669b4e6daa49fd6"),
+    ("gh", "dy", 0): (0, "74e7b5fe17ddee54b348bd15552655c4e165e7ebd937af2a894d6d1aee88ae10"),
+    ("gh", "dy", 1): (0, "91e5e19a85aa8da760b851b7ebe763b7ecedd88c6552fdb94b10f534b2e97701"),
+    ("gh", "real", 0): (0, "8a289ede58ec054651493242524160175597be0c01ca2257f22b93fe81b56501"),
+    ("gh", "real", 1): (0, "597da2044c88ea463bc055eff45b3bad5f5a9cc0da3878ee60b62faf8a2b69e1"),
+    ("gh", "mod:5", 0): (0, "9d43a333e89e0cea48a4822cf113f72ef498bbe1857033d8866ff3862efd3b18"),
+    ("gh", "mod:5", 1): (0, "ded25a499eefc30fc9c6f27948d5417d07524671a24d4df49901048270341e84"),
+    ("gh", "vec:2", 0): (0, "6d258f753959d46356a61580bec9d674e5c8974bd01855a135ad53e645d2201d"),
+    ("gh", "vec:2", 1): (0, "b28d4b90bff0790bfeadece6b750c0387feaaa00472dbc4bbcce593baaf8dc46"),
+    ("gh-cob", "rat", 0): (0, "97c7802689a9af196ebf6b5903b30bc9f33f9a1bec249599bb2ec07d500d89f3"),
+    ("gh-cob", "rat", 1): (0, "852d21e2043e20bfbd959a891d1cb4b1dc8cad1cf1c7f2cbf68d16e848a7367b"),
+    ("gh-cob", "dy", 0): (0, "f748da435bc1b43e5b0b3d81b177fcdfba7629c66088c97876d5753b7a5d3c18"),
+    ("gh-cob", "dy", 1): (0, "df3c7b233006f024879795bb2b6373157dd22cb25d59a3b15a0de30dbf752d83"),
+    ("gh-cob", "real", 0): (0, "e593356071e7d36336b4f7a30324d4bebe7399cbbf40f8aacd9f2470974e8676"),
+    ("gh-cob", "real", 1): (0, "afa12129429b82f32d2500909b32e19e09ec6071a4b4e38ae9e5eeae0176eb14"),
+    ("gh-cob", "mod:5", 0): (0, "5b51f0715e76a88fa6d94dc1bb57de079f2ed11981e2becd22cbf5f4559b7bf7"),
+    ("gh-cob", "mod:5", 1): (0, "034b4f89aeedef995f42f2e29df8da2dc849929409d4c99fc46c8ec3ac95082b"),
+    ("gh-cob", "vec:2", 0): (0, "f9ae0e1884f37245823230a2d1e55f77d283196506990e6c1e1e424bbbdb0ac4"),
+    ("gh-cob", "vec:2", 1): (0, "416afcf3725d24b61ed281d9b8a93578eee69dce5f70d1dd61ed6deef4e0638c"),
+    ("density", "rat", 0): (0, "83b9d430b7d76489931218b09e2e16bae9b445900d3d3c528697d1fd6c319ace"),
+    ("density", "rat", 1): (0, "19c72ba4619116de2b5e0f8157b7e2cbe359fb89b42241bb946796fc559545b6"),
+    ("density", "dy", 0): (0, "5a87e1926c5f7196b60aa849d70c2cc9d80d96bdc1bc25d90249bf9a65686f3d"),
+    ("density", "dy", 1): (0, "ae52b303e0c3b4829036b581cf132b06e257079eedb7d0d5fcd5ff89248f15b2"),
+    ("density", "real", 0): (0, "787693e339a2c666a1fa2493c9d975e902c2685182f5469baa6d97f80a4f7b37"),
+    ("density", "real", 1): (0, "531f347c3385e31c52edfd42f49d86d78440413dcc184102051382ceba702fba"),
+    ("density", "mod:5", 0): (0, "1354d1afe487c45a6011e6e9a49988ccbf2b3d8c12cb889529f54c4f6f6d9f46"),
+    ("density", "mod:5", 1): (0, "63de0e21f4c6180a51313f72404abc263285f027951a079a6fd1205825b56180"),
+    ("density", "vec:2", 0): (0, "fe10bdd367cba6053559cb5f986a3e8e3edab7ac1bccc77d6fa915f158efc947"),
+    ("density", "vec:2", 1): (0, "9877e89be9a08c1ea4e81c8f616aeae8edf899e4c222e6d5cef9522c4de8eb3b"),
+    ("verify", "rat", 0): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "rat", 1): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "dy", 0): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "dy", 1): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "real", 0): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "real", 1): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "mod:5", 0): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "mod:5", 1): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "vec:2", 0): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("verify", "vec:2", 1): (0, "f3d813fe7165bb1e12c0780d3441fef8c9dee9a58f61c27d41fecf368e41ea78"),
+    ("roundtrip", "rat", 0): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "rat", 1): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "dy", 0): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "dy", 1): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "real", 0): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "real", 1): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "mod:5", 0): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "mod:5", 1): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "vec:2", 0): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("roundtrip", "vec:2", 1): (0, "12b34da73b0c67a0319e6eddbd3582af66e3b558b4d44e4a6860e0cec20d726f"),
+    ("happrox", "rat", 0): (0, "3871e3d76c15d8c1f1ff1fbeafc8d26c40245e8527b2c4a46f5d71b4513f538a"),
+    ("happrox", "rat", 1): (0, "308d1d1eb24321d12c250ee2e8a1e0271ffbfd9db403680b3ac5b3d3379f9ad5"),
+    ("happrox", "dy", 0): (0, "95589502cdf276b2e2e035a0c49db408a751bff977b75934debe74f5d6315157"),
+    ("happrox", "dy", 1): (0, "2e7bef190b70fbcdf2e1a5a07f15d1c2e9c041dd7716c0b8cab1afa272a7ef1d"),
+    ("happrox", "real", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "real", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "mod:5", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "mod:5", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "vec:2", 0): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("happrox", "vec:2", 1): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("command, group, seed", sorted(COMMAND_GOLDEN))
+def test_golden_command(tmp_path, command, group, seed):
+    assert _command_output(tmp_path, command, group, seed) == COMMAND_GOLDEN[command, group, seed]
