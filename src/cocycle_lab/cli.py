@@ -53,12 +53,15 @@ def _message(exc: Exception) -> str:
 
 
 def _decode(path: str, parse):
-    """``parse`` of a JSON input file; malformed content is a usage error
-    naming the file (an unreadable file stays an OSError)."""
+    """``parse`` of a JSON input file; malformed content, nesting too deep
+    for the interpreter's recursion limit included, is a usage error naming
+    the file (an unreadable file stays an OSError)."""
     text = Path(path).read_text()
     try:
         return parse(json.loads(text))
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise UsageError(f"{path}: {_message(exc)}") from exc
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from math import floor
+from math import floor, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import delta_apply
@@ -61,10 +61,11 @@ from .values import (
     GroupValue,
     NeighborhoodChain,
     UnsupportedValueError,
+    _grid_exponent,
+    _grid_numerator,
     _integer_numerators,
     _is_int,
     group_from_tag,
-    round_to_dyadic,
 )
 from .zcocycles import CoboundaryCertificate, ZCocycle, _spread_bound
 
@@ -532,12 +533,6 @@ class TransferReport:
         }
 
 
-def _round_table(table, eps: Fraction) -> tuple:
-    """round_to_dyadic at radius eps on every entry, once per distinct value."""
-    rounded = {v: round_to_dyadic(v, eps) for v in set(table)}
-    return tuple(map(rounded.__getitem__, table))
-
-
 def _check_transfer(alpha, beta, g_table, bases) -> None:
     """Raise unless alpha(delta_n, x) = g(delta_n x) + beta(delta_n, x) - g(x)
     at every generator n and prefix x; a word's value sums its letters'
@@ -560,13 +555,13 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     break invariance), and the transfer is the difference of the two
     potentials, g = P(f) - P(fbar) = sum_n x_n (f_n - fbar_n), exact on Q;
     one walk over each family gives its potential and generator tables.
-    Both walks, g and the checks run on int numerators over one
-    denominator D = lcm(L, 2^k), L being the lcm of the family's
-    denominators and 2^k the rounded family's.  The bounds on the radii
-    and on |g| are checked, and so is the cohomology equation at the N
-    generators and every prefix, which gives it on every flip word by
-    telescoping; the check is a theorem for invariant families, so a
-    failure raises.
+    All of it runs on int numerators over D = lcm(L, 2^q), L being the lcm
+    of the family's denominators and 2^-q the finest grid: a dyadic v / D
+    stays, any other goes to its grid point by ``values._grid_numerator``,
+    as ``round_to_dyadic`` rounds.  The bounds on the radii and on |g| are
+    checked, and so is the cohomology equation at the N generators and
+    every prefix, which gives it on every flip word by telescoping; the
+    check is a theorem for invariant families, so a failure raises.
     """
     if family.group not in (RATIONALS, DYADICS):
         raise UnsupportedValueError(
@@ -575,23 +570,28 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
         )
     group = RATIONALS
     radii = tuple(chain.radii(family.count))
-    rounded_tables = tuple(
-        _round_table(table, eps) for table, eps in zip(family.tables, radii)
-    )
-    rounded = GeneratorFamily(family.bases, group, rounded_tables)
-    base = (
-        family
-        if family.group == group
-        else GeneratorFamily(family.bases, group, family.tables)
-    )
-    nums, den = _kernel_form(base.tables + rounded.tables, group)
-    alpha, p_base = _potential_walk(nums[: family.count], family.depth, group, den)
-    beta, p_rounded = _potential_walk(nums[family.count :], family.depth, group, den)
+    f, base_den = _kernel_form(family.tables, group)
+    exponents = [_grid_exponent(eps) for eps in radii]
+    den = lcm(base_den, 1 << max(exponents))
+    if den != base_den:
+        scale = den // base_den
+        f = tuple(tuple(v * scale for v in table) for table in f)
+    f_bar, rounded_tables = [], []
+    for table, q in zip(f, exponents):
+        rounded, step = {}, den >> q
+        for v in set(table):
+            d = den // gcd(v, den)  # the reduced denominator of v / D
+            rounded[v] = v if d & (d - 1) == 0 else _grid_numerator(v, den, q) * step
+        f_bar.append(tuple(map(rounded.__getitem__, table)))
+        payloads = {v: Fraction(w, den) for v, w in rounded.items()}
+        rounded_tables.append(tuple(map(payloads.__getitem__, table)))
+    base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
+    rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
+    alpha, p_base = _potential_walk(f, family.depth, group, den)
+    beta, p_rounded = _potential_walk(f_bar, family.depth, group, den)
     g_table = [p - q for p, q in zip(p_base, p_rounded)]
     transfer = CylinderFunction(family.bases, group, _as_payloads(g_table, den, group))
     report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
-    # the walk's numerators, not a second walk
-    vars(report.beta)["_kernel_tables"] = beta, den
 
     bound = report.radius_bound
     if bound > chain.eps0:

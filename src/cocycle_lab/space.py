@@ -30,7 +30,6 @@ from .values import (
     Group,
     GroupMismatchError,
     GroupValue,
-    RationalGroup,
     _integer_numerators,
     _is_int,
     as_fraction,
@@ -579,16 +578,16 @@ def _metric_law(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> tuple[
     ``law`` maps each distinct metric value p/q, as the reduced pair
     (p, q) of ints, to its mass over D, the denominator of
     ``mu._mass_numerators`` on the aligned bases; cylinders of mass 0 are
-    left out.  On rat and dy the pair is formed from the payloads'
-    numerators and denominators with one gcd, so no Fraction is built;
-    on the other exact groups it is read off ``group.metric`` (on int,
-    |a - b| over 1).
+    left out.  On int, rat and dy (``group.rational``) the pair is formed
+    from the payloads' numerators and denominators with one gcd, so no
+    Fraction is built; on the other exact groups it is read off
+    ``group.metric``.
     """
     f, g = f._aligned(g)
     nums, den = mu._mass_numerators(f.bases)
     law = {}
     get = law.get
-    if isinstance(f.group, RationalGroup):
+    if f.group.rational:
         for a, b, m in zip(f.table, g.table, nums):
             if m:
                 ad, bd = a.denominator, b.denominator

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
-from math import gcd, inf
+from math import inf
 from typing import Callable, Optional
 
 from . import sampling
@@ -24,7 +24,7 @@ from .involution_cocycles import (
     verify_identities,
 )
 from .space import BernoulliMeasure, _tau_sums, binary_bases
-from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag
+from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag, is_dyadic
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
@@ -368,17 +368,11 @@ def odometer_suite(config: ExperimentConfig) -> Report:
     return report
 
 
-def _dyadic_generators(tables, den: int) -> bool:
-    """Whether a cocycle whose generator tables hold ints over ``den`` is
-    dyadic on every flip word: a word's value is a sum of generator values,
-    and the dyadics are closed under addition.  The reduced denominators
-    den // gcd(v, den) are powers of two exactly when their lcm,
-    den // gcd(den, every v), is one."""
-    common = den
-    for table in tables:
-        common = gcd(common, *table)
-    d = den // common
-    return d & (d - 1) == 0
+def _dyadic_family(family) -> bool:
+    """Whether a rational family, and so its cocycle on every flip word, is
+    dyadic: the cocycle's values are integer combinations of the family's,
+    and on x_1 = ... = x_n = 0 its value at delta_n is f_n itself."""
+    return all(is_dyadic(v) for table in family.tables for v in table)
 
 
 def happrox_suite(config: ExperimentConfig) -> Report:
@@ -401,7 +395,7 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         n_gen = rng.randint(1, min(4, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
         result = h_approximate(family, chain)
-        dyadic_ok = _dyadic_generators(*result.beta._kernel_tables)
+        dyadic_ok = _dyadic_family(result.rounded_family)
         max_g = max(abs(v) for v in result.transfer.table)
         report.add_row(
             family=idx,

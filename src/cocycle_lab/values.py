@@ -479,25 +479,27 @@ class NeighborhoodChain:
         return [self.epsilon(n) for n in range(1, n_max + 1)]
 
 
+def _grid_exponent(eps: Fraction) -> int:
+    """The least q >= 0 with 2^-q <= eps: the bit length of ceil(1/eps) - 1."""
+    top, bottom = eps.as_integer_ratio()
+    return (-(-bottom // top) - 1).bit_length()
+
+
+def _grid_numerator(num: int, den: int, q: int) -> int:
+    """The integer nearest to num * 2^q / den (den > 0), ties toward zero."""
+    n, r = divmod(num << q, den)
+    return n if 2 * r < den or 2 * r == den and n >= 0 else n + 1
+
+
 def _grid_round(value: Fraction, eps: Fraction) -> Fraction:
     """Nearest point of the coarsest binary grid with spacing <= eps.
 
-    Ties round toward zero.  The spacing 2^-q has the least q with
-    2^q >= ceil(1/eps), read off the bit length of ceil(1/eps) - 1.
+    The grid is 2^-q Z with q = ``_grid_exponent(eps)``, and ties round
+    toward zero (``_grid_numerator``, which ``h_approximate`` applies to
+    numerators directly).
     """
-    top, bottom = eps.as_integer_ratio()
-    den = 1 << (-(-bottom // top) - 1).bit_length()
-    scaled = value * den
-    lo = scaled.numerator // scaled.denominator  # floor
-    frac = scaled - lo
-    half = Fraction(1, 2)
-    if frac < half:
-        n = lo
-    elif frac > half:
-        n = lo + 1
-    else:
-        n = lo if abs(lo) <= abs(lo + 1) else lo + 1  # toward zero
-    return Fraction(n, den)
+    q = _grid_exponent(eps)
+    return Fraction(_grid_numerator(value.numerator, value.denominator, q), 1 << q)
 
 
 def round_to_dyadic(value: Fraction, eps: Fraction) -> Fraction:

@@ -241,8 +241,6 @@ def periodic_coboundary(
             j = perm[j]
             if j == base:
                 break
-            if table[j] is not None:
-                raise PeriodicityError(f"two base points on one orbit (index {j})")
             table[j] = acc
         if not group.values_equal(acc, group.zero()):
             raise PeriodicityError(

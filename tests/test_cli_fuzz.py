@@ -3,17 +3,22 @@
 Every JSON document the CLI reads -- generator tables, generator families,
 measure lists and run configs -- is mutated at depth <= 4: a value is
 replaced by one of a few wrong-typed or out-of-range values, a key or list
-entry is dropped, or the whole document is wrapped in a list.  Whatever the
-mutation, ``cli.main`` must return 0, 1 or 2 and never print a traceback.
+entry is dropped, a value is nested in up to about a thousand lists or
+objects (past the interpreter's recursion limit), or the whole document is
+wrapped in a list.  Whatever the mutation, ``cli.main`` must return 0, 1 or
+2 and never print a traceback.
 """
 
 import contextlib
 import copy
 import io
 import json
+import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cocycle_lab.cli import main
@@ -72,6 +77,37 @@ CONFIG = {
 }
 
 
+@dataclass
+class Nested:
+    """``value`` inside ``levels`` lists (kind "list") or one-key objects,
+    written as text, since ``json.dumps`` itself stops at the recursion limit."""
+
+    value: object
+    levels: int
+    kind: str = "list"
+
+    def text(self) -> str:
+        opener, closer = ("[", "]") if self.kind == "list" else ('{"k": ', "}")
+        return opener * self.levels + _text(self.value) + closer * self.levels
+
+
+def _text(doc) -> str:
+    """The JSON text of ``doc``, with each ``Nested`` value spliced in."""
+    nested = []
+
+    def token(o):
+        nested.append(o)
+        return f"nested-{len(nested) - 1}"
+
+    text = json.dumps(doc, default=token)
+    for i, o in enumerate(nested):
+        text = text.replace(json.dumps(f"nested-{i}"), o.text(), 1)
+    return text
+
+
+LEVELS = st.one_of(st.integers(1, 20), st.integers(900, 1100))
+
+
 def _paths(doc, depth=4, path=()):
     """Every path of at most ``depth`` keys or indices into ``doc``."""
     yield path
@@ -93,11 +129,18 @@ def mutated(draw, doc):
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
-        action = draw(st.sampled_from(("replace", "drop", "wrap")))
+        action = draw(st.sampled_from(("replace", "drop", "wrap", "nest")))
         if action == "wrap" or (action == "drop" and not path):
             doc = [doc]
             continue
-        replacement = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        if action == "nest":
+            parent = doc
+            for key in path:
+                parent = parent[key]
+            kind = draw(st.sampled_from(("list", "dict")))
+            replacement = Nested(copy.deepcopy(parent), draw(LEVELS), kind)
+        else:
+            replacement = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
         if not path:
             doc = replacement
             continue
@@ -111,21 +154,26 @@ def mutated(draw, doc):
     return doc
 
 
-def _run(argv, files) -> int:
+def _run_with_errors(argv, files) -> tuple[int, str]:
     """Run ``main`` on ``argv`` with each named document written to a file
-    standing for its name; the exit code must be 0, 1 or 2 with no traceback."""
+    standing for its name; the exit code must be 0, 1 or 2 with no traceback.
+    Returns the code and the error text, each file named by its own name."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, doc in files.items():
             paths[name] = str(Path(tmp) / f"{name}.json")
-            Path(paths[name]).write_text(json.dumps(doc))
+            Path(paths[name]).write_text(_text(doc))
         argv = [paths.get(arg, arg) for arg in argv]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 1, 2), (argv, files)
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, err.getvalue().replace(tmp + "/", "")
+
+
+def _run(argv, files) -> int:
+    return _run_with_errors(argv, files)[0]
 
 
 @FUZZ
@@ -176,3 +224,38 @@ def test_unmutated_documents_run():
     assert _run(measures, {"gen": GENERATOR, "measures": MEASURES}) == 0
     for suite in ("density", "topology", "odometer", "happrox", "gh"):
         assert _run(["run", suite, "--config", "config"], {"config": CONFIG}) == 0
+
+
+#: Each flag that reads a JSON file, with the documents of a valid command.
+FLAGS = {
+    "cocycle --input": (["cocycle", "solve", "--input", "gen"], {"gen": GENERATOR}, "gen"),
+    "gamma --input": (["gamma", "verify", "--input", "family"], {"family": FAMILY}, "family"),
+    "run --config": (["run", "gh", "--config", "config"], {"config": CONFIG}, "config"),
+    "cocycle --measures": (
+        ["cocycle", "density", "--input", "gen", "--measures", "measures"],
+        {"gen": GENERATOR, "measures": MEASURES},
+        "measures",
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+@pytest.mark.parametrize(
+    "levels, kind", [(1200, "dict"), (200_000, "list"), (sys.getrecursionlimit(), "list")]
+)
+def test_nesting_past_the_recursion_limit_is_a_usage_error_naming_the_file(flag, levels, kind):
+    argv, files, name = FLAGS[flag]
+    files = {**files, name: Nested(files[name], levels, kind)}
+    code, err = _run_with_errors(argv, files)
+    assert code == 2
+    assert err.startswith(f"error: {name}.json: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+def test_nesting_just_inside_the_recursion_limit_is_a_usage_error(flag):
+    # the document parses, and its nested top level is refused like any wrong type
+    argv, files, name = FLAGS[flag]
+    levels = sys.getrecursionlimit() - 200
+    code, err = _run_with_errors(argv, {**files, name: Nested(files[name], levels)})
+    assert code == 2
+    assert "recursion" not in err

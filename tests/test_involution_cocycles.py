@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cocycle_lab import involution_cocycles
+from cocycle_lab import involution_cocycles, values
 from cocycle_lab.dynamics import Odometer, delta_permutation
 from cocycle_lab.involution_cocycles import (
     ConjugationError,
@@ -34,7 +35,7 @@ from cocycle_lab.involution_cocycles import (
 )
 from cocycle_lab.sampling import coboundary_generator, invariant_family, payload
 from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes, prefix_to_index
-from cocycle_lab.suites import _dyadic_generators
+from cocycle_lab.suites import _dyadic_family, render_json
 from cocycle_lab.values import (
     APPROX_REALS,
     DYADICS,
@@ -615,6 +616,19 @@ def scan_dyadic(tables, size):
     )
 
 
+def _dyadic_generators(tables, den: int) -> bool:
+    """Whether a cocycle whose generator tables hold ints over ``den`` is
+    dyadic on every flip word: a word's value is a sum of generator values,
+    and the dyadics are closed under addition.  The reduced denominators
+    den // gcd(v, den) are powers of two exactly when their lcm,
+    den // gcd(den, every v), is one."""
+    common = den
+    for table in tables:
+        common = math.gcd(common, *table)
+    d = den // common
+    return d & (d - 1) == 0
+
+
 def _verdict(check, *args):
     """None when the check accepts, else its AssertionError message."""
     try:
@@ -1094,17 +1108,99 @@ def test_an_edit_on_coprime_denominators_fails_as_the_fraction_kernels_do():
 
 
 def test_a_transfer_past_its_bound_raises_as_the_fraction_kernel_does(monkeypatch):
-    # a rounding that overshoots its radius: the |g| bound is what catches it
-    def overshoot(value, eps, rounding=round_to_dyadic):
-        return rounding(value, eps) + 3 * eps
+    # a grid rule that overshoots by three grid steps, more than 1.5 radii:
+    # the |g| bound is what catches it
+    def overshoot(num, den, q, rule=values._grid_numerator):
+        return rule(num, den, q) + 3
 
-    monkeypatch.setattr(involution_cocycles, "round_to_dyadic", overshoot)
-    monkeypatch.setitem(globals(), "round_to_dyadic", overshoot)
+    monkeypatch.setattr(involution_cocycles, "_grid_numerator", overshoot)
+    # the Fraction oracle rounds through round_to_dyadic, which reads it here
+    monkeypatch.setattr(values, "_grid_numerator", overshoot)
     for fam in (invariant_family(random.Random(5), 5, 3, RATIONALS), coprime_family(6, 4, 1)):
         chain = NeighborhoodChain(Fraction(1, 4))
         old = _outcome(fraction_h_approximate, fam, chain)
         assert old.startswith("transfer value ") and " exceeds the bound " in old
         assert _outcome(h_approximate, fam, chain) == old
+
+
+def tie_family(tag, depth, count, eps0, seed):
+    """A family whose entries sit on the rounding's edge cases at radius
+    eps_n: grid midpoints (n + 1/2) 2^-q_n of both signs, which are dyadic
+    and so stay; rationals 1/(3 * 2^(q_n + 4)) either side of them; and, on
+    rat, dyadics such as 3/12 = 1/4 whose numerators are over an L that is
+    not a power of two (the other entries put 3 into L)."""
+    rng = random.Random(seed)
+    chain = NeighborhoodChain(eps0)
+    tables = []
+    for n in range(1, count + 1):
+        step = Fraction(1, 1 << values._grid_exponent(chain.epsilon(n)))
+        near = step / 48
+        choices = [step * (k + Fraction(1, 2)) for k in (-3, -1, 0, 2)]
+        if tag == "rat":
+            choices += [m + sign * near for m in choices[:2] for sign in (-1, 1)]
+            choices += [Fraction(3, 12), Fraction(-9, 12), Fraction(1, 3), Fraction(-5, 7)]
+        tables.append(tuple(rng.choice(choices) for _ in range(1 << (depth - n))))
+    return GeneratorFamily((2,) * depth, group_from_tag(tag), tuple(tables))
+
+
+EDGE_RADII = (Fraction(1), Fraction(2), Fraction(7, 3), Fraction(5), Fraction(1, 1 << 200))
+
+
+@pytest.mark.parametrize("tag", ["rat", "dy"])
+@pytest.mark.parametrize("eps0", EDGE_RADII)
+def test_h_approximate_on_grid_ties_and_dyadics_matches_the_fraction_kernel(tag, eps0):
+    for depth, count, seed in ((3, 2, 0), (5, 3, 1), (6, 6, 2)):
+        fam = tie_family(tag, depth, count, eps0, seed)
+        chain = NeighborhoodChain(eps0)
+        report, beta = fraction_h_approximate(fam, chain)
+        new = h_approximate(fam, chain)
+        assert render_json(new.to_json()) == render_json(report.to_json())
+        _same(new.family.tables, report.family.tables)
+        _same(new.rounded_family.tables, report.rounded_family.tables)
+        _same(new.transfer.table, report.transfer.table)
+        _same(new.beta._generator_tables, beta)
+        # a dyadic entry, a grid midpoint or 3/12 over an L divisible by 21, stays as it is
+        for table, rounded in zip(fam.tables, new.rounded_family.tables):
+            for v, r in zip(table, rounded):
+                assert r == v if is_dyadic(v) else r != v
+        assert _dyadic_family(new.rounded_family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tag=st.sampled_from(("rat", "dy")),
+    depth=st.integers(1, 6),
+    count=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    rounded=st.booleans(),
+    edit=st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 31),
+                                        st.sampled_from((Fraction(1, 3), Fraction(3, 12))))),
+)
+@example(tag="rat", depth=3, count=2, seed=0, rounded=False, edit=None)
+@example(tag="dy", depth=3, count=2, seed=0, rounded=False, edit=(1, 1, Fraction(1, 3)))
+def test_the_family_dyadic_check_is_the_cocycle_dyadic_check(tag, depth, count, seed,
+                                                             rounded, edit):
+    fam = invariant_family(random.Random(seed), depth, min(count, depth), group_from_tag(tag))
+    if rounded:
+        fam = h_approximate(fam, NeighborhoodChain(Fraction(1, 4))).rounded_family
+    if edit is not None:
+        n, i, v = edit
+        tables = [list(t) for t in fam.tables]
+        tables[n % len(tables)][i % len(tables[n % len(tables)])] = v
+        fam = GeneratorFamily(fam.bases, RATIONALS, tuple(map(tuple, tables)))
+    expected = _dyadic_generators(*InvolutionCocycle(fam)._kernel_tables)
+    assert _dyadic_family(fam) == expected
+    if edit is not None and edit[2] == Fraction(1, 3):
+        assert not expected
+    elif rounded or tag == "dy":
+        assert expected
+
+
+def test_both_dyadic_checks_refuse_unrounded_rat_families():
+    for seed in range(10):
+        fam = invariant_family(random.Random(seed), 6, 4, RATIONALS)
+        assert not _dyadic_family(fam)
+        assert not _dyadic_generators(*InvolutionCocycle(fam)._kernel_tables)
 
 
 def test_dyadic_generators_read_numerators_over_a_shared_denominator():

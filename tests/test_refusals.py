@@ -1,0 +1,211 @@
+"""Refusals of the public API that no other test reaches: each call raises
+its exception type with its exact text."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cocycle_lab.dynamics import (
+    FullGroupElement,
+    MarkerSequence,
+    Odometer,
+    Tower,
+    TowerDecomposition,
+    _marker_indices,
+    delta_index,
+)
+from cocycle_lab.involution_cocycles import (
+    ConjugationError,
+    GeneratorFamily,
+    InvolutionCocycle,
+    psi,
+    transport,
+    verify_identities,
+)
+from cocycle_lab.sampling import invariant_family, payload
+from cocycle_lab.space import (
+    MAX_POINTS,
+    BernoulliMeasure,
+    CylinderFunction,
+    DepthError,
+    MixtureMeasure,
+    check_bases,
+    measure_of_cylinder_set,
+)
+from cocycle_lab.suites import ExperimentConfig, Report, UsageError, density_suite
+from cocycle_lab.values import (
+    APPROX_REALS,
+    INTEGERS,
+    RATIONALS,
+    GroupMismatchError,
+    GroupValue,
+    ModularGroup,
+    NeighborhoodChain,
+    RationalVectorGroup,
+    UnsupportedValueError,
+    integers_mod,
+    round_to_dyadic,
+)
+from cocycle_lab.zcocycles import PeriodicityError, ZCocycle, periodic_coboundary, skew_orbit
+
+B2, B3 = (2, 2), (2, 2, 2)
+M2, M3 = Odometer(B2), Odometer(B3)
+
+
+def _int_function(bases, table):
+    return CylinderFunction(bases, INTEGERS, tuple(table))
+
+
+def _family():
+    return GeneratorFamily(B2, RATIONALS, ((Fraction(1, 3), Fraction(1, 2)),))
+
+
+def _oracle(n, x):
+    # a raw oracle whose values change group with the prefix
+    return GroupValue(INTEGERS if x[0] == 0 else RATIONALS, 0)
+
+
+def _one_orbit_towers():
+    # the odometer is one cycle, so bases 0 and 1 lie on one orbit
+    return TowerDecomposition(M2, (0, 1), (Tower(1, (0,)), Tower(3, (1,))))
+
+
+CASES = [
+    ("zcocycle-generator-off-the-prefixes",
+     lambda: ZCocycle(M2, _int_function((3,), (0, 1, 2))),
+     DepthError, "generator does not live on the model's prefixes"),
+    ("full-group-non-int-jump",
+     lambda: FullGroupElement(M2, CylinderFunction(B2, RATIONALS, (1, 1, 1, 1))),
+     TypeError, "jump function must be integer-valued"),
+    ("full-group-jump-off-the-prefixes",
+     lambda: FullGroupElement(M2, _int_function((3,), (1, 1, 1))),
+     DepthError, "jump function does not live on the model's prefixes"),
+    ("full-group-compose-across-models",
+     lambda: FullGroupElement(M2, _int_function(B2, (1,) * 4)).compose(
+         FullGroupElement(M3, _int_function(B3, (1,) * 8))),
+     DepthError, "full-group elements live on different models"),
+    ("delta-index-digit-out-of-range",
+     lambda: delta_index(M2, 3, 0),
+     IndexError, "digit index 3 out of range 1..2"),
+    ("delta-index-non-binary-coordinate",
+     lambda: delta_index(Odometer((2, 3)), 2, 0),
+     ValueError, "coordinate 2 has base 3, need 2"),
+    ("marker-index-out-of-range",
+     lambda: _marker_indices(M2, [4]),
+     ValueError, "marker index 4 out of range"),
+    ("marker-sequence-index-out-of-range",
+     lambda: MarkerSequence(M3).marker_indices(3),
+     IndexError, "marker index 3 out of range 1..2"),
+    ("family-from-functions-mixed-groups",
+     lambda: GeneratorFamily.from_cylinder_functions(B2, [
+         CylinderFunction(B2, RATIONALS, (1, 1, 2, 2)),
+         CylinderFunction(B2, INTEGERS, (1, 1, 1, 1))]),
+     ValueError, "generators must share one value group"),
+    ("family-generator-payload-index",
+     lambda: _family().generator_payload(2, 0),
+     IndexError, "generator index 2 out of range 1..1"),
+    ("cocycle-word-index",
+     lambda: InvolutionCocycle(_family()).eval_word_index([1, 2], 0),
+     IndexError, "generator index 2 out of range 1..1"),
+    ("raw-oracle-mixed-groups",
+     lambda: verify_identities(_oracle, 1, B2),
+     ValueError, "oracle values must share one group"),
+    ("raw-oracle-without-count-or-bases",
+     lambda: verify_identities(_oracle),
+     ValueError, "a raw oracle needs explicit count and bases"),
+    ("psi-index",
+     lambda: psi(2, _family(), (0, 0)),
+     IndexError, "index 2 out of range 0..1"),
+    ("transport-non-permutation",
+     lambda: transport(InvolutionCocycle(_family()), (0, 0, 1, 2)),
+     ConjugationError, "phi is not a permutation of the prefix space"),
+    ("transport-non-cocycle",
+     lambda: transport("f", (0, 1, 2, 3)),
+     TypeError, "cannot transport 'f'"),
+    ("mixture-empty",
+     lambda: MixtureMeasure((), ()),
+     ValueError, "mixture needs at least one component"),
+    ("mixture-mismatched-bases",
+     lambda: MixtureMeasure(
+         (BernoulliMeasure.uniform(B2), BernoulliMeasure.uniform(B3)),
+         (Fraction(1, 2), Fraction(1, 2))),
+     ValueError, "mixture components must share one base vector"),
+    ("cylinder-set-mixed-depths",
+     lambda: measure_of_cylinder_set(BernoulliMeasure.uniform(B2), [(0,), (0, 1)]),
+     DepthError, "cylinder set must consist of same-depth prefixes"),
+    ("check-bases-above-max-points",
+     lambda: check_bases((2,) * (MAX_POINTS.bit_length())),
+     ValueError, f"prefix space larger than {MAX_POINTS} points"),
+    ("modular-group-modulus",
+     lambda: ModularGroup(0),
+     ValueError, "modulus must be an integer >= 1, got 0"),
+    ("vector-group-dimension",
+     lambda: RationalVectorGroup(True),
+     ValueError, "dimension must be an integer >= 1, got True"),
+    ("modular-group-payload",
+     lambda: integers_mod(5).validate(1.0),
+     UnsupportedValueError, "Z/5 needs int, got 1.0"),
+    ("vector-group-payload",
+     lambda: RationalVectorGroup(2).validate((1,)),
+     UnsupportedValueError, "Q^2 needs a length-2 coordinate list"),
+    ("mod-record-modulus-mismatch",
+     lambda: integers_mod(5).payload_from_json({"t": "mod", "m": 7, "r": 1}),
+     GroupMismatchError, "modulus 7 != 5"),
+    ("real-validation",
+     lambda: APPROX_REALS.validate("0.5"),
+     UnsupportedValueError, "real group needs float, got '0.5'"),
+    ("group-value-not-a-value",
+     lambda: GroupValue(INTEGERS, 1) + 1,
+     GroupMismatchError, "expected GroupValue, got 1"),
+    ("group-value-subtract-across-groups",
+     lambda: GroupValue(INTEGERS, 1) - GroupValue(RATIONALS, 1),
+     GroupMismatchError, f"group mismatch: {INTEGERS!r} vs {RATIONALS!r}"),
+    ("cylinder-function-subtract-across-groups",
+     lambda: _int_function(B2, (0,) * 4) - CylinderFunction(B2, RATIONALS, (0,) * 4),
+     GroupMismatchError, f"{INTEGERS!r} vs {RATIONALS!r}"),
+    ("chain-negative-index",
+     lambda: NeighborhoodChain(Fraction(1)).epsilon(-1),
+     ValueError, "index must be >= 0"),
+    ("round-to-dyadic-nonpositive-radius",
+     lambda: round_to_dyadic(Fraction(1, 3), Fraction(0)),
+     ValueError, "radius must be positive"),
+    ("skew-orbit-start-in-the-wrong-group",
+     lambda: skew_orbit(_int_function(B2, (1, 0, 0, -1)), ((0, 0), GroupValue(RATIONALS, 0)), 1),
+     DepthError, "starting group value lives in the wrong group"),
+    ("periodic-coboundary-two-bases-on-one-orbit",
+     lambda: periodic_coboundary(
+         FullGroupElement(M2, _int_function(B2, (1,) * 4)),
+         ZCocycle(M2, _int_function(B2, (1, -1, 0, 0))),
+         _one_orbit_towers()),
+     PeriodicityError, "two base points on one orbit (index 1)"),
+    ("report-unknown-format",
+     lambda: Report("gh", {}, ("case",)).render("xml"),
+     UsageError, "unknown format 'xml'"),
+    ("density-suite-non-binary-bases",
+     lambda: density_suite(ExperimentConfig(bases=(2, 3))),
+     UsageError, "the density rate 2^-n is stated for the 2-odometer"),
+    ("sampling-payload-unknown-group",
+     lambda: payload(random.Random(0), "g"),
+     TypeError, "no sampler for group 'g'"),
+    ("invariant-family-count-above-depth",
+     lambda: invariant_family(random.Random(0), 2, 3, RATIONALS),
+     ValueError, "family size cannot exceed the depth"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_refusal(call, error, text):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
+def test_group_value_and_function_arithmetic():
+    third = GroupValue(RATIONALS, Fraction(1, 3))
+    assert -third == GroupValue(RATIONALS, Fraction(-1, 3))
+    assert third - GroupValue(RATIONALS, 1) == GroupValue(RATIONALS, Fraction(-2, 3))
+    assert third.scale(-6) == GroupValue(RATIONALS, -2)
+    f = _int_function(B2, (1, 2, 3, 4))
+    assert (f - _int_function((2,), (1, 1))).table == (0, 1, 2, 3)

@@ -17,6 +17,8 @@ from cocycle_lab.values import (
     ModularGroup,
     NeighborhoodChain,
     UnsupportedValueError,
+    _grid_exponent,
+    _grid_numerator,
     _grid_round,
     _integer_numerators,
     as_fraction,
@@ -233,6 +235,48 @@ def test_grid_round_matches_the_literal_scan(v, eps):
 def test_grid_round_matches_the_literal_scan_down_to_2_to_the_minus_20000(v, k, j):
     eps = Fraction(1, (1 << k) + j)  # 2^-k and its two neighbours
     assert _grid_round(v, eps) == literal_grid_round(v, eps)
+
+
+def _literal_numerator(num: int, den: int, q: int) -> int:
+    """The literal scan's grid point for num / den on the grid 2^-q, as its numerator."""
+    scaled = literal_grid_round(Fraction(num, den), Fraction(1, 1 << q)) * (1 << q)
+    assert scaled.denominator == 1
+    return scaled.numerator
+
+
+GRID_EXPONENTS = st.one_of(st.integers(0, 8), st.integers(64, 200))
+
+
+@given(rationals, st.integers(1, 7), GRID_EXPONENTS)
+@example(Fraction(1, 3), 1, 0)
+@example(Fraction(-1, 3), 3, 64)
+def test_grid_numerator_matches_the_literal_scan(v, c, q):
+    # an unreduced pair (num, den) rounds as its value does
+    num, den = v.numerator * c, v.denominator * c
+    assert _grid_numerator(num, den, q) == _literal_numerator(num, den, q)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 7), GRID_EXPONENTS)
+@example(0, 1, 0)
+@example(-1, 1, 0)
+@example(-1, 3, 64)
+@example(2, 5, 200)
+def test_grid_numerator_ties_go_toward_zero(n, c, q):
+    # num * 2^q / den = n + 1/2 exactly: the grid points n and n + 1 are equally near
+    num, den = (2 * n + 1) * c, c << (q + 1)
+    expected = n if n >= 0 else n + 1
+    assert _grid_numerator(num, den, q) == expected == _literal_numerator(num, den, q)
+
+
+@given(st.fractions(min_value=Fraction(1, 1 << 80), max_value=64).filter(lambda e: e > 0))
+@example(Fraction(1))
+@example(Fraction(7, 6))
+@example(Fraction(1, 1 << 70))
+@example(Fraction(1, (1 << 70) + 1))
+def test_grid_exponent_is_the_least_q_with_2_to_the_minus_q_at_most_eps(eps):
+    q = _grid_exponent(eps)
+    assert Fraction(1, 1 << q) <= eps
+    assert q == 0 or Fraction(1, 1 << (q - 1)) > eps
 
 
 def test_round_float_input():
