@@ -296,16 +296,16 @@ class InvolutionCocycle:
         return self.family.bases
 
     @cached_property
-    def _kernel_tables(self) -> tuple[tuple, int | None]:
-        """Full-depth value tables of c(delta_n, .) for n = 1..N from the one
-        potential walk, in kernel form (``_kernel_form``), and their denominator."""
+    def _kernel_tables(self) -> tuple[tuple, list, int | None]:
+        """Full-depth tables of c(delta_n, .) for n = 1..N and the potential P of
+        the one walk, in kernel form (``_kernel_form``), and their denominator."""
         f, den = _kernel_form(self.family.tables, self.group)
-        return _potential_walk(f, self.family.depth, self.group, den)[0], den
+        return (*_potential_walk(f, self.family.depth, self.group, den), den)
 
     @cached_property
     def _generator_tables(self) -> tuple:
         """The payload view of ``_kernel_tables``, for the public readers."""
-        tables, den = self._kernel_tables
+        tables, _, den = self._kernel_tables
         return tuple(_as_payloads(table, den, self.group) for table in tables)
 
     def eval_generator(self, n: int, x: Sequence[int]) -> GroupValue:
@@ -345,11 +345,13 @@ class IdentityCheck:
 
 
 def _oracle_tables(oracle, count: int, bases, group: Group | None):
-    """The first ``count`` generator tables of a cocycle or raw oracle,
-    their group, and their denominator, in the kernel form of
-    ``_kernel_form``: a cocycle's are its cached walk.
-    A count, bases or group the oracle cannot answer is a ValueError naming
-    the value given and the one expected."""
+    """The first ``count`` generator tables of a cocycle or raw oracle, the
+    potential P to check them against, their group and their denominator,
+    in the kernel form of ``_kernel_form``.  A cocycle's are its cached
+    walk, whose P_N certifies its first tables too: delta_n P_N = delta_n P_n.
+    A raw oracle's P is one walk of the family read off the leading-zeros
+    cylinders.  A count, bases or group the oracle cannot answer is a
+    ValueError naming the value given and the one expected."""
     if isinstance(oracle, InvolutionCocycle):
         limit, what = oracle.family.count, "the cocycle's generator count"
     else:
@@ -363,8 +365,8 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
             raise ValueError(
                 f"group {group!r} does not match the cocycle's group {oracle.group!r}"
             )
-        tables, den = oracle._kernel_tables
-        return tables[:count], oracle.group, den
+        tables, potential, den = oracle._kernel_tables
+        return tables[:count], potential, oracle.group, den
     size = space_size(bases)
     tables = []
     for n in range(1, count + 1):
@@ -378,27 +380,27 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
             row.append(v.payload)
         tables.append(tuple(row))
     tables, den = _kernel_form(tables, group)
-    return tables, group, den
-
-
-def _replay(tables, den: int | None, depth: int, group: Group):
-    """The family tables read off the leading-zeros cylinders, and the
-    first (n, index, value, replayed value) in n-major order where the
-    tables differ from that family's cocycle, or None; both in the tables'
-    representation (numerators over ``den``, or payloads when it is None).
-
-    On x_1 = ... = x_n = 0 the family's generator value is f_n itself, so
-    f_n is t_n there, extended by invariance; one potential walk rebuilds
-    its tables.
-    """
     f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
-    replayed_tables = _potential_walk(f, depth, group, den)[0]
-    equal = group.values_equal if den is None else operator.eq
-    for n, (table, replayed) in enumerate(zip(tables, replayed_tables), start=1):
-        for i, (v, w) in enumerate(zip(table, replayed)):
-            if not equal(v, w):
-                return f, (n, i, v, w)
-    return f, None
+    return tables, _potential_walk(f, len(bases), group, den)[1], group, den
+
+
+def _coboundary_mismatch(tables, potential, den: int | None, group: Group):
+    """The first (n, index, value, coboundary value) in n-major order where
+    t_n(x) differs from P(delta_n x) - P(x), or None; in the tables'
+    representation (numerators over ``den``, or payloads when it is None).
+    Entries are checked as t_n(x) + P(x) = P(delta_n x), one addition each."""
+    if den is None:
+        add, sub, equal = group.add, group.sub, group.values_equal
+    else:
+        add, sub, equal = operator.add, operator.sub, operator.eq
+    size = len(potential)
+    for n, table in enumerate(tables, start=1):
+        flip = 1 << (n - 1)
+        moved = [potential[i ^ flip] for i in range(size)]
+        if not all(map(equal, map(add, table, potential), moved)):
+            i = next(i for i in range(size) if not equal(add(table[i], potential[i]), moved[i]))
+            return n, i, table[i], sub(moved[i], potential[i])
+    return None
 
 
 def verify_identities(
@@ -413,20 +415,20 @@ def verify_identities(
     t_n(x) + t_n(delta_n x) = 0 and
     t_k(x) + t_n(delta_k x) = t_n(x) + t_k(delta_n x).
 
-    On an exact group they hold exactly when the tables equal the cocycle
-    of the family read off the leading-zeros cylinders, the replay that
-    ``recover_generators`` runs, O(N 2^m).  If the identities hold, the
-    flips act freely on each block of 2^N prefixes as (Z/2)^N, whose
-    relations they are, so t_n(x) = Q(delta_n x) - Q(x) for one potential
-    Q with Q = 0 at the block's base x0 (first N digits zero).  Setting the
-    digits N, N-1, ..., 1 of x0 to those of x in turn, the step at digit k
-    starts from a prefix whose digits 1..k are zero and whose later digits
-    are x's, where t_k is f_k(x); so Q(x) = x_1 f_1(x) + ... + x_N f_N(x),
-    the family's potential, and the tables are its cocycle.  Conversely a
-    family's cocycle is a coboundary and satisfies both identities.  Only
-    when the replay disagrees, or on ``real`` (whose tolerance does not
-    telescope), does the O(N^2 2^m) scan run, in (prefix, n, k) order,
-    and its first failure is the witness.
+    Tables that are the coboundary t_n(x) = P(delta_n x) - P(x) of one P
+    satisfy both, whatever built them: both sides of the commutation are
+    P(delta_n delta_k x) - P(x), symmetric in n and k.  So on an exact
+    group the O(N 2^m) check against the potential of ``_oracle_tables``
+    decides.  Conversely, if the identities hold, the flips act freely on
+    each block of 2^N prefixes as (Z/2)^N, whose relations they are, so
+    t_n(x) = Q(delta_n x) - Q(x) for one Q with Q = 0 at the block's base
+    x0 (first N digits zero); setting the digits N, ..., 1 of x0 to those
+    of x in turn, the step at digit k starts where digits 1..k are zero
+    and t_k is f_k(x), so Q = x_1 f_1(x) + ... + x_N f_N(x), the potential
+    of the family read off the leading-zeros cylinders.  Only when the
+    check fails, or on ``real`` (whose tolerance does not telescope), does
+    the O(N^2 2^m) scan run, in (prefix, n, k) order; its first failure is
+    the witness.
     """
     if isinstance(cocycle, InvolutionCocycle):
         count = cocycle.family.count if count is None else count
@@ -434,8 +436,8 @@ def verify_identities(
     elif count is None or bases is None:
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
-    tables, group, den = _oracle_tables(cocycle, count, bases, group)
-    if group.exact and _replay(tables, den, len(bases), group)[1] is None:
+    tables, potential, group, den = _oracle_tables(cocycle, count, bases, group)
+    if group.exact and _coboundary_mismatch(tables, potential, den, group) is None:
         return IdentityCheck(True)
     tables = [_as_payloads(table, den, group) for table in tables]
     add, equal, zero = group.add, group.values_equal, group.zero()
@@ -464,19 +466,16 @@ def recover_generators(
     """Read a generator family back from a cocycle evaluation oracle.
 
     f_n is the generator value on the cylinder x_1 = ... = x_n = 0,
-    extended by invariance.  The whole oracle is then replayed against the
-    recovered family; any disagreement means the oracle was not generated
-    by an invariant family, and is reported with its first witness in
-    n-major order.  On an exact group the replay agrees exactly when the
-    oracle satisfies the defining identities, so the two checks answer
-    alike: the identities make the tables the coboundary of one potential Q
-    on each block of 2^N prefixes, and telescoping along the flips of the
-    digits N, ..., 1 gives x_1 f_1(x) + ... + x_N f_N(x) = Q(x) - Q(x0),
-    x0 being x with its first N digits zeroed (see ``verify_identities``).
+    extended by invariance.  The whole oracle is then checked against the
+    coboundary of the potential of ``_oracle_tables``; any disagreement
+    means the oracle was not generated by an invariant family, and is
+    reported with its first witness in n-major order.  On an exact group
+    the check passes exactly when the oracle satisfies the defining
+    identities (see ``verify_identities``), so the two answer alike.
     """
     bases = _check_binary(bases)
-    tables, group, den = _oracle_tables(oracle, count, bases, group)
-    f, mismatch = _replay(tables, den, len(bases), group)
+    tables, potential, group, den = _oracle_tables(oracle, count, bases, group)
+    mismatch = _coboundary_mismatch(tables, potential, den, group)
     if mismatch is not None:
         n, i, v, w = mismatch
         v, w = _as_payloads((v, w), den, group)
@@ -484,7 +483,8 @@ def recover_generators(
             f"oracle disagrees with its invariance extension at "
             f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
         )
-    return GeneratorFamily(bases, group, tuple(_as_payloads(t, den, group) for t in f))
+    f = (_as_payloads(t[:: 1 << n], den, group) for n, t in enumerate(tables, start=1))
+    return GeneratorFamily(bases, group, tuple(f))
 
 
 def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:

@@ -270,3 +270,44 @@ COMMAND_GOLDEN = {
 @pytest.mark.parametrize("command, group, seed", sorted(COMMAND_GOLDEN))
 def test_golden_command(tmp_path, command, group, seed):
     assert _command_output(tmp_path, command, group, seed) == COMMAND_GOLDEN[command, group, seed]
+
+
+# ``suites._write_json`` recurses once per nesting level; every document the
+# package prints stays shallow.  The deepest golden output is a ``vec:d``
+# value record ({"t": "vec", "v": [[n, d], ...]}) inside the certificate of
+# ``cocycle gh`` (and ``cocycle solve``) on a coboundary.
+MAX_NESTING = 7
+
+
+def _nesting(obj) -> int:
+    """Container levels of a parsed JSON value: 0 for a scalar."""
+    if isinstance(obj, list):
+        return 1 + max(map(_nesting, obj), default=0)
+    if isinstance(obj, dict):
+        return 1 + max(map(_nesting, obj.values()), default=0)
+    return 0
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    return out.getvalue()
+
+
+def test_every_golden_document_nests_at_most_the_measured_depth(tmp_path):
+    nesting = {}
+    for suite, group, seed in GOLDEN:
+        text = _stdout(["run", suite, "--depth", "5", "--count", "3", "--format", "json",
+                        "--group", group, "--seed", str(seed)])
+        if text:
+            nesting["run", suite, group, seed] = _nesting(json.loads(text))
+    for command, group, seed in COMMAND_GOLDEN:
+        kind, argv = COMMANDS[command]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(_command_input(kind, group, seed)))
+        text = _stdout(argv + ["--input", str(path)])
+        if text:
+            nesting[command, group, seed] = _nesting(json.loads(text))
+    assert max(nesting.values()) == MAX_NESTING
+    assert nesting["gh-cob", "vec:2", 0] == MAX_NESTING

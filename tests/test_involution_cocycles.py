@@ -1,5 +1,7 @@
 """Generator families, the flip-group cocycle formula, and dyadic approximation."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cocycle_lab import involution_cocycles, values
+from cocycle_lab.cli import main
 from cocycle_lab.dynamics import Odometer, delta_permutation
 from cocycle_lab.involution_cocycles import (
     ConjugationError,
@@ -946,7 +949,7 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
     group, bases = fam.group, fam.bases
     tables, potential = fraction_potential_walk(fam)
     cocycle = InvolutionCocycle(fam)
-    kernel, den = cocycle._kernel_tables
+    kernel, _, den = cocycle._kernel_tables
     assert (den is not None) == group.rational  # numerators exactly on int, rat and dy
     _same(_payload_view(kernel, den, group), tables)
     f, den = _kernel_form(fam.tables, group)
@@ -973,7 +976,7 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
         _same(new.transfer.table, report.transfer.table)
         _same(new.rounded_family.tables, report.rounded_family.tables)
         assert "_generator_tables" not in vars(new.beta)
-        nums, den = new.beta._kernel_tables
+        nums, _, den = new.beta._kernel_tables
         _same(_payload_view(nums, den, RATIONALS), beta)
         _same(new.beta._generator_tables, beta)
         assert _dyadic_generators(nums, den)
@@ -1012,15 +1015,15 @@ def test_a_verified_cocycle_walks_once_for_its_checks_and_readers(monkeypatch, t
     fam = invariant_family(random.Random(7), 6, 4, group_from_tag(tag))
     cocycle = InvolutionCocycle(fam)
     assert verify_identities(cocycle).ok
-    # the cocycle's own walk, and the replay of the family read back off it
-    assert len(walks) == 2
+    # the cocycle's own walk; the check reads its potential
+    assert len(walks) == 1
     walked = cocycle._kernel_tables
     for i, x in enumerate(iter_prefixes(fam.bases)):
         for n in range(1, fam.count + 1):
-            assert cocycle.eval_generator(n, x).payload == Fraction(walked[0][n - 1][i], walked[1])
+            assert cocycle.eval_generator(n, x).payload == Fraction(walked[0][n - 1][i], walked[2])
         cocycle.eval_word([3, 1, 3, 2], x)
         cocycle.eval_word({2, 4}, x)
-    assert len(walks) == 2  # the payload view reads the walk; it is no second one
+    assert len(walks) == 1  # the payload view reads the walk; it is no second one
     assert cocycle._kernel_tables is walked
 
 
@@ -1188,7 +1191,8 @@ def test_the_family_dyadic_check_is_the_cocycle_dyadic_check(tag, depth, count, 
         tables = [list(t) for t in fam.tables]
         tables[n % len(tables)][i % len(tables[n % len(tables)])] = v
         fam = GeneratorFamily(fam.bases, RATIONALS, tuple(map(tuple, tables)))
-    expected = _dyadic_generators(*InvolutionCocycle(fam)._kernel_tables)
+    tables, _, den = InvolutionCocycle(fam)._kernel_tables
+    expected = _dyadic_generators(tables, den)
     assert _dyadic_family(fam) == expected
     if edit is not None and edit[2] == Fraction(1, 3):
         assert not expected
@@ -1200,7 +1204,8 @@ def test_both_dyadic_checks_refuse_unrounded_rat_families():
     for seed in range(10):
         fam = invariant_family(random.Random(seed), 6, 4, RATIONALS)
         assert not _dyadic_family(fam)
-        assert not _dyadic_generators(*InvolutionCocycle(fam)._kernel_tables)
+        tables, _, den = InvolutionCocycle(fam)._kernel_tables
+        assert not _dyadic_generators(tables, den)
 
 
 def test_dyadic_generators_read_numerators_over_a_shared_denominator():
@@ -1209,3 +1214,111 @@ def test_dyadic_generators_read_numerators_over_a_shared_denominator():
     assert not _dyadic_generators(((3, -9, 0), (6, 2)), 12)
     assert not _dyadic_generators(((1,),), 3)
     assert _dyadic_generators(((5,),), 1 << 40)
+
+
+# --- one walk per verdict: the tables against the walk's own potential ---------------------
+# Both checks compare the generator tables with the coboundary of the
+# potential that the cocycle's one walk returns (a raw oracle's: one walk of
+# the family read off the leading-zeros cylinders), so a wrong table entry
+# fails them even where the walk that built it would build it again.
+
+NONZERO = {"mod:5": 1, "vec:2": (Fraction(1), Fraction(0)), "real": 1.0}
+
+
+def _count_walks(monkeypatch):
+    walks = []
+    potential_walk = involution_cocycles._potential_walk
+
+    def counted(*args):
+        walks.append(args)
+        return potential_walk(*args)
+
+    monkeypatch.setattr(involution_cocycles, "_potential_walk", counted)
+    return walks
+
+
+def _corrupt_walks(monkeypatch, n=2, i=1):
+    """Make every potential walk return t_n with a wrong entry at index i,
+    off the cylinder x_1 = ... = x_n = 0; the potential stays as walked."""
+    potential_walk = involution_cocycles._potential_walk
+
+    def corrupted(f, depth, group, den):
+        tables, potential = potential_walk(f, depth, group, den)
+        if len(tables) < n:
+            return tables, potential
+        table = list(tables[n - 1])
+        table[i] = table[i] + 1 if den is not None else group.add(table[i], NONZERO[group.tag])
+        return (*tables[: n - 1], tuple(table), *tables[n:]), potential
+
+    monkeypatch.setattr(involution_cocycles, "_potential_walk", corrupted)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_wrong_entry_of_the_walk_fails_both_checks(monkeypatch, tag):
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(5), 4, 3, group)
+    _corrupt_walks(monkeypatch)
+    cocycle = InvolutionCocycle(fam)
+    with pytest.raises(OracleInconsistencyError, match=r"at n=2, x=\(1, 0, 0, 0\): "):
+        recover_generators(cocycle, fam.count, fam.bases, group)
+    check = verify_identities(cocycle)
+    literal = chain_identities(cocycle._generator_tables, group, fam.bases)
+    assert not check.ok
+    assert (check.ok, check.witness) == literal
+    assert repr(check.witness) == repr(literal[1])
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_verified_and_recovered_cocycle_walks_once(monkeypatch, tag):
+    walks = _count_walks(monkeypatch)
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(9), 6, 4, group)
+    cocycle = InvolutionCocycle(fam)
+    assert verify_identities(cocycle).ok
+    assert recover_generators(cocycle, fam.count, fam.bases, group).tables == fam.tables
+    assert verify_identities(cocycle, count=2).ok
+    assert recover_generators(cocycle, 2, fam.bases, group).tables == fam.tables[:2]
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("tag", ["rat", "mod:5", "real"])
+def test_run_odometer_walks_once_per_family(monkeypatch, tag):
+    walks = _count_walks(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "odometer", "--depth", "6", "--count", "4", "--group", tag,
+                     "--seed", "0"]) == 0
+    assert len(walks) == 4
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_raw_oracle_walks_once_per_call(monkeypatch, tag):
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(11), 5, 3, group)
+    oracle = _raw_oracle(InvolutionCocycle(fam)._generator_tables, group, fam.bases)
+    walks = _count_walks(monkeypatch)
+    assert verify_identities(oracle, 3, fam.bases, group).ok
+    assert len(walks) == 1
+    assert recover_generators(oracle, 3, fam.bases, group).tables == fam.tables
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("tag", EXACT_TAGS)
+def test_a_cocycle_answers_each_prefix_count_as_a_raw_oracle_does(monkeypatch, tag, corrupt):
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(13), 5, 4, group)
+    if corrupt:
+        _corrupt_walks(monkeypatch)
+    cocycle = InvolutionCocycle(fam)
+    for k in range(1, fam.count + 1):
+        raw = _raw_oracle(cocycle._generator_tables[:k], group, fam.bases)
+        check = verify_identities(cocycle, count=k)
+        expected = verify_identities(raw, k, fam.bases, group)
+        assert check.ok == (k == 1 or not corrupt)
+        assert (check.ok, check.witness) == (expected.ok, expected.witness)
+        assert repr(check.witness) == repr(expected.witness)
+        recovered = _outcome(recover_generators, cocycle, k, fam.bases, group)
+        expected = _outcome(recover_generators, raw, k, fam.bases, group)
+        assert isinstance(recovered, str) == (k > 1 and corrupt)
+        assert recovered == expected
+        assert repr(recovered) == repr(expected)
