@@ -18,7 +18,10 @@ only ``run`` and ``cocycle density`` take ``--format``.  JSON output is
 
 Exit codes: 0 when every assertion passes, 1 on an assertion failure (the
 witness is printed; a failed kernel self-check prints ``error:`` and its
-message), 2 on usage errors.
+message, as happrox does when the tables of its one walk of the rounding
+error differ from the coboundary of that walk's potential; a recovery
+that fails in ``gamma roundtrip`` prints ``{"ok": false}`` and, on
+stderr, ``error:`` and its message), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -34,11 +37,17 @@ from .involution_cocycles import (
     GeneratorFamily,
     InvolutionCocycle,
     h_approximate,
-    recover_generators,
     verify_identities,
 )
 from .space import BernoulliMeasure, CylinderFunction, binary_bases, measure_from_json
-from .suites import CONFIG_FIELDS, ExperimentConfig, UsageError, render_json, run as run_suite
+from .suites import (
+    CONFIG_FIELDS,
+    ExperimentConfig,
+    UsageError,
+    _round_trip,
+    render_json,
+    run as run_suite,
+)
 from .values import NeighborhoodChain, UnsupportedValueError, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
@@ -193,10 +202,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     family = _decode(args.input, GeneratorFamily.from_json)
-    cocycle = InvolutionCocycle(family)
-    recovered = recover_generators(cocycle, family.count, family.bases, family.group)
-    ok = recovered.tables == family.tables
+    ok, error = _round_trip(InvolutionCocycle(family))
     _emit_json({"ok": ok}, args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -533,35 +533,23 @@ class TransferReport:
         }
 
 
-def _check_transfer(alpha, beta, g_table, bases) -> None:
-    """Raise unless alpha(delta_n, x) = g(delta_n x) + beta(delta_n, x) - g(x)
-    at every generator n and prefix x; a word's value sums its letters'
-    generator values along its flip path, so this holds on every word.
-    The tables may hold payloads or numerators over one denominator."""
-    for n, (alpha_n, beta_n) in enumerate(zip(alpha, beta), start=1):
-        flip = 1 << (n - 1)
-        for i, g in enumerate(g_table):
-            if alpha_n[i] != g_table[i ^ flip] + beta_n[i] - g:
-                raise AssertionError(
-                    f"cohomology equation failed at word {[n]}, "
-                    f"x={index_to_prefix(i, bases)}"
-                )
-
-
 def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> TransferReport:
     """Replace a rational family by a dyadic-valued cohomologous one.
 
     Each f_n is rounded valuewise at chain radius eps_n (rounding cannot
-    break invariance), and the transfer is the difference of the two
-    potentials, g = P(f) - P(fbar) = sum_n x_n (f_n - fbar_n), exact on Q;
-    one walk over each family gives its potential and generator tables.
-    All of it runs on int numerators over D = lcm(L, 2^q), L being the lcm
-    of the family's denominators and 2^-q the finest grid: a dyadic v / D
-    stays, any other goes to its grid point by ``values._grid_numerator``,
-    as ``round_to_dyadic`` rounds.  The bounds on the radii and on |g| are
-    checked, and so is the cohomology equation at the N generators and
-    every prefix, which gives it on every flip word by telescoping; the
-    check is a theorem for invariant families, so a failure raises.
+    break invariance).  The walk is linear, so one walk of the rounding
+    error e_n = f_n - fbar_n gives the transfer g = P(f) - P(fbar) =
+    sum_n x_n e_n, exact on Q, as its potential and alpha - beta as its
+    generator tables.  All of it runs on int numerators over
+    D = lcm(L, 2^q), L being the lcm of the family's denominators and 2^-q
+    the finest grid: a dyadic v / D stays, any other goes to its grid point
+    by ``values._grid_numerator``, as ``round_to_dyadic`` rounds.  The
+    bounds on the radii and on |g| are checked, and so is the cohomology
+    equation at the N generators and every prefix, which gives it on every
+    flip word by telescoping: the walk's tables against the coboundary of
+    its potential, as ``verify_identities`` and ``recover_generators``
+    check theirs.  The check is a theorem for invariant families, so a
+    failure raises at its first (n, x) in n-major order.
     """
     if family.group not in (RATIONALS, DYADICS):
         raise UnsupportedValueError(
@@ -576,20 +564,18 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     if den != base_den:
         scale = den // base_den
         f = tuple(tuple(v * scale for v in table) for table in f)
-    f_bar, rounded_tables = [], []
+    errors, rounded_tables = [], []
     for table, q in zip(f, exponents):
-        rounded, step = {}, den >> q
+        error, step = {}, den >> q
         for v in set(table):
             d = den // gcd(v, den)  # the reduced denominator of v / D
-            rounded[v] = v if d & (d - 1) == 0 else _grid_numerator(v, den, q) * step
-        f_bar.append(tuple(map(rounded.__getitem__, table)))
-        payloads = {v: Fraction(w, den) for v, w in rounded.items()}
+            error[v] = 0 if d & (d - 1) == 0 else v - _grid_numerator(v, den, q) * step
+        errors.append(tuple(map(error.__getitem__, table)))
+        payloads = {v: Fraction(v - e, den) for v, e in error.items()}
         rounded_tables.append(tuple(map(payloads.__getitem__, table)))
     base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
     rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
-    alpha, p_base = _potential_walk(f, family.depth, group, den)
-    beta, p_rounded = _potential_walk(f_bar, family.depth, group, den)
-    g_table = [p - q for p, q in zip(p_base, p_rounded)]
+    differences, g_table = _potential_walk(errors, family.depth, group, den)
     transfer = CylinderFunction(family.bases, group, _as_payloads(g_table, den, group))
     report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
 
@@ -603,7 +589,12 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
                 f"transfer value {Fraction(g, den)} at {index_to_prefix(i, family.bases)} "
                 f"exceeds the bound {bound}"
             )
-    _check_transfer(alpha, beta, g_table, family.bases)
+    mismatch = _coboundary_mismatch(differences, g_table, den, group)
+    if mismatch is not None:
+        n, i, _, _ = mismatch
+        raise AssertionError(
+            f"cohomology equation failed at word {[n]}, x={index_to_prefix(i, family.bases)}"
+        )
     return report
 
 

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from cocycle_lab import cli, involution_cocycles
+from cocycle_lab import cli
 from cocycle_lab.cli import main
 from cocycle_lab.involution_cocycles import GeneratorFamily
 from cocycle_lab.space import CylinderFunction
 from cocycle_lab.sampling import invariant_family
 from cocycle_lab.suites import ExperimentConfig, Report, UsageError, run as run_suite
 from cocycle_lab.values import INTEGERS, RATIONALS, integers_mod
+from test_involution_cocycles import _corrupt_walks
 
 
 @pytest.fixture
@@ -524,15 +525,40 @@ def test_gamma_happrox_integer_family_is_usage_error(tmp_path, capsys):
     ],
 )
 def test_failed_self_check_exits_1_with_its_message(argv, family_file, monkeypatch, capsys):
-    def broken(alpha, beta, g_table, bases):
-        raise AssertionError("cohomology equation failed at word [1], x=(0, 0)")
-
-    monkeypatch.setattr(involution_cocycles, "_check_transfer", broken)
+    _corrupt_walks(monkeypatch, n=1)
     argv = [family_file if a == "FAMILY" else a for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: cohomology equation failed at word [1], x=(0, 0)\n"
+    assert captured.err == "error: cohomology equation failed at word [1], x=(1, 0, 0)\n"
     assert captured.out == ""
+
+
+REAL_FAMILY = {
+    "N": 3, "depth": 3, "group": "real", "tables": [
+        [{"t": "real", "v": -999999999.3}, {"t": "real", "v": -999999999.3},
+         {"t": "real", "v": 0.1}, {"t": "real", "v": 1000000000.1}],
+        [{"t": "real", "v": 300000000.2}, {"t": "real", "v": -999999999.3}],
+        [{"t": "real", "v": -999999999.3}],
+    ],
+}
+
+
+def test_a_failed_recovery_exits_1_like_a_failed_identity_check(tmp_path, capsys):
+    # the float tolerance does not telescope: the walk's tables miss the
+    # coboundary of its potential, and the identities fail too
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(REAL_FAMILY))
+    assert main(["gamma", "verify", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False
+    assert captured.err == ""
+    assert main(["gamma", "roundtrip", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == '{\n  "ok": false\n}\n'
+    assert captured.err == (
+        "error: oracle disagrees with its invariance extension at n=1, x=(1, 1, 0): "
+        "999999999.3 vs 999999999.3\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -21,7 +22,7 @@ from cocycle_lab.involution_cocycles import (
     TransferReport,
     _as_payloads,
     _chain,
-    _check_transfer,
+    _coboundary_mismatch,
     _kernel_form,
     _potential_walk,
     InvarianceError,
@@ -641,13 +642,27 @@ def _verdict(check, *args):
     return None
 
 
+def transfer_mismatch(alpha, beta, g_table, bases):
+    """The package's transfer check on a triple: alpha - beta against the
+    coboundary of g by ``_coboundary_mismatch``, on int numerators over one
+    denominator as ``h_approximate`` runs it, raising its text."""
+    differences = [tuple(map(operator.sub, a, b)) for a, b in zip(alpha, beta)]
+    nums, den = _kernel_form([*differences, g_table], RATIONALS)
+    mismatch = _coboundary_mismatch(nums[:-1], nums[-1], den, RATIONALS)
+    if mismatch is not None:
+        n, i, _, _ = mismatch
+        raise AssertionError(
+            f"cohomology equation failed at word {[n]}, x={index_to_prefix(i, bases)}"
+        )
+
+
 def _transfer_triple(fam, eps0=Fraction(1, 4)):
     report = h_approximate(fam, NeighborhoodChain(eps0))
     alpha = InvolutionCocycle(report.family)._generator_tables
     return alpha, report.beta._generator_tables, list(report.transfer.table)
 
 
-def test_check_transfer_accepts_every_small_family_exhaustive():
+def test_transfer_mismatch_accepts_every_small_family_exhaustive():
     for depth, count in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
         values = (Fraction(1, 3), Fraction(-5, 2)) + ((Fraction(0),) if depth < 3 else ())
         sizes = [1 << (depth - n) for n in range(1, count + 1)]
@@ -659,7 +674,7 @@ def test_check_transfer_accepts_every_small_family_exhaustive():
             fam = GeneratorFamily((2,) * depth, RATIONALS, tuple(tables))
             alpha, beta, g = _transfer_triple(fam)
             assert _verdict(scan_cohomology, alpha, beta, g, fam.bases) is None
-            assert _verdict(_check_transfer, alpha, beta, g, fam.bases) is None
+            assert _verdict(transfer_mismatch, alpha, beta, g, fam.bases) is None
 
 
 @given(
@@ -669,17 +684,17 @@ def test_check_transfer_accepts_every_small_family_exhaustive():
     eps0=st.sampled_from((Fraction(1, 4), Fraction(1, 3), Fraction(5, 7), Fraction(1, 1024))),
     seed=st.integers(0, 2**16),
 )
-def test_check_transfer_accepts_true_triples(tag, depth, count, eps0, seed):
+def test_transfer_mismatch_accepts_true_triples(tag, depth, count, eps0, seed):
     group = DYADICS if tag == "dy" else RATIONALS
     fam = invariant_family(random.Random(seed), depth, min(count, depth), group)
     alpha, beta, g = _transfer_triple(fam, eps0)
-    assert _verdict(_check_transfer, alpha, beta, g, fam.bases) is None
+    assert _verdict(transfer_mismatch, alpha, beta, g, fam.bases) is None
     assert _verdict(scan_cohomology, alpha, beta, g, fam.bases) is None
     h_approximate(fam, NeighborhoodChain(eps0))
 
 
 @pytest.mark.parametrize("depth, count", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
-def test_check_transfer_rejects_exactly_what_the_word_walk_rejects(depth, count):
+def test_transfer_mismatch_rejects_exactly_what_the_word_walk_rejects(depth, count):
     fam = invariant_family(random.Random(depth * 10 + count), depth, count, RATIONALS)
     alpha, beta, g = _transfer_triple(fam)
     bases = fam.bases
@@ -700,7 +715,8 @@ def test_check_transfer_rejects_exactly_what_the_word_walk_rejects(depth, count)
     accepted = 0
     for beta_case, g_case in cases:
         expected = _verdict(scan_cohomology, alpha, beta_case, g_case, bases)
-        assert _verdict(_check_transfer, alpha, beta_case, g_case, bases) == expected
+        assert _verdict(transfer_mismatch, alpha, beta_case, g_case, bases) == expected
+        assert _verdict(fraction_check_transfer, alpha, beta_case, g_case, bases) == expected
         accepted += expected is None
     assert accepted == 1
 
@@ -1220,7 +1236,8 @@ def test_dyadic_generators_read_numerators_over_a_shared_denominator():
 # Both checks compare the generator tables with the coboundary of the
 # potential that the cocycle's one walk returns (a raw oracle's: one walk of
 # the family read off the leading-zeros cylinders), so a wrong table entry
-# fails them even where the walk that built it would build it again.
+# fails them even where the walk that built it would build it again.  The
+# dyadic approximation checks its one walk, of the rounding error, the same way.
 
 NONZERO = {"mod:5": 1, "vec:2": (Fraction(1), Fraction(0)), "real": 1.0}
 
@@ -1288,6 +1305,55 @@ def test_run_odometer_walks_once_per_family(monkeypatch, tag):
         assert main(["run", "odometer", "--depth", "6", "--count", "4", "--group", tag,
                      "--seed", "0"]) == 0
     assert len(walks) == 4
+
+
+@pytest.mark.parametrize("tag", ["rat", "dy"])
+def test_a_dyadic_approximation_walks_once(monkeypatch, tag):
+    fam = invariant_family(random.Random(9), 6, 4, group_from_tag(tag))
+    walks = _count_walks(monkeypatch)
+    report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)))
+    assert len(walks) == 1  # the rounding error's walk; beta walks only when read
+    assert "_kernel_tables" not in vars(report.beta)
+
+
+def test_run_happrox_walks_once_per_family(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "happrox", "--depth", "6", "--count", "4", "--seed", "0"]) == 0
+    assert len(walks) == 4
+
+
+@pytest.mark.parametrize("tag", ["rat", "dy"])
+def test_a_wrong_entry_of_the_walk_fails_the_dyadic_approximation(monkeypatch, tag):
+    # the same wrong entry in walks of f and of fbar would cancel in alpha - beta
+    fam = invariant_family(random.Random(5), 4, 3, group_from_tag(tag))
+    chain = NeighborhoodChain(Fraction(1, 4))
+    h_approximate(fam, chain)
+    _corrupt_walks(monkeypatch)
+    with pytest.raises(AssertionError) as failure:
+        h_approximate(fam, chain)
+    assert str(failure.value) == "cohomology equation failed at word [2], x=(1, 0, 0, 0)"
+
+
+def test_run_odometer_records_a_failed_recovery_as_a_failed_round_trip(monkeypatch):
+    _corrupt_walks(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["run", "odometer", "--depth", "4", "--count", "6", "--group", "rat",
+                     "--seed", "0"]) == 1
+    report = json.loads(out.getvalue())
+    checks = {c["name"]: c for c in report["checks"]}
+    corrupted = [row["generators"] >= 2 for row in report["rows"]]
+    assert True in corrupted and False in corrupted
+    for row, wrong in zip(report["rows"], corrupted):
+        roundtrip = checks[f"family{row['family']}-roundtrip"]
+        assert row["roundtrip"] is roundtrip["passed"] is (not wrong)
+        if wrong:
+            assert roundtrip["witness"].startswith(
+                "oracle disagrees with its invariance extension at n=2, x=(1, 0, 0, 0): "
+            )
+        else:
+            assert roundtrip["witness"] == ""
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
