@@ -35,10 +35,9 @@ construction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from math import floor, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -174,20 +173,20 @@ class GeneratorFamily:
         return cls(bases, group, tuple(tables))
 
     def to_json(self):
+        """The family as JSON; entries that are one payload object share one value
+        record (``Group.payloads_to_json``): treat the records as read-only."""
         return {
             "N": self.count,
             "depth": self.depth,
             "group": self.group.tag,
-            "tables": [
-                [self.group.payload_to_json(v) for v in table] for table in self.tables
-            ],
+            "tables": [self.group.payloads_to_json(table) for table in self.tables],
         }
 
     @classmethod
     def from_json(cls, obj) -> "GeneratorFamily":
         group = group_from_tag(obj["group"])
         bases = binary_bases(obj["depth"])
-        tables = [[group.payload_from_json(v) for v in table] for table in obj["tables"]]
+        tables = [group.payloads_from_json(table) for table in obj["tables"]]
         if len(tables) != obj.get("N", len(tables)):
             raise ValueError("N field disagrees with the number of tables")
         return cls(bases, group, tables)
@@ -211,21 +210,26 @@ def word_apply_index(word: Iterable[int], i: int) -> int:
 def _kernel_form(tables, group: Group) -> tuple[tuple, int | None]:
     """Tables in the kernels' representation, and its denominator: on a
     ``rational`` group int tables over the lcm L of all their reduced
-    denominators (L = 1 on int); elsewhere the payload tables, and None."""
+    denominators (L = 1 on int), read once per distinct payload object
+    (decoded tables and payload views share one object per value);
+    elsewhere the payload tables, and None."""
     if not group.rational:
         return tuple(tables), None
-    flat, den = _integer_numerators([v for table in tables for v in table])
-    flat = iter(flat)
-    return tuple(tuple(islice(flat, len(table))) for table in tables), den
+    distinct = {id(v): v for table in tables for v in table}
+    nums, den = _integer_numerators(list(distinct.values()))
+    num = dict(zip(distinct, nums)).__getitem__
+    return tuple(tuple(map(num, map(id, table))) for table in tables), den
 
 
 def _as_payloads(values, den: int | None, group: Group) -> tuple:
     """Values in a kernel's representation as the group's payloads:
-    numerators over ``den`` become Fractions (ints on int, where den is 1);
+    numerators over ``den`` become Fractions (ints on int, where den is 1),
+    one per distinct numerator, which the entries equal to it share;
     payloads (``den`` None) stay as they are."""
     if den is None or group == INTEGERS:
         return tuple(values)
-    return tuple(Fraction(v, den) for v in values)
+    fractions = {v: Fraction(v, den) for v in set(values)}
+    return tuple(map(fractions.__getitem__, values))
 
 
 def _potential_walk(f_tables, depth: int, group: Group, den: int | None) -> tuple[tuple, list]:
@@ -296,10 +300,15 @@ class InvolutionCocycle:
         return self.family.bases
 
     @cached_property
+    def _kernel_family(self) -> tuple[tuple, int | None]:
+        """The family's tables in kernel form (``_kernel_form``) and their denominator."""
+        return _kernel_form(self.family.tables, self.group)
+
+    @cached_property
     def _kernel_tables(self) -> tuple[tuple, list, int | None]:
         """Full-depth tables of c(delta_n, .) for n = 1..N and the potential P of
-        the one walk, in kernel form (``_kernel_form``), and their denominator."""
-        f, den = _kernel_form(self.family.tables, self.group)
+        the one walk of ``_kernel_family``, and their denominator."""
+        f, den = self._kernel_family
         return (*_potential_walk(f, self.family.depth, self.group, den), den)
 
     @cached_property
@@ -344,14 +353,15 @@ class IdentityCheck:
     witness: Optional[dict] = None
 
 
-def _oracle_tables(oracle, count: int, bases, group: Group | None):
+def _oracle_tables(oracle, count: int, bases, group: Group | None, walk_inexact: bool = True):
     """The first ``count`` generator tables of a cocycle or raw oracle, the
     potential P to check them against, their group and their denominator,
     in the kernel form of ``_kernel_form``.  A cocycle's are its cached
     walk, whose P_N certifies its first tables too: delta_n P_N = delta_n P_n.
     A raw oracle's P is one walk of the family read off the leading-zeros
-    cylinders.  A count, bases or group the oracle cannot answer is a
-    ValueError naming the value given and the one expected."""
+    cylinders; on an inexact group without ``walk_inexact`` there is no
+    walk and P is None.  A count, bases or group the oracle cannot answer
+    is a ValueError naming the value given and the one expected."""
     if isinstance(oracle, InvolutionCocycle):
         limit, what = oracle.family.count, "the cocycle's generator count"
     else:
@@ -380,6 +390,8 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
             row.append(v.payload)
         tables.append(tuple(row))
     tables, den = _kernel_form(tables, group)
+    if not (group.exact or walk_inexact):
+        return tables, None, group, den
     f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
     return tables, _potential_walk(f, len(bases), group, den)[1], group, den
 
@@ -428,7 +440,7 @@ def verify_identities(
     of the family read off the leading-zeros cylinders.  Only when the
     check fails, or on ``real`` (whose tolerance does not telescope), does
     the O(N^2 2^m) scan run, in (prefix, n, k) order; its first failure is
-    the witness.
+    the witness; a raw oracle on ``real`` is not walked at all.
     """
     if isinstance(cocycle, InvolutionCocycle):
         count = cocycle.family.count if count is None else count
@@ -436,7 +448,9 @@ def verify_identities(
     elif count is None or bases is None:
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
-    tables, potential, group, den = _oracle_tables(cocycle, count, bases, group)
+    tables, potential, group, den = _oracle_tables(
+        cocycle, count, bases, group, walk_inexact=False
+    )
     if group.exact and _coboundary_mismatch(tables, potential, den, group) is None:
         return IdentityCheck(True)
     tables = [_as_payloads(table, den, group) for table in tables]
@@ -460,6 +474,23 @@ def verify_identities(
     return IdentityCheck(True)
 
 
+def _recovered_kernel(oracle, count: int, bases, group: Group | None):
+    """The family ``recover_generators`` reads off an oracle, in kernel
+    form (``_kernel_form``): its tables, group and denominator.  Raises
+    what ``recover_generators`` raises."""
+    bases = _check_binary(bases)
+    tables, potential, group, den = _oracle_tables(oracle, count, bases, group)
+    mismatch = _coboundary_mismatch(tables, potential, den, group)
+    if mismatch is not None:
+        n, i, v, w = mismatch
+        v, w = _as_payloads((v, w), den, group)
+        raise OracleInconsistencyError(
+            f"oracle disagrees with its invariance extension at "
+            f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
+        )
+    return tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1)), group, den
+
+
 def recover_generators(
     oracle, count: int, bases, group: Group | None = None
 ) -> GeneratorFamily:
@@ -474,17 +505,8 @@ def recover_generators(
     identities (see ``verify_identities``), so the two answer alike.
     """
     bases = _check_binary(bases)
-    tables, potential, group, den = _oracle_tables(oracle, count, bases, group)
-    mismatch = _coboundary_mismatch(tables, potential, den, group)
-    if mismatch is not None:
-        n, i, v, w = mismatch
-        v, w = _as_payloads((v, w), den, group)
-        raise OracleInconsistencyError(
-            f"oracle disagrees with its invariance extension at "
-            f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
-        )
-    f = (_as_payloads(t[:: 1 << n], den, group) for n, t in enumerate(tables, start=1))
-    return GeneratorFamily(bases, group, tuple(f))
+    f, group, den = _recovered_kernel(oracle, count, bases, group)
+    return GeneratorFamily(bases, group, tuple(_as_payloads(t, den, group) for t in f))
 
 
 def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
@@ -519,12 +541,16 @@ class TransferReport:
     transfer: CylinderFunction
     radii: tuple[Fraction, ...]
     radius_bound: Fraction
+    # the transfer as int numerators over D, as h_approximate computed it
+    _transfer_kernel: tuple[tuple, int] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def beta(self) -> InvolutionCocycle:
         return InvolutionCocycle(self.rounded_family)
 
     def to_json(self):
+        """The report as JSON; entries that are one payload object share one value
+        record (``Group.payloads_to_json``): treat the records as read-only."""
         return {
             "rounded": self.rounded_family.to_json(),
             "transfer": self.transfer.to_json(),
@@ -561,34 +587,34 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     f, base_den = _kernel_form(family.tables, group)
     exponents = [_grid_exponent(eps) for eps in radii]
     den = lcm(base_den, 1 << max(exponents))
-    if den != base_den:
-        scale = den // base_den
-        f = tuple(tuple(v * scale for v in table) for table in f)
+    scale = den // base_den
     errors, rounded_tables = [], []
     for table, q in zip(f, exponents):
-        error, step = {}, den >> q
+        error, rounded, step = {}, {}, den >> q
         for v in set(table):
-            d = den // gcd(v, den)  # the reduced denominator of v / D
-            error[v] = 0 if d & (d - 1) == 0 else v - _grid_numerator(v, den, q) * step
+            w = v * scale  # v / L as a numerator over D
+            d = den // gcd(w, den)  # the reduced denominator of w / D
+            error[v] = e = 0 if d & (d - 1) == 0 else w - _grid_numerator(w, den, q) * step
+            rounded[v] = Fraction(w - e, den)
         errors.append(tuple(map(error.__getitem__, table)))
-        payloads = {v: Fraction(v - e, den) for v, e in error.items()}
-        rounded_tables.append(tuple(map(payloads.__getitem__, table)))
+        rounded_tables.append(tuple(map(rounded.__getitem__, table)))
     base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
     rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
     differences, g_table = _potential_walk(errors, family.depth, group, den)
+    g_table = tuple(g_table)
     transfer = CylinderFunction(family.bases, group, _as_payloads(g_table, den, group))
-    report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
+    bound = sum(radii, Fraction(0))
+    report = TransferReport(base, rounded, transfer, radii, bound, (g_table, den))
 
-    bound = report.radius_bound
     if bound > chain.eps0:
         raise AssertionError("radius bound exceeds the base radius")
     limit = floor(bound * den)  # |g| / D > bound exactly when the int |g| > limit
-    for i, g in enumerate(g_table):
-        if abs(g) > limit:
-            raise AssertionError(
-                f"transfer value {Fraction(g, den)} at {index_to_prefix(i, family.bases)} "
-                f"exceeds the bound {bound}"
-            )
+    if max(g_table) > limit or min(g_table) < -limit:
+        i = next(i for i, g in enumerate(g_table) if abs(g) > limit)
+        raise AssertionError(
+            f"transfer value {Fraction(g_table[i], den)} at "
+            f"{index_to_prefix(i, family.bases)} exceeds the bound {bound}"
+        )
     mismatch = _coboundary_mismatch(differences, g_table, den, group)
     if mismatch is not None:
         n, i, _, _ = mismatch

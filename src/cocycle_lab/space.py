@@ -207,11 +207,13 @@ class CylinderFunction:
         return CylinderFunction(self.bases, self.group, tuple(map(neg, self.table)))
 
     def to_json(self):
+        """The function as JSON; entries that are one payload object share one value
+        record (``Group.payloads_to_json``): treat the records as read-only."""
         return {
             "bases": list(self.bases),
             "depth": self.depth,
             "group": self.group.tag,
-            "table": [self.group.payload_to_json(v) for v in self.table],
+            "table": self.group.payloads_to_json(self.table),
         }
 
     @classmethod
@@ -220,9 +222,7 @@ class CylinderFunction:
         bases = tuple(obj["bases"])
         if obj.get("depth", len(bases)) != len(bases):
             raise ValueError("depth field disagrees with bases length")
-        return cls(
-            bases, group, tuple(group.payload_from_json(v) for v in obj["table"])
-        )
+        return cls(bases, group, group.payloads_from_json(obj["table"]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .dynamics import MarkerSequence, Odometer
 from .involution_cocycles import (
     InvolutionCocycle,
     OracleInconsistencyError,
+    _recovered_kernel,
     h_approximate,
-    recover_generators,
     verify_identities,
 )
 from .space import BernoulliMeasure, _tau_sums, binary_bases
@@ -133,10 +133,12 @@ def _json_scalar(o) -> str:
 def _write_json(o, put, nl: str, memo: dict) -> None:
     """Append the text of ``o`` at indentation ``nl`` (a newline and the
     indent) through ``put``.  A dict of int and str values (a value
-    record) is rendered once per (indentation, items) into ``memo``.
-    Module level, not a closure over ``put``: a closure that calls itself
-    is a reference cycle, which would keep every part alive until the
-    cyclic collector runs."""
+    record) is rendered once per (indentation, object) into ``memo``, keyed
+    by its ``id``: every part of the document lives, unchanged, until the
+    render ends, so an id names one object and one text.  Module level,
+    not a closure over ``put``: a closure that calls itself is a reference
+    cycle, which would keep every part alive until the cyclic collector
+    runs."""
     if isinstance(o, (list, tuple)):
         if not o:
             put("[]")
@@ -150,6 +152,11 @@ def _write_json(o, put, nl: str, memo: dict) -> None:
             _write_json(v, put, inner, memo)
         put(nl + "]")
     elif isinstance(o, dict):
+        key = (nl, id(o))
+        text = memo.get(key)
+        if text is not None:
+            put(text)
+            return
         if not o:
             put("{}")
             return
@@ -157,13 +164,10 @@ def _write_json(o, put, nl: str, memo: dict) -> None:
         for v in o.values():
             if type(v) is not int and type(v) is not str:
                 break
-        else:  # bools, floats and -0.0 stay out: they compare equal to other values
-            key = (nl, *o.items())
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = "{" + inner + ("," + inner).join(
-                    [_json_string(k) + ": " + _json_scalar(v) for k, v in o.items()]
-                ) + nl + "}"
+        else:  # int and str values only; a bool or float keeps a record out of the memo
+            text = memo[key] = "{" + inner + ("," + inner).join(
+                [_json_string(k) + ": " + _json_scalar(v) for k, v in o.items()]
+            ) + nl + "}"
             put(text)
             return
         put("{")
@@ -181,7 +185,10 @@ def render_json(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without CPython's
     pure-Python encoder (which ``indent`` selects): the text of every
     report and command output.  Dict keys must be str (a TypeError
-    otherwise), as they are in every output."""
+    otherwise), as they are in every output.  One record object may
+    appear many times in ``obj`` (as ``payloads_to_json`` shares them);
+    its text is built once per indentation, so ``obj`` must not change
+    while it renders."""
     parts = []
     _write_json(obj, parts.append, "\n", {})
     return "".join(parts)
@@ -345,13 +352,15 @@ def topology_suite(config: ExperimentConfig) -> Report:
 
 def _round_trip(cocycle: InvolutionCocycle) -> tuple[bool, str]:
     """Whether the family recovered from ``cocycle`` is its own, and the
-    text of the recovery's failure ("" when the recovery ran)."""
+    text of the recovery's failure ("" when the recovery ran).  The
+    recovered tables are compared in kernel form, numerators over the
+    family's own denominator, with the family's."""
     family = cocycle.family
     try:
-        recovered = recover_generators(cocycle, family.count, family.bases, family.group)
+        recovered, _, _ = _recovered_kernel(cocycle, family.count, family.bases, family.group)
     except OracleInconsistencyError as exc:
         return False, str(exc)
-    return recovered.tables == family.tables, ""
+    return recovered == cocycle._kernel_family[0], ""
 
 
 def odometer_suite(config: ExperimentConfig) -> Report:
@@ -407,7 +416,8 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
         result = h_approximate(family, chain)
         dyadic_ok = _dyadic_family(result.rounded_family)
-        max_g = max(abs(v) for v in result.transfer.table)
+        g, den = result._transfer_kernel
+        max_g = Fraction(max(max(g), -min(g)), den)
         report.add_row(
             family=idx,
             generators=n_gen,

@@ -160,6 +160,21 @@ class Group:
     def payload_from_json(self, obj):
         raise NotImplementedError
 
+    def payloads_to_json(self, payloads) -> list:
+        """``[payload_to_json(a) for a in payloads]`` for a sequence of
+        payloads, one record per distinct payload object: exact on every
+        group, ``-0.0`` and NaN included, since only the very same object
+        shares a record.  Entries that are one object get one dict; treat
+        the records as read-only."""
+        distinct = {id(a): a for a in payloads}
+        records = {key: self.payload_to_json(a) for key, a in distinct.items()}
+        return list(map(records.__getitem__, map(id, payloads)))
+
+    def payloads_from_json(self, records) -> list:
+        """``[payload_from_json(obj) for obj in records]``: every refusal
+        is the one that record raises alone."""
+        return [self.payload_from_json(obj) for obj in records]
+
     def __repr__(self) -> str:
         return self.tag
 
@@ -212,17 +227,37 @@ class RationalGroup(_ScalarGroup):
     def validate(self, payload):
         return as_fraction(payload)
 
+    _memo_key = "d"  # the record's int besides n that fixes its payload
+
     def payload_to_json(self, a):
         return {"t": "rat", "n": a.numerator, "d": a.denominator}
 
     def payload_from_json(self, obj):
         return _ratio(obj["n"], obj["d"])
 
+    def payloads_from_json(self, records) -> list:
+        """``[payload_from_json(obj) for obj in records]``, parsed once per
+        distinct (n, d) (``dy``: (n, k)) pair of plain ints; a record
+        without such a pair (a bool, a float, a missing key, not a dict)
+        is parsed alone, so it raises what it raises alone."""
+        parse, memo, out = self.payload_from_json, {}, []
+        for obj in records:
+            key = (obj.get("n"), obj.get(self._memo_key)) if type(obj) is dict else ()
+            if key and type(key[0]) is int and type(key[1]) is int:
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = parse(obj)
+            else:
+                value = parse(obj)
+            out.append(value)
+        return out
+
 
 class DyadicGroup(RationalGroup):
     """Rationals whose reduced denominator is a power of two."""
 
     tag = "dy"
+    _memo_key = "k"
 
     def validate(self, payload):
         q = as_fraction(payload)

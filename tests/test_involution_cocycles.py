@@ -39,7 +39,7 @@ from cocycle_lab.involution_cocycles import (
 )
 from cocycle_lab.sampling import coboundary_generator, invariant_family, payload
 from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes, prefix_to_index
-from cocycle_lab.suites import _dyadic_family, render_json
+from cocycle_lab.suites import _dyadic_family, _round_trip, render_json
 from cocycle_lab.values import (
     APPROX_REALS,
     DYADICS,
@@ -979,6 +979,9 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
         _same(recovered.tables, expected.tables)
         _same(recovered.tables, fam.tables)
     assert verify_identities(cocycle).ok
+    # the round trip compares numerators; the public recovery is its oracle
+    assert _round_trip(cocycle) == (recover_generators(cocycle, fam.count, bases).tables
+                                    == fam.tables, "")
     # on every group these paths read the walk and build no payload view
     assert "_generator_tables" not in vars(cocycle)
     _same(cocycle._generator_tables, tables)
@@ -990,6 +993,8 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
         new = h_approximate(fam, chain)
         assert json.dumps(new.to_json()).encode() == json.dumps(report.to_json()).encode()
         _same(new.transfer.table, report.transfer.table)
+        g, g_den = new._transfer_kernel
+        _same(tuple(Fraction(v, g_den) for v in g), new.transfer.table)
         _same(new.rounded_family.tables, report.rounded_family.tables)
         assert "_generator_tables" not in vars(new.beta)
         nums, _, den = new.beta._kernel_tables
@@ -1177,6 +1182,8 @@ def test_h_approximate_on_grid_ties_and_dyadics_matches_the_fraction_kernel(tag,
         _same(new.family.tables, report.family.tables)
         _same(new.rounded_family.tables, report.rounded_family.tables)
         _same(new.transfer.table, report.transfer.table)
+        g, g_den = new._transfer_kernel
+        _same(tuple(Fraction(v, g_den) for v in g), new.transfer.table)
         _same(new.beta._generator_tables, beta)
         # a dyadic entry, a grid midpoint or 3/12 over an L divisible by 21, stays as it is
         for table, rounded in zip(fam.tables, new.rounded_family.tables):
@@ -1363,9 +1370,11 @@ def test_a_raw_oracle_walks_once_per_call(monkeypatch, tag):
     oracle = _raw_oracle(InvolutionCocycle(fam)._generator_tables, group, fam.bases)
     walks = _count_walks(monkeypatch)
     assert verify_identities(oracle, 3, fam.bases, group).ok
-    assert len(walks) == 1
+    # on real the identity scan decides, so verify reads no potential and walks none
+    verify_walks = 0 if tag == "real" else 1
+    assert len(walks) == verify_walks
     assert recover_generators(oracle, 3, fam.bases, group).tables == fam.tables
-    assert len(walks) == 2
+    assert len(walks) == verify_walks + 1
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -1388,3 +1397,50 @@ def test_a_cocycle_answers_each_prefix_count_as_a_raw_oracle_does(monkeypatch, t
         assert isinstance(recovered, str) == (k > 1 and corrupt)
         assert recovered == expected
         assert repr(recovered) == repr(expected)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_the_round_trip_answers_as_the_public_recovery_does(monkeypatch, tag, corrupt):
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(17), 5, 3, group)
+    if corrupt:
+        _corrupt_walks(monkeypatch)
+    cocycle = InvolutionCocycle(fam)
+    try:
+        recovered = recover_generators(cocycle, fam.count, fam.bases, group)
+        expected = recovered.tables == fam.tables, ""
+    except OracleInconsistencyError as exc:
+        expected = False, str(exc)
+    assert _round_trip(cocycle) == expected
+    assert expected[0] is not corrupt
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nums=st.lists(st.integers(-40, 40) | st.integers(-(2**80), 2**80), max_size=30),
+    den=st.integers(1, 12) | st.integers(1, 2**70),
+    tag=st.sampled_from(ALL_TAGS),
+)
+def test_kernel_values_become_payloads_as_per_entry_fractions_do(nums, den, tag):
+    group = group_from_tag(tag)
+    values = nums + nums[::2]  # with repeats
+    if group.rational:
+        den = 1 if group == INTEGERS else den
+        expected = tuple(v if group == INTEGERS else Fraction(v, den) for v in values)
+    else:
+        den, expected = None, tuple(values)
+    _same(_as_payloads(values, den, group), expected)
+    if den is not None and group != INTEGERS:
+        # one Fraction per distinct numerator, shared by the equal entries
+        out = _as_payloads(values, den, group)
+        assert len({id(q) for q in out}) == len(set(values))
+
+
+@pytest.mark.parametrize("tag", ["rat", "dy"])
+def test_the_transfer_numerators_give_happrox_its_max_transfer(tag):
+    fam = invariant_family(random.Random(19), 7, 3, group_from_tag(tag))
+    report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)))
+    g, den = report._transfer_kernel
+    oracle = max(abs(v) for v in report.transfer.table)
+    _same(Fraction(max(max(g), -min(g)), den), oracle)
