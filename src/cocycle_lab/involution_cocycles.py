@@ -312,6 +312,13 @@ class InvolutionCocycle:
         return (*_potential_walk(f, self.family.depth, self.group, den), den)
 
     @cached_property
+    def _first_mismatch(self):
+        """``_coboundary_mismatch`` of ``_kernel_tables``, found once: it is
+        the first in n-major order, so one at n > count means none in the
+        first count tables."""
+        return _coboundary_mismatch(*self._kernel_tables, self.group)
+
+    @cached_property
     def _generator_tables(self) -> tuple:
         """The payload view of ``_kernel_tables``, for the public readers."""
         tables, _, den = self._kernel_tables
@@ -415,6 +422,16 @@ def _coboundary_mismatch(tables, potential, den: int | None, group: Group):
     return None
 
 
+def _oracle_mismatch(oracle, tables, potential, den: int | None, group: Group):
+    """``_coboundary_mismatch`` of what ``_oracle_tables`` returned for
+    ``oracle``; a cocycle's is its cached ``_first_mismatch``, kept when it
+    falls within the tables asked for."""
+    if not isinstance(oracle, InvolutionCocycle):
+        return _coboundary_mismatch(tables, potential, den, group)
+    mismatch = oracle._first_mismatch
+    return mismatch if mismatch is not None and mismatch[0] <= len(tables) else None
+
+
 def verify_identities(
     cocycle, count: int | None = None, bases=None, group: Group | None = None
 ) -> IdentityCheck:
@@ -451,7 +468,7 @@ def verify_identities(
     tables, potential, group, den = _oracle_tables(
         cocycle, count, bases, group, walk_inexact=False
     )
-    if group.exact and _coboundary_mismatch(tables, potential, den, group) is None:
+    if group.exact and _oracle_mismatch(cocycle, tables, potential, den, group) is None:
         return IdentityCheck(True)
     tables = [_as_payloads(table, den, group) for table in tables]
     add, equal, zero = group.add, group.values_equal, group.zero()
@@ -480,7 +497,7 @@ def _recovered_kernel(oracle, count: int, bases, group: Group | None):
     what ``recover_generators`` raises."""
     bases = _check_binary(bases)
     tables, potential, group, den = _oracle_tables(oracle, count, bases, group)
-    mismatch = _coboundary_mismatch(tables, potential, den, group)
+    mismatch = _oracle_mismatch(oracle, tables, potential, den, group)
     if mismatch is not None:
         n, i, v, w = mismatch
         v, w = _as_payloads((v, w), den, group)

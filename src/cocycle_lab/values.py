@@ -17,17 +17,19 @@ compatible translation-invariant metric would do); they are fixed so that
 every derived quantity is a reproducible exact rational; ``Group.rational``
 marks Z, Q and the dyadics, whose kernels run on int numerators.  All but Z/m
 write their metric as the largest of a few ordered coordinate differences
-(``Group.projections``), which lets diameters and window extrema run in
-linear time.  Float values are compared with ``REPORTING_TOLERANCE`` in
-reports only, never in exact-mode verification.
+(``Group.projections``, int numerators over one denominator), which lets
+diameters and window extrema run in linear time on ints.  Float values are
+compared with ``REPORTING_TOLERANCE`` in reports only, never in exact-mode
+verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
+from operator import add, sub
 from typing import Any
 
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
@@ -143,13 +145,21 @@ class Group:
         return self.metric(a, self.zero())
 
     def projections(self, payloads):
-        """Ordered coordinates p_1 .. p_k of the payloads, one column each.
+        """Ordered coordinates p_1 .. p_k of the payloads as (columns, L).
 
-        They satisfy ``metric(a, b) == max_k |p_k(a) - p_k(b)|`` exactly, so
-        a diameter or a window's farthest value reduces to per-column max
-        and min.  None when the metric has no such form (Z/m).
+        Each column holds one coordinate of every payload, as ints over the
+        one denominator L of them all (``_integer_numerators``; floats and
+        L = 1 on ``real``).  They satisfy
+        ``metric(a, b) == metric_over(max_k |p_k(a) - p_k(b)|, L)`` exactly,
+        so a diameter or a window's farthest value reduces to per-column
+        max and min on ints.  None when the metric has no such form (Z/m).
         """
         return None
+
+    def metric_over(self, x, scale):
+        """The metric value of a projection difference x over ``scale``:
+        x / scale as a Fraction (an int on Z, the float x on ``real``)."""
+        return Fraction(x, scale)
 
     def values_equal(self, a, b) -> bool:
         return a == b
@@ -195,7 +205,7 @@ class _ScalarGroup(Group):
         return abs(a - b)
 
     def projections(self, payloads):
-        return [list(payloads)]
+        return [list(payloads)], 1
 
 
 class IntegerGroup(_ScalarGroup):
@@ -204,6 +214,9 @@ class IntegerGroup(_ScalarGroup):
 
     def zero(self):
         return 0
+
+    def metric_over(self, x, scale):
+        return x
 
     def validate(self, payload):
         if not _is_int(payload):
@@ -226,6 +239,10 @@ class RationalGroup(_ScalarGroup):
 
     def validate(self, payload):
         return as_fraction(payload)
+
+    def projections(self, payloads):
+        nums, scale = _integer_numerators(payloads)
+        return [nums], scale
 
     _memo_key = "d"  # the record's int besides n that fixes its payload
 
@@ -358,19 +375,25 @@ class RationalVectorGroup(Group):
         return sum((abs(x - y) for x, y in zip(a, b)), Fraction(0))
 
     def projections(self, payloads):
-        """Signed coordinate sums s . a with s_1 = +1: the L1 metric is the
-        largest |s . (a - b)| over the 2^(d-1) sign vectors.  More than
-        ``MAX_PROJECTION_TERMS`` terms is refused before any is summed."""
+        """Signed coordinate sums s . a with s_1 = +1, on the coordinates'
+        int numerators: the L1 metric is the largest |s . (a - b)| over the
+        2^(d-1) sign vectors.  More than ``MAX_PROJECTION_TERMS`` terms is
+        refused before any is summed."""
         terms = len(payloads) * self.dim << (self.dim - 1)
         if terms > MAX_PROJECTION_TERMS:
             raise ValueError(
                 f"Q^{self.dim} projections of {len(payloads)} values need {terms} "
                 f"signed terms, more than the limit {MAX_PROJECTION_TERMS}"
             )
-        return [
-            [a[0] + sum(c if s > 0 else -c for s, c in zip(signs, a[1:])) for a in payloads]
-            for signs in product((1, -1), repeat=self.dim - 1)
-        ]
+        coords, scale = _integer_numerators(list(chain.from_iterable(payloads)))
+        first, *rest = (coords[k :: self.dim] for k in range(self.dim))
+        columns = []
+        for signs in product((add, sub), repeat=self.dim - 1):
+            column = first
+            for sign, coord in zip(signs, rest):
+                column = list(map(sign, column, coord))
+            columns.append(column)
+        return columns, scale
 
     def payload_to_json(self, a):
         return {"t": "vec", "v": [[c.numerator, c.denominator] for c in a]}
@@ -395,6 +418,9 @@ class ApproxRealGroup(_ScalarGroup):
 
     def values_equal(self, a, b) -> bool:
         return abs(a - b) <= REPORTING_TOLERANCE
+
+    def metric_over(self, x, scale):
+        return x
 
     def payload_to_json(self, a):
         return {"t": "real", "v": a}

@@ -21,7 +21,9 @@ exactly computable from one period of partial sums:
   sums of F_n are C[t] - C[base], so each row's certificate bound is read
   from per-tower extremes of C that merge level by level, O(N) in all;
 * boundedness of two-sided orbit sums characterizes coboundaries, with
-  the certificate spread bound as the explicit constant.
+  the certificate spread bound as the explicit constant; the scan reads
+  each window's extremes off one period of the running sums, on int
+  numerators over one denominator, O(N) per channel.
 
 Sign convention throughout: a coboundary generator is f(x) = c(Tx) - c(x),
 and every construction is normalized to it (transfers built from periodic
@@ -37,7 +39,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import gcd, lcm, ulp
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
@@ -56,11 +59,14 @@ from .space import (
     index_to_prefix,
     tau3_functional,
 )
-from .values import GroupValue, IntegerGroup, _integer_numerators, _is_int
+from .values import GroupValue, _integer_numerators, _is_int
 
 
-#: Longest running-sum list N + 2 scan_to + 1 a gh scan may build; the
-#: default horizon 4N needs at most 9 MAX_POINTS + 1.
+#: Most running sums N + 2 scan_to + 1 a gh scan may read; the default
+#: horizon 4N needs at most 9 MAX_POINTS + 1.  The folded scan past a
+#: period builds no such list, but the limit is kept as it was, so the same
+#: horizons are refused whichever scan runs; it still bounds the sliding
+#: scans (short horizons, Z/m with D != 0) and the exceed_target cap.
 MAX_SCAN = 16 * MAX_POINTS
 
 
@@ -114,6 +120,25 @@ class ZCocycle:
             return self.group.add(base, self.group.scale(self.cycle_sum_payload, cycles))
         return base
 
+    @cached_property
+    def _channels(self) -> list:
+        """The running sums R in metric channels (``_Channel``): one per
+        ordered projection of C and S, as ints over one denominator (floats
+        on real), or their residues on Z/m."""
+        group = self.group
+        projected = group.projections(self._partial)
+        if projected is None:
+            return [_Ring(list(self._partial), self.cycle_sum_payload, group)]
+        columns, scale = projected
+        steps, step_scale = group.projections([self.cycle_sum_payload])
+        common = lcm(scale, step_scale)
+        if common != scale:
+            columns = [list(map(mul, column, repeat(common // scale))) for column in columns]
+        return [
+            _Ordered(column, step * (common // step_scale), group, common)
+            for column, (step,) in zip(columns, steps)
+        ]
+
     def evaluate_index(self, j: int, i: int):
         return self.group.sub(self._running(i + j), self._running(i))
 
@@ -133,15 +158,18 @@ def _spread_bound(values, group):
 
     With ordered projections (``Group.projections``) this is the largest
     per-column max - min, O(k N) for k columns (k = 1 on the ordered
-    groups, 2^(d-1) on Q^d).  On Z/m the distinct residues are sorted
-    round the ring, O(k log k) for k of them: one of the two residues of
-    a farthest pair lies at most floor(m/2) steps on from the other, so
-    the diameter is the largest distance from a residue a to the last
-    residue at or below a + floor(m/2), taken mod m with wrap-around.
+    groups, 2^(d-1) on Q^d), on ints over one denominator L, divided by L
+    once: an int on int, a Fraction on rat, dy and Q^d, a float on real.
+    On Z/m the distinct residues are sorted round the ring, O(k log k) for
+    k of them: one of the two residues of a farthest pair lies at most
+    floor(m/2) steps on from the other, so the diameter is the largest
+    distance from a residue a to the last residue at or below
+    a + floor(m/2), taken mod m with wrap-around.
     """
-    columns = group.projections(values)
-    if columns is not None:
-        return max(max(col) - min(col) for col in columns)
+    projected = group.projections(values)
+    if projected is not None:
+        columns, scale = projected
+        return group.metric_over(max(max(col) - min(col) for col in columns), scale)
     m = group.modulus
     ring = sorted(set(values))
     return max(group.metric(a, ring[bisect_right(ring, (a + m // 2) % m) - 1]) for a in ring)
@@ -365,7 +393,7 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
     (f's, less f's tops, plus F_n's) read from the same ints; tau3 is
     the sum of mass * min(|F_n - f|, L) over the tops, over D L.  A
     Fraction is built only for a reported value, and M stays an int on
-    int, as ``_spread_bound`` leaves it.
+    int (``Group.metric_over``), as ``_spread_bound`` leaves it.
     """
     model = a.model
     table = a.generator.table
@@ -373,7 +401,6 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
     f = nums * (model.size // len(table))
     c = list(accumulate(f[:-1], initial=0))
     cycle = c[-1] + f[-1]
-    ints = isinstance(a.group, IntegerGroup)
     p1 = model.bases[0]
     hi = lo = c
     rows = []
@@ -389,7 +416,7 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
         row = {"n": n, "certified": certified}
         if certified:
             bound = max(map(sub, hi, base)) - min(map(sub, lo, base))
-            row["M"] = bound if ints else Fraction(bound, scale)
+            row["M"] = a.group.metric_over(bound, scale)
         clipped = [min(abs(t - v), scale) for t, v in zip(tops, f_tops)]
         step = w // p1
         for k, (level1, den) in enumerate(masses):
@@ -534,78 +561,365 @@ def _by_start(seq, width, size, window_fn):
     return out
 
 
-def _window_reach(a: ZCocycle, scan_to: int):
-    """The farthest running sums from each start, per metric channel.
+class _Channel:
+    """One metric channel of the running sums R(kN + r) = C[r] + k S.
 
-    The two-sided sum of window (i, j) is R(b + 2j + 1) - R(b) with
-    b = (i - j) mod N, because R(t + N) = R(t) + S cancels in the
-    difference.  So the N (scan_to + 1) windows of the scan become one
-    sliding window per start b.  Returns (seq, reach) per channel: seq is
-    R (or one ordered projection of it) over [0, N + 2 scan_to], and
-    reach[b] lists (value, distance from seq[b]) for every value of b's
-    window that can be the farthest -- its max and min on an ordered
-    projection, every distinct value otherwise.
+    ``period`` is C and ``step`` is S read in the channel: an ordered
+    projection (``_Ordered``) or the residues of Z/m (``_Ring``).  The
+    window of start b holds R(b + 1), R(b + 3), ..., R(b + 2 scan_to + 1),
+    one parity of positions, so in cycle k (positions kN .. kN + N - 1) it
+    holds part of one parity class of C, each value read k S further on.
+    Along one parity R repeats up to a shift D after p positions: p = N/2
+    and D = S on even N, p = N and D = 2 S on odd N.  Once scan_to + 1 >= p
+    (``folds``) every window crosses from one cycle into the next, so it
+    is a suffix of a class, whole classes, and a prefix of a class.
     """
-    group = a.group
-    size = a.model.size
-    length = size + 2 * scan_to + 1
-    width = scan_to + 1
-    columns = group.projections(a._partial)
-    if columns is None:
-        seq = _extended(a._partial, a.cycle_sum_payload, length, group.add, group.scale)
-        windows = _by_start(seq, width, size, _window_values)
-        reach = [[(v, group.metric(v, r)) for v in values] for values, r in zip(windows, seq)]
-        return [(seq, reach)]
-    channels = []
-    for base, (step,) in zip(columns, group.projections([a.cycle_sum_payload])):
-        seq = _extended(base, step, length, add, mul)
-        extrema = _by_start(seq, width, size, _window_extrema)
-        reach = [((hi, hi - r), (lo, r - lo)) for (hi, lo), r in zip(extrema, seq)]
-        channels.append((seq, reach))
-    return channels
+
+    lead = 1  # the last wrap segment ``first_window`` reads, unless rising
+
+    def __init__(self, period, step):
+        self.period = period
+        self.step = step
+        self.size = len(period)
+
+    def folds(self, scan_to: int) -> bool:
+        size = self.size
+        return scan_to + 1 >= (size if size % 2 else size // 2)
+
+    def value(self, k: int, x):
+        """The reading of R(kN + r), for x = C[r]."""
+        raise NotImplementedError
+
+    def _matches(self, e: int, k: int, v):
+        """The values x of parity class e of C with value(k, x) == v."""
+        x = self._inverse(k, v)
+        return (x,) if x in self._index[e] else ()
+
+    @cached_property
+    def _index(self):
+        """Per parity e, each value of C[e::2] with the indices h (r = e + 2h) holding it."""
+        out = []
+        for e in (0, 1):
+            index = {}
+            for h, x in enumerate(self.period[e::2]):
+                index.setdefault(x, []).append(h)
+            out.append(index)
+        return out
+
+    def _reading(self, b: int, j: int):
+        """The reading of R(b + 2j + 1)."""
+        k, r = divmod(b + 2 * j + 1, self.size)
+        return self.value(k, self.period[r])
+
+    def _first_in(self, b: int, c: int, v, scan_to: int):
+        """The least radius j <= scan_to of wrap segment c (cN - b <= j <
+        (c + 1)N - b) whose window end R(b + 2j + 1) reads v, or None."""
+        size = self.size
+        jlo, jhi = max(0, c * size - b), min(scan_to, (c + 1) * size - b - 1)
+        tlo, thi = b + 1 + 2 * jlo, b + 1 + 2 * jhi
+        for k in range(tlo // size, thi // size + 1):
+            base = k * size
+            e = (tlo - base) & 1
+            first, last = max(tlo - base, e) >> 1, (min(thi - base, size - 1) - e) >> 1
+            index, best = self._index[e], None
+            for x in self._matches(e, k, v):
+                at = index[x]
+                pos = bisect_left(at, first)
+                if pos < len(at) and at[pos] <= last and (best is None or at[pos] < best):
+                    best = at[pos]
+            if best is not None:
+                return (base + e + 2 * best - b - 1) // 2
+        return None
+
+    def first_window(self, b: int, v, rising: bool, scan_to: int):
+        """The least (i, j) in scan order with j <= scan_to whose window
+        from start b ends on a reading v (one that b's window holds).
+
+        Radius j belongs to prefix i = (b + j) mod N, which restarts at 0 on
+        every wrap j = cN - b, so the least j reading v on each wrap segment
+        c is a candidate.  A whole segment c + 1 reads, at each prefix, R
+        two cycles on from segment c: 2S further.  Where that moves nothing
+        (S = 0 in the channel; on Z/m after ``lead`` segments), or moves
+        away from the extreme v, no segment past ``lead`` reaches v at a
+        prefix an earlier one misses, so segments 0 .. lead decide.  Where
+        it moves toward v (``rising``), the prefixes reaching v only grow
+        with c: the last two segments give the least prefix i, and a
+        bisection over the segments the least radius holding it.
+        """
+        size = self.size
+        last = (b + scan_to) // size
+        if not rising:
+            found = (self._first_in(b, c, v, scan_to) for c in range(min(last, self.lead) + 1))
+            return min(((b + j) % size, j) for j in found if j is not None)
+        best = None
+        for c in range(max(last - 1, 0), last + 1):
+            j = self._first_in(b, c, v, scan_to)
+            if j is not None and (best is None or (b + j) % size < best[0]):
+                best = (b + j) % size, c
+        i, hi = best
+        lo = 0 if i >= b else 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._reading(b, mid * size - b + i) == v:
+                hi = mid
+            else:
+                lo = mid + 1
+        return i, hi * size - b + i
+
+
+class _Ordered(_Channel):
+    """An ordered projection: ints over the projections' denominator
+    ``scale`` (floats on ``real``), so a window's farthest reading from
+    R(b) is its max or its min."""
+
+    def __init__(self, period, step, group, scale):
+        super().__init__(period, step)
+        self.group, self.scale = group, scale
+        self.classes = (period[0::2], period[1::2])
+        self._extremes = {}
+
+    def measure(self, d):
+        return self.group.metric_over(d, self.scale)
+
+    def value(self, k, x):
+        return x + self.step * k if k else x
+
+    def _inverse(self, k, v):
+        return v - self.step * k
+
+    def _matches(self, e, k, v):
+        if self.group.exact:
+            return super()._matches(e, k, v)
+        # float sums round: every x whose sum with k S rounds to v lies
+        # within a few ulps of v - k S, and is tested exactly
+        keys = self._keys[e]
+        guess = v - self.step * k if k else v
+        margin = 4 * (ulp(v) + ulp(guess))
+        found = keys[bisect_left(keys, guess - margin) : bisect_right(keys, guess + margin)]
+        return [x for x in found if self.value(k, x) == v]
+
+    @cached_property
+    def _keys(self):
+        return [sorted(index) for index in self._index]
+
+    def _extreme(self, up: bool, suffix, e: int):
+        """The prefix (``suffix`` False) or suffix maxima (``up``) or minima
+        of class e, or with ``suffix`` None its max or min; built once."""
+        key = up, suffix, e
+        found = self._extremes.get(key)
+        if found is None:
+            c = self.classes[e]
+            if suffix is None:
+                found = max(c) if up else min(c)
+            else:
+                found = _prefix_extremes(c[::-1], up)[::-1] if suffix else _prefix_extremes(c, up)
+            self._extremes[key] = found
+        return found
+
+    def reach(self, scan_to: int):
+        """(hi, lo, rise, drop): the largest and least reading of each
+        start's window and their distances hi - R(b) and R(b) - lo."""
+        c = self.period
+        if self.folds(scan_to):
+            late = self.step >= 0
+            hi, lo = self._fold(scan_to, True, late), self._fold(scan_to, False, not late)
+        else:
+            seq = _extended(c, self.step, self.size + 2 * scan_to + 1, add, mul)
+            hi, lo = map(list, zip(*_by_start(seq, scan_to + 1, self.size, _window_extrema)))
+        return hi, lo, list(map(sub, hi, c)), list(map(sub, c, lo))
+
+    def _fold(self, scan_to: int, up: bool, late: bool):
+        """The max (``up``) or min of every start's window, from the
+        classes' prefix and suffix extremes; ``late`` when later cycles
+        read more extreme (S > 0 for max, S < 0 for min).  Starts b, b + 2,
+        ... share the cycle k0 of their first position and k1 of their
+        last but for one cut each, so each run is a few list passes, O(N)
+        in all."""
+        size, span = self.size, 2 * scan_to + 1
+        out = [None] * size
+        for first in (0, 1):
+            cut = ((first + span) // size + 1) * size - span  # the first start whose k1 is one more
+            before = len(range(first, min(cut, size - 1), 2))
+            rest = len(range(first, size - 1, 2)) - before
+            out[first : size - 1 : 2] = self._run(first, before, span, up, late) + self._run(
+                first + 2 * before, rest, span, up, late
+            )
+        out[size - 1] = self._run(size - 1, 1, span, up, late)[0]
+        return out
+
+    def _run(self, b: int, n: int, span: int, up: bool, late: bool) -> list:
+        """The max (``up``) or min of the windows of starts b, b + 2, ...,
+        b + 2(n - 1), which begin in one cycle k0 and end in one cycle k1:
+        a suffix of a class in k0, a prefix of one in k1 (both the whole
+        class when k1 = k0, at the fold's edge), and whole classes in
+        between, of which the most extreme of each parity is the one
+        nearest k1 (``late``) or k0.  A whole class read further in the
+        extreme's direction than a part of the same class bounds it, so
+        the part is left out."""
+        if not n:
+            return []
+        size, pick = self.size, max if up else min
+        (k0, r0), (k1, r1) = divmod(b + 1, size), divmod(b + span, size)
+        inner = range(k1 - 1, k0, -1) if late else range(k0 + 1, k1)
+        whole = {}
+        for k in inner[:2]:
+            e = (b + 1 - k * size) & 1
+            if e not in whole:
+                whole[e] = self.value(k, self._extreme(up, None, e))
+        flat = self.step == 0
+        parts = []
+        if not (r0 & 1 in whole and (late or flat)):
+            parts.append(self._shifted(self._extreme(up, True, r0 & 1)[r0 >> 1 : (r0 >> 1) + n], k0))
+        if not (r1 & 1 in whole and (not late or flat)):
+            parts.append(self._shifted(self._extreme(up, False, r1 & 1)[r1 >> 1 : (r1 >> 1) + n], k1))
+        if whole:
+            parts.append(repeat(pick(whole.values()), n))
+        out = parts[0]
+        for part in parts[1:]:
+            out = _pick(out, part, up)
+        return list(out)
+
+    def _shifted(self, xs, k: int):
+        return map(add, xs, repeat(self.step * k)) if k else xs
+
+    def sup(self, reach):
+        return max(max(reach[2]), max(reach[3]))
+
+    def targets(self, reach, sup):
+        """(b, v, rising) for each window extreme v at distance sup from R(b)."""
+        hi, lo, rise, drop = reach
+        for b in _positions(rise, sup):
+            yield b, hi[b], self.step > 0
+        for b in _positions(drop, sup):
+            yield b, lo[b], self.step < 0
+
+
+class _Ring(_Channel):
+    """The residues of Z/m: a window's farthest reading from R(b) is the
+    residue nearest the antipode of R(b) among the window's."""
+
+    def __init__(self, period, step, group):
+        super().__init__(period, step)
+        self.group = group
+        self.modulus = group.modulus
+        # lead steps of 2S first sum to 0 mod m, so segments c and c + lead read alike
+        self.lead = self.modulus // gcd(2 * step, self.modulus)
+
+    def measure(self, d):
+        return d
+
+    def value(self, k, x):
+        return (x + self.step * k) % self.modulus
+
+    def _inverse(self, k, v):
+        return (v - self.step * k) % self.modulus
+
+    def reach(self, scan_to: int):
+        """(far, windows): each start's farthest distance and its window's residues.
+
+        With D = 0 (mod m) past the fold a window holds one whole period of
+        its parity: one residue set per parity, sorted once, and the
+        farthest residue from each distinct R(b) is found by bisection.
+        Otherwise every window's distinct residues are kept, as they slide."""
+        group, size, m = self.group, self.size, self.modulus
+        period, step = self.period, self.step
+        if self.folds(scan_to) and (step if size % 2 == 0 else 2 * step) % m == 0:
+            sets = [set(period[c::2]) for c in (0, 1)]
+            if size % 2:
+                sets = [s | {(x + step) % m for x in period[1 - c :: 2]} for c, s in enumerate(sets)]
+            rings = [sorted(s) for s in sets]
+            farthest = [{}, {}]
+            far = []
+            for b, a in enumerate(period):
+                memo = farthest[(b + 1) & 1]
+                d = memo.get(a)
+                if d is None:
+                    ring = rings[(b + 1) & 1]
+                    k = bisect_right(ring, (a + m // 2) % m)
+                    d = memo[a] = max(group.metric(ring[k - 1], a), group.metric(ring[k % len(ring)], a))
+                far.append(d)
+            return far, [sets[(b + 1) & 1] for b in range(size)]
+        seq = _extended(period, step, size + 2 * scan_to + 1, group.add, group.scale)
+        windows = _by_start(seq, scan_to + 1, size, _window_values)
+        far = [max(group.metric(v, r) for v in values) for values, r in zip(windows, seq)]
+        return far, windows
+
+    def sup(self, reach):
+        return max(reach[0])
+
+    def targets(self, reach, sup):
+        """(b, v, False) for each residue v of b's window at distance sup from R(b)."""
+        far, windows = reach
+        m = self.modulus
+        for b in _positions(far, sup):
+            a = self.period[b]
+            for v in {(a + sup) % m, (a - sup) % m}:
+                if v in windows[b]:
+                    yield b, v, False
+
+
+def _prefix_extremes(xs, up: bool) -> list:
+    """The prefix maxima (``up``) or minima of xs.  Comparisons in a
+    comprehension: ``accumulate(xs, max)`` calls max per item and runs
+    several times slower."""
+    m = xs[0]
+    if up:
+        return [m := x if x > m else m for x in xs]
+    return [m := x if x < m else m for x in xs]
+
+
+def _positions(xs: list, x):
+    """The indices of x in xs, ascending (``list.index`` scans at C speed)."""
+    b = -1
+    try:
+        while True:
+            b = xs.index(x, b + 1)
+            yield b
+    except ValueError:
+        return
+
+
+def _pick(xs, ys, up: bool) -> list:
+    """The elementwise max (``up``) or min of xs and ys."""
+    if up:
+        return [x if x > y else y for x, y in zip(xs, ys)]
+    return [x if x < y else y for x, y in zip(xs, ys)]
+
+
+def _window_reach(a: ZCocycle, scan_to: int):
+    """Each metric channel of ``a`` (``ZCocycle._channels``) with its reach
+    at radius scan_to: the two-sided sum of window (i, j) is
+    R(b + 2j + 1) - R(b) with b = (i - j) mod N, because R(t + N) = R(t) + S
+    cancels in the difference, so the N (scan_to + 1) windows of the scan
+    become one window per start b, and its farthest readings from R(b)
+    bound them all."""
+    return [(channel, channel.reach(scan_to)) for channel in a._channels]
 
 
 def _window_sup(channels):
-    """The largest window sum norm in a ``_window_reach`` result."""
-    return max(d for _, reach in channels for pairs in reach for _, d in pairs)
+    """The largest window sum norm in a ``_window_reach`` result, as
+    (channel distance, metric value)."""
+    d = max(channel.sup(reach) for channel, reach in channels)
+    return d, channels[0][0].measure(d)
 
 
-def _first_window(channels, sup, size: int, scan_to: int):
-    """The scan's witness: the least (i, j) in scan order whose sum attains sup.
-
-    The radii j of start b that attain it are the positions t = b + 2j + 1
-    of a farthest value at distance sup inside b's window.  Radius j
-    belongs to prefix i = (b + j) mod N, which restarts at 0 on every wrap
-    j = cN - b, so the least such j of each wrap segment is a candidate.
-    """
-    best = None
-    for seq, reach in channels:
-        targets = [(b, v) for b in range(size) for v, d in reach[b] if d == sup]
-        wanted = {v for _, v in targets}
-        positions = {}
-        for t, v in enumerate(seq):
-            if v in wanted:
-                positions.setdefault((t & 1, v), []).append(t)
-        for b, v in targets:
-            at = positions[(b + 1) & 1, v]
-            first, wrap = 0, 0
-            while first <= scan_to:
-                last = min(scan_to, (wrap + 1) * size - b - 1)
-                k = bisect_left(at, b + 2 * first + 1)
-                if k < len(at) and at[k] <= b + 2 * last + 1:
-                    j = (at[k] - b - 1) // 2
-                    candidate = ((b + j) % size, j)
-                    if best is None or candidate < best:
-                        best = candidate
-                wrap += 1
-                first = wrap * size - b
-    return best
+def _first_window(channels, sup, scan_to: int):
+    """The scan's witness: the least (i, j) in scan order whose sum attains
+    the channel distance sup, over every start's extremes at that distance."""
+    return min(
+        channel.first_window(b, v, rising, scan_to)
+        for channel, reach in channels
+        for b, v, rising in channel.targets(reach, sup)
+    )
 
 
 def _check_scan(group, size: int, scan_to: int, what: str) -> None:
     """Refuse a scan to radius ``scan_to`` of more than ``MAX_SCAN`` running
     sums, or on Z/m of more than ``MAX_SCAN`` window residues: each of the
-    N windows keeps up to min(m, scan_to + 1) distinct residues."""
+    N windows of a sliding scan keeps up to min(m, scan_to + 1) distinct
+    residues.  The folded scan costs O(k N) whatever the radius, but both
+    limits apply to every scan alike, so a horizon is refused or not as
+    before, with the same text."""
     if size + 2 * scan_to + 1 > MAX_SCAN:
         raise ValueError(
             f"{what} needs {size + 2 * scan_to + 1} running sums, more than the limit {MAX_SCAN}"
@@ -629,17 +943,22 @@ def gh_check(
 
     The decision itself is the vanishing of the cycle sum.  The scan
     produces the empirical sup over all prefixes and window radii up to
-    the horizon (default 4N), in O(k (N + horizon)) time through sliding
-    window extrema of the running sums (O(N min(m, horizon)) on Z/m); the
-    witness is the first window in (prefix, radius) order that attains
-    it.  On the inexact ``real`` group the sup agrees with the literal
-    window scan to ``REPORTING_TOLERANCE``; it is bit-identical when no
-    window wraps below position 0, since the sums are then formed alike.
-    For a non-coboundary with ``exceed_target`` above that sup, the witness
-    is the first window of the least radius past the horizon whose sum
-    exceeds the target, bisected below a cap of a few periods in
-    O(k (N + cap) log cap); that fails (PeriodicityError) only when the
-    metric is bounded, as in Z/m.  ``empirical_sup`` stays the horizon's.
+    the horizon (default 4N); the witness is the first window in
+    (prefix, radius) order that attains it.  Once horizon + 1 >= p (p =
+    N/2 on even N, N on odd N) each window is read off one period of its
+    parity's running sums, so the scan costs O(k N) for k channels, O(N)
+    ints per channel, whatever the horizon (``_Channel``); a shorter
+    horizon slides over at most 3N running sums, and Z/m with D != 0 (D
+    the period's shift) keeps each window's residues, O(N min(m,
+    horizon)).  On the inexact ``real`` group the sup agrees with the
+    literal window scan to ``REPORTING_TOLERANCE``; it is bit-identical
+    when no window wraps below position 0, since the sums are then formed
+    alike.  For a non-coboundary with ``exceed_target`` above that sup,
+    the witness is the first window of the least radius past the horizon
+    whose sum exceeds the target, bisected below a cap of a few periods
+    in O(k N log cap) once the probes fold; that fails (PeriodicityError)
+    only when the metric is bounded, as in Z/m.  ``empirical_sup`` stays
+    the horizon's.
     A horizon or cap needing more than ``MAX_SCAN`` running sums, or on
     Z/m more than ``MAX_SCAN`` window residues, is refused with a
     ValueError before its scan allocates anything.
@@ -660,7 +979,8 @@ def gh_check(
     _check_scan(group, size, scan_to, f"horizon {horizon}")
     certificate = coboundary_solve(a) if decision else None
     channels = _window_reach(a, scan_to)
-    best = empirical_sup = _window_sup(channels)
+    reach, best = _window_sup(channels)
+    empirical_sup = best
 
     witness = None
     if not decision:
@@ -694,10 +1014,10 @@ def gh_check(
             lo, scan_to = horizon, cap + 1
             while scan_to - lo > 1:
                 mid = (lo + scan_to) // 2
-                reach = _window_reach(a, mid)
-                sup = _window_sup(reach)
+                probe = _window_reach(a, mid)
+                d, sup = _window_sup(probe)
                 if sup > exceed_target:
-                    scan_to, channels, best = mid, reach, sup
+                    scan_to, channels, reach, best = mid, probe, d, sup
                 else:
                     lo = mid
             if scan_to > cap:
@@ -705,7 +1025,7 @@ def gh_check(
                     f"no two-sided sum exceeds {exceed_target} within "
                     f"{cap_periods} periods; the value group's metric is bounded"
                 )
-        i, j = _first_window(channels, best, size, scan_to)
+        i, j = _first_window(channels, reach, scan_to)
         witness = GHWitness(
             index_to_prefix(i, a.model.bases),
             j,

@@ -1,5 +1,6 @@
-"""The sliding-window gh kernel and the projection spread bound against
-their literal definitions: the O(N * H) window scan, its radius-by-radius
+"""The gh kernel (each window folded onto one period of the running sums,
+or sliding below the fold) and the projection spread bound against their
+literal definitions: the O(N * H) window scan, its radius-by-radius
 extension past the horizon, and the pairwise diameter."""
 
 import itertools
@@ -164,7 +165,14 @@ def cocycles(draw):
     return ZCocycle(model, CylinderFunction(bases, group, tuple(table)))
 
 
-# horizons as functions of N: short, up to the coboundary cut N - 1, and long
+def fold_period(n):
+    """p, the period of one parity of the running sums: N/2 on even N, N on odd N.
+    From scan radius p - 1 on, the kernel folds each window onto one period."""
+    return n // 2 if n % 2 == 0 else n
+
+
+# horizons as functions of N: short, up to the coboundary cut N - 1, long,
+# and on both sides of the fold
 HORIZONS = [
     lambda n: 0,
     lambda n: 1,
@@ -172,6 +180,10 @@ HORIZONS = [
     lambda n: n - 1,
     lambda n: n,
     lambda n: 4 * n,
+    lambda n: max(fold_period(n) - 2, 0),
+    lambda n: fold_period(n) - 1,
+    lambda n: fold_period(n),
+    lambda n: 2 * n,
 ]
 
 
@@ -180,10 +192,25 @@ def test_kernel_matches_scan(a, horizon):
     assert_matches_scan(a, horizon(a.model.size))
 
 
+def bound_type(group):
+    """The type of a metric value: int on Z and Z/m, float on real, else Fraction."""
+    if group.tag == "int" or group.tag.startswith("mod:"):
+        return int
+    return float if group.tag == "real" else Fraction
+
+
 @given(cocycles())
 def test_spread_bound_is_pairwise_diameter(a):
     bound = _spread_bound(a._partial, a.group)
     assert bound == pairwise_diameter(a._partial, a.group)
+    assert type(bound) is bound_type(a.group)
+
+
+@given(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=12))
+def test_real_spread_bound_is_the_float_pairwise_diameter(values):
+    bound = _spread_bound(values, APPROX_REALS)
+    assert bound == pairwise_diameter(values, APPROX_REALS)
+    assert type(bound) is float
 
 
 def test_z_mod_m_spread_bound_on_every_residue_set():
@@ -372,3 +399,76 @@ def test_exceed_extension_far_past_the_horizon():
     assert report.witness.radius > 3 * a.model.size
     assert report.witness.value.norm() > 17
     assert report.empirical_sup == gh_check(a, horizon=3).empirical_sup
+
+
+@pytest.mark.parametrize("bases", [(3,), (5,), (3, 3)])
+def test_z_mod_2_on_odd_n_folds_where_two_cycle_sums_vanish(bases):
+    # on odd N a parity of the running sums repeats after p = N positions,
+    # shifted by D = 2S, which is 0 in Z/2 whatever S is: past the fold each
+    # window holds its parity's whole period, and the witness search reads
+    # the first two wrap segments alone
+    model = Odometer(bases)
+    n = model.size
+    tables = itertools.product((0, 1), repeat=n) if n < 9 else (
+        tuple((i * k + k // 3) % 2 for i in range(n)) for k in range(1, 9)
+    )
+    for table in tables:
+        a = ZCocycle(model, CylinderFunction(bases, integers_mod(2), tuple(table)))
+        if a.cycle_sum_payload == 0:
+            continue
+        for horizon in range(2 * n + 2):
+            for target in (None, 0, 1):
+                assert_matches_scan(a, horizon, target)
+
+
+@pytest.mark.parametrize(
+    "bases, group, table",
+    [
+        ((2, 2, 2), RATIONALS, (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 2), 0,
+                                Fraction(-1, 3), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3))),
+        ((3, 3), RATIONALS, (Fraction(1, 3), Fraction(-1, 2), Fraction(1, 2), 0, Fraction(-1, 3),
+                             Fraction(1, 2), Fraction(-1, 2), 0, Fraction(1, 3))),
+        ((2, 2, 2), rational_vectors(2), tuple(
+            (Fraction(x, 2), Fraction(y, 3))
+            for x, y in [(1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0), (0, 1), (1, -1), (0, 0)]
+        )),
+    ],
+)
+def test_exceed_bisection_across_the_fold(monkeypatch, bases, group, table):
+    # the horizon's scan slides (horizon + 1 < p); the bisection probes
+    # radii past the fold, where each window is read off one period
+    a = ZCocycle(Odometer(bases), CylinderFunction(bases, group, tuple(map(group.validate, table))))
+    p = fold_period(a.model.size)
+    real_reach = zcocycles._window_reach
+    radii = []
+    monkeypatch.setattr(
+        zcocycles, "_window_reach", lambda a, r: radii.append(r) or real_reach(a, r)
+    )
+    folded = set()
+    for horizon in (0, p - 2):
+        sup = gh_check(a, horizon=horizon).empirical_sup
+        for target in (t for t in (Fraction(1, 2), Fraction(2, 3), 1, 2, 5) if t >= sup):
+            assert_matches_scan(a, horizon, target)
+            radii.clear()
+            report = gh_check(a, horizon=horizon, exceed_target=target)
+            assert radii[0] == horizon < p - 1
+            folded.update(r + 1 >= p for r in radii[1:])
+            assert report.witness.value.norm() > target
+    assert folded == {False, True}
+
+
+@pytest.mark.parametrize(
+    "bases, table",
+    [
+        ((2, 3), (-1e9, 1e9, 0.0, 0.0, 0.0, -2e-9)),
+        ((2, 3), (1e9, -1e9, 0.0, 0.0, 0.0, 2e-9)),
+        ((2, 2), (0.0, 3e8, -3e8, 3e-9)),
+    ],
+)
+def test_real_sums_that_round_alike_across_periods(bases, table):
+    # a cycle sum far below the float spacing of the partial sums: R(t) and
+    # R(t + 2N) = R(t) + 2S round to one float, so a prefix reaches the sup
+    # on several wrap segments, and the first of them is the witness
+    a = ZCocycle(Odometer(bases), CylinderFunction(bases, APPROX_REALS, table))
+    for horizon in range(4 * a.model.size + 1):
+        assert_matches_scan(a, horizon)

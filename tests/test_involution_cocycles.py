@@ -1416,6 +1416,32 @@ def test_the_round_trip_answers_as_the_public_recovery_does(monkeypatch, tag, co
     assert expected[0] is not corrupt
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_a_cocycle_checks_its_tables_once_for_verify_and_round_trip(monkeypatch, tag, corrupt):
+    # run odometer asks verify_identities and the round trip of one cocycle;
+    # both read its one cached first mismatch, at every prefix count
+    group = group_from_tag(tag)
+    fam = invariant_family(random.Random(19), 5, 4, group)
+    if corrupt:
+        _corrupt_walks(monkeypatch)
+    cocycle = InvolutionCocycle(fam)
+    checks = []
+    mismatch = involution_cocycles._coboundary_mismatch
+    monkeypatch.setattr(
+        involution_cocycles, "_coboundary_mismatch", lambda *args: checks.append(args) or mismatch(*args)
+    )
+    if group.exact:
+        assert verify_identities(cocycle).ok is not corrupt
+        assert verify_identities(cocycle, count=1).ok
+    roundtrip, witness = _round_trip(cocycle)
+    assert roundtrip is not corrupt
+    for k in range(1, fam.count + 1):
+        recovered = _outcome(recover_generators, cocycle, k, fam.bases, group)
+        assert isinstance(recovered, str) == (k > 1 and corrupt)
+    assert len(checks) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     nums=st.lists(st.integers(-40, 40) | st.integers(-(2**80), 2**80), max_size=30),

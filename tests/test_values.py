@@ -1,5 +1,6 @@
 """Group laws, metrics, neighborhood chains, and dyadic rounding."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -392,10 +393,41 @@ def test_vector_projections_past_the_term_limit_are_refused(monkeypatch):
     vec3 = rational_vectors(3)
     pair = [(Fraction(1), Fraction(2), Fraction(-1)), vec3.zero()]
     monkeypatch.setattr(values, "MAX_PROJECTION_TERMS", 24)
-    assert vec3.projections(pair) == [[2, 0], [4, 0], [-2, 0], [0, 0]]
+    assert vec3.projections(pair) == ([[2, 0], [4, 0], [-2, 0], [0, 0]], 1)
     monkeypatch.setattr(values, "MAX_PROJECTION_TERMS", 23)
     with pytest.raises(ValueError, match="2 values need 24 signed terms, more than the limit 23"):
         vec3.projections(pair)
+
+
+def fraction_projections(group, payloads):
+    """Oracle: the projections as Fractions, each signed coordinate sum
+    formed term by term (rat: the values themselves)."""
+    if group == RATIONALS:
+        return [list(payloads)]
+    return [
+        [a[0] + sum(c if s > 0 else -c for s, c in zip(signs, a[1:])) for a in payloads]
+        for signs in itertools.product((1, -1), repeat=group.dim - 1)
+    ]
+
+
+_EXACT = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)) | st.builds(
+    Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)
+)
+
+
+@given(st.data())
+def test_int_projections_over_their_denominator_are_the_fraction_projections(data):
+    group = data.draw(st.sampled_from([RATIONALS] + [rational_vectors(d) for d in (1, 2, 3)]))
+    value = _EXACT if group == RATIONALS else st.tuples(*[_EXACT] * group.dim)
+    payloads = data.draw(st.lists(value, min_size=1, max_size=12))
+    columns, scale = group.projections(payloads)
+    assert all(type(x) is int for column in columns for x in column)
+    assert [[Fraction(x, scale) for x in column] for column in columns] == fraction_projections(
+        group, payloads
+    )
+    # one denominator: the lcm of every coordinate's
+    coords = payloads if group == RATIONALS else [c for a in payloads for c in a]
+    assert scale == math.lcm(*(c.denominator for c in coords))
 
 
 class _Unread:
