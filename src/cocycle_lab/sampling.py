@@ -15,6 +15,9 @@ of a table run through one loop, ``_keys``, over a bound ``getrandbits``:
 an entry's draws combine into one int key, and the value of each key is
 read off a table built once per group and span (on ``mod:m`` the key is
 the value).  ``real`` and ``vec:d`` draw each entry through ``payload``.
+On those four groups the topology suite reads a case's mu-law from the
+draw keys (``_perturbation_law``): it consumes f's draws without building
+f, g or the measure.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import prod
 from typing import Sequence
 
 from .involution_cocycles import GeneratorFamily
-from .space import BernoulliMeasure, CylinderFunction, space_size
+from .space import BernoulliMeasure, CylinderFunction, check_bases, space_size
 from .values import (
     APPROX_REALS,
     DYADICS,
@@ -68,17 +71,16 @@ def _keys(rng: random.Random, widths: tuple[int, ...], n: int) -> list[int]:
     width of 1 still draws.
     """
     getrandbits = rng.getrandbits
-    spec = [(w, w.bit_length(), prod(widths[i + 1 :])) for i, w in enumerate(widths)]
     draws = []
     append = draws.append
-    for w, k, place in islice(cycle(spec), n * len(spec)):
-        r = getrandbits(k)
-        while r >= w:
-            r = getrandbits(k)
-        append(r * place)
-    if len(spec) == 1:
-        return draws
-    return list(map(sum, zip(*[iter(draws)] * len(spec))))
+    for w, k in islice(cycle([(w, w.bit_length()) for w in widths]), n * len(widths)):
+        while (r := getrandbits(k)) >= w:
+            pass
+        append(r)
+    keys = draws[:: len(widths)]
+    for i, w in enumerate(widths[1:], 1):
+        keys = [a * w + b for a, b in zip(keys, draws[i :: len(widths)])]
+    return keys
 
 
 @cache
@@ -127,41 +129,20 @@ def cylinder_function(
     return CylinderFunction(bases, group, _payloads(rng, group, span, space_size(bases)))
 
 
-@cache
-def _sum_table(group: Group, span: int, h_span: int) -> tuple[int, tuple]:
-    """(h width, sums): f key * width + h key -> the sum of the two values.
-
-    Equal sums share one object: on ``rat`` the 1,360 pairs of spans 8 and
-    2 have 219 distinct sums.
-    """
-    f, h = _value_table(group, span)[1], _value_table(group, h_span)[1]
-    seen = {}
-    return len(h), tuple(seen.setdefault(s, s) for s in (group.add(a, b) for a in f for b in h))
+#: The spans of f and of the perturbation h in ``perturbed_pair``.
+_PAIR_SPANS = (8, 2)
 
 
 def perturbed_pair(
     rng: random.Random, bases: Sequence[int], group: Group
 ) -> tuple[CylinderFunction, CylinderFunction]:
-    """f and g = f + h for a random f and a small random perturbation h.
-
-    Equal to ``f = cylinder_function(rng, bases, group)`` followed by
-    ``g = f + cylinder_function(rng, bases, group, span=2)``, in draws and
-    in values, which is what runs on ``mod:m``, ``real`` and ``vec:d``.  On
-    ``int``, ``rat`` and ``dy`` an entry of g is read from a table from the
-    (f key, h key) pair to the sum, built once per process.
-    """
+    """f and g = f + h for a random f and a small random perturbation h:
+    ``f = cylinder_function(rng, bases, group)`` followed by
+    ``g = f + cylinder_function(rng, bases, group, span=2)``."""
     bases = tuple(bases)
-    span, h_span = 8, 2
-    if group not in (INTEGERS, RATIONALS, DYADICS):
-        f = cylinder_function(rng, bases, group, span)
-        return f, f + cylinder_function(rng, bases, group, h_span)
-    widths, values = _value_table(group, span)
-    n = space_size(bases)
-    f_keys = _keys(rng, widths, n)
-    f = CylinderFunction(bases, group, list(map(values.__getitem__, f_keys)))
-    h_keys = _keys(rng, _value_table(group, h_span)[0], n)
-    width, sums = _sum_table(group, span, h_span)
-    return f, CylinderFunction(bases, group, [sums[a * width + b] for a, b in zip(f_keys, h_keys)])
+    span, h_span = _PAIR_SPANS
+    f = cylinder_function(rng, bases, group, span)
+    return f, f + cylinder_function(rng, bases, group, h_span)
 
 
 def small_integer_function(
@@ -201,13 +182,50 @@ def invariant_family(
     return GeneratorFamily((2,) * depth, group, tables)
 
 
+def _bernoulli_cuts(rng: random.Random, bases: Sequence[int]) -> list[list[int]]:
+    """The weight rows of ``bernoulli_measure`` as drawn: positive ints, each row over its sum."""
+    draws = iter(_keys(rng, (6,), sum(bases)))
+    return [[1 + k for k in islice(draws, b)] for b in bases]
+
+
 def bernoulli_measure(rng: random.Random, bases: Sequence[int]) -> BernoulliMeasure:
     """Product measure with random positive rational weights."""
     bases = tuple(bases)
-    draws = iter(_keys(rng, (6,), sum(bases)))
-    rows = []
-    for b in bases:
-        cuts = [1 + k for k in islice(draws, b)]
-        total = sum(cuts)
-        rows.append(tuple(Fraction(c, total) for c in cuts))
-    return BernoulliMeasure(bases, tuple(rows))
+    rows = _bernoulli_cuts(rng, bases)
+    return BernoulliMeasure(
+        bases, tuple(tuple(Fraction(c, t) for c in row) for row, t in zip(rows, map(sum, rows)))
+    )
+
+
+def _perturbation_law(rng: random.Random, bases: Sequence[int], group: Group):
+    """(law, D): ``space._metric_law(*perturbed_pair(rng, bases, group),
+    bernoulli_measure(rng, bases))`` in the same draws, over a multiple D of
+    its denominator, where ``_keyed`` covers f and h; else None, drawing nothing.
+
+    The metric is translation-invariant, so |f - g| = |h|: f's draws are
+    consumed and f and g are not built.  The mass numerators, the Kronecker
+    product of the drawn cuts over D, the product of the row sums, are summed
+    per h key, and each drawn key is normed once.
+    """
+    keyed = [_keyed(group, span) for span in _PAIR_SPANS]
+    if None in keyed:
+        return None
+    (f_widths, _), (h_widths, values) = keyed
+    bases = check_bases(bases)
+    n = space_size(bases)
+    _keys(rng, f_widths, n)
+    h_keys = _keys(rng, h_widths, n)
+    rows = _bernoulli_cuts(rng, bases)
+    nums = [1]
+    for row in rows:
+        nums = [m * c for c in row for m in nums]
+    per_key = {}
+    get = per_key.get
+    for k, m in zip(h_keys, nums):
+        per_key[k] = get(k, 0) + m
+    law = {}
+    for k, m in per_key.items():
+        v = values[k] if group.rational else group.norm(values[k])  # abs() below norms int, rat, dy
+        key = abs(v.numerator), v.denominator
+        law[key] = law.get(key, 0) + m
+    return law, prod(map(sum, rows))

@@ -714,7 +714,11 @@ def _tau_sums(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> tup
             _tau4_sum(masses, diffs),
             _exceedance_sum(masses, diffs, eps),
         )
-    law, den = _metric_law(f, g, mu)
+    return _law_sums(*_metric_law(f, g, mu), eps)
+
+
+def _law_sums(law: dict, den: int, eps: Fraction) -> tuple:
+    """(tau3, tau4, exceedance mass) of one mu-law."""
     return _law_tau3(law, den), _law_tau4(law, den), _law_exceedance(law, den, eps)
 
 

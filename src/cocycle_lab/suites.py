@@ -24,7 +24,7 @@ from .involution_cocycles import (
     h_approximate,
     verify_identities,
 )
-from .space import BernoulliMeasure, _tau_sums, binary_bases
+from .space import BernoulliMeasure, _law_sums, _tau_sums, binary_bases
 from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag, is_dyadic
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
@@ -327,11 +327,13 @@ def topology_suite(config: ExperimentConfig) -> Report:
     report.header["epsilon_max"] = config.epsilon_max
     antecedents = 0
     for case in range(count):
-        f, g = sampling.perturbed_pair(rng, config.bases, group)
-        mu = sampling.bernoulli_measure(rng, config.bases)
+        law = sampling._perturbation_law(rng, config.bases, group)
+        if law is None:
+            f, g = sampling.perturbed_pair(rng, config.bases, group)
+            mu = sampling.bernoulli_measure(rng, config.bases)
         eps = Fraction(rng.randint(1, 8), 8) * config.epsilon_max
         delta = Fraction(rng.randint(1, 8), 8)
-        t3, t4, exceed = _tau_sums(f, g, eps, mu)
+        t3, t4, exceed = _tau_sums(f, g, eps, mu) if law is None else _law_sums(*law, eps)
         report.add_row(case=case, eps=eps, delta=delta, tau3=t3, tau4=t4, exceedance=exceed)
         if t3 < eps * delta:
             antecedents += 1

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm
+from math import inf, isfinite, lcm
 from operator import add, sub
 from typing import Any
 
@@ -414,7 +414,13 @@ class ApproxRealGroup(_ScalarGroup):
     def validate(self, payload):
         if isinstance(payload, bool) or not isinstance(payload, (int, float)):
             raise UnsupportedValueError(f"real group needs float, got {payload!r}")
-        return float(payload)
+        try:
+            value = float(payload)
+        except OverflowError:  # an int past the float range
+            value = inf
+        if not isfinite(value):
+            raise ValueError(f"real group needs a finite float, got {payload!r}")
+        return value
 
     def values_equal(self, a, b) -> bool:
         return abs(a - b) <= REPORTING_TOLERANCE

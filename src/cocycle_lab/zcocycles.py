@@ -59,7 +59,7 @@ from .space import (
     index_to_prefix,
     tau3_functional,
 )
-from .values import GroupValue, _integer_numerators, _is_int
+from .values import GroupValue, _integer_numerators, _is_int, _ScalarGroup
 
 
 #: Most running sums N + 2 scan_to + 1 a gh scan may read; the default
@@ -98,9 +98,12 @@ class ZCocycle:
 
     @cached_property
     def _partial(self) -> tuple:
-        """Partial sums C[t] = f(0) + f(1) + ... + f(t-1) for t = 0..N-1."""
+        """Partial sums C[t] = f(0) + f(1) + ... + f(t-1) for t = 0..N-1.
+        On the scalar groups ``group.add`` is ``+``, so ``operator.add``
+        sums them with no Python call per entry, float bytes included."""
         group = self.group
-        return tuple(accumulate(self._table[:-1], group.add, initial=group.zero()))
+        plus = add if isinstance(group, _ScalarGroup) else group.add
+        return tuple(accumulate(self._table[:-1], plus, initial=group.zero()))
 
     @cached_property
     def cycle_sum_payload(self):

@@ -1,8 +1,9 @@
 """Fuzzing the command line with mutated input documents.
 
-Every JSON document the CLI reads -- generator tables, generator families,
-measure lists and run configs -- is mutated at depth <= 4: a value is
-replaced by one of a few wrong-typed or out-of-range values, a key or list
+Every JSON document the CLI reads -- generator tables (int and real),
+generator families, measure lists and run configs -- is mutated at depth
+<= 4: a value is replaced by one of a few wrong-typed, out-of-range or
+non-finite (NaN, Infinity, -Infinity) values, a key or list
 entry is dropped, a value is nested in up to about a thousand lists or
 objects (past the interpreter's recursion limit), or the whole document is
 wrapped in a list.  Whatever the mutation, ``cli.main`` must return 0, 1 or
@@ -30,13 +31,19 @@ from cocycle_lab.cli import main
 #: a mutation that starts an unbounded scan still fails.
 FUZZ = settings(max_examples=300, deadline=5000)
 
-REPLACEMENTS = (-1, 0, 2.5, "3", True, None, [], {})
+REPLACEMENTS = (-1, 0, 2.5, "3", True, None, [], {}, float("nan"), float("inf"), float("-inf"))
 
 GENERATOR = {
     "bases": [2, 2],
     "depth": 2,
     "group": "int",
     "table": [{"t": "int", "n": 1}, {"t": "int", "n": -1}, {"t": "int", "n": 0}, {"t": "int", "n": 2}],
+}
+REAL_GENERATOR = {
+    "bases": [2, 2],
+    "depth": 2,
+    "group": "real",
+    "table": [{"t": "real", "v": 0.5}, {"t": "real", "v": -1.25}, {"t": "real", "v": 0.0}, {"t": "real", "v": 2.0}],
 }
 FAMILY = {
     "N": 2,
@@ -178,7 +185,7 @@ def _run(argv, files) -> int:
 
 @FUZZ
 @given(
-    mutated(GENERATOR),
+    st.sampled_from((GENERATOR, REAL_GENERATOR)).flatmap(mutated),
     st.sampled_from(
         (
             ["eval", "--j", "3", "--x", "1,0"],
@@ -218,6 +225,7 @@ def test_unmutated_documents_run():
     for command in (["eval", "--j", "3", "--x", "1,0"], ["solve"], ["density"], ["gh"]):
         argv = ["cocycle", command[0], "--input", "gen", *command[1:]]
         assert _run(argv, {"gen": GENERATOR}) == 0
+        assert _run(argv, {"gen": REAL_GENERATOR}) == 0
     for command in ("verify", "roundtrip", "happrox"):
         assert _run(["gamma", command, "--input", "family"], {"family": FAMILY}) == 0
     measures = ["cocycle", "density", "--input", "gen", "--measures", "measures"]

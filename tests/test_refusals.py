@@ -1,11 +1,14 @@
 """Refusals of the public API that no other test reaches: each call raises
 its exception type with its exact text."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cocycle_lab.cli import main
 from cocycle_lab.dynamics import (
     FullGroupElement,
     MarkerSequence,
@@ -155,6 +158,18 @@ CASES = [
     ("real-validation",
      lambda: APPROX_REALS.validate("0.5"),
      UnsupportedValueError, "real group needs float, got '0.5'"),
+    ("real-validation-nan",
+     lambda: APPROX_REALS.validate(math.nan),
+     ValueError, "real group needs a finite float, got nan"),
+    ("real-validation-infinity",
+     lambda: APPROX_REALS.validate(math.inf),
+     ValueError, "real group needs a finite float, got inf"),
+    ("real-validation-minus-infinity",
+     lambda: APPROX_REALS.validate(-math.inf),
+     ValueError, "real group needs a finite float, got -inf"),
+    ("real-validation-int-past-the-float-range",
+     lambda: APPROX_REALS.validate(1 << 1024),
+     ValueError, f"real group needs a finite float, got {1 << 1024}"),
     ("group-value-not-a-value",
      lambda: GroupValue(INTEGERS, 1) + 1,
      GroupMismatchError, "expected GroupValue, got 1"),
@@ -209,3 +224,40 @@ def test_group_value_and_function_arithmetic():
     assert third.scale(-6) == GroupValue(RATIONALS, -2)
     f = _int_function(B2, (1, 2, 3, 4))
     assert (f - _int_function((2,), (1, 1))).table == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+@pytest.mark.parametrize("command", ["gh", "solve", "eval", "density"])
+def test_a_non_finite_real_input_exits_2_naming_the_value(tmp_path, command, text, shown, capsys):
+    # Python's json reads NaN and Infinity, which no JSON output may hold
+    path = tmp_path / "gen.json"
+    path.write_text(
+        '{"bases": [2], "depth": 1, "group": "real", '
+        f'"table": [{{"t": "real", "v": {text}}}, {{"t": "real", "v": -1.0}}]}}'
+    )
+    extra = ["--j", "1", "--x", "0"] if command == "eval" else []
+    assert main(["cocycle", command, "--input", str(path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: real group needs a finite float, got {shown}\n"
+
+
+def test_real_sums_that_overflow_exit_2(tmp_path, capsys):
+    # finite entries whose partial sums pass the float range: no Infinity is printed
+    table = [{"t": "real", "v": v} for v in (1e308, 1e308, -1e308, -1e308)]
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"bases": [2, 2], "depth": 2, "group": "real", "table": table}))
+    for command in ("gh", "solve"):
+        assert main(["cocycle", command, "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: real group needs a finite float, got inf\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "roundtrip", "happrox"])
+def test_a_non_finite_real_family_exits_2_naming_the_value(tmp_path, command, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(
+        '{"N": 1, "depth": 2, "group": "real", '
+        '"tables": [[{"t": "real", "v": NaN}, {"t": "real", "v": 0.5}]]}'
+    )
+    assert main(["gamma", command, "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: real group needs a finite float, got nan\n")

@@ -7,13 +7,21 @@ on interpreters without pytest).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cocycle_lab import sampling
-from cocycle_lab.values import DYADICS, INTEGERS, RATIONALS
+from cocycle_lab.space import (
+    _law_sums,
+    _metric_law,
+    exceedance_mass,
+    tau3_functional,
+    tau4_functional,
+)
+from cocycle_lab.values import DYADICS, INTEGERS, RATIONALS, group_from_tag
 from sampling_oracle import (
     DEPTHS,
     SPANS,
@@ -87,6 +95,40 @@ def test_bernoulli_measure_matches_randint(seed, depth):
     assert agree(bernoulli_case(seed, depth))
 
 
+@given(
+    seed=seeds,
+    tag=st.sampled_from(("int", "rat", "dy", "mod:2", "mod:5", "mod:7")),
+    bases=st.lists(st.integers(2, 5), min_size=1, max_size=6),  # odd and mixed radices
+)
+def test_perturbation_law_is_the_law_of_the_literal_pair(seed, tag, bases):
+    """The topology suite's key path against ``perturbed_pair`` and
+    ``bernoulli_measure`` read through the public functionals: the same
+    tau3, tau4 and exceedance masses, and the same generator state."""
+    group, keyed, literal = group_from_tag(tag), random.Random(seed), random.Random(seed)
+    law, den = sampling._perturbation_law(keyed, bases, group)
+    f, g = sampling.perturbed_pair(literal, bases, group)
+    mu = sampling.bernoulli_measure(literal, bases)
+    assert keyed.getstate() == literal.getstate()
+    oracle, oracle_den = _metric_law(f, g, mu)
+    assert {k: Fraction(m, den) for k, m in law.items()} == {
+        k: Fraction(m, oracle_den) for k, m in oracle.items()
+    }
+    for eps in (Fraction(k, 8) for k in range(0, 25, 3)):
+        assert _law_sums(law, den, eps) == (
+            tau3_functional(f, g, mu),
+            tau4_functional(f, g, mu),
+            exceedance_mass(f, g, eps, mu),
+        )
+
+
+@pytest.mark.parametrize("tag", ["real", "vec:2"])
+def test_perturbation_law_leaves_the_literal_groups_undrawn(tag):
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert sampling._perturbation_law(rng, (2, 3), group_from_tag(tag)) is None
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("tag", ["int", "rat", "dy", "mod:5"])
 @pytest.mark.parametrize("span", [0, -1, -4, True])
 def test_spans_the_loop_does_not_key_run_the_literal_payload(tag, span):
@@ -95,17 +137,17 @@ def test_spans_the_loop_does_not_key_run_the_literal_payload(tag, span):
         assert agree(cylinder_case(depth, tag, span, depth))
 
 
-def test_value_and_sum_tables_stay_bounded():
+def test_value_tables_stay_bounded():
+    sampling._value_table.cache_clear()
     rng = random.Random(3)
     for _ in range(20):
         for group in (INTEGERS, RATIONALS, DYADICS):
             sampling.perturbed_pair(rng, (2,) * 8, group)
-    assert sampling._sum_table.cache_info().currsize <= 3
-    for group, f_keys in ((INTEGERS, 9), (RATIONALS, 17 * 8), (DYADICS, 17 * 4)):
-        h_keys = len(sampling._value_table(group, 2)[1])
+            sampling._perturbation_law(rng, (2,) * 8, group)
+    assert sampling._value_table.cache_info().currsize == 6  # one per group and span
+    for group, f_keys, h_keys in ((INTEGERS, 9, 3), (RATIONALS, 17 * 8, 5 * 2), (DYADICS, 17 * 4, 5 * 4)):
         assert len(sampling._value_table(group, 8)[1]) == f_keys
-        width, sums = sampling._sum_table(group, 8, 2)
-        assert width == h_keys and len(sums) == f_keys * h_keys
+        assert len(sampling._value_table(group, 2)[1]) == h_keys
 
 
 def test_outcome_sees_a_changed_stream():

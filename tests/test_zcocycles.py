@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -685,3 +686,20 @@ def test_convergence_contract_with_translated_measures():
     values = [row["tau3_0"] for row in rows]
     assert all(b <= a for a, b in zip(values, values[1:]))
     assert values[-1] <= Fraction(3, 4**5)
+
+
+@given(
+    tag=st.sampled_from(("int", "rat", "dy", "mod:5", "vec:2", "real")),
+    depth=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    scale=st.sampled_from((1, 1e-9, 3.7e12, 1e300)),
+)
+def test_partial_sums_are_the_group_add_accumulation(tag, depth, seed, scale):
+    # operator.add on the scalar groups gives group.add's values, float bytes included
+    group, rng = group_from_tag(tag), random.Random(seed)
+    f = cylinder_function(rng, (2,) * depth, group)
+    if tag == "real":
+        f = CylinderFunction(f.bases, group, [v * scale for v in f.table])
+    table = f.table
+    expected = tuple(accumulate(table[:-1], group.add, initial=group.zero()))
+    assert repr(ZCocycle(Odometer(f.bases), f)._partial) == repr(expected)
