@@ -163,6 +163,12 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _measures(obj) -> list:
+    if not (isinstance(obj, list) and obj and all(isinstance(m, dict) for m in obj)):
+        raise ValueError("--measures needs a non-empty JSON list of measure records")
+    return [measure_from_json(m) for m in obj]
+
+
 def _cmd_density(args) -> int:
     a = _load_cocycle(args)
     markers = MarkerSequence(a.model)
@@ -171,11 +177,9 @@ def _cmd_density(args) -> int:
         if markers.max_index < 1:
             raise UsageError(f"the density rows need depth >= 2, got depth {a.model.depth}")
         raise UsageError(f"--n-max must lie in 1..{markers.max_index}, got {n_max}")
-    measures = (
-        _decode(args.measures, lambda ms: [measure_from_json(m) for m in ms])
-        if args.measures
-        else [BernoulliMeasure.uniform(a.model.bases)]
-    )
+    measures = [BernoulliMeasure.uniform(a.model.bases)]
+    if args.measures:
+        measures = _decode(args.measures, _measures)
     rows = density_table(a, markers, n_max, measures)
     if args.format == "json":
         _emit_json([{k: str(v) for k, v in row.items()} for row in rows], args)

@@ -55,10 +55,16 @@ class ExperimentConfig:
                 raise UsageError(f"bases entry {k} must be an integer, got {b!r}")
         if len(self.bases) < 1:
             raise UsageError("depth must be >= 1")
+        given = self.eps0, self.epsilon_max
         self.eps0 = as_fraction(self.eps0)
         self.epsilon_max = as_fraction(self.epsilon_max)
         if self.eps0 <= 0 or self.epsilon_max <= 0:
             raise UsageError("radii must be positive")
+        for name, value in zip(("eps0", "epsilon_max"), given):
+            try:  # the report prints each radius, and the cells it bounds, as floats too
+                float(getattr(self, name))
+            except OverflowError:
+                raise UsageError(f"{name} must lie within the float range, got {value!r}") from None
         if not isinstance(self.group, str):
             raise UsageError(f"group must be a string, got {self.group!r}")
         group_from_tag(self.group)  # validate

@@ -35,12 +35,11 @@ additive constant, so the anchor makes them deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import gcd, lcm, ulp
+from math import gcd, ulp
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
@@ -125,22 +124,17 @@ class ZCocycle:
 
     @cached_property
     def _channels(self) -> list:
-        """The running sums R in metric channels (``_Channel``): one per
-        ordered projection of C and S, as ints over one denominator (floats
-        on real), or their residues on Z/m."""
+        """The running sums R in metric channels (``_Channel``): each ordered
+        projection of the table (ints over one denominator, floats on real)
+        accumulated into C, with S = C[-1] + f[-1]; on Z/m their residues."""
         group = self.group
-        projected = group.projections(self._partial)
+        projected = group.projections(self._table)
         if projected is None:
             return [_Ring(list(self._partial), self.cycle_sum_payload, group)]
         columns, scale = projected
-        steps, step_scale = group.projections([self.cycle_sum_payload])
-        common = lcm(scale, step_scale)
-        if common != scale:
-            columns = [list(map(mul, column, repeat(common // scale))) for column in columns]
-        return [
-            _Ordered(column, step * (common // step_scale), group, common)
-            for column, (step,) in zip(columns, steps)
-        ]
+        start = 0 if group.exact else 0.0
+        sums = [list(accumulate(col[:-1], initial=start)) for col in columns]
+        return [_Ordered(c, c[-1] + col[-1], group, scale) for c, col in zip(sums, columns)]
 
     def evaluate_index(self, j: int, i: int):
         return self.group.sub(self._running(i + j), self._running(i))
@@ -505,29 +499,24 @@ def _extended(base, step, length, plus, times):
     return out
 
 
-def _window_extrema(seq, width, count):
-    """(max, min) of each window seq[s : s + width], s < count.
+def _window_extremes(seq, width, count, up: bool) -> list:
+    """The max (``up``) or min of each window seq[s : s + width], s < count:
+    a window is a suffix of one block of ``width`` (blocks from 0) and a
+    prefix of the next, so it picks between the block suffix extreme at s
+    and the block prefix extreme at s + width - 1 (van Herk / Gil-Werman),
+    O(count + width) whatever the width."""
+    n = count + width - 1
+    xs = seq[:n]
+    suffix = _block_extremes(xs[::-1], width, up, -n % width)[::-1]
+    return _pick(suffix, _block_extremes(xs, width, up)[width - 1 :], up)
 
-    Monotone deques: each position is pushed and popped at most once, so
-    the cost is O(count + width) whatever the width.
-    """
-    out = []
-    up, down = deque(), deque()
-    for t, v in enumerate(seq[: count + width - 1]):
-        while up and seq[up[-1]] <= v:
-            up.pop()
-        up.append(t)
-        while down and seq[down[-1]] >= v:
-            down.pop()
-        down.append(t)
-        s = t - width + 1
-        if s >= 0:
-            if up[0] < s:
-                up.popleft()
-            if down[0] < s:
-                down.popleft()
-            out.append((seq[up[0]], seq[down[0]]))
-    return out
+
+def _block_extremes(xs, width, up: bool, start=0) -> list:
+    """The prefix maxima (``up``) or minima of xs, restarted where width divides start + i."""
+    m = xs[0]
+    if up:
+        return [m := x if i % width == 0 or x > m else m for i, x in enumerate(xs, start)]
+    return [m := x if i % width == 0 or x < m else m for i, x in enumerate(xs, start)]
 
 
 def _window_values(seq, width, count):
@@ -552,15 +541,15 @@ def _window_values(seq, width, count):
     return out
 
 
-def _by_start(seq, width, size, window_fn):
+def _by_start(seq, width, size, window_fn, *args):
     """window_fn over the window of every start b < size, indexed by b.
 
     The window of b holds seq[b + 1], seq[b + 3], ..., seq[b + 2 width - 1]:
     one parity class of seq, so each class slides one step per two b.
     """
     out = [None] * size
-    out[0::2] = window_fn(seq[1::2], width, (size + 1) // 2)
-    out[1::2] = window_fn(seq[2::2], width, size // 2)
+    out[0::2] = window_fn(seq[1::2], width, (size + 1) // 2, *args)
+    out[1::2] = window_fn(seq[2::2], width, size // 2, *args)
     return out
 
 
@@ -721,33 +710,31 @@ class _Ordered(_Channel):
 
     def reach(self, scan_to: int):
         """(hi, lo, rise, drop): the largest and least reading of each
-        start's window and their distances hi - R(b) and R(b) - lo."""
+        start's window and their distances hi - R(b) and R(b) - lo, from
+        class extremes past the fold, else from block extremes."""
         c = self.period
         if self.folds(scan_to):
             late = self.step >= 0
             hi, lo = self._fold(scan_to, True, late), self._fold(scan_to, False, not late)
         else:
             seq = _extended(c, self.step, self.size + 2 * scan_to + 1, add, mul)
-            hi, lo = map(list, zip(*_by_start(seq, scan_to + 1, self.size, _window_extrema)))
+            width = scan_to + 1
+            hi, lo = (_by_start(seq, width, self.size, _window_extremes, up) for up in (True, False))
         return hi, lo, list(map(sub, hi, c)), list(map(sub, c, lo))
 
     def _fold(self, scan_to: int, up: bool, late: bool):
         """The max (``up``) or min of every start's window, from the
         classes' prefix and suffix extremes; ``late`` when later cycles
-        read more extreme (S > 0 for max, S < 0 for min).  Starts b, b + 2,
-        ... share the cycle k0 of their first position and k1 of their
-        last but for one cut each, so each run is a few list passes, O(N)
-        in all."""
+        read more extreme (S > 0 for max, S < 0 for min).  The cycles k0 of
+        a window's first position and k1 of its last step up at the starts
+        N - 1 and -(2 scan_to + 1) mod N, so between those cuts the starts
+        of each parity make one run of a few list passes, O(N) in all."""
         size, span = self.size, 2 * scan_to + 1
         out = [None] * size
-        for first in (0, 1):
-            cut = ((first + span) // size + 1) * size - span  # the first start whose k1 is one more
-            before = len(range(first, min(cut, size - 1), 2))
-            rest = len(range(first, size - 1, 2)) - before
-            out[first : size - 1 : 2] = self._run(first, before, span, up, late) + self._run(
-                first + 2 * before, rest, span, up, late
-            )
-        out[size - 1] = self._run(size - 1, 1, span, up, late)[0]
+        cuts = sorted({0, size - 1, size, -span % size})
+        for lo, hi in zip(cuts, cuts[1:]):
+            for first in (lo, lo + 1):
+                out[first:hi:2] = self._run(first, len(range(first, hi, 2)), span, up, late)
         return out
 
     def _run(self, b: int, n: int, span: int, up: bool, late: bool) -> list:
@@ -947,21 +934,22 @@ def gh_check(
     The decision itself is the vanishing of the cycle sum.  The scan
     produces the empirical sup over all prefixes and window radii up to
     the horizon (default 4N); the witness is the first window in
-    (prefix, radius) order that attains it.  Once horizon + 1 >= p (p =
-    N/2 on even N, N on odd N) each window is read off one period of its
-    parity's running sums, so the scan costs O(k N) for k channels, O(N)
-    ints per channel, whatever the horizon (``_Channel``); a shorter
-    horizon slides over at most 3N running sums, and Z/m with D != 0 (D
-    the period's shift) keeps each window's residues, O(N min(m,
-    horizon)).  On the inexact ``real`` group the sup agrees with the
-    literal window scan to ``REPORTING_TOLERANCE``; it is bit-identical
-    when no window wraps below position 0, since the sums are then formed
-    alike.  For a non-coboundary with ``exceed_target`` above that sup,
-    the witness is the first window of the least radius past the horizon
-    whose sum exceeds the target, bisected below a cap of a few periods
-    in O(k N log cap) once the probes fold; that fails (PeriodicityError)
-    only when the metric is bounded, as in Z/m.  ``empirical_sup`` stays
-    the horizon's.
+    (prefix, radius) order that attains it.  The channels are the table's
+    int columns, accumulated once.  Once horizon + 1 >= p (p = N/2 on even
+    N, N on odd N) each window is read off one period of its parity's
+    running sums, so the scan costs O(k N) for k channels, O(N) ints per
+    channel, whatever the horizon (``_Channel``); a shorter horizon reads
+    each window's max and min off block prefix and suffix extremes of at
+    most 3N running sums, and Z/m with D != 0 (D the period's shift) keeps
+    each window's residues, O(N min(m, horizon)).  On the inexact ``real``
+    group the sup agrees with the literal window scan to
+    ``REPORTING_TOLERANCE``; it is bit-identical when no window wraps
+    below position 0, since the sums are then formed alike.  For a
+    non-coboundary with ``exceed_target`` above that sup, the witness is
+    the first window of the least radius past the horizon whose sum
+    exceeds the target, bisected below a cap of a few periods in O(k N log
+    cap) once the probes fold; that fails (PeriodicityError) only when the
+    metric is bounded, as in Z/m.  ``empirical_sup`` stays the horizon's.
     A horizon or cap needing more than ``MAX_SCAN`` running sums, or on
     Z/m more than ``MAX_SCAN`` window residues, is refused with a
     ValueError before its scan allocates anything.

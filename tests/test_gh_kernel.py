@@ -192,6 +192,33 @@ def test_kernel_matches_scan(a, horizon):
     assert_matches_scan(a, horizon(a.model.size))
 
 
+@given(
+    st.one_of(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=24),
+        st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=24),
+    )
+)
+def test_window_extremes_are_the_literal_window_max_and_min(seq):
+    for width in range(1, len(seq) + 1):
+        count = len(seq) - width + 1
+        windows = [seq[s : s + width] for s in range(count)]
+        assert zcocycles._window_extremes(seq, width, count, True) == list(map(max, windows))
+        assert zcocycles._window_extremes(seq, width, count, False) == list(map(min, windows))
+
+
+@pytest.mark.parametrize("bases", [(2,) * 6, (3, 3, 3)])
+@pytest.mark.parametrize("ramp", [True, False], ids=["ramp", "constant"])
+def test_tied_witness_targets(bases, ramp):
+    # many starts reach the sup at once: 43 of the 64 on the ramp table at
+    # the default horizon, every start on the constant table, so the
+    # witness search compares many tied targets in scan order
+    n = space_size(bases)
+    table = tuple((i % 3) - 1 for i in range(n - 1)) + (1,) if ramp else (1,) * n
+    a = ZCocycle(Odometer(bases), CylinderFunction(bases, INTEGERS, table))
+    for horizon in HORIZONS:
+        assert_matches_scan(a, horizon(n))
+
+
 def bound_type(group):
     """The type of a metric value: int on Z and Z/m, float on real, else Fraction."""
     if group.tag == "int" or group.tag.startswith("mod:"):

@@ -261,3 +261,39 @@ def test_a_non_finite_real_family_exits_2_naming_the_value(tmp_path, command, ca
     )
     assert main(["gamma", command, "--input", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: real group needs a finite float, got nan\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "suite, flag, name",
+    [("happrox", "--eps0", "eps0"), ("topology", "--epsilon-max", "epsilon_max")],
+)
+def test_a_radius_past_the_float_range_exits_2(suite, flag, name, fmt, capsys):
+    # the JSON report prints each radius as a float too; csv is refused alike
+    assert main(["run", suite, "--depth", "3", "--count", "1", flag, "1e400", "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad config: {name} must lie within the float range, got '1e400'\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        "{}",
+        json.dumps({"kind": "bernoulli", "bases": [2] * 3, "weights": [["1/2", "1/2"]] * 3}),
+        "[1]",
+    ],
+    ids=["empty-list", "empty-object", "unwrapped-record", "non-record-entry"],
+)
+def test_density_measures_must_be_a_non_empty_list(tmp_path, text, fmt, capsys):
+    gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
+    table = [{"t": "int", "n": 1}, {"t": "int", "n": -1}]
+    gen.write_text(json.dumps({"bases": [2], "depth": 1, "group": "int", "table": table}))
+    measures.write_text(text)
+    argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
+    assert main([*argv, "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {measures}: --measures needs a non-empty JSON list of measure records\n"
+    )
