@@ -53,8 +53,10 @@ from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
 def _message(exc: Exception) -> str:
-    """An error's text, naming the interpreter's int digit limit (which
-    the CLI keeps: past it int <-> text is quadratic) in the CLI's words."""
+    """An error's text, naming a missing key and the interpreter's int digit
+    limit (kept: past it int <-> text is quadratic) in the CLI's words."""
+    if isinstance(exc, KeyError) and exc.args:
+        return f"missing key {exc.args[0]!r}"
     if "integer string conversion" not in str(exc):
         return str(exc)
     limit = sys.get_int_max_str_digits()

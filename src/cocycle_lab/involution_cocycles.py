@@ -34,17 +34,18 @@ construction.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
     DepthError,
+    _require_object,
     binary_bases,
     check_bases,
     full_prefix_index,
@@ -54,7 +55,6 @@ from .space import (
 )
 from .values import (
     DYADICS,
-    INTEGERS,
     RATIONALS,
     Group,
     GroupValue,
@@ -62,7 +62,6 @@ from .values import (
     UnsupportedValueError,
     _grid_exponent,
     _grid_numerator,
-    _integer_numerators,
     _is_int,
     group_from_tag,
 )
@@ -184,10 +183,14 @@ class GeneratorFamily:
 
     @classmethod
     def from_json(cls, obj) -> "GeneratorFamily":
+        _require_object(obj, "a generator family")
         group = group_from_tag(obj["group"])
         bases = binary_bases(obj["depth"])
         tables = [group.payloads_from_json(table) for table in obj["tables"]]
-        if len(tables) != obj.get("N", len(tables)):
+        count = obj.get("N", len(tables))
+        if not _is_int(count):
+            raise ValueError(f"N must be an integer, got {count!r}")
+        if len(tables) != count:
             raise ValueError("N field disagrees with the number of tables")
         return cls(bases, group, tables)
 
@@ -207,36 +210,22 @@ def word_apply_index(word: Iterable[int], i: int) -> int:
     return i
 
 
-def _kernel_form(tables, group: Group) -> tuple[tuple, int | None]:
-    """Tables in the kernels' representation, and its denominator: on a
-    ``rational`` group int tables over the lcm L of all their reduced
-    denominators (L = 1 on int), read once per distinct payload object
-    (decoded tables and payload views share one object per value);
-    elsewhere the payload tables, and None."""
-    if not group.rational:
-        return tuple(tables), None
+def _kernel_form(tables, group: Group) -> tuple[tuple, int]:
+    """Tables in the kernels' form and its denominator L: each table as the
+    columns of ``group.numerators`` over the one L of all their values,
+    read once per distinct payload object (decoded tables and payload views
+    share one object per value)."""
     distinct = {id(v): v for table in tables for v in table}
-    nums, den = _integer_numerators(list(distinct.values()))
-    num = dict(zip(distinct, nums)).__getitem__
-    return tuple(tuple(map(num, map(id, table))) for table in tables), den
+    columns, den = group.numerators(list(distinct.values()))
+    reads = [dict(zip(distinct, column)).__getitem__ for column in columns]
+    return tuple(tuple(tuple(map(read, map(id, t))) for read in reads) for t in tables), den
 
 
-def _as_payloads(values, den: int | None, group: Group) -> tuple:
-    """Values in a kernel's representation as the group's payloads:
-    numerators over ``den`` become Fractions (ints on int, where den is 1),
-    one per distinct numerator, which the entries equal to it share;
-    payloads (``den`` None) stay as they are."""
-    if den is None or group == INTEGERS:
-        return tuple(values)
-    fractions = {v: Fraction(v, den) for v in set(values)}
-    return tuple(map(fractions.__getitem__, values))
-
-
-def _potential_walk(f_tables, depth: int, group: Group, den: int | None) -> tuple[tuple, list]:
+def _potential_walk(f_tables, depth: int, group: Group) -> tuple[tuple, list]:
     """The generator tables c(delta_n, .) for n = 1..N and the potential P
-    of the family with tables ``f_tables`` at ``depth``, in their kernel
-    form: payloads under the group's operations when ``den`` is None, int
-    numerators over ``den`` under int ones otherwise.
+    of the family with kernel-form tables ``f_tables`` at ``depth``, in
+    kernel form: the walk is linear, so each column runs under +, - and
+    negation from the kernel form of the group's zero (0, or 0.0 on real).
 
     P_n = x_1 f_1 + ... + x_n f_n is one running table: step n adds f_n
     where x_n = 1.  The terms k > n of P ignore digit n, so
@@ -245,26 +234,25 @@ def _potential_walk(f_tables, depth: int, group: Group, den: int | None) -> tupl
     on both sides, so the entry there is f_n itself, written without
     arithmetic: exact even in floats.
     """
-    if den is None:
-        zero, add, sub, neg = group.zero(), group.add, group.sub, group.neg
-    else:
-        zero, add, sub, neg = 0, operator.add, operator.sub, operator.neg
     size = 1 << depth
-    potential = [zero] * size
+    potentials = [column * size for column in group.numerators([group.zero()])[0]]
     tables = []
     for n, f in enumerate(f_tables, start=1):
         flip = 1 << (n - 1)
-        table = [None] * size
-        for start in range(0, size, flip << 1):
-            # x_1 = ... = x_n = 0 at start
-            f_n = potential[start + flip] = table[start] = f[start >> n]
-            table[start + flip] = neg(f_n)
-            for i in range(start + 1, start + flip):
-                up = potential[i + flip] = add(potential[i + flip], f_n)
-                table[i] = v = sub(up, potential[i])
-                table[i + flip] = neg(v)
-        tables.append(tuple(table))
-    return tuple(tables), potential
+        columns = []
+        for f_column, potential in zip(f, potentials):
+            table = [None] * size
+            for start in range(0, size, flip << 1):
+                # x_1 = ... = x_n = 0 at start
+                f_n = potential[start + flip] = table[start] = f_column[start >> n]
+                table[start + flip] = -f_n
+                for i in range(start + 1, start + flip):
+                    up = potential[i + flip] = potential[i + flip] + f_n
+                    table[i] = v = up - potential[i]
+                    table[i + flip] = -v
+            columns.append(tuple(table))
+        tables.append(tuple(columns))
+    return tuple(tables), potentials
 
 
 def _chain(tables, group: Group, word: Sequence[int], i: int):
@@ -300,29 +288,30 @@ class InvolutionCocycle:
         return self.family.bases
 
     @cached_property
-    def _kernel_family(self) -> tuple[tuple, int | None]:
+    def _kernel_family(self) -> tuple[tuple, int]:
         """The family's tables in kernel form (``_kernel_form``) and their denominator."""
         return _kernel_form(self.family.tables, self.group)
 
     @cached_property
-    def _kernel_tables(self) -> tuple[tuple, list, int | None]:
+    def _kernel_tables(self) -> tuple[tuple, list, int]:
         """Full-depth tables of c(delta_n, .) for n = 1..N and the potential P of
         the one walk of ``_kernel_family``, and their denominator."""
         f, den = self._kernel_family
-        return (*_potential_walk(f, self.family.depth, self.group, den), den)
+        return (*_potential_walk(f, self.family.depth, self.group), den)
 
     @cached_property
     def _first_mismatch(self):
         """``_coboundary_mismatch`` of ``_kernel_tables``, found once: it is
         the first in n-major order, so one at n > count means none in the
         first count tables."""
-        return _coboundary_mismatch(*self._kernel_tables, self.group)
+        tables, potential, _ = self._kernel_tables
+        return _coboundary_mismatch(tables, potential, self.group)
 
     @cached_property
     def _generator_tables(self) -> tuple:
         """The payload view of ``_kernel_tables``, for the public readers."""
         tables, _, den = self._kernel_tables
-        return tuple(_as_payloads(table, den, self.group) for table in tables)
+        return tuple(self.group.payloads_over(table, den) for table in tables)
 
     def eval_generator(self, n: int, x: Sequence[int]) -> GroupValue:
         """Generator value c(delta_n, x)."""
@@ -399,35 +388,38 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None, walk_inexact:
     tables, den = _kernel_form(tables, group)
     if not (group.exact or walk_inexact):
         return tables, None, group, den
-    f = tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1))
-    return tables, _potential_walk(f, len(bases), group, den)[1], group, den
+    f = tuple(tuple(c[:: 1 << n] for c in t) for n, t in enumerate(tables, start=1))
+    return tables, _potential_walk(f, len(bases), group)[1], group, den
 
 
-def _coboundary_mismatch(tables, potential, den: int | None, group: Group):
+def _coboundary_mismatch(tables, potential, group: Group):
     """The first (n, index, value, coboundary value) in n-major order where
-    t_n(x) differs from P(delta_n x) - P(x), or None; in the tables'
-    representation (numerators over ``den``, or payloads when it is None).
-    Entries are checked as t_n(x) + P(x) = P(delta_n x), one addition each."""
-    if den is None:
-        add, sub, equal = group.add, group.sub, group.values_equal
-    else:
-        add, sub, equal = operator.add, operator.sub, operator.eq
-    size = len(potential)
+    t_n(x) differs from P(delta_n x) - P(x), or None; in kernel form, a
+    value as its entry in each column.  Entries are checked column by column
+    as t_n(x) + P(x) = P(delta_n x) by ``group.values_equal``, one addition
+    each, and an entry differs where one of its columns does."""
+    equal = group.values_equal
+    size = len(potential[0])
     for n, table in enumerate(tables, start=1):
         flip = 1 << (n - 1)
-        moved = [potential[i ^ flip] for i in range(size)]
-        if not all(map(equal, map(add, table, potential), moved)):
-            i = next(i for i in range(size) if not equal(add(table[i], potential[i]), moved[i]))
-            return n, i, table[i], sub(moved[i], potential[i])
+        first = size
+        for column, p in zip(table, potential):
+            moved = [p[i ^ flip] for i in range(size)]
+            if not all(map(equal, map(add, column, p), moved)):
+                i = next(i for i in range(size) if not equal(column[i] + p[i], moved[i]))
+                first = min(first, i)
+        if first < size:
+            value = [c[first] for c in table]
+            return n, first, value, [p[first ^ flip] - p[first] for p in potential]
     return None
 
 
-def _oracle_mismatch(oracle, tables, potential, den: int | None, group: Group):
+def _oracle_mismatch(oracle, tables, potential, group: Group):
     """``_coboundary_mismatch`` of what ``_oracle_tables`` returned for
     ``oracle``; a cocycle's is its cached ``_first_mismatch``, kept when it
     falls within the tables asked for."""
     if not isinstance(oracle, InvolutionCocycle):
-        return _coboundary_mismatch(tables, potential, den, group)
+        return _coboundary_mismatch(tables, potential, group)
     mismatch = oracle._first_mismatch
     return mismatch if mismatch is not None and mismatch[0] <= len(tables) else None
 
@@ -468,9 +460,9 @@ def verify_identities(
     tables, potential, group, den = _oracle_tables(
         cocycle, count, bases, group, walk_inexact=False
     )
-    if group.exact and _oracle_mismatch(cocycle, tables, potential, den, group) is None:
+    if group.exact and _oracle_mismatch(cocycle, tables, potential, group) is None:
         return IdentityCheck(True)
-    tables = [_as_payloads(table, den, group) for table in tables]
+    tables = [group.payloads_over(table, den) for table in tables]
     add, equal, zero = group.add, group.values_equal, group.zero()
     for i in range(space_size(bases)):
         for n, t_n in enumerate(tables, start=1):
@@ -497,15 +489,15 @@ def _recovered_kernel(oracle, count: int, bases, group: Group | None):
     what ``recover_generators`` raises."""
     bases = _check_binary(bases)
     tables, potential, group, den = _oracle_tables(oracle, count, bases, group)
-    mismatch = _oracle_mismatch(oracle, tables, potential, den, group)
+    mismatch = _oracle_mismatch(oracle, tables, potential, group)
     if mismatch is not None:
         n, i, v, w = mismatch
-        v, w = _as_payloads((v, w), den, group)
+        v, w = group.payloads_over(list(zip(v, w)), den)
         raise OracleInconsistencyError(
             f"oracle disagrees with its invariance extension at "
             f"n={n}, x={index_to_prefix(i, bases)}: {v!r} vs {w!r}"
         )
-    return tuple(t[:: 1 << n] for n, t in enumerate(tables, start=1)), group, den
+    return tuple(tuple(c[:: 1 << n] for c in t) for n, t in enumerate(tables, start=1)), group, den
 
 
 def recover_generators(
@@ -523,7 +515,7 @@ def recover_generators(
     """
     bases = _check_binary(bases)
     f, group, den = _recovered_kernel(oracle, count, bases, group)
-    return GeneratorFamily(bases, group, tuple(_as_payloads(t, den, group) for t in f))
+    return GeneratorFamily(bases, group, tuple(group.payloads_over(t, den) for t in f))
 
 
 def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
@@ -606,20 +598,20 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     den = lcm(base_den, 1 << max(exponents))
     scale = den // base_den
     errors, rounded_tables = [], []
-    for table, q in zip(f, exponents):
+    for (table,), q in zip(f, exponents):
         error, rounded, step = {}, {}, den >> q
         for v in set(table):
             w = v * scale  # v / L as a numerator over D
             d = den // gcd(w, den)  # the reduced denominator of w / D
             error[v] = e = 0 if d & (d - 1) == 0 else w - _grid_numerator(w, den, q) * step
             rounded[v] = Fraction(w - e, den)
-        errors.append(tuple(map(error.__getitem__, table)))
+        errors.append((tuple(map(error.__getitem__, table)),))
         rounded_tables.append(tuple(map(rounded.__getitem__, table)))
     base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
     rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
-    differences, g_table = _potential_walk(errors, family.depth, group, den)
-    g_table = tuple(g_table)
-    transfer = CylinderFunction(family.bases, group, _as_payloads(g_table, den, group))
+    differences, potential = _potential_walk(errors, family.depth, group)
+    g_table = tuple(potential[0])
+    transfer = CylinderFunction(family.bases, group, group.payloads_over(potential, den))
     bound = sum(radii, Fraction(0))
     report = TransferReport(base, rounded, transfer, radii, bound, (g_table, den))
 
@@ -632,7 +624,7 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
             f"transfer value {Fraction(g_table[i], den)} at "
             f"{index_to_prefix(i, family.bases)} exceeds the bound {bound}"
         )
-    mismatch = _coboundary_mismatch(differences, g_table, den, group)
+    mismatch = _coboundary_mismatch(differences, potential, group)
     if mismatch is not None:
         n, i, _, _ = mismatch
         raise AssertionError(

@@ -14,10 +14,10 @@ CPython 3.10 to 3.13.  On ``int``, ``rat``, ``dy`` and ``mod:m`` the draws
 of a table run through one loop, ``_keys``, over a bound ``getrandbits``:
 an entry's draws combine into one int key, and the value of each key is
 read off a table built once per group and span (on ``mod:m`` the key is
-the value).  ``real`` and ``vec:d`` draw each entry through ``payload``.
-On those four groups the topology suite reads a case's mu-law from the
-draw keys (``_perturbation_law``): it consumes f's draws without building
-f, g or the measure.
+the value), and a ``vec:d`` entry is d ``rat`` entries; ``real`` draws
+each entry through ``payload``.  On the first four groups the topology
+suite reads a case's mu-law from the draw keys (``_perturbation_law``): it
+consumes f's draws without building f, g or the measure.
 """
 
 from __future__ import annotations
@@ -115,6 +115,8 @@ def _keyed(group: Group, span: int):
 
 def _payloads(rng: random.Random, group: Group, span: int, n: int) -> list:
     """n entries, equal to n literal ``payload(rng, group, span)`` calls."""
+    if isinstance(group, RationalVectorGroup):
+        return list(zip(*[iter(_payloads(rng, RATIONALS, span, n * group.dim))] * group.dim))
     keyed = _keyed(group, span)
     if keyed is None:
         return [payload(rng, group, span) for _ in range(n)]

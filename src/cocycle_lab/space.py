@@ -218,11 +218,19 @@ class CylinderFunction:
 
     @classmethod
     def from_json(cls, obj) -> "CylinderFunction":
+        _require_object(obj, "a cylinder function")
         group = group_from_tag(obj["group"])
         bases = tuple(obj["bases"])
         if obj.get("depth", len(bases)) != len(bases):
             raise ValueError("depth field disagrees with bases length")
         return cls(bases, group, group.payloads_from_json(obj["table"]))
+
+
+def _require_object(obj, what: str) -> None:
+    """Refuse a JSON record that is not an object, naming its JSON type."""
+    if not isinstance(obj, dict):
+        kind = "null" if obj is None else type(obj).__name__
+        raise ValueError(f"{what} must be a JSON object, got {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ provided:
 
 The metrics on Z/m and Q^d are conventions of this implementation (any
 compatible translation-invariant metric would do); they are fixed so that
-every derived quantity is a reproducible exact rational; ``Group.rational``
-marks Z, Q and the dyadics, whose kernels run on int numerators.  All but Z/m
-write their metric as the largest of a few ordered coordinate differences
-(``Group.projections``, int numerators over one denominator), which lets
-diameters and window extrema run in linear time on ints.  Float values are
-compared with ``REPORTING_TOLERANCE`` in reports only, never in exact-mode
-verification.
+every derived quantity is a reproducible exact rational.  Kernels run on
+one form, number columns over one denominator (``Group.numerators``);
+``Group.rational`` (Z, Q, dyadics) only routes density rows and mu-laws.
+All but Z/m write their metric as the largest of a few ordered coordinate
+differences (``Group.projections``), which lets diameters and window
+extrema run in linear time on ints.  Float values are compared with
+``REPORTING_TOLERANCE`` in reports only, never in exact-mode verification.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import inf, isfinite, lcm
-from operator import add, sub
+from operator import add, eq, sub
 from typing import Any
 
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
@@ -144,6 +144,15 @@ class Group:
     def norm(self, a):
         return self.metric(a, self.zero())
 
+    def numerators(self, payloads):
+        """The kernel form (columns, L): a column per coordinate of numbers over
+        one denominator L, kept by +, - and negation (here the payloads, L = 1)."""
+        return [list(payloads)], 1
+
+    def payloads_over(self, columns, scale) -> tuple:
+        """The payloads of kernel-form columns, sums included: ``numerators`` inverted."""
+        return tuple(columns[0])
+
     def projections(self, payloads):
         """Ordered coordinates p_1 .. p_k of the payloads as (columns, L).
 
@@ -161,8 +170,8 @@ class Group:
         x / scale as a Fraction (an int on Z, the float x on ``real``)."""
         return Fraction(x, scale)
 
-    def values_equal(self, a, b) -> bool:
-        return a == b
+    #: Whether two payloads, or two kernel-form entries, are one value.
+    values_equal = staticmethod(eq)
 
     def payload_to_json(self, a):
         raise NotImplementedError
@@ -205,7 +214,7 @@ class _ScalarGroup(Group):
         return abs(a - b)
 
     def projections(self, payloads):
-        return [list(payloads)], 1
+        return self.numerators(payloads)
 
 
 class IntegerGroup(_ScalarGroup):
@@ -240,9 +249,13 @@ class RationalGroup(_ScalarGroup):
     def validate(self, payload):
         return as_fraction(payload)
 
-    def projections(self, payloads):
+    def numerators(self, payloads):
         nums, scale = _integer_numerators(payloads)
         return [nums], scale
+
+    def payloads_over(self, columns, scale):  # one Fraction per distinct numerator
+        fractions = {v: Fraction(v, scale) for v in set(columns[0])}
+        return tuple(map(fractions.__getitem__, columns[0]))
 
     _memo_key = "d"  # the record's int besides n that fixes its payload
 
@@ -329,6 +342,13 @@ class ModularGroup(Group):
         d = (a - b) % self.modulus
         return min(d, self.modulus - d)
 
+    def payloads_over(self, columns, scale):
+        return tuple(v % self.modulus for v in columns[0])
+
+    def values_equal(self, a, b) -> bool:
+        """Congruence mod m: ``==`` on residues, and on unreduced kernel entries too."""
+        return (a - b) % self.modulus == 0
+
     def payload_to_json(self, a):
         return {"t": "mod", "m": self.modulus, "r": a}
 
@@ -374,6 +394,15 @@ class RationalVectorGroup(Group):
     def metric(self, a, b):
         return sum((abs(x - y) for x, y in zip(a, b)), Fraction(0))
 
+    def numerators(self, payloads):
+        coords, scale = _integer_numerators(list(chain.from_iterable(payloads)))
+        return [coords[k :: self.dim] for k in range(self.dim)], scale
+
+    def payloads_over(self, columns, scale):  # one d-tuple per distinct row
+        rows = list(zip(*columns))
+        vectors = {row: tuple(Fraction(v, scale) for v in row) for row in set(rows)}
+        return tuple(map(vectors.__getitem__, rows))
+
     def projections(self, payloads):
         """Signed coordinate sums s . a with s_1 = +1, on the coordinates'
         int numerators: the L1 metric is the largest |s . (a - b)| over the
@@ -385,8 +414,7 @@ class RationalVectorGroup(Group):
                 f"Q^{self.dim} projections of {len(payloads)} values need {terms} "
                 f"signed terms, more than the limit {MAX_PROJECTION_TERMS}"
             )
-        coords, scale = _integer_numerators(list(chain.from_iterable(payloads)))
-        first, *rest = (coords[k :: self.dim] for k in range(self.dim))
+        (first, *rest), scale = self.numerators(payloads)
         columns = []
         for signs in product((add, sub), repeat=self.dim - 1):
             column = first
@@ -451,6 +479,8 @@ def rational_vectors(d: int) -> RationalVectorGroup:
 
 def group_from_tag(tag: str) -> Group:
     """Inverse of ``group.tag``; accepts 'int', 'rat', 'dy', 'real', 'mod:m', 'vec:d'."""
+    if not isinstance(tag, str):
+        raise UnsupportedValueError(f"a group tag must be a string, got {tag!r}")
     plain = {"int": INTEGERS, "rat": RATIONALS, "dy": DYADICS, "real": APPROX_REALS}
     if tag in plain:
         return plain[tag]

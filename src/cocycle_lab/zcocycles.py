@@ -813,7 +813,7 @@ class _Ring(_Channel):
         Otherwise every window's distinct residues are kept, as they slide."""
         group, size, m = self.group, self.size, self.modulus
         period, step = self.period, self.step
-        if self.folds(scan_to) and (step if size % 2 == 0 else 2 * step) % m == 0:
+        if _ring_folds(size, scan_to, step, m):
             sets = [set(period[c::2]) for c in (0, 1)]
             if size % 2:
                 sets = [s | {(x + step) % m for x in period[1 - c :: 2]} for c, s in enumerate(sets)]
@@ -903,20 +903,27 @@ def _first_window(channels, sup, scan_to: int):
     )
 
 
-def _check_scan(group, size: int, scan_to: int, what: str) -> None:
+def _ring_folds(size: int, scan_to: int, step: int, modulus: int) -> bool:
+    """Whether a Z/m scan folds with shift D = 0 (mod m): one residue set per parity."""
+    odd = size % 2
+    fold = size if odd else size // 2
+    return scan_to + 1 >= fold and (2 * step if odd else step) % modulus == 0
+
+
+def _check_scan(group, size: int, scan_to: int, what: str, step) -> None:
     """Refuse a scan to radius ``scan_to`` of more than ``MAX_SCAN`` running
-    sums, or on Z/m of more than ``MAX_SCAN`` window residues: each of the
-    N windows of a sliding scan keeps up to min(m, scan_to + 1) distinct
-    residues.  The folded scan costs O(k N) whatever the radius, but both
-    limits apply to every scan alike, so a horizon is refused or not as
-    before, with the same text."""
+    sums, or a sliding Z/m scan (below the fold, or D != 0 mod m, for cycle
+    sum ``step``) of more than ``MAX_SCAN`` window residues: each of its N
+    windows keeps up to min(m, scan_to + 1) distinct residues.  A folded
+    Z/m scan with D = 0 keeps one residue set per parity, O(N), so it is
+    not refused for residues."""
     if size + 2 * scan_to + 1 > MAX_SCAN:
         raise ValueError(
             f"{what} needs {size + 2 * scan_to + 1} running sums, more than the limit {MAX_SCAN}"
         )
     modulus = getattr(group, "modulus", None)
     residues = size * min(modulus, scan_to + 1) if modulus is not None else 0
-    if residues > MAX_SCAN:
+    if residues > MAX_SCAN and not _ring_folds(size, scan_to, step, modulus):
         raise ValueError(
             f"{what} needs {residues} window residues on {group.tag}, "
             f"more than the limit {MAX_SCAN}"
@@ -950,9 +957,9 @@ def gh_check(
     exceeds the target, bisected below a cap of a few periods in O(k N log
     cap) once the probes fold; that fails (PeriodicityError) only when the
     metric is bounded, as in Z/m.  ``empirical_sup`` stays the horizon's.
-    A horizon or cap needing more than ``MAX_SCAN`` running sums, or on
-    Z/m more than ``MAX_SCAN`` window residues, is refused with a
-    ValueError before its scan allocates anything.
+    A horizon or cap needing more than ``MAX_SCAN`` running sums, or on a
+    sliding Z/m scan more than ``MAX_SCAN`` window residues, is refused with
+    a ValueError before its scan allocates anything.
     """
     a = _as_cocycle(h, model)
     group = a.group
@@ -967,7 +974,7 @@ def gh_check(
     # For a coboundary the window sums are periodic in j with period N,
     # so radii beyond N-1 repeat earlier values.
     scan_to = min(horizon, size - 1) if decision else horizon
-    _check_scan(group, size, scan_to, f"horizon {horizon}")
+    _check_scan(group, size, scan_to, f"horizon {horizon}", a.cycle_sum_payload)
     certificate = coboundary_solve(a) if decision else None
     channels = _window_reach(a, scan_to)
     reach, best = _window_sup(channels)
@@ -998,7 +1005,7 @@ def gh_check(
             else:
                 cap_periods = int((exceed_target + best) / group.norm(two_s)) + 2
             cap = horizon + size * cap_periods
-            _check_scan(group, size, cap, f"exceed_target {exceed_target}")
+            _check_scan(group, size, cap, f"exceed_target {exceed_target}", a.cycle_sum_payload)
             # the sup over radii <= r grows with r: bisect the least r in
             # (horizon, cap + 1] above the target (cap + 1: none); every
             # window attaining that sup then has radius r

@@ -11,7 +11,7 @@ from cocycle_lab import cli
 from cocycle_lab.cli import main
 from cocycle_lab.involution_cocycles import GeneratorFamily
 from cocycle_lab.space import CylinderFunction
-from cocycle_lab.sampling import invariant_family
+from cocycle_lab.sampling import coboundary_generator, invariant_family
 from cocycle_lab.suites import ExperimentConfig, Report, UsageError, run as run_suite
 from cocycle_lab.values import INTEGERS, RATIONALS, integers_mod
 from test_involution_cocycles import _corrupt_walks
@@ -700,6 +700,18 @@ def test_scans_past_the_value_group_limits_are_usage_errors(tmp_path, capsys):
         "more than the limit 16777216\n"
     )
     assert captured.out == ""
+
+
+def test_a_folded_z_mod_m_coboundary_is_answered_at_the_default_horizon(tmp_path, capsys):
+    # a depth-13 coboundary on Z/1000003 folds with D = 0: one residue set
+    # per parity, where a sliding scan would keep 8192 windows of 8192 residues
+    generator, _ = coboundary_generator(random.Random(0), (2,) * 13, integers_mod(1000003))
+    path = tmp_path / "coboundary.json"
+    path.write_text(json.dumps(generator.to_json()))
+    assert main(["cocycle", "gh", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["coboundary"] is True
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

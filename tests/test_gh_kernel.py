@@ -374,7 +374,33 @@ def test_exceed_target_on_a_large_modulus_caps_at_the_first_exceeding_period():
 def test_window_residue_limit_admits_every_default_horizon_on_mod_5():
     # 5 N residues at most, with N = MAX_POINTS; the check allocates nothing
     for scan_to in (MAX_POINTS - 1, 4 * MAX_POINTS):
-        zcocycles._check_scan(integers_mod(5), MAX_POINTS, scan_to, "horizon")
+        zcocycles._check_scan(integers_mod(5), MAX_POINTS, scan_to, "horizon", 1)
+
+
+def test_folded_z_mod_m_scans_with_zero_shift_keep_no_window_residues(monkeypatch):
+    # past the fold with D = 0 (mod m) a scan keeps one residue set per
+    # parity, so only a sliding scan is refused for its window residues
+    coboundary = ZCocycle(Odometer((2, 2, 2)), CylinderFunction(
+        (2, 2, 2), integers_mod(1000003), (5, 999998, 7, 999996, 0, 1, 1000001, 1)))
+    assert coboundary.cycle_sum_payload == 0
+    # N = 8 folds at scan_to + 1 >= 4; 23 running sums fit up to scan_to = 7,
+    # where a sliding scan would keep 8 * 8 = 64 residues
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 23)
+    for horizon in (3, 7, None):
+        assert_matches_scan(coboundary, horizon)
+    with pytest.raises(ValueError, match="^horizon 2 needs 24 window residues on mod:1000003, "
+                                         "more than the limit 23$"):
+        gh_check(coboundary, horizon=2)
+    # odd N = 3 shifts by D = 2S: S = 3 on Z/6 folds with D = 0, S = 1 slides
+    monkeypatch.setattr(zcocycles, "MAX_SCAN", 12)
+    for table, refused in (((1, 1, 1), False), ((1, 0, 0), True)):
+        a = ZCocycle(Odometer((3,)), CylinderFunction((3,), integers_mod(6), table))
+        if refused:
+            with pytest.raises(ValueError, match="^horizon 4 needs 15 window residues on mod:6, "
+                                                 "more than the limit 12$"):
+                gh_check(a, horizon=4)
+        else:
+            assert_matches_scan(a, 4)
 
 
 @pytest.mark.parametrize("bases", [(2, 2), (3,), (2, 3)])

@@ -20,7 +20,6 @@ from cocycle_lab.involution_cocycles import (
     ConjugationError,
     GeneratorFamily,
     TransferReport,
-    _as_payloads,
     _chain,
     _coboundary_mismatch,
     _kernel_form,
@@ -158,7 +157,7 @@ def test_prefix_index_range_check():
 
 # --- the potential walk against the literal formula --------------------------------
 
-EXACT_TAGS = ("int", "rat", "dy", "mod:5", "vec:2")
+EXACT_TAGS = ("int", "rat", "dy", "mod:5", "mod:2305843009213693951", "vec:1", "vec:2", "vec:3")
 
 
 def literal_generator_tables(family):
@@ -186,8 +185,9 @@ def literal_generator_tables(family):
 
 
 def walk(fam):
-    """The potential walk on the family's payloads, with its group's operations."""
-    return _potential_walk(fam.tables, fam.depth, fam.group, None)
+    """The potential walk on the family's payloads, with its group's operations:
+    the payload-form oracle of the package's kernel-form walk."""
+    return fraction_potential_walk(fam)
 
 
 def _assert_walk_is_literal(fam):
@@ -621,13 +621,13 @@ def scan_dyadic(tables, size):
 
 
 def _dyadic_generators(tables, den: int) -> bool:
-    """Whether a cocycle whose generator tables hold ints over ``den`` is
-    dyadic on every flip word: a word's value is a sum of generator values,
-    and the dyadics are closed under addition.  The reduced denominators
-    den // gcd(v, den) are powers of two exactly when their lcm,
-    den // gcd(den, every v), is one."""
+    """Whether a cocycle whose kernel-form generator tables hold one column
+    of ints over ``den`` is dyadic on every flip word: a word's value is a
+    sum of generator values, and the dyadics are closed under addition.  The
+    reduced denominators den // gcd(v, den) are powers of two exactly when
+    their lcm, den // gcd(den, every v), is one."""
     common = den
-    for table in tables:
+    for (table,) in tables:
         common = math.gcd(common, *table)
     d = den // common
     return d & (d - 1) == 0
@@ -648,7 +648,7 @@ def transfer_mismatch(alpha, beta, g_table, bases):
     denominator as ``h_approximate`` runs it, raising its text."""
     differences = [tuple(map(operator.sub, a, b)) for a, b in zip(alpha, beta)]
     nums, den = _kernel_form([*differences, g_table], RATIONALS)
-    mismatch = _coboundary_mismatch(nums[:-1], nums[-1], den, RATIONALS)
+    mismatch = _coboundary_mismatch(nums[:-1], nums[-1], RATIONALS)
     if mismatch is not None:
         n, i, _, _ = mismatch
         raise AssertionError(
@@ -941,7 +941,7 @@ def fraction_h_approximate(family, chain):
     return report, beta
 
 
-ALL_TAGS = ("int", "rat", "dy", "mod:5", "vec:2", "real")
+ALL_TAGS = EXACT_TAGS + ("real",)
 
 
 def _same(new, old):
@@ -950,7 +950,7 @@ def _same(new, old):
 
 
 def _payload_view(tables, den, group):
-    return tuple(_as_payloads(t, den, group) for t in tables)
+    return tuple(group.payloads_over(t, den) for t in tables)
 
 
 def _outcome(call, *args):
@@ -966,12 +966,13 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
     tables, potential = fraction_potential_walk(fam)
     cocycle = InvolutionCocycle(fam)
     kernel, _, den = cocycle._kernel_tables
-    assert (den is not None) == group.rational  # numerators exactly on int, rat and dy
+    # d columns on vec:d, one column elsewhere
+    assert {len(table) for table in kernel} == {getattr(group, "dim", 1)}
     _same(_payload_view(kernel, den, group), tables)
     f, den = _kernel_form(fam.tables, group)
-    walked, walked_potential = _potential_walk(f, fam.depth, group, den)
+    walked, walked_potential = _potential_walk(f, fam.depth, group)
     _same(_payload_view(walked, den, group), tables)
-    _same(_as_payloads(walked_potential, den, group), tuple(potential))
+    _same(group.payloads_over(walked_potential, den), tuple(potential))
     # the recovery and the identity check, from the cocycle and from a raw oracle
     expected = fraction_recover(tables, bases, group)
     for oracle in (cocycle, _raw_oracle(tables, group, bases)):
@@ -1041,7 +1042,7 @@ def test_a_verified_cocycle_walks_once_for_its_checks_and_readers(monkeypatch, t
     walked = cocycle._kernel_tables
     for i, x in enumerate(iter_prefixes(fam.bases)):
         for n in range(1, fam.count + 1):
-            assert cocycle.eval_generator(n, x).payload == Fraction(walked[0][n - 1][i], walked[2])
+            assert cocycle.eval_generator(n, x).payload == Fraction(walked[0][n - 1][0][i], walked[2])
         cocycle.eval_word([3, 1, 3, 2], x)
         cocycle.eval_word({2, 4}, x)
     assert len(walks) == 1  # the payload view reads the walk; it is no second one
@@ -1233,10 +1234,10 @@ def test_both_dyadic_checks_refuse_unrounded_rat_families():
 
 def test_dyadic_generators_read_numerators_over_a_shared_denominator():
     # 3/12 = 1/4 is dyadic although 12 is not a power of two; 2/12 = 1/6 is not
-    assert _dyadic_generators(((3, -9, 0), (6, 12)), 12)
-    assert not _dyadic_generators(((3, -9, 0), (6, 2)), 12)
-    assert not _dyadic_generators(((1,),), 3)
-    assert _dyadic_generators(((5,),), 1 << 40)
+    assert _dyadic_generators((((3, -9, 0),), ((6, 12),)), 12)
+    assert not _dyadic_generators((((3, -9, 0),), ((6, 2),)), 12)
+    assert not _dyadic_generators((((1,),),), 3)
+    assert _dyadic_generators((((5,),),), 1 << 40)
 
 
 # --- one walk per verdict: the tables against the walk's own potential ---------------------
@@ -1245,8 +1246,6 @@ def test_dyadic_generators_read_numerators_over_a_shared_denominator():
 # the family read off the leading-zeros cylinders), so a wrong table entry
 # fails them even where the walk that built it would build it again.  The
 # dyadic approximation checks its one walk, of the rounding error, the same way.
-
-NONZERO = {"mod:5": 1, "vec:2": (Fraction(1), Fraction(0)), "real": 1.0}
 
 
 def _count_walks(monkeypatch):
@@ -1263,16 +1262,16 @@ def _count_walks(monkeypatch):
 
 def _corrupt_walks(monkeypatch, n=2, i=1):
     """Make every potential walk return t_n with a wrong entry at index i,
-    off the cylinder x_1 = ... = x_n = 0; the potential stays as walked."""
+    off the cylinder x_1 = ... = x_n = 0, 1 added on every column; the
+    potential stays as walked."""
     potential_walk = involution_cocycles._potential_walk
 
-    def corrupted(f, depth, group, den):
-        tables, potential = potential_walk(f, depth, group, den)
+    def corrupted(f, depth, group):
+        tables, potential = potential_walk(f, depth, group)
         if len(tables) < n:
             return tables, potential
-        table = list(tables[n - 1])
-        table[i] = table[i] + 1 if den is not None else group.add(table[i], NONZERO[group.tag])
-        return (*tables[: n - 1], tuple(table), *tables[n:]), potential
+        table = tuple((*c[:i], c[i] + 1, *c[i + 1 :]) for c in tables[n - 1])
+        return (*tables[: n - 1], table, *tables[n:]), potential
 
     monkeypatch.setattr(involution_cocycles, "_potential_walk", corrupted)
 
@@ -1451,16 +1450,20 @@ def test_a_cocycle_checks_its_tables_once_for_verify_and_round_trip(monkeypatch,
 def test_kernel_values_become_payloads_as_per_entry_fractions_do(nums, den, tag):
     group = group_from_tag(tag)
     values = nums + nums[::2]  # with repeats
-    if group.rational:
-        den = 1 if group == INTEGERS else den
-        expected = tuple(v if group == INTEGERS else Fraction(v, den) for v in values)
+    dim = getattr(group, "dim", 0)
+    columns = [values[k:] + values[:k] for k in range(dim)] or [values]
+    if dim:
+        expected = tuple(tuple(Fraction(v, den) for v in row) for row in zip(*columns))
+    elif tag in ("rat", "dy"):
+        expected = tuple(Fraction(v, den) for v in values)
     else:
-        den, expected = None, tuple(values)
-    _same(_as_payloads(values, den, group), expected)
-    if den is not None and group != INTEGERS:
-        # one Fraction per distinct numerator, shared by the equal entries
-        out = _as_payloads(values, den, group)
-        assert len({id(q) for q in out}) == len(set(values))
+        modulus = getattr(group, "modulus", None)
+        den, expected = 1, tuple(values if modulus is None else (v % modulus for v in values))
+    out = group.payloads_over(columns, den)
+    _same(out, expected)
+    if dim or tag in ("rat", "dy"):
+        # one payload per distinct numerator (row on vec:d), shared by the equal entries
+        assert len({id(q) for q in out}) == len(set(zip(*columns)))
 
 
 @pytest.mark.parametrize("tag", ["rat", "dy"])

@@ -47,6 +47,7 @@ from cocycle_lab.values import (
     NeighborhoodChain,
     RationalVectorGroup,
     UnsupportedValueError,
+    group_from_tag,
     integers_mod,
     round_to_dyadic,
 )
@@ -67,6 +68,10 @@ def _family():
 def _oracle(n, x):
     # a raw oracle whose values change group with the prefix
     return GroupValue(INTEGERS if x[0] == 0 else RATIONALS, 0)
+
+
+_GEN = {"bases": [2], "depth": 1, "group": "int", "table": [{"t": "int", "n": 1}, {"t": "int", "n": -1}]}
+_FAMILY = {"N": 1, "depth": 2, "group": "int", "tables": [[{"t": "int", "n": 1}, {"t": "int", "n": 2}]]}
 
 
 def _one_orbit_towers():
@@ -203,6 +208,18 @@ CASES = [
     ("sampling-payload-unknown-group",
      lambda: payload(random.Random(0), "g"),
      TypeError, "no sampler for group 'g'"),
+    ("group-tag-not-a-string",
+     lambda: group_from_tag(5),
+     UnsupportedValueError, "a group tag must be a string, got 5"),
+    ("cylinder-function-json-not-an-object",
+     lambda: CylinderFunction.from_json([]),
+     ValueError, "a cylinder function must be a JSON object, got list"),
+    ("generator-family-json-not-an-object",
+     lambda: GeneratorFamily.from_json(None),
+     ValueError, "a generator family must be a JSON object, got null"),
+    ("generator-family-json-count-not-an-int",
+     lambda: GeneratorFamily.from_json({**_FAMILY, "N": True}),
+     ValueError, "N must be an integer, got True"),
     ("invariant-family-count-above-depth",
      lambda: invariant_family(random.Random(0), 2, 3, RATIONALS),
      ValueError, "family size cannot exceed the depth"),
@@ -297,3 +314,42 @@ def test_density_measures_must_be_a_non_empty_list(tmp_path, text, fmt, capsys):
     assert capsys.readouterr() == (
         "", f"error: {measures}: --measures needs a non-empty JSON list of measure records\n"
     )
+
+
+
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("cocycle gh", json.dumps(_without(_GEN, "table")), "missing key 'table'"),
+        ("cocycle solve", json.dumps({**_GEN, "group": 5}), "a group tag must be a string, got 5"),
+        ("cocycle gh", "[1, 2]", "a cylinder function must be a JSON object, got list"),
+        ("cocycle gh", "null", "a cylinder function must be a JSON object, got null"),
+        ("gamma roundtrip", json.dumps(_without(_FAMILY, "tables")), "missing key 'tables'"),
+        ("gamma verify", json.dumps({**_FAMILY, "group": 5}), "a group tag must be a string, got 5"),
+        ("gamma verify", "[]", "a generator family must be a JSON object, got list"),
+        ("gamma happrox", "null", "a generator family must be a JSON object, got null"),
+        ("gamma verify", json.dumps({**_FAMILY, "N": True}), "N must be an integer, got True"),
+        ("gamma verify", json.dumps({**_FAMILY, "N": 1.0}), "N must be an integer, got 1.0"),
+    ],
+    ids=["missing-table", "group-5", "cocycle-list", "cocycle-null", "missing-tables",
+         "family-group-5", "family-list", "family-null", "count-true", "count-float"],
+)
+def test_a_malformed_json_input_exits_2_with_a_message_in_words(tmp_path, command, text, message,
+                                                                capsys):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main([*command.split(), "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_a_measure_record_without_bases_exits_2_naming_the_key(tmp_path, capsys):
+    gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
+    gen.write_text(json.dumps(_GEN))
+    measures.write_text(json.dumps([{"kind": "bernoulli", "weights": [["1/2", "1/2"]]}]))
+    argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {measures}: missing key 'bases'\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -428,6 +429,45 @@ def test_int_projections_over_their_denominator_are_the_fraction_projections(dat
     # one denominator: the lcm of every coordinate's
     coords = payloads if group == RATIONALS else [c for a in payloads for c in a]
     assert scale == math.lcm(*(c.denominator for c in coords))
+
+
+_KERNEL_PAYLOADS = [
+    (INTEGERS, st.integers(-(2**70), 2**70)),
+    (RATIONALS, _EXACT),
+    (DYADICS, dyadics),
+    (integers_mod(5), st.integers(0, 4)),
+    (integers_mod(2**61 - 1), st.integers(0, 2**61 - 2)),
+    (rational_vectors(1), st.tuples(_EXACT)),
+    (rational_vectors(3), st.tuples(_EXACT, _EXACT, _EXACT)),
+    (APPROX_REALS, st.just(-0.0) | st.floats(-1e300, 1e300)),
+]
+
+
+@given(st.sampled_from(range(len(_KERNEL_PAYLOADS))), st.data())
+def test_payloads_over_inverts_numerators_and_reads_sums_on_every_group(k, data):
+    group, payload = _KERNEL_PAYLOADS[k]
+    pairs = data.draw(st.lists(st.tuples(payload, payload), max_size=12))
+    a, b = [p for p, _ in pairs], [q for _, q in pairs]
+    columns, scale = group.numerators(a + b)
+    assert len(columns) == getattr(group, "dim", 1)  # d columns on vec:d, one elsewhere
+    out = group.payloads_over(columns, scale)
+    assert out == tuple(a + b) and repr(out) == repr(tuple(a + b))  # -0.0 stays on real
+    # column sums and differences read back as the group's
+    n = len(a)
+    for op, group_op in ((operator.add, group.add), (operator.sub, group.sub)):
+        out = group.payloads_over([list(map(op, c[:n], c[n:])) for c in columns], scale)
+        expected = tuple(map(group_op, a, b))
+        assert out == expected and repr(out) == repr(expected)
+    assert repr(APPROX_REALS.payloads_over(*APPROX_REALS.numerators([-0.0]))) == "(-0.0,)"
+
+
+@given(st.integers(1, 2**70), st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80))
+@example(2**61 - 1, 2**61 - 1, 0)
+@example(5, -1, 4)
+def test_modular_values_equal_is_congruence_mod_m(m, a, b):
+    group = integers_mod(m)
+    assert group.values_equal(a, b) == (a % m == b % m)
+    assert group.values_equal(a % m, b % m) == (a % m == b % m)  # == on residues
 
 
 class _Unread:
