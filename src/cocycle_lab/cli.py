@@ -39,7 +39,13 @@ from .involution_cocycles import (
     h_approximate,
     verify_identities,
 )
-from .space import BernoulliMeasure, CylinderFunction, binary_bases, measure_from_json
+from .space import (
+    BernoulliMeasure,
+    CylinderFunction,
+    _require_object,
+    binary_bases,
+    measure_from_json,
+)
 from .suites import (
     CONFIG_FIELDS,
     ExperimentConfig,
@@ -124,9 +130,14 @@ def _emit_json(obj, args) -> None:
     _emit(render_json(obj) + "\n", args)
 
 
+def _config_object(obj) -> dict:
+    """A copy of a config file's JSON object; any other JSON value is refused."""
+    _require_object(obj, "a config")
+    return {**obj}
+
+
 def _cmd_run(args) -> int:
-    # a config file must hold a JSON object; {**x} is a TypeError otherwise
-    obj = _decode(args.config, lambda x: {**x}) if args.config else {}
+    obj = _decode(args.config, _config_object) if args.config else {}
     for key in CONFIG_FIELDS:
         value = getattr(args, key)
         if key != "bases" and value is not None:

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm
-from operator import add
+from itertools import repeat
+from operator import add, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .dynamics import delta_apply
@@ -118,7 +119,7 @@ class GeneratorFamily:
         cleaned = []
         for n, table in enumerate(self.tables, start=1):
             expected = 1 << (len(bases) - n)
-            table = tuple(self.group.validate(v) for v in table)
+            table = tuple(map(self.group.validate, table))
             if len(table) != expected:
                 raise ValueError(
                     f"generator {n} table has {len(table)} entries, needs {expected}"
@@ -233,26 +234,54 @@ def _potential_walk(f_tables, depth: int, group: Group) -> tuple[tuple, list]:
     x_n = 0 and -v at x_n = 1.  On x_1 = ... = x_n = 0, P_{n-1} vanishes
     on both sides, so the entry there is f_n itself, written without
     arithmetic: exact even in floats.
+
+    Each step runs on the slices of ``_flip_halves``, never one index at a
+    time: the entries with x_1 = ... = x_n = 0 are the stride-2^n slice
+    from 0, whose f is exactly f_n's column, and the others go by offset
+    (each slice again against all of f_n's column) or by block (against
+    the block's one f_n).  Every entry keeps its operations and their
+    order (P + f_n, then up - P, then -v), so floats, -0.0 included, keep
+    their bytes.
     """
     size = 1 << depth
     potentials = [column * size for column in group.numerators([group.zero()])[0]]
     tables = []
     for n, f in enumerate(f_tables, start=1):
         flip = 1 << (n - 1)
+        step = flip << 1
+        halves = _flip_halves(size, n, 1)
         columns = []
         for f_column, potential in zip(f, potentials):
             table = [None] * size
-            for start in range(0, size, flip << 1):
-                # x_1 = ... = x_n = 0 at start
-                f_n = potential[start + flip] = table[start] = f_column[start >> n]
-                table[start + flip] = -f_n
-                for i in range(start + 1, start + flip):
-                    up = potential[i + flip] = potential[i + flip] + f_n
-                    table[i] = v = up - potential[i]
-                    table[i + flip] = -v
+            # x_1 = ... = x_n = 0
+            potential[flip::step] = table[::step] = f_column
+            table[flip::step] = map(neg, f_column)
+            for lo, hi, block in halves:
+                f_n = f_column if block is None else repeat(f_column[block])
+                potential[hi] = up = list(map(add, potential[hi], f_n))
+                table[lo] = v = list(map(sub, up, potential[lo]))
+                table[hi] = map(neg, v)
             columns.append(tuple(table))
         tables.append(tuple(columns))
     return tuple(tables), potentials
+
+
+def _flip_halves(size: int, n: int, skip: int = 0) -> list[tuple[slice, slice, int | None]]:
+    """The prefixes i with x_n = 0 and their images i + 2^(n-1) under
+    delta_n, as triples (lo, hi, block) of slices of a ``size`` table,
+    leaving out the first ``skip`` of each block of 2^n prefixes.  While
+    2^(n-1) <= size / 2^n they go by offset j, the stride-2^n slices from
+    j and from j + 2^(n-1), and block is None; past that they go by block,
+    the two contiguous halves of block number ``block``.  Either way there
+    are at most sqrt(size / 2) triples."""
+    flip = 1 << (n - 1)
+    step = flip << 1
+    if flip <= size >> n:
+        return [(slice(j, size, step), slice(j + flip, size, step), None) for j in range(skip, flip)]
+    return [
+        (slice(start + skip, start + flip), slice(start + flip + skip, start + step), block)
+        for block, start in enumerate(range(0, size, step))
+    ]
 
 
 def _chain(tables, group: Group, word: Sequence[int], i: int):
@@ -397,16 +426,22 @@ def _coboundary_mismatch(tables, potential, group: Group):
     t_n(x) differs from P(delta_n x) - P(x), or None; in kernel form, a
     value as its entry in each column.  Entries are checked column by column
     as t_n(x) + P(x) = P(delta_n x) by ``group.values_equal``, one addition
-    each, and an entry differs where one of its columns does."""
+    each, on the slices of ``_flip_halves`` in both directions, and an entry
+    differs where one of its columns does; only a column that fails is
+    scanned index by index, for its first witness."""
     equal = group.values_equal
     size = len(potential[0])
     for n, table in enumerate(tables, start=1):
         flip = 1 << (n - 1)
+        halves = _flip_halves(size, n)
         first = size
         for column, p in zip(table, potential):
-            moved = [p[i ^ flip] for i in range(size)]
-            if not all(map(equal, map(add, column, p), moved)):
-                i = next(i for i in range(size) if not equal(column[i] + p[i], moved[i]))
+            if not all(
+                all(map(equal, map(add, column[lo], p[lo]), p[hi]))
+                and all(map(equal, map(add, column[hi], p[hi]), p[lo]))
+                for lo, hi, _ in halves
+            ):
+                i = next(i for i in range(size) if not equal(column[i] + p[i], p[i ^ flip]))
                 first = min(first, i)
         if first < size:
             value = [c[first] for c in table]

@@ -137,7 +137,7 @@ class CylinderFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "bases", check_bases(self.bases))
-        tab = tuple(self.group.validate(v) for v in self.table)
+        tab = tuple(map(self.group.validate, self.table))
         if len(tab) != space_size(self.bases):
             raise ValueError(
                 f"table length {len(tab)} != {space_size(self.bases)} prefixes"

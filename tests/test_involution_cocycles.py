@@ -48,6 +48,7 @@ from cocycle_lab.values import (
     GroupValue,
     NeighborhoodChain,
     group_from_tag,
+    integers_mod,
     is_dyadic,
     round_to_dyadic,
 )
@@ -1473,3 +1474,121 @@ def test_the_transfer_numerators_give_happrox_its_max_transfer(tag):
     g, den = report._transfer_kernel
     oracle = max(abs(v) for v in report.transfer.table)
     _same(Fraction(max(max(g), -min(g)), den), oracle)
+
+
+# --- the slice kernels against their per-entry forms ---------------------------------------
+# The walk and the check run on the slices of ``_flip_halves``: by offset at
+# small n, by contiguous block past sqrt(N/2).  Depths 1..9 reach both.
+
+SLICE_TAGS = ("int", "rat", "dy", "mod:5", "vec:2", "real")
+
+
+def literal_mismatch(tables, potential, group):
+    """The check index by index, in n-major order: the first (n, i) where a
+    column's t_n(x) + P(x) differs from P(delta_n x)."""
+    equal = group.values_equal
+    for n, table in enumerate(tables, start=1):
+        flip = 1 << (n - 1)
+        for i in range(len(potential[0])):
+            if not all(equal(c[i] + p[i], p[i ^ flip]) for c, p in zip(table, potential)):
+                value = [c[i] for c in table]
+                return n, i, value, [p[i ^ flip] - p[i] for p in potential]
+    return None
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_flip_halves_pair_each_prefix_with_its_flip_in_at_most_sqrt_half_n_slices(depth):
+    size = 1 << depth
+    for n in range(1, depth + 1):
+        flip = 1 << (n - 1)
+        for skip in (0, 1):
+            halves = involution_cocycles._flip_halves(size, n, skip)
+            assert len(halves) ** 2 <= size // 2
+            indices = range(size)
+            lo = sorted(i for s, _, _ in halves for i in indices[s])
+            assert lo == [i for i in indices if i & flip == 0 and i % (flip << 1) >= skip]
+            for s, t, block in halves:
+                assert [i ^ flip for i in indices[s]] == list(indices[t])
+                if block is not None:  # contiguous: inside one block of 2^n prefixes
+                    assert {i >> n for i in indices[s]} <= {block}
+
+
+@pytest.mark.parametrize("tag", SLICE_TAGS)
+def test_the_slice_walk_and_check_match_the_per_entry_forms_exhaustively(tag):
+    group = group_from_tag(tag)
+    for depth in range(1, 10):
+        for count in range(1, depth + 1):
+            fam = invariant_family(random.Random(depth * 16 + count), depth, count, group)
+            tables, potential = fraction_potential_walk(fam)
+            f, den = _kernel_form(fam.tables, group)
+            walked, walked_potential = _potential_walk(f, depth, group)
+            _same(_payload_view(walked, den, group), tables)
+            _same(group.payloads_over(walked_potential, den), tuple(potential))
+            assert _coboundary_mismatch(walked, walked_potential, group) is None
+            assert literal_mismatch(walked, walked_potential, group) is None
+
+
+def test_the_slice_walk_keeps_signed_zeros_and_float_bytes():
+    values = (0.0, -0.0, 0.1, -0.3, 1e-17, -2.5)
+    rng = random.Random(3)
+    for depth in range(1, 9):
+        tables = tuple(
+            tuple(rng.choice(values) for _ in range(1 << (depth - n)))
+            for n in range(1, depth + 1)
+        )
+        fam = GeneratorFamily((2,) * depth, APPROX_REALS, tables)
+        expected, potential = fraction_potential_walk(fam)
+        f, den = _kernel_form(fam.tables, APPROX_REALS)
+        walked, walked_potential = _potential_walk(f, depth, APPROX_REALS)
+        _same(_payload_view(walked, den, APPROX_REALS), expected)
+        _same(tuple(walked_potential[0]), tuple(potential))
+
+
+def _with_entry(tables, n, c, i, change):
+    """``tables`` with ``change`` applied to entry i of column c of t_n."""
+    table = list(map(list, tables[n - 1]))
+    table[c][i] = change(table[c][i])
+    return (*tables[: n - 1], tuple(map(tuple, table)), *tables[n:])
+
+
+@pytest.mark.parametrize("tag", SLICE_TAGS)
+def test_a_corrupted_entry_is_found_first_where_the_literal_scan_finds_it(tag):
+    group = group_from_tag(tag)
+    check = involution_cocycles._coboundary_mismatch
+    for depth in range(1, 6):
+        fam = invariant_family(random.Random(depth), depth, depth, group)
+        walked, potential = _potential_walk(_kernel_form(fam.tables, group)[0], depth, group)
+        rng = random.Random(depth)
+        for n, table in enumerate(walked, start=1):
+            for c in range(len(table)):
+                for i in range(1 << depth):
+                    corrupted = _with_entry(walked, n, c, i, lambda v: v + 1)
+                    found = check(corrupted, potential, group)
+                    assert found == literal_mismatch(corrupted, potential, group)
+                    assert found[:2] == (n, i)
+                    # a second wrong entry anywhere, in the next column on vec:2:
+                    # the first in n-major order wins
+                    m, j = rng.randrange(1, depth + 1), rng.randrange(1 << depth)
+                    twice = _with_entry(corrupted, m, (c + 1) % len(table), j, lambda v: v - 3)
+                    assert check(twice, potential, group) == literal_mismatch(twice, potential, group)
+        # a wrong potential entry fails every pair it sits in, from both sides
+        for c, column in enumerate(potential):
+            for k in range(1 << depth):
+                moved = [list(p) for p in potential]
+                moved[c][k] += 1
+                found = check(walked, moved, group)
+                assert found is not None
+                assert found == literal_mismatch(walked, moved, group)
+
+
+@pytest.mark.parametrize("modulus", [5, 2305843009213693951])
+def test_adding_the_modulus_to_an_entry_is_no_mismatch_on_mod_m(modulus):
+    group = integers_mod(modulus)
+    for depth in range(1, 6):
+        fam = invariant_family(random.Random(depth), depth, depth, group)
+        walked, potential = _potential_walk(_kernel_form(fam.tables, group)[0], depth, group)
+        for n in range(1, depth + 1):
+            for i in range(1 << depth):
+                shifted = _with_entry(walked, n, 0, i, lambda v: v + modulus)
+                assert _coboundary_mismatch(shifted, potential, group) is None
+                assert literal_mismatch(shifted, potential, group) is None

@@ -346,6 +346,18 @@ def test_a_malformed_json_input_exits_2_with_a_message_in_words(tmp_path, comman
     assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text, kind",
+    [("[1]", "list"), ('"x"', "str"), ("3", "int"), ("0.5", "float"), ("null", "null")],
+    ids=["list", "string", "int", "float", "null"],
+)
+def test_a_config_that_is_not_an_object_exits_2_naming_its_type(tmp_path, text, kind, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "gh", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: a config must be a JSON object, got {kind}\n")
+
+
 def test_a_measure_record_without_bases_exits_2_naming_the_key(tmp_path, capsys):
     gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
     gen.write_text(json.dumps(_GEN))
@@ -353,3 +365,16 @@ def test_a_measure_record_without_bases_exits_2_naming_the_key(tmp_path, capsys)
     argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {measures}: missing key 'bases'\n")
+
+
+@pytest.mark.parametrize("bad", [0, 1, 3])
+def test_a_table_is_refused_at_its_first_invalid_entry(bad):
+    # every entry is validated: a bad entry last is refused too
+    entries = [1, 2, 3, 4]
+    entries[bad] = 2.0
+    if bad < 3:
+        entries[3] = "x"
+    with pytest.raises(UnsupportedValueError, match=r"^integer group needs int, got 2\.0$"):
+        CylinderFunction(B2, INTEGERS, tuple(entries))
+    with pytest.raises(UnsupportedValueError, match=r"^integer group needs int, got 2\.0$"):
+        GeneratorFamily((2,) * 3, INTEGERS, (tuple(entries),))
