@@ -11,13 +11,15 @@ a ``random.Random`` whose ``_randbelow`` is the getrandbits-based one
 (``randint(a, b)`` is ``a + _randbelow(b - a + 1)``, and ``_randbelow(w)``
 draws ``getrandbits(w.bit_length())`` until the result is below w), as on
 CPython 3.10 to 3.13.  On ``int``, ``rat``, ``dy`` and ``mod:m`` the draws
-of a table run through one loop, ``_keys``, over a bound ``getrandbits``:
-an entry's draws combine into one int key, and the value of each key is
-read off a table built once per group and span (on ``mod:m`` the key is
-the value), and a ``vec:d`` entry is d ``rat`` entries; ``real`` draws
-each entry through ``payload``.  On the first four groups the topology
-suite reads a case's mu-law from the draw keys (``_perturbation_law``): it
-consumes f's draws without building f, g or the measure.
+of a table run through ``_keys``, a loop over a bound ``getrandbits``:
+an entry draws once (``int``, ``mod:m``) or twice (``rat``, ``dy``), each
+kind in a loop of its own, and its draws combine into one int key.
+The value of each key is read off a table built once per group and span
+(on ``mod:m`` the key is the value), and a ``vec:d`` entry is d ``rat``
+entries; ``real`` draws each entry through ``payload``.  On the first four
+groups the topology suite reads a case's mu-law from the draw keys
+(``_perturbation_law``): it consumes f's draws without building f, g or
+the measure.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import cycle, islice
+from itertools import islice, repeat
 from math import prod
 from typing import Sequence
 
@@ -65,21 +67,33 @@ def payload(rng: random.Random, group: Group, span: int = 8):
 def _keys(rng: random.Random, widths: tuple[int, ...], n: int) -> list[int]:
     """The keys of n entries, each drawing ``rng._randbelow(w)`` for w in ``widths``.
 
-    The draws of an entry are the digits of its key, first draw most
-    significant (radix ``widths``).  One loop over a bound ``getrandbits``
-    consumes the generator exactly as the ``_randbelow`` calls would; a
-    width of 1 still draws.
+    ``widths`` holds one or two widths (a ``vec:d`` entry is d ``rat``
+    entries).  The draws of an entry are the digits of its key, first draw
+    most significant: a one-draw key is its draw, a two-draw key a * w2 + b
+    for the draws a < w1 and b < w2.  Each count of draws has its own loop
+    over a bound ``getrandbits``, and the two-draw loop builds each key as
+    its draws come in, with no list of draws.  Either consumes the generator
+    exactly as the ``_randbelow`` calls would; a width of 1 still draws.
     """
     getrandbits = rng.getrandbits
-    draws = []
-    append = draws.append
-    for w, k in islice(cycle([(w, w.bit_length()) for w in widths]), n * len(widths)):
-        while (r := getrandbits(k)) >= w:
+    keys = []
+    append = keys.append
+    if len(widths) == 1:
+        (w,) = widths
+        k = w.bit_length()
+        for _ in repeat(None, n):
+            while (r := getrandbits(k)) >= w:
+                pass
+            append(r)
+        return keys
+    w1, w2 = widths
+    k1, k2 = w1.bit_length(), w2.bit_length()
+    for _ in repeat(None, n):
+        while (a := getrandbits(k1)) >= w1:
             pass
-        append(r)
-    keys = draws[:: len(widths)]
-    for i, w in enumerate(widths[1:], 1):
-        keys = [a * w + b for a, b in zip(keys, draws[i :: len(widths)])]
+        while (b := getrandbits(k2)) >= w2:
+            pass
+        append(a * w2 + b)
     return keys
 
 

@@ -332,23 +332,28 @@ def topology_suite(config: ExperimentConfig) -> Report:
     )
     report.header["epsilon_max"] = config.epsilon_max
     antecedents = 0
+    bounds = {}  # (eps, delta) draws -> eps, delta, eps*delta, eps*delta/(1+eps)
     for case in range(count):
         law = sampling._perturbation_law(rng, config.bases, group)
         if law is None:
             f, g = sampling.perturbed_pair(rng, config.bases, group)
             mu = sampling.bernoulli_measure(rng, config.bases)
-        eps = Fraction(rng.randint(1, 8), 8) * config.epsilon_max
-        delta = Fraction(rng.randint(1, 8), 8)
+        draws = rng.randint(1, 8), rng.randint(1, 8)
+        if draws not in bounds:
+            eps = Fraction(draws[0], 8) * config.epsilon_max
+            delta = Fraction(draws[1], 8)
+            bounds[draws] = eps, delta, eps * delta, eps * delta / (1 + eps)
+        eps, delta, tau3_bound, tau4_bound = bounds[draws]
         t3, t4, exceed = _tau_sums(f, g, eps, mu) if law is None else _law_sums(*law, eps)
         report.add_row(case=case, eps=eps, delta=delta, tau3=t3, tau4=t4, exceedance=exceed)
-        if t3 < eps * delta:
+        if t3 < tau3_bound:
             antecedents += 1
             report.check(
                 f"case{case}-tau3-constant",
                 exceed < delta,
                 witness=f"tau3={t3} eps={eps} delta={delta} mu(exceed)={exceed}",
             )
-        if t4 < eps * delta / (1 + eps):
+        if t4 < tau4_bound:
             report.check(
                 f"case{case}-tau4-constant",
                 exceed < delta,

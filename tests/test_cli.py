@@ -10,10 +10,15 @@ import pytest
 from cocycle_lab import cli
 from cocycle_lab.cli import main
 from cocycle_lab.involution_cocycles import GeneratorFamily
-from cocycle_lab.space import CylinderFunction
-from cocycle_lab.sampling import coboundary_generator, invariant_family
+from cocycle_lab.space import CylinderFunction, exceedance_mass, tau3_functional, tau4_functional
+from cocycle_lab.sampling import (
+    bernoulli_measure,
+    coboundary_generator,
+    invariant_family,
+    perturbed_pair,
+)
 from cocycle_lab.suites import ExperimentConfig, Report, UsageError, run as run_suite
-from cocycle_lab.values import INTEGERS, RATIONALS, integers_mod
+from cocycle_lab.values import INTEGERS, RATIONALS, group_from_tag, integers_mod
 from test_involution_cocycles import _corrupt_walks
 
 
@@ -293,6 +298,51 @@ def test_run_topology_detects_clipped_constant_failure(capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.err
+
+
+def _literal_topology(bases, group, seed, count, epsilon_max):
+    """The topology suite's rows and checks from the public samplers and
+    functionals, with each case's bounds formed from its own eps and delta."""
+    rng = random.Random(seed)
+    rows, checks = [], []
+    for case in range(count):
+        f, g = perturbed_pair(rng, bases, group)
+        mu = bernoulli_measure(rng, bases)
+        eps = Fraction(rng.randint(1, 8), 8) * epsilon_max
+        delta = Fraction(rng.randint(1, 8), 8)
+        t3, t4 = tau3_functional(f, g, mu), tau4_functional(f, g, mu)
+        exceed = exceedance_mass(f, g, eps, mu)
+        rows.append(dict(case=case, eps=eps, delta=delta, tau3=t3, tau4=t4, exceedance=exceed))
+        for name, t, bound in (("tau3", t3, eps * delta), ("tau4", t4, eps * delta / (1 + eps))):
+            if t < bound:
+                checks.append({
+                    "name": f"case{case}-{name}-constant",
+                    "passed": exceed < delta,
+                    "witness": f"{name}={t} eps={eps} delta={delta} mu(exceed)={exceed}",
+                })
+    return rows, checks
+
+
+@pytest.mark.parametrize("tag", ["int", "rat", "dy", "mod:5"])
+@pytest.mark.parametrize("epsilon_max", ["3/7", "5"])
+def test_run_topology_equals_its_literal_recomputation(tag, epsilon_max, capsys):
+    """96 cases over the 64 (eps, delta) draws, so that pairs repeat, with
+    eps up to 3/7 and up to 5; the exit code is 1 exactly when a check fails."""
+    bases, seed, count = (2,) * 2, 11, 96
+    code = main([
+        "run", "topology", "--depth", "2", "--count", str(count), "--group", tag,
+        "--epsilon-max", epsilon_max, "--seed", str(seed), "--format", "json",
+    ])
+    report = json.loads(capsys.readouterr().out)
+    rows, checks = _literal_topology(bases, group_from_tag(tag), seed, count, Fraction(epsilon_max))
+    assert len({(row["eps"], row["delta"]) for row in rows}) < count
+
+    def cell(v):
+        return {"fraction": str(v), "decimal": float(v)} if type(v) is Fraction else v
+
+    assert report["rows"] == [{k: cell(v) for k, v in row.items()} for row in rows]
+    assert report["checks"] == checks and checks
+    assert code == (0 if all(c["passed"] for c in checks) else 1)
 
 
 def test_run_with_config_file_and_override(tmp_path):

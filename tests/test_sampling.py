@@ -137,6 +137,36 @@ def test_spans_the_loop_does_not_key_run_the_literal_payload(tag, span):
         assert agree(cylinder_case(depth, tag, span, depth))
 
 
+def _literal_keys(rng, widths, n):
+    keys = []
+    for _ in range(n):
+        key = 0
+        for w in widths:
+            key = key * w + rng._randbelow(w)
+        keys.append(key)
+    return keys
+
+
+# widths of 1 (which still draw), powers of two (rejected half the time)
+# and the rat span-8 widths
+KEY_WIDTHS = [(1,), (1, 5), (5, 1), (8,), (2, 16), (17, 8)]
+
+
+@pytest.mark.parametrize("widths", KEY_WIDTHS)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4096])
+def test_keys_match_literal_randbelow(widths, n):
+    keys = outcome(lambda rng: sampling._keys(rng, widths, n), n)
+    assert keys == outcome(lambda rng: _literal_keys(rng, widths, n), n)
+    assert len(keys[0]) == n
+
+
+@given(seed=seeds, widths=st.sampled_from(KEY_WIDTHS), n=st.integers(2, 4096))
+def test_keys_match_literal_randbelow_at_any_size(seed, widths, n):
+    assert outcome(lambda rng: sampling._keys(rng, widths, n), seed) == outcome(
+        lambda rng: _literal_keys(rng, widths, n), seed
+    )
+
+
 def test_value_tables_stay_bounded():
     sampling._value_table.cache_clear()
     rng = random.Random(3)

@@ -12,6 +12,8 @@ from cocycle_lab.space import (
     DiracMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    _law_tau3,
+    _law_tau4,
     _tau_sums,
     aut_distance,
     convergence_rows,
@@ -523,6 +525,51 @@ def test_functionals_on_real_repeat_the_literal_float_sums(case):
     expected = _expected_sums(f, g, eps, mu)
     for got in (sums, public):  # bit for bit: type and repr
         assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in expected]
+
+
+def _literal_tau3(law, den):
+    total = Fraction(0)
+    for (p, q), n in law.items():
+        total += n * min(Fraction(p, q), Fraction(1))
+    return total / den
+
+
+def _literal_tau4(law, den):
+    total = Fraction(0)
+    for (p, q), n in law.items():
+        total += n * Fraction(p, q) / (1 + Fraction(p, q))
+    return total / den
+
+
+_PRIMES = _primes(1202)[2:]  # 1,200 primes from 5 on
+# reduced metric values p/q whose term denominators are distinct primes: q
+# for tau3 in the first law (every third value lies above 1, where tau3
+# clips), p + q for tau4 in the second
+LAW_OVER_PRIMES = {
+    (q + 1 + i % 5 if i % 3 == 0 else 1 + i % (q - 1), q): 1 + i % 7
+    for i, q in enumerate(_PRIMES)
+}
+TAU4_LAW_OVER_PRIMES = {(1 + i % 3, p - 1 - i % 3): 2 + i % 5 for i, p in enumerate(_PRIMES)}
+
+
+@pytest.mark.parametrize(
+    "law",
+    [LAW_OVER_PRIMES, TAU4_LAW_OVER_PRIMES, {}, {(3, 7): 5}, {(9, 2): 1}, {(0, 1): 4}],
+    ids=["tau3-primes", "tau4-primes", "empty", "one-below-1", "one-above-1", "zero"],
+)
+@pytest.mark.parametrize("den", [1, 2**7 * 3**5 * 7])
+def test_law_sums_equal_literal_fraction_sums(law, den):
+    for law_sum, literal in ((_law_tau3, _literal_tau3), (_law_tau4, _literal_tau4)):
+        got, expected = law_sum(law, den), literal(law, den)
+        assert type(got) is Fraction and got == expected
+    if not law:
+        assert _law_tau3(law, den) == _law_tau4(law, den) == 0
+
+
+def test_prime_laws_have_over_a_thousand_coprime_denominators():
+    assert len({q for _, q in LAW_OVER_PRIMES}) == len(LAW_OVER_PRIMES) > 1000
+    assert len({p + q for p, q in TAU4_LAW_OVER_PRIMES}) == len(TAU4_LAW_OVER_PRIMES) > 1000
+    assert sum(p > q for p, q in LAW_OVER_PRIMES) > 300  # tau3's clipped branch
 
 
 H2 = CylinderFunction((2,), RATIONALS, (rat(0), rat(1)))
