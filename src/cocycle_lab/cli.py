@@ -70,15 +70,15 @@ def _message(exc: Exception) -> str:
 
 
 def _decode(path: str, parse):
-    """``parse`` of a JSON input file; malformed content, nesting too deep
-    for the interpreter's recursion limit included, is a usage error naming
-    the file (an unreadable file stays an OSError)."""
-    text = Path(path).read_text()
+    """``parse`` of a UTF-8 JSON input file; malformed content, text that is
+    not UTF-8 and nesting too deep for the interpreter's recursion limit
+    included, is a usage error naming the file (an unreadable file stays an
+    OSError)."""
     try:
-        return parse(json.loads(text))
-    except (
-        AttributeError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError
-    ) as exc:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except RecursionError as exc:
+        raise UsageError(f"{path}: JSON nested deeper than the interpreter allows") from exc
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{path}: {_message(exc)}") from exc
 
 
@@ -91,8 +91,9 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _flag_bases(args) -> tuple[int, ...] | None:
-    """The model named by --bases or else --depth; None when neither is given."""
-    if args.bases:
+    """The model named by --bases or else --depth; None when neither is given
+    (an empty --bases is given, and refused)."""
+    if args.bases is not None:
         return _int_list(args.bases, "--bases")
     if args.depth is not None:
         return binary_bases(args.depth)
