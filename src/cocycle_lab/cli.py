@@ -308,7 +308,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0, a refused flag 2, each with argparse's text
+        return exc.code
     try:
         _check_counts(args)
         return args.handler(args)

@@ -46,6 +46,7 @@ from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
     DepthError,
+    _require_list,
     _require_object,
     binary_bases,
     check_bases,
@@ -187,7 +188,10 @@ class GeneratorFamily:
         _require_object(obj, "a generator family")
         group = group_from_tag(obj["group"])
         bases = binary_bases(obj["depth"])
-        tables = [group.payloads_from_json(table) for table in obj["tables"]]
+        tables = [
+            group.payloads_from_json(_require_list(table, "an entry of tables"))
+            for table in _require_list(obj["tables"], "tables")
+        ]
         count = obj.get("N", len(tables))
         if not _is_int(count):
             raise ValueError(f"N must be an integer, got {count!r}")
@@ -378,15 +382,14 @@ class IdentityCheck:
     witness: Optional[dict] = None
 
 
-def _oracle_tables(oracle, count: int, bases, group: Group | None, walk_inexact: bool = True):
+def _oracle_tables(oracle, count: int, bases, group: Group | None):
     """The first ``count`` generator tables of a cocycle or raw oracle, the
     potential P to check them against, their group and their denominator,
     in the kernel form of ``_kernel_form``.  A cocycle's are its cached
     walk, whose P_N certifies its first tables too: delta_n P_N = delta_n P_n.
     A raw oracle's P is one walk of the family read off the leading-zeros
-    cylinders; on an inexact group without ``walk_inexact`` there is no
-    walk and P is None.  A count, bases or group the oracle cannot answer
-    is a ValueError naming the value given and the one expected."""
+    cylinders, on every group.  A count, bases or group the oracle cannot
+    answer is a ValueError naming the value given and the one expected."""
     if isinstance(oracle, InvolutionCocycle):
         limit, what = oracle.family.count, "the cocycle's generator count"
     else:
@@ -415,8 +418,6 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None, walk_inexact:
             row.append(v.payload)
         tables.append(tuple(row))
     tables, den = _kernel_form(tables, group)
-    if not (group.exact or walk_inexact):
-        return tables, None, group, den
     f = tuple(tuple(c[:: 1 << n] for c in t) for n, t in enumerate(tables, start=1))
     return tables, _potential_walk(f, len(bases), group)[1], group, den
 
@@ -484,7 +485,7 @@ def verify_identities(
     of the family read off the leading-zeros cylinders.  Only when the
     check fails, or on ``real`` (whose tolerance does not telescope), does
     the O(N^2 2^m) scan run, in (prefix, n, k) order; its first failure is
-    the witness; a raw oracle on ``real`` is not walked at all.
+    the witness.
     """
     if isinstance(cocycle, InvolutionCocycle):
         count = cocycle.family.count if count is None else count
@@ -492,9 +493,7 @@ def verify_identities(
     elif count is None or bases is None:
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
-    tables, potential, group, den = _oracle_tables(
-        cocycle, count, bases, group, walk_inexact=False
-    )
+    tables, potential, group, den = _oracle_tables(cocycle, count, bases, group)
     if group.exact and _oracle_mismatch(cocycle, tables, potential, group) is None:
         return IdentityCheck(True)
     tables = [group.payloads_over(table, den) for table in tables]
@@ -755,5 +754,5 @@ def transport_certificate(
         model,
         CylinderFunction(model.bases, group, moved_generator),
         CylinderFunction(model.bases, group, moved),
-        _spread_bound(moved, group),
+        _spread_bound(*group.numerators(moved), group),
     )

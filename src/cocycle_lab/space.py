@@ -220,10 +220,10 @@ class CylinderFunction:
     def from_json(cls, obj) -> "CylinderFunction":
         _require_object(obj, "a cylinder function")
         group = group_from_tag(obj["group"])
-        bases = tuple(obj["bases"])
+        bases = tuple(_require_list(obj["bases"], "bases"))
         if obj.get("depth", len(bases)) != len(bases):
             raise ValueError("depth field disagrees with bases length")
-        return cls(bases, group, group.payloads_from_json(obj["table"]))
+        return cls(bases, group, group.payloads_from_json(_require_list(obj["table"], "table")))
 
 
 def _require_object(obj, what: str) -> None:
@@ -233,13 +233,21 @@ def _require_object(obj, what: str) -> None:
         raise ValueError(f"{what} must be a JSON object, got {kind}")
 
 
+def _require_list(obj, what: str):
+    """``obj``, refused unless it is a JSON list (or a tuple), naming its JSON type."""
+    if not isinstance(obj, (list, tuple)):
+        kind = "null" if obj is None else type(obj).__name__
+        raise ValueError(f"{what} must be a JSON list, got {kind}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Measures
 
 
 def _probabilities(row, length: int, what: str) -> tuple[Fraction, ...]:
     """``row`` as exact rationals, checked to be a probability vector of ``length``."""
-    row = tuple(as_fraction(w) for w in row)
+    row = tuple(as_fraction(w) for w in _require_list(row, what))
     nums, den = _integer_numerators(row)
     if len(row) != length or any(n < 0 for n in nums) or sum(nums) != den:
         shown = ", ".join(map(str, row))
@@ -506,16 +514,24 @@ class MixtureMeasure(Measure):
 
 
 def measure_from_json(obj) -> Measure:
-    """A measure from its ``to_json`` record; the constructors check the values."""
+    """A measure from its ``to_json`` record; the constructors check the
+    values, and a record or list field of another JSON type is refused."""
+    _require_object(obj, "a measure")
     kind = obj.get("kind")
+
+    def field(key):
+        return _require_list(obj[key], key)
+
     if kind == "bernoulli":
-        return BernoulliMeasure(obj["bases"], obj["weights"])
+        return BernoulliMeasure(field("bases"), field("weights"))
     if kind == "markov":
-        return MarkovMeasure(obj["bases"], obj["initial"], obj["transitions"])
+        bases, initial = field("bases"), obj["initial"]
+        matrices = [_require_list(m, "a transition matrix") for m in field("transitions")]
+        return MarkovMeasure(bases, initial, matrices)
     if kind == "dirac":
-        return DiracMeasure(obj["bases"], obj["point"])
+        return DiracMeasure(field("bases"), field("point"))
     if kind == "mixture":
-        components = [measure_from_json(c) for c in obj["components"]]
+        components = [measure_from_json(c) for c in field("components")]
         return MixtureMeasure(components, obj["weights"])
     raise ValueError(f"unknown measure record {obj!r}")
 

@@ -18,8 +18,8 @@ every derived quantity is a reproducible exact rational.  Kernels run on
 one form, number columns over one denominator (``Group.numerators``);
 ``Group.rational`` (Z, Q, dyadics) only routes density rows and mu-laws.
 All but Z/m write their metric as the largest of a few ordered coordinate
-differences (``Group.projections``), which lets diameters and window
-extrema run in linear time on ints.  Float values are compared with
+differences, read off kernel columns by ``Group.projections``, so diameters
+and window extrema run in linear time.  Float values are compared with
 ``REPORTING_TOLERANCE`` in reports only, never in exact-mode verification.
 """
 
@@ -153,17 +153,17 @@ class Group:
         """The payloads of kernel-form columns, sums included: ``numerators`` inverted."""
         return tuple(columns[0])
 
-    def projections(self, payloads):
-        """Ordered coordinates p_1 .. p_k of the payloads as (columns, L).
+    def projections(self, columns):
+        """Ordered coordinates p_1 .. p_k of kernel-form columns, as columns.
 
-        Each column holds one coordinate of every payload, as ints over the
-        one denominator L of them all (``_integer_numerators``; floats and
-        L = 1 on ``real``).  They satisfy
-        ``metric(a, b) == metric_over(max_k |p_k(a) - p_k(b)|, L)`` exactly,
-        so a diameter or a window's farthest value reduces to per-column
-        max and min on ints.  None when the metric has no such form (Z/m).
+        Each output column holds one coordinate of every entry, over the
+        kernel form's one denominator L (ints; floats on ``real``).  They
+        satisfy ``metric(a, b) == metric_over(max_k |p_k(a) - p_k(b)|, L)``
+        exactly, so a diameter or a window's farthest value reduces to
+        per-column max and min.  The scalar groups' one column is its own
+        projection; None when the metric has no such form (Z/m).
         """
-        return None
+        return columns
 
     def metric_over(self, x, scale):
         """The metric value of a projection difference x over ``scale``:
@@ -212,9 +212,6 @@ class _ScalarGroup(Group):
 
     def metric(self, a, b):
         return abs(a - b)
-
-    def projections(self, payloads):
-        return self.numerators(payloads)
 
 
 class IntegerGroup(_ScalarGroup):
@@ -345,6 +342,9 @@ class ModularGroup(Group):
     def payloads_over(self, columns, scale):
         return tuple(v % self.modulus for v in columns[0])
 
+    def projections(self, columns):
+        return None
+
     def values_equal(self, a, b) -> bool:
         """Congruence mod m: ``==`` on residues, and on unreduced kernel entries too."""
         return (a - b) % self.modulus == 0
@@ -403,25 +403,25 @@ class RationalVectorGroup(Group):
         vectors = {row: tuple(Fraction(v, scale) for v in row) for row in set(rows)}
         return tuple(map(vectors.__getitem__, rows))
 
-    def projections(self, payloads):
-        """Signed coordinate sums s . a with s_1 = +1, on the coordinates'
-        int numerators: the L1 metric is the largest |s . (a - b)| over the
+    def projections(self, columns):
+        """Signed coordinate sums s . a with s_1 = +1 of the d coordinate
+        columns: the L1 metric is the largest |s . (a - b)| over the
         2^(d-1) sign vectors.  More than ``MAX_PROJECTION_TERMS`` terms is
         refused before any is summed."""
-        terms = len(payloads) * self.dim << (self.dim - 1)
+        first, *rest = columns
+        terms = len(first) * self.dim << (self.dim - 1)
         if terms > MAX_PROJECTION_TERMS:
             raise ValueError(
-                f"Q^{self.dim} projections of {len(payloads)} values need {terms} "
+                f"Q^{self.dim} projections of {len(first)} values need {terms} "
                 f"signed terms, more than the limit {MAX_PROJECTION_TERMS}"
             )
-        (first, *rest), scale = self.numerators(payloads)
-        columns = []
+        out = []
         for signs in product((add, sub), repeat=self.dim - 1):
             column = first
             for sign, coord in zip(signs, rest):
                 column = list(map(sign, column, coord))
-            columns.append(column)
-        return columns, scale
+            out.append(column)
+        return out
 
     def payload_to_json(self, a):
         return {"t": "vec", "v": [[c.numerator, c.denominator] for c in a]}

@@ -3,7 +3,8 @@
 A cocycle of the cyclic action is completely determined by its generating
 function f(x) = a(1, x); evaluation sums f along forward or backward
 orbit segments.  On the single N-cycle quotient this makes everything
-exactly computable from one period of partial sums:
+exactly computable from one period of partial sums C and the cycle sum S,
+accumulated once per cocycle in kernel form (``ZCocycle._sums``):
 
 * a generator is a coboundary iff its sum over the full cycle vanishes,
   and then the transfer function is the anchored partial-sum table
@@ -17,13 +18,12 @@ exactly computable from one period of partial sums:
   the top-set measure (2^-n under the fair-coin measure on the
   2-odometer); the density rows take it from there, with masses read
   from each measure's mass table on the level-1 tops.  On int, rat and
-  dy all rows come from one pass over integer numerators: the partial
-  sums of F_n are C[t] - C[base], so each row's certificate bound is read
-  from per-tower extremes of C that merge level by level, O(N) in all;
+  dy all rows read C as ints: the partial sums of F_n are C[t] - C[base],
+  so each row's certificate bound is read from per-tower extremes of C
+  that merge level by level, O(N) in all;
 * boundedness of two-sided orbit sums characterizes coboundaries, with
   the certificate spread bound as the explicit constant; the scan reads
-  each window's extremes off one period of the running sums, on int
-  numerators over one denominator, O(N) per channel.
+  each window's extremes off the ordered projections of C, O(N) per channel.
 
 Sign convention throughout: a coboundary generator is f(x) = c(Tx) - c(x),
 and every construction is normalized to it (transfers built from periodic
@@ -58,7 +58,7 @@ from .space import (
     index_to_prefix,
     tau3_functional,
 )
-from .values import GroupValue, _integer_numerators, _is_int, _ScalarGroup
+from .values import GroupValue, _is_int
 
 
 #: Most running sums N + 2 scan_to + 1 a gh scan may read; the default
@@ -96,18 +96,25 @@ class ZCocycle:
         return self.generator.lift(self.model.bases).table
 
     @cached_property
+    def _sums(self) -> tuple:
+        """The running sums in kernel form (C, S, L), read once for every use:
+        per column of ``group.numerators`` of the lifted table, over its L,
+        C[t] = f(0) + ... + f(t-1) for t < N and the cycle sum S = C[N-1] + f(N-1)."""
+        columns, scale = self.group.numerators(self._table)
+        start = 0 if self.group.exact else 0.0
+        sums = [list(accumulate(col[:-1], initial=start)) for col in columns]
+        return sums, [c[-1] + col[-1] for c, col in zip(sums, columns)], scale
+
+    @cached_property
     def _partial(self) -> tuple:
-        """Partial sums C[t] = f(0) + f(1) + ... + f(t-1) for t = 0..N-1.
-        On the scalar groups ``group.add`` is ``+``, so ``operator.add``
-        sums them with no Python call per entry, float bytes included."""
-        group = self.group
-        plus = add if isinstance(group, _ScalarGroup) else group.add
-        return tuple(accumulate(self._table[:-1], plus, initial=group.zero()))
+        """The payloads of the partial sums C[0..N-1] (``_sums``)."""
+        sums, _, scale = self._sums
+        return self.group.payloads_over(sums, scale)
 
     @cached_property
     def cycle_sum_payload(self):
-        group = self.group
-        return group.add(self._partial[-1], self._table[-1])
+        _, cycle, scale = self._sums
+        return self.group.payloads_over([[s] for s in cycle], scale)[0]
 
     @property
     def cycle_sum(self) -> GroupValue:
@@ -125,16 +132,15 @@ class ZCocycle:
     @cached_property
     def _channels(self) -> list:
         """The running sums R in metric channels (``_Channel``): each ordered
-        projection of the table (ints over one denominator, floats on real)
-        accumulated into C, with S = C[-1] + f[-1]; on Z/m their residues."""
+        projection of ``_sums`` (C and S over its L; on the scalar groups
+        the very columns), or on Z/m the residues of ``_partial``."""
         group = self.group
-        projected = group.projections(self._table)
+        sums, cycle, scale = self._sums
+        projected = group.projections(sums)
         if projected is None:
-            return [_Ring(list(self._partial), self.cycle_sum_payload, group)]
-        columns, scale = projected
-        start = 0 if group.exact else 0.0
-        sums = [list(accumulate(col[:-1], initial=start)) for col in columns]
-        return [_Ordered(c, c[-1] + col[-1], group, scale) for c, col in zip(sums, columns)]
+            return [_Ring(self._partial, self.cycle_sum_payload, group)]
+        steps = [s for s, in group.projections([[s] for s in cycle])]
+        return [_Ordered(c, s, group, scale) for c, s in zip(projected, steps)]
 
     def evaluate_index(self, j: int, i: int):
         return self.group.sub(self._running(i + j), self._running(i))
@@ -150,25 +156,24 @@ class ZCocycle:
         return CylinderFunction(self.model.bases, self.group, table)
 
 
-def _spread_bound(values, group):
-    """Metric diameter of a value set.
+def _spread_bound(columns, scale, group):
+    """Metric diameter of a value set in kernel form (columns over ``scale``).
 
     With ordered projections (``Group.projections``) this is the largest
     per-column max - min, O(k N) for k columns (k = 1 on the ordered
-    groups, 2^(d-1) on Q^d), on ints over one denominator L, divided by L
-    once: an int on int, a Fraction on rat, dy and Q^d, a float on real.
-    On Z/m the distinct residues are sorted round the ring, O(k log k) for
-    k of them: one of the two residues of a farthest pair lies at most
-    floor(m/2) steps on from the other, so the diameter is the largest
-    distance from a residue a to the last residue at or below
+    groups, 2^(d-1) on Q^d), on ints over the one denominator L, divided
+    by L once: an int on int, a Fraction on rat, dy and Q^d, a float on
+    real.  On Z/m the distinct residues are sorted round the ring,
+    O(k log k) for k of them: one of the two residues of a farthest pair
+    lies at most floor(m/2) steps on from the other, so the diameter is the
+    largest distance from a residue a to the last residue at or below
     a + floor(m/2), taken mod m with wrap-around.
     """
-    projected = group.projections(values)
+    projected = group.projections(columns)
     if projected is not None:
-        columns, scale = projected
-        return group.metric_over(max(max(col) - min(col) for col in columns), scale)
+        return group.metric_over(max(max(col) - min(col) for col in projected), scale)
     m = group.modulus
-    ring = sorted(set(values))
+    ring = sorted(set(group.payloads_over(columns, scale)))
     return max(group.metric(a, ring[bisect_right(ring, (a + m // 2) % m) - 1]) for a in ring)
 
 
@@ -215,9 +220,8 @@ def coboundary_solve(a: ZCocycle) -> Optional[CoboundaryCertificate]:
     if not group.values_equal(a.cycle_sum_payload, group.zero()):
         return None
     transfer = CylinderFunction(a.model.bases, group, a._partial)
-    return CoboundaryCertificate(
-        a.model, a.generator, transfer, _spread_bound(a._partial, group)
-    )
+    sums, _, scale = a._sums
+    return CoboundaryCertificate(a.model, a.generator, transfer, _spread_bound(sums, scale, group))
 
 
 def extend_to_full_group(a: ZCocycle, element: FullGroupElement) -> CylinderFunction:
@@ -360,7 +364,7 @@ def density_table(
         certified = group.values_equal(group.add(partial[-1], table[-1]), zero)
         row = {"n": n, "certified": certified}
         if certified:
-            row["M"] = _spread_bound(partial, group)
+            row["M"] = _spread_bound(*group.numerators(partial), group)
         clipped = []
         for top in range(w - 1, model.size, w):
             d = group.metric(table[top], f[top])
@@ -376,28 +380,24 @@ def density_table(
 
 
 def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masses) -> list[dict]:
-    """``density_table`` rows on int, rat and dy, from one integer pass.
+    """``density_table`` rows on int, rat and dy, from the running sums.
 
-    The generator is held as ints over the lcm L of its denominators
-    (L = 1 on int), so its partial sums C are ints.  ``masses`` holds one
+    C and S are the cocycle's ``_sums``, ints over the lcm L of the
+    generator's denominators (L = 1 on int).  ``masses`` holds one
     (level-1 top numerators, D) per measure: a slice of its mass-table
     numerators, over their denominator D.  The partial sums of F_n are
     C[t] - C[base of t's tower], so M is (max over towers of
     (max C - C[base])) - (min over towers of (min C - C[base])), over L.
     The per-tower max and min of C for row n merge those of row n - 1
-    over p_n strided slices, so all rows cost O(N) together.  A top of
-    F_n is C[base] - C[top]; the certificate is the cycle sum of F_n
-    (f's, less f's tops, plus F_n's) read from the same ints; tau3 is
-    the sum of mass * min(|F_n - f|, L) over the tops, over D L.  A
-    Fraction is built only for a reported value, and M stays an int on
-    int (``Group.metric_over``), as ``_spread_bound`` leaves it.
+    over p_n strided slices, so all rows cost O(N) together.  f on a top
+    t is C[t + 1] - C[t] (S - C[N - 1] on the last), F_n there is
+    C[base] - C[t], and the certificate is the cycle sum of F_n: S, less
+    f's tops, plus F_n's.  tau3 is the sum of mass * min(|F_n - f|, L)
+    over the tops, over D L.  A Fraction is built only for a reported
+    value, and M stays an int on int (``Group.metric_over``).
     """
     model = a.model
-    table = a.generator.table
-    nums, scale = _integer_numerators(table)
-    f = nums * (model.size // len(table))
-    c = list(accumulate(f[:-1], initial=0))
-    cycle = c[-1] + f[-1]
+    (c,), (cycle,), scale = a._sums
     p1 = model.bases[0]
     hi = lo = c
     rows = []
@@ -406,9 +406,9 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
         p = model.bases[n - 1]
         hi = list(map(max, *(hi[j::p] for j in range(p))))
         lo = list(map(min, *(lo[j::p] for j in range(p))))
-        base = c[::w]
-        f_tops = f[w - 1 :: w]
-        tops = list(map(sub, base, c[w - 1 :: w]))
+        base, ends = c[::w], c[w - 1 :: w]
+        f_tops = [*map(sub, base[1:], ends), cycle - c[-1]]
+        tops = list(map(sub, base, ends))
         certified = cycle - sum(f_tops) + sum(tops) == 0
         row = {"n": n, "certified": certified}
         if certified:
@@ -941,9 +941,9 @@ def gh_check(
     The decision itself is the vanishing of the cycle sum.  The scan
     produces the empirical sup over all prefixes and window radii up to
     the horizon (default 4N); the witness is the first window in
-    (prefix, radius) order that attains it.  The channels are the table's
-    int columns, accumulated once.  Once horizon + 1 >= p (p = N/2 on even
-    N, N on odd N) each window is read off one period of its parity's
+    (prefix, radius) order that attains it.  The channels are the ordered
+    projections of ``ZCocycle._sums``.  Once horizon + 1 >= p (p = N/2 on
+    even N, N on odd N) each window is read off one period of its parity's
     running sums, so the scan costs O(k N) for k channels, O(N) ints per
     channel, whatever the horizon (``_Channel``); a shorter horizon reads
     each window's max and min off block prefix and suffix extremes of at

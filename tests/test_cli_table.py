@@ -6,8 +6,7 @@ A row holds:
 * ``command`` -- the argv, written as shell words (``shlex.split``); a word
   that names an ``INPUTS`` entry (``gen.json``, ``family-d10.json``, ...) is
   an input file the row needs, and is replaced by that file's path;
-* ``code`` -- the expected exit code: 0 passed, 1 a witness, 2 bad input
-  (an argparse refusal raises ``SystemExit(2)``, read as the code);
+* ``code`` -- the expected exit code: 0 passed, 1 a witness, 2 bad input;
 * ``out`` -- the stdout check: ``None`` (unchecked), ``DUMPS`` (stdout
   equals ``json.dumps(json.loads(out), indent=2) + "\\n"``) or the exact text;
 * ``err`` -- ``None`` (unchecked) or the exact stderr, input names standing
@@ -179,6 +178,7 @@ TABLE = [
     Row("cocycle-gh", "cocycle gh --input gen.json --depth 3"),
     Row("cocycle-eval", "cocycle eval --input gen.json --depth 3 --j 3 --x 0,1,0"),
     Row("cocycle-solve", "cocycle solve --input gen.json --depth 3"),
+    Row("help", "--help", out=cli._parser().format_help(), err=""),
     *(Row(f"gamma-{op}", f"gamma {op} --input family.json") for op in ("happrox", "verify", "roundtrip")),
     Row("run-topology", "run topology --depth 3 --count 3"),
     *(
@@ -345,10 +345,7 @@ def input_path(tmp_path_factory):
 @pytest.mark.parametrize("row", [pytest.param(row, id=row.id) for row in TABLE])
 def test_row(row, input_path, capsys):
     paths = {word: input_path(word) for word in row.argv if word in INPUTS}
-    try:
-        code = cli.main([paths.get(word, word) for word in row.argv])
-    except SystemExit as exc:  # argparse refuses a flag
-        code = exc.code
+    code = cli.main([paths.get(word, word) for word in row.argv])
     captured = capsys.readouterr()
     assert code == row.code, captured.err
     out = row.out

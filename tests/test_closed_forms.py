@@ -365,7 +365,7 @@ def moved_certificate(certificate: CoboundaryCertificate, perm):
     return (
         tuple(f[inv[i]] for i in range(model.size)),
         moved,
-        _spread_bound(moved, group),
+        _spread_bound(*group.numerators(moved), group),
     )
 
 

@@ -1370,11 +1370,10 @@ def test_a_raw_oracle_walks_once_per_call(monkeypatch, tag):
     oracle = _raw_oracle(InvolutionCocycle(fam)._generator_tables, group, fam.bases)
     walks = _count_walks(monkeypatch)
     assert verify_identities(oracle, 3, fam.bases, group).ok
-    # on real the identity scan decides, so verify reads no potential and walks none
-    verify_walks = 0 if tag == "real" else 1
-    assert len(walks) == verify_walks
+    # every group walks, real too, although its identity scan decides
+    assert len(walks) == 1
     assert recover_generators(oracle, 3, fam.bases, group).tables == fam.tables
-    assert len(walks) == verify_walks + 1
+    assert len(walks) == 2
 
 
 @pytest.mark.parametrize("corrupt", [False, True])

@@ -334,9 +334,15 @@ def _without(record, key):
         ("gamma happrox", "null", "a generator family must be a JSON object, got null"),
         ("gamma verify", json.dumps({**_FAMILY, "N": True}), "N must be an integer, got True"),
         ("gamma verify", json.dumps({**_FAMILY, "N": 1.0}), "N must be an integer, got 1.0"),
+        ("cocycle solve", json.dumps({**_GEN, "table": 5}), "table must be a JSON list, got int"),
+        ("cocycle gh", json.dumps({**_GEN, "bases": 5}), "bases must be a JSON list, got int"),
+        ("gamma verify", json.dumps({**_FAMILY, "tables": 5}), "tables must be a JSON list, got int"),
+        ("gamma verify", json.dumps({**_FAMILY, "tables": [5]}),
+         "an entry of tables must be a JSON list, got int"),
     ],
     ids=["missing-table", "group-5", "cocycle-list", "cocycle-null", "missing-tables",
-         "family-group-5", "family-list", "family-null", "count-true", "count-float"],
+         "family-group-5", "family-list", "family-null", "count-true", "count-float",
+         "table-5", "bases-5", "tables-5", "tables-entry-5"],
 )
 def test_a_malformed_json_input_exits_2_with_a_message_in_words(tmp_path, command, text, message,
                                                                 capsys):
@@ -356,6 +362,31 @@ def test_a_config_that_is_not_an_object_exits_2_naming_its_type(tmp_path, text, 
     path.write_text(text)
     assert main(["run", "gh", "--config", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: a config must be a JSON object, got {kind}\n")
+
+
+_DIRAC = {"kind": "dirac", "bases": [2] * 3, "point": [0] * 3}
+_MARKOV = {"kind": "markov", "bases": [2] * 3, "initial": ["1/2", "1/2"], "transitions": [[["1/2", "1/2"]] * 2] * 2}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"kind": "mixture", "components": [[1]], "weights": [1]}, "a measure must be a JSON object, got list"),
+        ({"kind": "mixture", "components": [_DIRAC], "weights": 5}, "mixture weights must be a JSON list, got int"),
+        ({"kind": "bernoulli", "bases": [2] * 3, "weights": 5}, "weights must be a JSON list, got int"),
+        ({**_DIRAC, "point": 5}, "point must be a JSON list, got int"),
+        ({**_MARKOV, "transitions": [5, 5]}, "a transition matrix must be a JSON list, got int"),
+        ({**_MARKOV, "initial": 5}, "initial distribution must be a JSON list, got int"),
+    ],
+    ids=["component-list", "mixture-weights-5", "weights-5", "point-5", "transitions-entry-5", "initial-5"],
+)
+def test_a_malformed_measure_record_exits_2_with_a_message_in_words(tmp_path, record, message, capsys):
+    gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
+    gen.write_text(json.dumps(_GEN))
+    measures.write_text(json.dumps([record]))
+    argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {measures}: {message}\n")
 
 
 def test_a_measure_record_without_bases_exits_2_naming_the_key(tmp_path, capsys):

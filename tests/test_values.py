@@ -386,18 +386,24 @@ def test_value_records_name_their_group_as_a_tag_does():
         value_from_json({"t": "vec", "v": []})
 
 
+def projected(group, payloads):
+    """``group.projections`` of the payloads' kernel form, with its denominator."""
+    columns, scale = group.numerators(payloads)
+    return group.projections(columns), scale
+
+
 def test_vector_projections_past_the_term_limit_are_refused(monkeypatch):
     zero = rational_vectors(20).zero()
     with pytest.raises(ValueError, match=f"Q\\^20 .* 8 values need 83886080 .* limit {MAX_PROJECTION_TERMS}"):
-        rational_vectors(20).projections([zero] * 8)
+        projected(rational_vectors(20), [zero] * 8)
     # the exact boundary: 2 values of Q^3 are 2 * 3 * 4 = 24 signed terms
     vec3 = rational_vectors(3)
     pair = [(Fraction(1), Fraction(2), Fraction(-1)), vec3.zero()]
     monkeypatch.setattr(values, "MAX_PROJECTION_TERMS", 24)
-    assert vec3.projections(pair) == ([[2, 0], [4, 0], [-2, 0], [0, 0]], 1)
+    assert projected(vec3, pair) == ([[2, 0], [4, 0], [-2, 0], [0, 0]], 1)
     monkeypatch.setattr(values, "MAX_PROJECTION_TERMS", 23)
     with pytest.raises(ValueError, match="2 values need 24 signed terms, more than the limit 23"):
-        vec3.projections(pair)
+        projected(vec3, pair)
 
 
 def fraction_projections(group, payloads):
@@ -421,7 +427,7 @@ def test_int_projections_over_their_denominator_are_the_fraction_projections(dat
     group = data.draw(st.sampled_from([RATIONALS] + [rational_vectors(d) for d in (1, 2, 3)]))
     value = _EXACT if group == RATIONALS else st.tuples(*[_EXACT] * group.dim)
     payloads = data.draw(st.lists(value, min_size=1, max_size=12))
-    columns, scale = group.projections(payloads)
+    columns, scale = projected(group, payloads)
     assert all(type(x) is int for column in columns for x in column)
     assert [[Fraction(x, scale) for x in column] for column in columns] == fraction_projections(
         group, payloads
@@ -483,7 +489,7 @@ class _Unread:
 @pytest.mark.parametrize("d, admitted", [(2, True), (3, True), (4, False)])
 def test_vector_projections_admit_vec2_and_vec3_at_every_size(d, admitted):
     with pytest.raises(LookupError if admitted else ValueError):
-        rational_vectors(d).projections(_Unread())
+        rational_vectors(d).projections([_Unread()] * d)
 
 
 def test_as_fraction_returns_a_fraction_unchanged():

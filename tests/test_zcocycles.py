@@ -703,3 +703,40 @@ def test_partial_sums_are_the_group_add_accumulation(tag, depth, seed, scale):
     table = f.table
     expected = tuple(accumulate(table[:-1], group.add, initial=group.zero()))
     assert repr(ZCocycle(Odometer(f.bases), f)._partial) == repr(expected)
+
+
+@given(
+    tag=st.sampled_from(("int", "rat", "dy", "mod:5", "vec:2", "real")),
+    depth=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    scale=st.sampled_from((1, 1e-9, 3.7e12, 1e300)),
+)
+def test_running_sums_are_the_literal_accumulation_in_kernel_form(tag, depth, seed, scale):
+    # one pass in kernel form reads back as the group.add accumulation, cycle sum included
+    group, rng = group_from_tag(tag), random.Random(seed)
+    f = cylinder_function(rng, (2,) * depth, group)
+    if tag == "real":
+        f = CylinderFunction(f.bases, group, [v * scale for v in f.table])
+    literal = tuple(accumulate(f.table, group.add, initial=group.zero()))  # C, then S
+    a = ZCocycle(Odometer(f.bases), f)
+    sums, cycle, scale_l = a._sums
+    read = group.payloads_over([c + [s] for c, s in zip(sums, cycle)], scale_l)
+    assert repr(read) == repr(literal)
+    assert repr(a.cycle_sum_payload) == repr(literal[-1])
+    projected = group.projections(sums)
+    if projected is None:
+        assert tag == "mod:5"
+        return
+    columns, den = group.numerators(literal[:-1])
+    expected = [[Fraction(x) / den for x in col] for col in group.projections(columns)]
+    assert [[Fraction(x) / scale_l for x in col] for col in projected] == expected
+
+
+@pytest.mark.parametrize("tag", ["int", "real"])
+def test_each_channel_reads_the_running_sums_column_itself(tag):
+    group = group_from_tag(tag)
+    f = cylinder_function(random.Random(3), (2,) * 5, group)
+    a = ZCocycle(Odometer(f.bases), f)
+    sums, _, _ = a._sums
+    assert len(a._channels) == len(sums) == 1
+    assert all(channel.period is column for channel, column in zip(a._channels, sums))
