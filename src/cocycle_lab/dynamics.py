@@ -17,10 +17,10 @@ constructions use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._records import record
 from .space import (
     CylinderFunction,
     DepthError,
@@ -38,7 +38,7 @@ class NotBijectiveError(ValueError):
     """Raised when a jump function does not induce a bijection."""
 
 
-@dataclass(frozen=True)
+@record
 class Odometer:
     """Add-one-with-carry on the depth-k prefix space."""
 
@@ -89,7 +89,7 @@ class Odometer:
         return {"bases": list(self.bases)}
 
 
-@dataclass(frozen=True)
+@record
 class FullGroupElement:
     """An automorphism moving every point along its odometer orbit.
 
@@ -227,7 +227,7 @@ def delta_element(model: Odometer, n: int) -> FullGroupElement:
 # Towers and markers
 
 
-@dataclass(frozen=True)
+@record
 class Tower:
     """First-return tower: levels T^i(base) for 0 <= i < height."""
 
@@ -235,7 +235,7 @@ class Tower:
     base_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TowerDecomposition:
     """Kakutani decomposition over a marker set, towers grouped by height."""
 
@@ -318,7 +318,7 @@ def towers_from_marker(model: Odometer, marker) -> TowerDecomposition:
     return decomposition
 
 
-@dataclass(frozen=True)
+@record
 class MarkerSequence:
     """The explicit markers A_n = {x_1 = ... = x_n = 0}, n = 1..depth-1.
 

@@ -34,7 +34,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm
@@ -42,6 +41,7 @@ from itertools import repeat
 from operator import add, neg, sub
 from typing import Iterable, Optional, Sequence
 
+from ._records import field, record
 from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
@@ -94,7 +94,7 @@ def _check_binary(bases) -> tuple[int, ...]:
     return bases
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorFamily:
     """Finitely many generator functions f_1..f_N at a common depth m >= N.
 
@@ -306,7 +306,7 @@ def word_apply(word: Iterable[int], x: Sequence[int]) -> tuple[int, ...]:
     return x
 
 
-@dataclass(frozen=True)
+@record
 class InvolutionCocycle:
     """The cocycle determined by a generator family."""
 
@@ -374,7 +374,7 @@ class InvolutionCocycle:
         return GroupValue(self.group, self.eval_word_index(list(word), i))
 
 
-@dataclass(frozen=True)
+@record
 class IdentityCheck:
     """Outcome of the defining-identity verification, with a witness on failure."""
 
@@ -569,7 +569,7 @@ def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
     return GroupValue(group, acc)
 
 
-@dataclass(frozen=True)
+@record
 class TransferReport:
     """Result of approximating a family into the dyadic subgroup.
 
@@ -585,7 +585,7 @@ class TransferReport:
     radii: tuple[Fraction, ...]
     radius_bound: Fraction
     # the transfer as int numerators over D, as h_approximate computed it
-    _transfer_kernel: tuple[tuple, int] | None = field(default=None, repr=False, compare=False)
+    _transfer_kernel: tuple[tuple, int] | None = field(default=None, hidden=True)
 
     @cached_property
     def beta(self) -> InvolutionCocycle:

@@ -20,12 +20,12 @@ quantify over all Borel probability measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from ._records import record
 from .values import (
     Group,
     GroupMismatchError,
@@ -121,7 +121,7 @@ def iter_prefixes(bases: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield index_to_prefix(i, bases)
 
 
-@dataclass(frozen=True)
+@record
 class CylinderFunction:
     """A depth-m function given by a table of group payloads.
 
@@ -318,7 +318,7 @@ class Measure:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class BernoulliMeasure(Measure):
     """Product measure with per-coordinate rational weight vectors."""
 
@@ -364,7 +364,7 @@ class BernoulliMeasure(Measure):
         }
 
 
-@dataclass(frozen=True)
+@record
 class MarkovMeasure(Measure):
     """Chain measure: rational initial distribution and transition rows."""
 
@@ -434,7 +434,7 @@ class MarkovMeasure(Measure):
         }
 
 
-@dataclass(frozen=True)
+@record
 class DiracMeasure(Measure):
     """Point mass at a prefix extended by the all-zeros tail."""
 
@@ -465,7 +465,7 @@ class DiracMeasure(Measure):
         return {"kind": "dirac", "bases": list(self.bases), "point": list(self.point)}
 
 
-@dataclass(frozen=True)
+@record
 class MixtureMeasure(Measure):
     """Rational convex combination of measures on one base vector."""
 

@@ -9,13 +9,13 @@ order and fractions are rendered exactly, so reruns are byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_string
 from math import inf
 from typing import Callable, Optional
 
 from . import sampling
+from ._records import field, record
 from .dynamics import MarkerSequence, Odometer
 from .involution_cocycles import (
     InvolutionCocycle,
@@ -33,7 +33,7 @@ class UsageError(ValueError):
     """Configuration or invocation errors (exit code 2)."""
 
 
-@dataclass
+@record(frozen=False)
 class ExperimentConfig:
     """Model, value group, seed, and tuning knobs for one experiment."""
 
@@ -110,7 +110,7 @@ class ExperimentConfig:
         return random.Random(self.seed)
 
 
-CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
+CONFIG_FIELDS = ExperimentConfig._fields
 
 
 def _json_scalar(o) -> str:
@@ -210,7 +210,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass
+@record(frozen=False)
 class Report:
     """Deterministic experiment output: header, rows, and pass/fail checks."""
 

@@ -16,7 +16,7 @@ The metrics on Z/m and Q^d are conventions of this implementation (any
 compatible translation-invariant metric would do); they are fixed so that
 every derived quantity is a reproducible exact rational.  Kernels run on
 one form, number columns over one denominator (``Group.numerators``);
-``Group.rational`` (Z, Q, dyadics) only routes density rows and mu-laws.
+``Group.rational`` (Z, Q, dyadics) only routes mu-laws.
 All but Z/m write their metric as the largest of a few ordered coordinate
 differences, read off kernel columns by ``Group.projections``, so diameters
 and window extrema run in linear time.  Float values are compared with
@@ -25,12 +25,13 @@ and window extrema run in linear time.  Float values are compared with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import inf, isfinite, lcm
 from operator import add, eq, sub
 from typing import Any
+
+from ._records import record
 
 #: Tolerance for float comparisons in reports.  Exact groups never use it.
 REPORTING_TOLERANCE = 1e-9
@@ -304,7 +305,7 @@ class DyadicGroup(RationalGroup):
         return self.validate(_ratio(obj["n"], 1 << k))
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class ModularGroup(Group):
     """Z/m with the circular metric min(d, m - d)."""
 
@@ -358,7 +359,7 @@ class ModularGroup(Group):
         return self.validate(obj["r"])
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class RationalVectorGroup(Group):
     """Q^d with the sum-of-absolute-differences metric (exact on rationals)."""
 
@@ -490,7 +491,7 @@ def group_from_tag(tag: str) -> Group:
     return (ModularGroup if kind == "mod" else RationalVectorGroup)(int(arg))
 
 
-@dataclass(frozen=True)
+@record
 class GroupValue:
     """A group element: a payload tagged with its group."""
 
@@ -550,7 +551,7 @@ def value_from_json(obj) -> GroupValue:
     return GroupValue(group, group.payload_from_json(obj))
 
 
-@dataclass(frozen=True)
+@record
 class NeighborhoodChain:
     """Halving chain of neighborhood radii eps_n = eps0 * 2^(-n).
 

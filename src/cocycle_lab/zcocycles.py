@@ -17,10 +17,10 @@ accumulated once per cocycle in kernel form (``ZCocycle._sums``):
   so its tau3-distance to f is a sum over the N/w tops alone, bounded by
   the top-set measure (2^-n under the fair-coin measure on the
   2-odometer); the density rows take it from there, with masses read
-  from each measure's mass table on the level-1 tops.  On int, rat and
-  dy all rows read C as ints: the partial sums of F_n are C[t] - C[base],
-  so each row's certificate bound is read from per-tower extremes of C
-  that merge level by level, O(N) in all;
+  from each measure's mass table on the level-1 tops.  On int, rat, dy
+  and Q^d all rows read the ordered projections of C as ints: the partial
+  sums of F_n are C[t] - C[base], so each row's certificate bound is read
+  from per-tower extremes of C that merge level by level, O(k N) in all;
 * boundedness of two-sided orbit sums characterizes coboundaries, with
   the certificate spread bound as the explicit constant; the scan reads
   each window's extremes off the ordered projections of C, O(N) per channel.
@@ -35,7 +35,6 @@ additive constant, so the anchor makes them deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -43,6 +42,7 @@ from math import gcd, ulp
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
+from ._records import record
 from .dynamics import (
     FullGroupElement,
     MarkerSequence,
@@ -73,7 +73,7 @@ class PeriodicityError(ValueError):
     """Raised when a transfer over a periodic element cannot exist."""
 
 
-@dataclass(frozen=True)
+@record
 class ZCocycle:
     """The cocycle generated by a cylinder function over the odometer."""
 
@@ -130,16 +130,26 @@ class ZCocycle:
         return base
 
     @cached_property
+    def _projected(self):
+        """The ordered projections (``Group.projections``) of ``_sums``: the
+        columns of C, the cycle sums S and L (on the scalar groups C's very
+        columns), or None on Z/m, which has none."""
+        sums, cycle, scale = self._sums
+        projected = self.group.projections(sums)
+        if projected is None:
+            return None
+        steps = [s for s, in self.group.projections([[s] for s in cycle])]
+        return projected, steps, scale
+
+    @cached_property
     def _channels(self) -> list:
         """The running sums R in metric channels (``_Channel``): each ordered
-        projection of ``_sums`` (C and S over its L; on the scalar groups
-        the very columns), or on Z/m the residues of ``_partial``."""
+        projection of ``_sums`` (``_projected``), or on Z/m the residues of
+        ``_partial``."""
         group = self.group
-        sums, cycle, scale = self._sums
-        projected = group.projections(sums)
-        if projected is None:
+        if self._projected is None:
             return [_Ring(self._partial, self.cycle_sum_payload, group)]
-        steps = [s for s, in group.projections([[s] for s in cycle])]
+        projected, steps, scale = self._projected
         return [_Ordered(c, s, group, scale) for c, s in zip(projected, steps)]
 
     def evaluate_index(self, j: int, i: int):
@@ -177,7 +187,7 @@ def _spread_bound(columns, scale, group):
     return max(group.metric(a, ring[bisect_right(ring, (a + m // 2) % m) - 1]) for a in ring)
 
 
-@dataclass(frozen=True)
+@record
 class CoboundaryCertificate:
     """Transfer function witnessing f(x) = c(Tx) - c(x) on every prefix.
 
@@ -323,11 +333,13 @@ def density_table(
     numerators on int, rat and dy) on the level-1 tops, and the level-n
     tops are every (w/p_1)-th of them.
 
-    On int, rat and dy the rows come from one integer pass
-    (``_scalar_density_rows``), O(N) for all rows together.  On real,
-    Z/m and Q^d the certificate runs the partial sums of
-    ``ZCocycle._partial`` over F_n in the same order, O(k N) per row, so
-    the rows are identical, float rounding on ``real`` included.  The
+    On int, rat, dy and Q^d the rows come from one integer pass over the
+    ordered projections of the running sums (``_projected_density_rows``),
+    O(k N) for all rows together with k projections (k = 1 on the scalar
+    groups, 2^(d-1) on Q^d).  On real and Z/m the certificate runs the
+    partial sums of ``ZCocycle._partial`` over F_n in the same order,
+    O(N) per row, so the rows are identical, float rounding on ``real``
+    included.  The
     markers must live on the cocycle's model, and each measure's base
     vector must extend the model's (DepthError naming it otherwise).
     """
@@ -344,10 +356,10 @@ def density_table(
         return []
     group = a.group
     p1 = model.bases[0]
-    if group.rational:
+    if group.exact and a._projected is not None:
         weighted = [mu._mass_numerators(model.bases) for mu in measures]
         masses = [(nums[p1 - 1 :: p1], den) for nums, den in weighted]
-        return _scalar_density_rows(a, markers, n_max, masses)
+        return _projected_density_rows(a, markers, n_max, masses)
     masses = [mu.mass_table(model.bases)[p1 - 1 :: p1] for mu in measures]
     zero = group.zero()
     f = a._table
@@ -379,42 +391,51 @@ def density_table(
     return rows
 
 
-def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masses) -> list[dict]:
-    """``density_table`` rows on int, rat and dy, from the running sums.
+def _projected_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masses) -> list[dict]:
+    """``density_table`` rows on int, rat, dy and Q^d, from the running sums.
 
-    C and S are the cocycle's ``_sums``, ints over the lcm L of the
-    generator's denominators (L = 1 on int).  ``masses`` holds one
-    (level-1 top numerators, D) per measure: a slice of its mass-table
-    numerators, over their denominator D.  The partial sums of F_n are
-    C[t] - C[base of t's tower], so M is (max over towers of
-    (max C - C[base])) - (min over towers of (min C - C[base])), over L.
-    The per-tower max and min of C for row n merge those of row n - 1
-    over p_n strided slices, so all rows cost O(N) together.  f on a top
-    t is C[t + 1] - C[t] (S - C[N - 1] on the last), F_n there is
-    C[base] - C[t], and the certificate is the cycle sum of F_n: S, less
-    f's tops, plus F_n's.  tau3 is the sum of mass * min(|F_n - f|, L)
-    over the tops, over D L.  A Fraction is built only for a reported
-    value, and M stays an int on int (``Group.metric_over``).
+    Each ordered projection (``ZCocycle._projected``) is a column C of
+    ints over the lcm L of the generator's denominators (L = 1 on int),
+    with its cycle sum S; the metric is the largest projected difference,
+    over L.  ``masses`` holds one (level-1 top numerators, D) per measure:
+    a slice of its mass-table numerators, over their denominator D.  The
+    partial sums of F_n are C[t] - C[base of t's tower], so a projection's
+    spread is (max over towers of (max C - C[base])) - (min over towers
+    of (min C - C[base])), and M is the largest spread, over L.  The
+    per-tower max and min of C for row n merge those of row n - 1 over
+    p_n strided slices, so all rows cost O(k N) together.  f on a top t
+    is C[t + 1] - C[t] (S - C[N - 1] on the last), F_n there is
+    C[base] - C[t], and each projected cycle sum of F_n is S, less f's
+    tops, plus F_n's: the row is certified when all are 0, since the
+    projections determine a value (on Q^d the sign vectors span it).
+    |F_n - f| on a top is the largest projected |C[base] - C[t] - f|, and
+    tau3 is the sum of mass * min(|F_n - f|, L) over the tops, over D L.
+    A Fraction is built only for a reported value, and M stays an int on
+    int (``Group.metric_over``).
     """
     model = a.model
-    (c,), (cycle,), scale = a._sums
+    columns, cycles, scale = a._projected
     p1 = model.bases[0]
-    hi = lo = c
+    his = los = columns
     rows = []
     for n in range(1, n_max + 1):
         w = markers.tower_height(n)
         p = model.bases[n - 1]
-        hi = list(map(max, *(hi[j::p] for j in range(p))))
-        lo = list(map(min, *(lo[j::p] for j in range(p))))
-        base, ends = c[::w], c[w - 1 :: w]
-        f_tops = [*map(sub, base[1:], ends), cycle - c[-1]]
-        tops = list(map(sub, base, ends))
-        certified = cycle - sum(f_tops) + sum(tops) == 0
+        his = [list(map(max, *(hi[j::p] for j in range(p)))) for hi in his]
+        los = [list(map(min, *(lo[j::p] for j in range(p)))) for lo in los]
+        certified, spread, gaps = True, 0, None
+        for c, cycle, hi, lo in zip(columns, cycles, his, los):
+            base, ends = c[::w], c[w - 1 :: w]
+            f_tops = [*map(sub, base[1:], ends), cycle - c[-1]]
+            tops = list(map(sub, base, ends))
+            certified = certified and cycle - sum(f_tops) + sum(tops) == 0
+            spread = max(spread, max(map(sub, hi, base)) - min(map(sub, lo, base)))
+            gap = list(map(abs, map(sub, tops, f_tops)))
+            gaps = gap if gaps is None else list(map(max, gaps, gap))
         row = {"n": n, "certified": certified}
         if certified:
-            bound = max(map(sub, hi, base)) - min(map(sub, lo, base))
-            row["M"] = a.group.metric_over(bound, scale)
-        clipped = [min(abs(t - v), scale) for t, v in zip(tops, f_tops)]
+            row["M"] = a.group.metric_over(spread, scale)
+        clipped = list(map(min, gaps, repeat(scale)))
         step = w // p1
         for k, (level1, den) in enumerate(masses):
             total = sum(map(mul, level1[step - 1 :: step], clipped))
@@ -427,7 +448,7 @@ def _scalar_density_rows(a: ZCocycle, markers: MarkerSequence, n_max: int, masse
 # Bounded orbit sums (Gottschalk-Hedlund criterion) and the skew product
 
 
-@dataclass(frozen=True)
+@record
 class GHWitness:
     """A two-sided orbit sum located by the bounded-sums scan."""
 
@@ -436,7 +457,7 @@ class GHWitness:
     value: GroupValue
 
 
-@dataclass(frozen=True)
+@record
 class GHReport:
     """Outcome of the bounded-orbit-sums criterion.
 
@@ -1040,7 +1061,7 @@ def gh_check(
     )
 
 
-@dataclass(frozen=True)
+@record
 class SkewOrbit:
     """Group projection of a skew-product orbit and its metric radius."""
 

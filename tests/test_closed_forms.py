@@ -190,7 +190,7 @@ def test_density_table_exhaustive_small(bases):
 
 
 @given(
-    tag=st.sampled_from(EXACT_TAGS + ("real",)),
+    tag=st.sampled_from(EXACT_TAGS + ("vec:3", "real")),
     bases=st.sampled_from(((2, 2, 2), (2,) * 5, (3, 2, 2), (2, 3, 2, 2))),
     generator_depth=st.integers(1, 5),
     n_max=st.integers(0, 4),
@@ -222,7 +222,7 @@ def test_density_table_real_tops_all_far():
     assert all(isinstance(row["tau3_0"], float) for row in rows)
 
 
-# --- the integer pass on int, rat and dy --------------------------------------------------
+# --- the integer pass on int, rat, dy and Q^d ----------------------------------------------
 
 PRIMES = tuple(q for q in range(2, 2000) if all(q % r for r in range(2, int(q**0.5) + 1)))
 
@@ -243,7 +243,7 @@ def test_density_table_coprime_denominators():
     assert all(row["tau3_0"].denominator > 1 for row in rows)
 
 
-@pytest.mark.parametrize("tag", ["int", "rat", "dy"])
+@pytest.mark.parametrize("tag", ["int", "rat", "dy", "vec:2", "vec:3"])
 def test_density_table_every_row_at_depth_10(tag):
     model = Odometer.binary(10)
     markers = MarkerSequence(model)
@@ -256,7 +256,7 @@ def test_density_table_every_row_at_depth_10(tag):
 
 
 @pytest.mark.parametrize("bases", [(2, 3, 3, 2), (3, 3, 3), (2, 2, 3, 2, 3)])
-@pytest.mark.parametrize("tag", ["int", "rat", "dy"])
+@pytest.mark.parametrize("tag", ["int", "rat", "dy", "vec:2"])
 def test_density_table_radix_3_levels(bases, tag):
     # a level of radix 3 merges three sub-towers per tower
     model = Odometer(bases)
