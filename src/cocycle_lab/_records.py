@@ -4,7 +4,7 @@
 it: ``__init__`` (by position or keyword, with a ``TypeError`` on a
 missing, unknown or repeated argument, then ``__post_init__`` if the
 instance has one), ``==`` between instances of one class over the
-compared fields, their ``hash`` (frozen records) or none (mutable ones),
+fields, their ``hash`` (frozen records) or none (mutable ones),
 a ``Name(field=value, ...)`` repr, and on frozen records a
 ``__setattr__`` and ``__delattr__`` that refuse with
 ``FrozenInstanceError``.  Each is a closure over the field names.
@@ -32,16 +32,15 @@ class FrozenInstanceError(AttributeError):
 
 
 class _Field:
-    __slots__ = ("default", "default_factory", "hidden")
+    __slots__ = ("default_factory",)
 
-    def __init__(self, default, default_factory, hidden):
-        self.default, self.default_factory, self.hidden = default, default_factory, hidden
+    def __init__(self, default_factory):
+        self.default_factory = default_factory
 
 
-def field(default=_MISSING, *, default_factory=None, hidden=False):
-    """A field's default made fresh for each instance by ``default_factory``,
-    or a field kept out of ``==``, ``hash`` and ``repr`` (``hidden``)."""
-    return _Field(default, default_factory, hidden)
+def field(*, default_factory):
+    """A field's default made fresh for each instance by ``default_factory``."""
+    return _Field(default_factory)
 
 
 def record(cls=None, /, *, frozen=True):
@@ -54,25 +53,17 @@ def record(cls=None, /, *, frozen=True):
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults, factories, compared = {}, {}, []
+    defaults, factories = {}, {}
     for name in names:
         value = cls.__dict__.get(name, _MISSING)
         if isinstance(value, _Field):
-            if value.default_factory is not None:
-                factories[name] = value.default_factory
-                delattr(cls, name)
-            else:
-                setattr(cls, name, value.default)
-            if not value.hidden:
-                compared.append(name)
-            value = value.default
-        else:
-            compared.append(name)
-        if value is not _MISSING:
+            factories[name] = value.default_factory
+            delattr(cls, name)
+        elif value is not _MISSING:
             defaults[name] = value
     count, title = len(names), cls.__qualname__
-    getter = attrgetter(*compared)
-    if len(compared) == 1:  # attrgetter of one name returns the bare value
+    getter = attrgetter(*names)
+    if count == 1:  # attrgetter of one name returns the bare value
 
         def values(self):
             return (getter(self),)
@@ -114,7 +105,7 @@ def record(cls=None, /, *, frozen=True):
         return NotImplemented
 
     def __repr__(self):
-        shown = ", ".join([f"{name}={value!r}" for name, value in zip(compared, values(self))])
+        shown = ", ".join([f"{name}={value!r}" for name, value in zip(names, values(self))])
         return f"{self.__class__.__qualname__}({shown})"
 
     methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}

@@ -41,7 +41,7 @@ from itertools import repeat
 from operator import add, neg, sub
 from typing import Iterable, Optional, Sequence
 
-from ._records import field, record
+from ._records import record
 from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
@@ -206,13 +206,6 @@ def word_reduce(word: Iterable[int]) -> frozenset[int]:
     for n in word:
         out.symmetric_difference_update({n})
     return frozenset(out)
-
-
-def word_apply_index(word: Iterable[int], i: int) -> int:
-    """Apply a set of digit flips to a full-depth prefix index."""
-    for n in word_reduce(word):
-        i ^= 1 << (n - 1)
-    return i
 
 
 def _kernel_form(tables, group: Group) -> tuple[tuple, int]:
@@ -584,8 +577,9 @@ class TransferReport:
     transfer: CylinderFunction
     radii: tuple[Fraction, ...]
     radius_bound: Fraction
-    # the transfer as int numerators over D, as h_approximate computed it
-    _transfer_kernel: tuple[tuple, int] | None = field(default=None, hidden=True)
+    # the transfer as int numerators over D, as h_approximate computed it;
+    # not a field, so outside ==, hash and repr
+    _transfer_kernel = None
 
     @cached_property
     def beta(self) -> InvolutionCocycle:
@@ -647,7 +641,8 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     g_table = tuple(potential[0])
     transfer = CylinderFunction(family.bases, group, group.payloads_over(potential, den))
     bound = sum(radii, Fraction(0))
-    report = TransferReport(base, rounded, transfer, radii, bound, (g_table, den))
+    report = TransferReport(base, rounded, transfer, radii, bound)
+    object.__setattr__(report, "_transfer_kernel", (g_table, den))
 
     if bound > chain.eps0:
         raise AssertionError("radius bound exceeds the base radius")

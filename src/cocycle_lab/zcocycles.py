@@ -141,11 +141,10 @@ class ZCocycle:
         steps = [s for s, in self.group.projections([[s] for s in cycle])]
         return projected, steps, scale
 
-    @cached_property
     def _channels(self) -> list:
         """The running sums R in metric channels (``_Channel``): each ordered
         projection of ``_sums`` (``_projected``), or on Z/m the residues of
-        ``_partial``."""
+        ``_partial``; built per scan, so a scan's lists die with it."""
         group = self.group
         if self._projected is None:
             return [_Ring(self._partial, self.cycle_sum_payload, group)]
@@ -897,14 +896,14 @@ def _pick(xs, ys, up: bool) -> list:
     return [x if x < y else y for x, y in zip(xs, ys)]
 
 
-def _window_reach(a: ZCocycle, scan_to: int):
-    """Each metric channel of ``a`` (``ZCocycle._channels``) with its reach
+def _window_reach(channels, scan_to: int):
+    """Each metric channel (``ZCocycle._channels``) with its reach
     at radius scan_to: the two-sided sum of window (i, j) is
     R(b + 2j + 1) - R(b) with b = (i - j) mod N, because R(t + N) = R(t) + S
     cancels in the difference, so the N (scan_to + 1) windows of the scan
     become one window per start b, and its farthest readings from R(b)
     bound them all."""
-    return [(channel, channel.reach(scan_to)) for channel in a._channels]
+    return [(channel, channel.reach(scan_to)) for channel in channels]
 
 
 def _window_sup(channels):
@@ -997,7 +996,8 @@ def gh_check(
     scan_to = min(horizon, size - 1) if decision else horizon
     _check_scan(group, size, scan_to, f"horizon {horizon}", a.cycle_sum_payload)
     certificate = coboundary_solve(a) if decision else None
-    channels = _window_reach(a, scan_to)
+    metric_channels = a._channels()
+    channels = _window_reach(metric_channels, scan_to)
     reach, best = _window_sup(channels)
     empirical_sup = best
 
@@ -1033,7 +1033,7 @@ def gh_check(
             lo, scan_to = horizon, cap + 1
             while scan_to - lo > 1:
                 mid = (lo + scan_to) // 2
-                probe = _window_reach(a, mid)
+                probe = _window_reach(metric_channels, mid)
                 d, sup = _window_sup(probe)
                 if sup > exceed_target:
                     scan_to, channels, reach, best = mid, probe, d, sup

@@ -308,7 +308,7 @@ def test_exceed_target_past_the_running_sum_limit_is_rejected(monkeypatch):
     real_reach = zcocycles._window_reach
     radii = []
     monkeypatch.setattr(
-        zcocycles, "_window_reach", lambda a, r: radii.append(r) or real_reach(a, r)
+        zcocycles, "_window_reach", lambda channels, r: radii.append(r) or real_reach(channels, r)
     )
     target = 10**15
     with pytest.raises(ValueError, match=f"exceed_target {target} needs .* limit {MAX_SCAN}"):
@@ -495,7 +495,7 @@ def test_exceed_bisection_across_the_fold(monkeypatch, bases, group, table):
     real_reach = zcocycles._window_reach
     radii = []
     monkeypatch.setattr(
-        zcocycles, "_window_reach", lambda a, r: radii.append(r) or real_reach(a, r)
+        zcocycles, "_window_reach", lambda channels, r: radii.append(r) or real_reach(channels, r)
     )
     folded = set()
     for horizon in (0, p - 2):

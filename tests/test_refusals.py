@@ -1,14 +1,14 @@
-"""Refusals of the public API that no other test reaches: each call raises
-its exception type with its exact text."""
+"""Refusals of the public API: each call raises its exception type with its
+exact text.  A library refusal gets a ``CASES`` entry here; its command-line
+twin, if any, is a row of ``test_cli_table.py``, which reads the refused
+documents below."""
 
-import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cocycle_lab.cli import main
 from cocycle_lab.dynamics import (
     FullGroupElement,
     MarkerSequence,
@@ -16,6 +16,7 @@ from cocycle_lab.dynamics import (
     Tower,
     TowerDecomposition,
     _marker_indices,
+    delta_apply,
     delta_index,
 )
 from cocycle_lab.involution_cocycles import (
@@ -25,21 +26,29 @@ from cocycle_lab.involution_cocycles import (
     psi,
     transport,
     verify_identities,
+    word_apply,
 )
 from cocycle_lab.sampling import invariant_family, payload
 from cocycle_lab.space import (
+    MAX_BINARY_DEPTH,
     MAX_POINTS,
     BernoulliMeasure,
     CylinderFunction,
     DepthError,
+    DiracMeasure,
+    MarkovMeasure,
     MixtureMeasure,
+    binary_bases,
     check_bases,
+    measure_from_json,
     measure_of_cylinder_set,
+    validate_prefix,
 )
 from cocycle_lab.suites import ExperimentConfig, Report, UsageError, density_suite
 from cocycle_lab.values import (
     APPROX_REALS,
     INTEGERS,
+    MAX_DYADIC_EXPONENT,
     RATIONALS,
     GroupMismatchError,
     GroupValue,
@@ -55,6 +64,54 @@ from cocycle_lab.zcocycles import PeriodicityError, ZCocycle, periodic_coboundar
 
 B2, B3 = (2, 2), (2, 2, 2)
 M2, M3 = Odometer(B2), Odometer(B3)
+HALF = ["1/2", "1/2"]
+DIRAC = {"kind": "dirac", "bases": [2, 2], "point": [1]}
+# a measure record per weight list with one float weight, and its refusal
+FLOAT_MEASURES = {
+    "bernoulli": (
+        {"kind": "bernoulli", "bases": [2, 2], "weights": [[0.5, 0.5], HALF]},
+        "cannot interpret 0.5 as an exact rational",
+    ),
+    "markov-initial": (
+        {"kind": "markov", "bases": [2, 2], "initial": [0.25, 0.75], "transitions": [[HALF, HALF]]},
+        "cannot interpret 0.25 as an exact rational",
+    ),
+    "markov-row": (
+        {"kind": "markov", "bases": [2, 2], "initial": ["1/4", "3/4"], "transitions": [[HALF, [0.5, 0.5]]]},
+        "cannot interpret 0.5 as an exact rational",
+    ),
+    "mixture": (
+        {"kind": "mixture", "weights": [0.5, 0.5], "components": [DIRAC, DIRAC]},
+        "cannot interpret 0.5 as an exact rational",
+    ),
+}
+# depths refused before (2,) * depth is built
+HUGE_DEPTHS = {"max+1": MAX_BINARY_DEPTH + 1, "1e8": 100_000_000, "1e30": 10**30}
+DEPTH_RANGE = f"depth must lie in 1..{MAX_BINARY_DEPTH} (at most {MAX_POINTS} prefixes)"
+DY_EXPONENT = f"dyadic exponent k must be an integer in 0..{MAX_DYADIC_EXPONENT}"
+NOT_INTS = "a value record needs integers, got"
+# value records refused before they are evaluated, with their refusals
+VALUE_RECORDS = {
+    "dy-k-1e10": ({"t": "dy", "n": 1, "k": 10_000_000_000}, ValueError, f"{DY_EXPONENT}, got 10000000000"),
+    "dy-k--1": ({"t": "dy", "n": 1, "k": -1}, ValueError, f"{DY_EXPONENT}, got -1"),
+    "dy-k-true": ({"t": "dy", "n": 1, "k": True}, ValueError, f"{DY_EXPONENT}, got True"),
+    "dy-n-1.5": ({"t": "dy", "n": 1.5, "k": 1}, UnsupportedValueError, f"{NOT_INTS} 1.5 / 2"),
+    "rat-n-true": ({"t": "rat", "n": True, "d": 3}, UnsupportedValueError, f"{NOT_INTS} True / 3"),
+    "rat-d-str": ({"t": "rat", "n": 1, "d": "3"}, UnsupportedValueError, f"{NOT_INTS} 1 / '3'"),
+    "rat-d-0": ({"t": "rat", "n": 1, "d": 0}, ValueError, "value record 1/0 has a zero denominator"),
+}
+NOT_EXACT = "cannot interpret 0.5 as an exact rational"
+
+
+def exact(record):
+    """``record`` with each float weight written as the exact string '1/2' etc."""
+    if isinstance(record, float):
+        return str(Fraction(record))
+    if isinstance(record, list):
+        return [exact(r) for r in record]
+    if isinstance(record, dict):
+        return {k: (v if k in ("bases", "point") else exact(v)) for k, v in record.items()}
+    return record
 
 
 def _int_function(bases, table):
@@ -65,13 +122,24 @@ def _family():
     return GeneratorFamily(B2, RATIONALS, ((Fraction(1, 3), Fraction(1, 2)),))
 
 
+def _rat_family(depth):
+    return {"N": 1, "depth": depth, "group": "rat", "tables": [[{"t": "rat", "n": 1, "d": 3}]]}
+
+
+_FAMILY = {"N": 1, "depth": 2, "group": "int", "tables": [[{"t": "int", "n": 1}, {"t": "int", "n": 2}]]}
+
+
 def _oracle(n, x):
     # a raw oracle whose values change group with the prefix
     return GroupValue(INTEGERS if x[0] == 0 else RATIONALS, 0)
 
 
-_GEN = {"bases": [2], "depth": 1, "group": "int", "table": [{"t": "int", "n": 1}, {"t": "int", "n": -1}]}
-_FAMILY = {"N": 1, "depth": 2, "group": "int", "tables": [[{"t": "int", "n": 1}, {"t": "int", "n": 2}]]}
+def _digit(digit, coordinate):
+    return f"digit {digit!r} at coordinate {coordinate} out of range [0,2)"
+
+
+def _dirac():
+    return DiracMeasure((2,), (0,))
 
 
 def _one_orbit_towers():
@@ -223,6 +291,114 @@ CASES = [
     ("invariant-family-count-above-depth",
      lambda: invariant_family(random.Random(0), 2, 3, RATIONALS),
      ValueError, "family size cannot exceed the depth"),
+    ("experiment-config-float-base",
+     lambda: ExperimentConfig(bases=(2, 2.5)),
+     UsageError, "bases entry 1 must be an integer, got 2.5"),
+    # measure weights: exact rationals only
+    *(
+        (f"measure-reader-float-{name}", lambda record=record: measure_from_json(record),
+         UnsupportedValueError, message)
+        for name, (record, message) in FLOAT_MEASURES.items()
+    ),
+    ("bernoulli-float-weight",
+     lambda: BernoulliMeasure((2,), ((0.5, 0.5),)),
+     UnsupportedValueError, NOT_EXACT),
+    ("markov-float-initial",
+     lambda: MarkovMeasure(B2, (0.5, 0.5), ((HALF, HALF),)),
+     UnsupportedValueError, NOT_EXACT),
+    ("markov-float-row",
+     lambda: MarkovMeasure(B2, HALF, ((HALF, (0.5, 0.5)),)),
+     UnsupportedValueError, NOT_EXACT),
+    ("mixture-float-weight",
+     lambda: MixtureMeasure((_dirac(), _dirac()), (0.5, 0.5)),
+     UnsupportedValueError, NOT_EXACT),
+    # probability vectors are checked alike
+    *(
+        (f"{what.replace(' ', '-')}-{name}", call, ValueError,
+         f"{what} [{', '.join(bad)}] must be 2 nonnegative weights summing to 1")
+        for name, bad in (("sum-below-1", ("1/2", "1/3")), ("negative", ("3/2", "-1/2")), ("short", ("1",)))
+        for what, call in (
+            ("weights", lambda bad=bad: BernoulliMeasure((2,), (bad,))),
+            ("initial distribution", lambda bad=bad: MarkovMeasure(B2, bad, ((HALF, HALF),))),
+            ("transition 0 row", lambda bad=bad: MarkovMeasure(B2, HALF, ((HALF, bad),))),
+            ("mixture weights", lambda bad=bad: MixtureMeasure((_dirac(), _dirac()), bad)),
+        )
+    ),
+    *(
+        (f"markov-{name}-transition-matrices", lambda matrices=matrices: MarkovMeasure(B2, HALF, matrices),
+         ValueError, "need 1 transition matrices")
+        for name, matrices in (("no", ()), ("two", ((HALF, HALF), (HALF, HALF))))
+    ),
+    # bases, digits and depths: ints only
+    *(
+        (f"{what}-bases-{name}", call, ValueError, f"every base must be an integer >= 2, got ({bad!r}, 2)")
+        for name, bad in (("2.5", 2.5), ("str", "2"), ("true", True))
+        for what, call in (
+            ("check", lambda bad=bad: check_bases((bad, 2))),
+            ("odometer", lambda bad=bad: Odometer((bad, 2))),
+            ("cylinder-function", lambda bad=bad: CylinderFunction((bad, 2), INTEGERS, (0, 0, 0, 0))),
+            ("dirac-record", lambda bad=bad: measure_from_json(
+                {"kind": "dirac", "bases": [bad, 2], "point": []})),
+            ("bernoulli-record", lambda bad=bad: measure_from_json(
+                {"kind": "bernoulli", "bases": [bad, 2], "weights": [HALF, HALF]})),
+        )
+    ),
+    *(
+        (f"dirac-point-{name}", lambda point=point: DiracMeasure(B3, point), DepthError, _digit(point[0], 1))
+        for name, point in (("0.9", (0.9, 1)), ("1.0", (1.0,)), ("true", (True,)), ("str", ("1",)))
+    ),
+    *(
+        (f"{what}-digit-{name}", call, DepthError, _digit(digit, coordinate))
+        for name, digit in (("0.7", 0.7), ("1.0", 1.0), ("true", True), ("str", "1"))
+        for what, call, coordinate in (
+            ("eval", lambda digit=digit: _int_function((2,), (3, 4)).eval((digit,)), 1),
+            ("prefix", lambda digit=digit: validate_prefix((0, digit), B2), 2),
+            ("mass", lambda digit=digit: BernoulliMeasure.uniform(B2).mass((digit,)), 1),
+        )
+    ),
+    *(
+        (f"word-apply-{name}-digit-2", lambda word=word: word_apply(word, (2, 0)), DepthError, _digit(2, 1))
+        for name, word in (("flip-1", {1}), ("flip-2", {2}), ("empty", ()))
+    ),
+    ("word-apply-digit-0.5",
+     lambda: word_apply({1}, (0.5, 0)),
+     DepthError, _digit(0.5, 1)),
+    *(
+        (f"family-depth-{name}", lambda depth=depth: GeneratorFamily.from_json(_rat_family(depth)),
+         ValueError, f"depth must be an integer, got {depth!r}")
+        for name, depth in (("true", True), ("2.0", 2.0), ("str", "2"), ("null", None))
+    ),
+    *(
+        (f"binary-{what}-depth-{name}", call, ValueError, f"{DEPTH_RANGE}, got {depth}")
+        for name, depth in HUGE_DEPTHS.items()
+        for what, call in (
+            ("bases", lambda depth=depth: binary_bases(depth)),
+            ("odometer", lambda depth=depth: Odometer.binary(depth)),
+        )
+    ),
+    # value records: checked before they are evaluated
+    *(
+        (f"value-record-{name}", lambda record=record: group_from_tag(record["t"]).payload_from_json(record),
+         error, message)
+        for name, (record, error, message) in VALUE_RECORDS.items()
+    ),
+    ("vector-record-bool-numerator",
+     lambda: RationalVectorGroup(2).payload_from_json({"t": "vec", "v": [[True, 1], [0, 1]]}),
+     UnsupportedValueError, "a value record needs integers, got True / 1"),
+    ("vector-record-zero-denominator",
+     lambda: RationalVectorGroup(2).payload_from_json({"t": "vec", "v": [[1, 0], [0, 1]]}),
+     ValueError, "value record 1/0 has a zero denominator"),
+    # every table entry is validated: a bad entry last is refused too
+    *(
+        (f"int-{what}-float-{name}", call, UnsupportedValueError, "integer group needs int, got 2.0")
+        for name, table in (
+            ("first", (2.0, 2, 3, "x")), ("second", (1, 2.0, 3, "x")), ("last", (1, 2, 3, 2.0)),
+        )
+        for what, call in (
+            ("table", lambda table=table: CylinderFunction(B2, INTEGERS, table)),
+            ("family", lambda table=table: GeneratorFamily(B3, INTEGERS, (table,))),
+        )
+    ),
 ]
 
 
@@ -234,6 +410,27 @@ def test_refusal(call, error, text):
     assert str(info.value) == text
 
 
+def test_case_ids_are_unique():
+    ids = [case[0] for case in CASES]
+    assert len(set(ids)) == len(ids), sorted({i for i in ids if ids.count(i) > 1})
+
+
+def test_the_refused_inputs_have_accepted_neighbours():
+    """Each refusal above is of its one bad value: the valid input next to it is taken."""
+    for record, _ in FLOAT_MEASURES.values():
+        assert measure_from_json(exact(record)).mass((1, 0)) >= 0
+    assert _int_function((2,), (3, 4)).eval((1,)).payload == 4
+    assert word_apply({1}, (1, 0)) == delta_apply(1, (1, 0)) == (0, 0)
+    assert word_apply([2, 1, 2], [0, 1]) == (1, 1)
+    assert GeneratorFamily.from_json(_rat_family(1)).depth == 1
+    assert binary_bases(MAX_BINARY_DEPTH) == (2,) * MAX_BINARY_DEPTH
+    for record, _, _ in VALUE_RECORDS.values():
+        good = dict(record, n=3, **({"k": 2} if "k" in record else {"d": 4}))
+        assert group_from_tag(record["t"]).payload_from_json(good) == Fraction(3, 4)
+    vector = {"t": "vec", "v": [[1, 2], [0, 1]]}
+    assert RationalVectorGroup(2).payload_from_json(vector) == (Fraction(1, 2), 0)
+
+
 def test_group_value_and_function_arithmetic():
     third = GroupValue(RATIONALS, Fraction(1, 3))
     assert -third == GroupValue(RATIONALS, Fraction(-1, 3))
@@ -241,171 +438,3 @@ def test_group_value_and_function_arithmetic():
     assert third.scale(-6) == GroupValue(RATIONALS, -2)
     f = _int_function(B2, (1, 2, 3, 4))
     assert (f - _int_function((2,), (1, 1))).table == (0, 1, 2, 3)
-
-
-@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
-@pytest.mark.parametrize("command", ["gh", "solve", "eval", "density"])
-def test_a_non_finite_real_input_exits_2_naming_the_value(tmp_path, command, text, shown, capsys):
-    # Python's json reads NaN and Infinity, which no JSON output may hold
-    path = tmp_path / "gen.json"
-    path.write_text(
-        '{"bases": [2], "depth": 1, "group": "real", '
-        f'"table": [{{"t": "real", "v": {text}}}, {{"t": "real", "v": -1.0}}]}}'
-    )
-    extra = ["--j", "1", "--x", "0"] if command == "eval" else []
-    assert main(["cocycle", command, "--input", str(path), *extra]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {path}: real group needs a finite float, got {shown}\n"
-
-
-def test_real_sums_that_overflow_exit_2(tmp_path, capsys):
-    # finite entries whose partial sums pass the float range: no Infinity is printed
-    table = [{"t": "real", "v": v} for v in (1e308, 1e308, -1e308, -1e308)]
-    path = tmp_path / "gen.json"
-    path.write_text(json.dumps({"bases": [2, 2], "depth": 2, "group": "real", "table": table}))
-    for command in ("gh", "solve"):
-        assert main(["cocycle", command, "--input", str(path)]) == 2
-        assert capsys.readouterr() == ("", "error: real group needs a finite float, got inf\n")
-
-
-@pytest.mark.parametrize("command", ["verify", "roundtrip", "happrox"])
-def test_a_non_finite_real_family_exits_2_naming_the_value(tmp_path, command, capsys):
-    path = tmp_path / "family.json"
-    path.write_text(
-        '{"N": 1, "depth": 2, "group": "real", '
-        '"tables": [[{"t": "real", "v": NaN}, {"t": "real", "v": 0.5}]]}'
-    )
-    assert main(["gamma", command, "--input", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: real group needs a finite float, got nan\n")
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize(
-    "suite, flag, name",
-    [("happrox", "--eps0", "eps0"), ("topology", "--epsilon-max", "epsilon_max")],
-)
-def test_a_radius_past_the_float_range_exits_2(suite, flag, name, fmt, capsys):
-    # the JSON report prints each radius as a float too; csv is refused alike
-    assert main(["run", suite, "--depth", "3", "--count", "1", flag, "1e400", "--format", fmt]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: bad config: {name} must lie within the float range, got '1e400'\n"
-    )
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize(
-    "text",
-    [
-        "[]",
-        "{}",
-        json.dumps({"kind": "bernoulli", "bases": [2] * 3, "weights": [["1/2", "1/2"]] * 3}),
-        "[1]",
-    ],
-    ids=["empty-list", "empty-object", "unwrapped-record", "non-record-entry"],
-)
-def test_density_measures_must_be_a_non_empty_list(tmp_path, text, fmt, capsys):
-    gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
-    table = [{"t": "int", "n": 1}, {"t": "int", "n": -1}]
-    gen.write_text(json.dumps({"bases": [2], "depth": 1, "group": "int", "table": table}))
-    measures.write_text(text)
-    argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
-    assert main([*argv, "--format", fmt]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: {measures}: --measures needs a non-empty JSON list of measure records\n"
-    )
-
-
-
-def _without(record, key):
-    return {k: v for k, v in record.items() if k != key}
-
-
-@pytest.mark.parametrize(
-    "command, text, message",
-    [
-        ("cocycle gh", json.dumps(_without(_GEN, "table")), "missing key 'table'"),
-        ("cocycle solve", json.dumps({**_GEN, "group": 5}), "a group tag must be a string, got 5"),
-        ("cocycle gh", "[1, 2]", "a cylinder function must be a JSON object, got list"),
-        ("cocycle gh", "null", "a cylinder function must be a JSON object, got null"),
-        ("gamma roundtrip", json.dumps(_without(_FAMILY, "tables")), "missing key 'tables'"),
-        ("gamma verify", json.dumps({**_FAMILY, "group": 5}), "a group tag must be a string, got 5"),
-        ("gamma verify", "[]", "a generator family must be a JSON object, got list"),
-        ("gamma happrox", "null", "a generator family must be a JSON object, got null"),
-        ("gamma verify", json.dumps({**_FAMILY, "N": True}), "N must be an integer, got True"),
-        ("gamma verify", json.dumps({**_FAMILY, "N": 1.0}), "N must be an integer, got 1.0"),
-        ("cocycle solve", json.dumps({**_GEN, "table": 5}), "table must be a JSON list, got int"),
-        ("cocycle gh", json.dumps({**_GEN, "bases": 5}), "bases must be a JSON list, got int"),
-        ("gamma verify", json.dumps({**_FAMILY, "tables": 5}), "tables must be a JSON list, got int"),
-        ("gamma verify", json.dumps({**_FAMILY, "tables": [5]}),
-         "an entry of tables must be a JSON list, got int"),
-    ],
-    ids=["missing-table", "group-5", "cocycle-list", "cocycle-null", "missing-tables",
-         "family-group-5", "family-list", "family-null", "count-true", "count-float",
-         "table-5", "bases-5", "tables-5", "tables-entry-5"],
-)
-def test_a_malformed_json_input_exits_2_with_a_message_in_words(tmp_path, command, text, message,
-                                                                capsys):
-    path = tmp_path / "in.json"
-    path.write_text(text)
-    assert main([*command.split(), "--input", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "text, kind",
-    [("[1]", "list"), ('"x"', "str"), ("3", "int"), ("0.5", "float"), ("null", "null")],
-    ids=["list", "string", "int", "float", "null"],
-)
-def test_a_config_that_is_not_an_object_exits_2_naming_its_type(tmp_path, text, kind, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(text)
-    assert main(["run", "gh", "--config", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: a config must be a JSON object, got {kind}\n")
-
-
-_DIRAC = {"kind": "dirac", "bases": [2] * 3, "point": [0] * 3}
-_MARKOV = {"kind": "markov", "bases": [2] * 3, "initial": ["1/2", "1/2"], "transitions": [[["1/2", "1/2"]] * 2] * 2}
-
-
-@pytest.mark.parametrize(
-    "record, message",
-    [
-        ({"kind": "mixture", "components": [[1]], "weights": [1]}, "a measure must be a JSON object, got list"),
-        ({"kind": "mixture", "components": [_DIRAC], "weights": 5}, "mixture weights must be a JSON list, got int"),
-        ({"kind": "bernoulli", "bases": [2] * 3, "weights": 5}, "weights must be a JSON list, got int"),
-        ({**_DIRAC, "point": 5}, "point must be a JSON list, got int"),
-        ({**_MARKOV, "transitions": [5, 5]}, "a transition matrix must be a JSON list, got int"),
-        ({**_MARKOV, "initial": 5}, "initial distribution must be a JSON list, got int"),
-    ],
-    ids=["component-list", "mixture-weights-5", "weights-5", "point-5", "transitions-entry-5", "initial-5"],
-)
-def test_a_malformed_measure_record_exits_2_with_a_message_in_words(tmp_path, record, message, capsys):
-    gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
-    gen.write_text(json.dumps(_GEN))
-    measures.write_text(json.dumps([record]))
-    argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {measures}: {message}\n")
-
-
-def test_a_measure_record_without_bases_exits_2_naming_the_key(tmp_path, capsys):
-    gen, measures = tmp_path / "gen.json", tmp_path / "measures.json"
-    gen.write_text(json.dumps(_GEN))
-    measures.write_text(json.dumps([{"kind": "bernoulli", "weights": [["1/2", "1/2"]]}]))
-    argv = ["cocycle", "density", "--input", str(gen), "--depth", "3", "--measures", str(measures)]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {measures}: missing key 'bases'\n")
-
-
-@pytest.mark.parametrize("bad", [0, 1, 3])
-def test_a_table_is_refused_at_its_first_invalid_entry(bad):
-    # every entry is validated: a bad entry last is refused too
-    entries = [1, 2, 3, 4]
-    entries[bad] = 2.0
-    if bad < 3:
-        entries[3] = "x"
-    with pytest.raises(UnsupportedValueError, match=r"^integer group needs int, got 2\.0$"):
-        CylinderFunction(B2, INTEGERS, tuple(entries))
-    with pytest.raises(UnsupportedValueError, match=r"^integer group needs int, got 2\.0$"):
-        GeneratorFamily((2,) * 3, INTEGERS, (tuple(entries),))

@@ -738,5 +738,6 @@ def test_each_channel_reads_the_running_sums_column_itself(tag):
     f = cylinder_function(random.Random(3), (2,) * 5, group)
     a = ZCocycle(Odometer(f.bases), f)
     sums, _, _ = a._sums
-    assert len(a._channels) == len(sums) == 1
-    assert all(channel.period is column for channel, column in zip(a._channels, sums))
+    channels = a._channels()
+    assert len(channels) == len(sums) == 1
+    assert all(channel.period is column for channel, column in zip(channels, sums))
