@@ -42,7 +42,6 @@ from .involution_cocycles import (
 from .space import (
     BernoulliMeasure,
     CylinderFunction,
-    _require_object,
     binary_bases,
     measure_from_json,
 )
@@ -54,7 +53,7 @@ from .suites import (
     render_json,
     run as run_suite,
 )
-from .values import NeighborhoodChain, UnsupportedValueError, as_fraction
+from .values import NeighborhoodChain, UnsupportedValueError, _require_object, as_fraction
 from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
 
 
@@ -242,7 +241,7 @@ def _command(sub, name: str, handler, help: str, input_help: str | None = None):
     """A subcommand that runs ``handler``; with ``input_help`` it reads an
     --input file."""
     parser = sub.add_parser(name, help=help)
-    parser.set_defaults(handler=handler)
+    parser.set_defaults(handler=handler, usage_error=parser.error)
     if input_help:
         parser.add_argument("--input", required=True, help=input_help)
     parser.add_argument("--out", help="write the result to this path")
@@ -309,7 +308,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, unknown = _parser().parse_known_args(argv)
+        if unknown:  # refused under the usage of the subcommand that was chosen
+            args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # --help exits 0, a refused flag 2, each with argparse's text
         return exc.code
     try:

@@ -46,8 +46,6 @@ from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
     DepthError,
-    _require_list,
-    _require_object,
     binary_bases,
     check_bases,
     full_prefix_index,
@@ -65,6 +63,8 @@ from .values import (
     _grid_exponent,
     _grid_numerator,
     _is_int,
+    _require_list,
+    _require_object,
     group_from_tag,
 )
 from .zcocycles import CoboundaryCertificate, ZCocycle, _spread_bound

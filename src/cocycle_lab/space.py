@@ -32,6 +32,8 @@ from .values import (
     GroupValue,
     _integer_numerators,
     _is_int,
+    _require_list,
+    _require_object,
     as_fraction,
     group_from_tag,
 )
@@ -224,21 +226,6 @@ class CylinderFunction:
         if obj.get("depth", len(bases)) != len(bases):
             raise ValueError("depth field disagrees with bases length")
         return cls(bases, group, group.payloads_from_json(_require_list(obj["table"], "table")))
-
-
-def _require_object(obj, what: str) -> None:
-    """Refuse a JSON record that is not an object, naming its JSON type."""
-    if not isinstance(obj, dict):
-        kind = "null" if obj is None else type(obj).__name__
-        raise ValueError(f"{what} must be a JSON object, got {kind}")
-
-
-def _require_list(obj, what: str):
-    """``obj``, refused unless it is a JSON list (or a tuple), naming its JSON type."""
-    if not isinstance(obj, (list, tuple)):
-        kind = "null" if obj is None else type(obj).__name__
-        raise ValueError(f"{what} must be a JSON list, got {kind}")
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +564,9 @@ def _index_mass(mu: Measure, bases: tuple[int, ...], indices: Iterable[int]) -> 
 # ---------------------------------------------------------------------------
 # Convergence-in-measure functionals
 #
-# On the exact groups every functional reads the mu-law of |f - g| from
-# ``_metric_law``: the mass of each distinct metric value, as ints over
-# the mass table's denominator D, so that tau3, tau4 and the exceedance
-# mass cost one term per distinct value.  ``real`` keeps the literal
-# sums over the table below, whose term order fixes its float bytes.
+# ``_tau_sums`` is the one fork on the group: the exact groups read the
+# mu-law of |f - g| (``_metric_law``), one term per distinct metric value;
+# ``real`` sums over the mass table in table order.
 
 
 def _exact_eps(f: CylinderFunction, eps):
@@ -653,40 +638,35 @@ def _law_sum(terms, den: int) -> Fraction:
     return Fraction(s, b * den)
 
 
-def _law_tau3(law: dict, den: int) -> Fraction:
-    return _law_sum(((n, p, q) if p < q else (n, 1, 1) for (p, q), n in law.items()), den)
-
-
-def _law_tau4(law: dict, den: int) -> Fraction:
-    return _law_sum(((n, p, p + q) for (p, q), n in law.items()), den)
-
-
-def _law_exceedance(law: dict, den: int, eps: Fraction) -> Fraction:
+def _law_sums(law: dict, den: int, eps: Fraction) -> tuple:
+    """(tau3, tau4, exceedance mass) of one mu-law: the sums of
+    n min(p/q, 1), of n p/(p + q) and of n over p/q > eps, over ``den``."""
     top, bottom = eps.numerator, eps.denominator
-    return Fraction(sum(n for (p, q), n in law.items() if p * bottom > top * q), den)
+    return (
+        _law_sum(((n, p, q) if p < q else (n, 1, 1) for (p, q), n in law.items()), den),
+        _law_sum(((n, p, p + q) for (p, q), n in law.items()), den),
+        Fraction(sum(n for (p, q), n in law.items() if p * bottom > top * q), den),
+    )
 
 
-# The literal sums on ``real`` read one mass table and one metric list
-# |f - g| of the same cylinders, in table order, so that floats repeat.
+def _tau_sums(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> tuple:
+    """(tau3, tau4, exceedance mass) of f and g against mu, which the
+    public functionals read; mu's bases must extend the aligned bases.
 
-
-def _tau3_sum(masses, diffs):
-    one = Fraction(1)
-    total = Fraction(0)
-    for m, d in zip(masses, diffs):
-        total += m * (d if d < one else one)
-    return total
-
-
-def _tau4_sum(masses, diffs):
-    total = Fraction(0)
-    for m, d in zip(masses, diffs):
-        total += m * d / (1 + d)
-    return total
-
-
-def _exceedance_sum(masses, diffs, eps):
-    return sum((m for m, d in zip(masses, diffs) if d > eps), Fraction(0))
+    On ``real`` tau3 and tau4 are running sums over ``mu.mass_table`` in
+    table order, so that their floats repeat, and the exceedance mass is
+    one int sum of ``mu._mass_numerators``, exact in any order.
+    """
+    eps = _exact_eps(f, eps)
+    if f.group.exact:
+        return _law_sums(*_metric_law(f, g, mu), eps)
+    bases, diffs = _difference_metrics(f, g)
+    nums, den = mu._mass_numerators(bases)
+    tau3 = tau4 = Fraction(0)
+    for m, d in zip(mu.mass_table(bases), diffs):
+        tau3 += m * (d if d < 1 else 1)
+        tau4 += m * d / (1 + d)
+    return tau3, tau4, Fraction(sum(n for n, d in zip(nums, diffs) if d > eps), den)
 
 
 def exceedance_prefixes(f: CylinderFunction, g: CylinderFunction, eps) -> list:
@@ -698,11 +678,7 @@ def exceedance_prefixes(f: CylinderFunction, g: CylinderFunction, eps) -> list:
 
 def exceedance_mass(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> Fraction:
     """mu{x : |f(x) - g(x)| > eps}; mu's bases must extend the aligned bases."""
-    eps = _exact_eps(f, eps)
-    if not f.group.exact:
-        bases, diffs = _difference_metrics(f, g)
-        return _exceedance_sum(mu.mass_table(bases), diffs, eps)
-    return _law_exceedance(*_metric_law(f, g, mu), eps)
+    return _tau_sums(f, g, eps, mu)[2]
 
 
 def tau1_membership(
@@ -720,39 +696,12 @@ def tau1_membership(
 
 def tau3_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
     """Integral of min(|f - g|, 1) as a finite exact sum over cylinders."""
-    if not f.group.exact:
-        bases, diffs = _difference_metrics(f, g)
-        return _tau3_sum(mu.mass_table(bases), diffs)
-    return _law_tau3(*_metric_law(f, g, mu))
+    return _tau_sums(f, g, 0, mu)[0]
 
 
 def tau4_functional(f: CylinderFunction, g: CylinderFunction, mu: Measure) -> Fraction:
     """Integral of |f - g| / (1 + |f - g|)."""
-    if not f.group.exact:
-        bases, diffs = _difference_metrics(f, g)
-        return _tau4_sum(mu.mass_table(bases), diffs)
-    return _law_tau4(*_metric_law(f, g, mu))
-
-
-def _tau_sums(f: CylinderFunction, g: CylinderFunction, eps, mu: Measure) -> tuple:
-    """(tau3, tau4, exceedance mass) of f and g against mu, equal to the
-    three public functions, from one mu-law (one metric list and one
-    mass-table read on ``real``)."""
-    eps = _exact_eps(f, eps)
-    if not f.group.exact:
-        bases, diffs = _difference_metrics(f, g)
-        masses = mu.mass_table(bases)
-        return (
-            _tau3_sum(masses, diffs),
-            _tau4_sum(masses, diffs),
-            _exceedance_sum(masses, diffs, eps),
-        )
-    return _law_sums(*_metric_law(f, g, mu), eps)
-
-
-def _law_sums(law: dict, den: int, eps: Fraction) -> tuple:
-    """(tau3, tau4, exceedance mass) of one mu-law."""
-    return _law_tau3(law, den), _law_tau4(law, den), _law_exceedance(law, den, eps)
+    return _tau_sums(f, g, 0, mu)[1]
 
 
 def _resolve_permutation(t):

@@ -67,6 +67,22 @@ def _ratio(n, d) -> Fraction:
     return Fraction(n, d)
 
 
+def _require_object(obj, what: str):
+    """``obj``, refused unless it is a JSON object, naming its JSON type."""
+    if not isinstance(obj, dict):
+        kind = "null" if obj is None else type(obj).__name__
+        raise ValueError(f"{what} must be a JSON object, got {kind}")
+    return obj
+
+
+def _require_list(obj, what: str):
+    """``obj``, refused unless it is a JSON list (or a tuple), naming its JSON type."""
+    if not isinstance(obj, (list, tuple)):
+        kind = "null" if obj is None else type(obj).__name__
+        raise ValueError(f"{what} must be a JSON list, got {kind}")
+    return obj
+
+
 def as_fraction(x: Any) -> Fraction:
     """Parse an exact rational from an int, Fraction, or 'p/q' string.
 
@@ -192,8 +208,10 @@ class Group:
 
     def payloads_from_json(self, records) -> list:
         """``[payload_from_json(obj) for obj in records]``: every refusal
-        is the one that record raises alone."""
-        return [self.payload_from_json(obj) for obj in records]
+        is the one that record raises alone, and a record that is not a
+        JSON object is refused in words."""
+        parse, what = self.payload_from_json, "a value record"
+        return [parse(obj if type(obj) is dict else _require_object(obj, what)) for obj in records]
 
     def __repr__(self) -> str:
         return self.tag
@@ -266,8 +284,9 @@ class RationalGroup(_ScalarGroup):
     def payloads_from_json(self, records) -> list:
         """``[payload_from_json(obj) for obj in records]``, parsed once per
         distinct (n, d) (``dy``: (n, k)) pair of plain ints; a record
-        without such a pair (a bool, a float, a missing key, not a dict)
-        is parsed alone, so it raises what it raises alone."""
+        without such a pair (a bool, a float, a missing key) is parsed
+        alone, so it raises what it raises alone, and one that is not a
+        JSON object is refused in words."""
         parse, memo, out = self.payload_from_json, {}, []
         for obj in records:
             key = (obj.get("n"), obj.get(self._memo_key)) if type(obj) is dict else ()
@@ -276,7 +295,7 @@ class RationalGroup(_ScalarGroup):
                 if value is None:
                     value = memo[key] = parse(obj)
             else:
-                value = parse(obj)
+                value = parse(_require_object(obj, "a value record"))
             out.append(value)
         return out
 

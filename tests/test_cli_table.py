@@ -288,6 +288,7 @@ INPUTS = {
     "int-x.json": {**GEN, "table": [{"t": "int", "n": "x"}, {"t": "int", "n": 1}]},
     "rat-zero-den.json": {**GEN, "group": "rat", "table": _rats((1, 0), (1, 1))},
     "bare-entry.json": {**GEN, "table": [5, {"t": "int", "n": 1}]},
+    "rat-bare-entry.json": {**GEN, "group": "rat", "table": [*_rats((1, 3)), "1/3"]},
     **{
         f"gen-d2-base-{name}.json": {**GEN_D2, "bases": [base, 2]}
         for name, base in (("2.5", 2.5), ("str", "2"))
@@ -343,11 +344,22 @@ def refused(id, command, message, **options):
     return Row(id, command, 2, out="", err=f"error: {message}\n", **options)
 
 
+def _subcommands(parser):
+    """The subcommand parsers of ``parser``, by name; none for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
 def unrecognized(id, command, words):
     """An exit-2 row whose trailing ``words`` argparse does not know: the
-    top-level usage, then the words."""
-    usage = cli._parser().format_usage()
-    return Row(id, command, 2, out="", err=f"{usage}cocycle-lab: error: unrecognized arguments: {words}\n")
+    usage of the subcommand that the leading words name, then the words."""
+    parser = cli._parser()
+    for word in shlex.split(command):
+        parser = _subcommands(parser).get(word, parser)
+    error = f"{parser.prog}: error: unrecognized arguments: {words}"
+    return Row(id, command, 2, out="", err=f"{parser.format_usage()}{error}\n")
 
 
 # CPython limits int <-> decimal text conversion since 3.10.7 and 3.11
@@ -633,7 +645,8 @@ TABLE = [
         for command, name, message in (
             ("cocycle solve", "int-x.json", "integer group needs int, got 'x'"),
             ("cocycle solve", "rat-zero-den.json", "value record 1/0 has a zero denominator"),
-            ("cocycle gh", "bare-entry.json", "'int' object is not subscriptable"),
+            ("cocycle gh", "bare-entry.json", "a value record must be a JSON object, got int"),
+            ("cocycle solve", "rat-bare-entry.json", "a value record must be a JSON object, got str"),
             ("cocycle gh", "no-table.json", "missing key 'table'"),
             ("cocycle gh", "group-5.json", "a group tag must be a string, got 5"),
             ("cocycle solve", "group-5.json", "a group tag must be a string, got 5"),
@@ -643,7 +656,7 @@ TABLE = [
             ("cocycle gh", "bases-5.json", "bases must be a JSON list, got int"),
             ("gamma verify", "family-zero-den.json", "value record 1/0 has a zero denominator"),
             ("gamma happrox", "list-1-2.json", "a generator family must be a JSON object, got list"),
-            ("gamma roundtrip", "ifamily-bare.json", "'int' object is not subscriptable"),
+            ("gamma roundtrip", "ifamily-bare.json", "a value record must be a JSON object, got int"),
             ("gamma roundtrip", "ifamily-no-tables.json", "missing key 'tables'"),
             ("gamma verify", "ifamily-group-5.json", "a group tag must be a string, got 5"),
             ("gamma verify", "empty-list.json", "a generator family must be a JSON object, got list"),
@@ -782,14 +795,6 @@ def test_every_input_is_used():
     """A deleted row leaves no input behind."""
     used = {word for row in TABLE for word in row.argv}
     assert set(INPUTS) <= used, sorted(set(INPUTS) - used)
-
-
-def _subcommands(parser):
-    """The subcommand parsers of ``parser``, by name; none for a leaf."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    return {}
 
 
 def test_every_command_has_a_passing_and_a_refused_row():

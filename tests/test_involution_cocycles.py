@@ -1218,7 +1218,7 @@ def test_the_family_dyadic_check_is_the_cocycle_dyadic_check(tag, depth, count, 
         fam = GeneratorFamily(fam.bases, RATIONALS, tuple(map(tuple, tables)))
     tables, _, den = InvolutionCocycle(fam)._kernel_tables
     expected = _dyadic_generators(tables, den)
-    assert _dyadic_family(fam) == expected
+    assert _dyadic_family(fam) == all(is_dyadic(v) for t in fam.tables for v in t) == expected
     if edit is not None and edit[2] == Fraction(1, 3):
         assert not expected
     elif rounded or tag == "dy":

@@ -382,6 +382,13 @@ CASES = [
          error, message)
         for name, (record, error, message) in VALUE_RECORDS.items()
     ),
+    # a table entry that is not a record is refused in words, on every group
+    *(
+        (f"{tag}-bare-record-{name}", lambda tag=tag, bare=bare: group_from_tag(tag).payloads_from_json([bare]),
+         ValueError, f"a value record must be a JSON object, got {kind}")
+        for tag in ("int", "rat", "dy", "mod:5", "vec:2", "real")
+        for name, bare, kind in (("5", 5, "int"), ("null", None, "null"), ("list", [1, 2], "list"))
+    ),
     ("vector-record-bool-numerator",
      lambda: RationalVectorGroup(2).payload_from_json({"t": "vec", "v": [[True, 1], [0, 1]]}),
      UnsupportedValueError, "a value record needs integers, got True / 1"),

@@ -12,8 +12,7 @@ from cocycle_lab.space import (
     DiracMeasure,
     MarkovMeasure,
     MixtureMeasure,
-    _law_tau3,
-    _law_tau4,
+    _law_sums,
     _tau_sums,
     aut_distance,
     convergence_rows,
@@ -559,11 +558,11 @@ TAU4_LAW_OVER_PRIMES = {(1 + i % 3, p - 1 - i % 3): 2 + i % 5 for i, p in enumer
 )
 @pytest.mark.parametrize("den", [1, 2**7 * 3**5 * 7])
 def test_law_sums_equal_literal_fraction_sums(law, den):
-    for law_sum, literal in ((_law_tau3, _literal_tau3), (_law_tau4, _literal_tau4)):
-        got, expected = law_sum(law, den), literal(law, den)
-        assert type(got) is Fraction and got == expected
+    tau3, tau4, _ = _law_sums(law, den, Fraction(0))
+    for got, literal in ((tau3, _literal_tau3), (tau4, _literal_tau4)):
+        assert type(got) is Fraction and got == literal(law, den)
     if not law:
-        assert _law_tau3(law, den) == _law_tau4(law, den) == 0
+        assert tau3 == tau4 == 0
 
 
 def test_prime_laws_have_over_a_thousand_coprime_denominators():
