@@ -1,13 +1,14 @@
 """Record classes: the package's value and result types, without ``dataclasses``.
 
-``record`` gives a class with field annotations what ``@dataclass`` gave
-it: ``__init__`` (by position or keyword, with a ``TypeError`` on a
+``record`` gives a class with field annotations what a frozen ``@dataclass``
+gave it: ``__init__`` (by position or keyword, with a ``TypeError`` on a
 missing, unknown or repeated argument, then ``__post_init__`` if the
 instance has one), ``==`` between instances of one class over the
-fields, their ``hash`` (frozen records) or none (mutable ones),
-a ``Name(field=value, ...)`` repr, and on frozen records a
+fields, their ``hash``, a ``Name(field=value, ...)`` repr, and a
 ``__setattr__`` and ``__delattr__`` that refuse with
-``FrozenInstanceError``.  Each is a closure over the field names.
+``FrozenInstanceError``.  Each is a closure over the field names, and a
+record's state is its fields: a ``__post_init__`` that normalises one
+sets it through ``object.__setattr__``.
 
 It exists for start-up time.  ``@dataclass`` compiles the source of
 every method it generates with ``exec``, and ``dataclasses`` imports
@@ -23,44 +24,22 @@ visible difference: ``dataclasses.fields``, ``replace``, ``asdict`` and
 
 from operator import attrgetter
 
-_MISSING = object()
 _set = object.__setattr__  # keeps CPython's compact instance values, as dataclasses did
 
 
 class FrozenInstanceError(AttributeError):
-    """Raised on assigning to, or deleting, a field of a frozen record."""
+    """Raised on assigning to, or deleting, a field of a record."""
 
 
-class _Field:
-    __slots__ = ("default_factory",)
-
-    def __init__(self, default_factory):
-        self.default_factory = default_factory
-
-
-def field(*, default_factory):
-    """A field's default made fresh for each instance by ``default_factory``."""
-    return _Field(default_factory)
-
-
-def record(cls=None, /, *, frozen=True):
+def record(cls):
     """Make ``cls`` a record over its own annotated fields (see the module).
 
     A field's class attribute is its default.  A method the class defines,
     or inherits from a base other than ``object``, is kept: ``Group``'s
     subclasses keep its ``repr``, their tag.
     """
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults, factories = {}, {}
-    for name in names:
-        value = cls.__dict__.get(name, _MISSING)
-        if isinstance(value, _Field):
-            factories[name] = value.default_factory
-            delattr(cls, name)
-        elif value is not _MISSING:
-            defaults[name] = value
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count, title = len(names), cls.__qualname__
     getter = attrgetter(*names)
     if count == 1:  # attrgetter of one name returns the bare value
@@ -81,8 +60,6 @@ def record(cls=None, /, *, frozen=True):
                 out.append(kwargs.pop(name))
             elif name in defaults:
                 out.append(defaults[name])
-            elif name in factories:
-                out.append(factories[name]())
             else:
                 raise TypeError(f"{title}() missing required argument {name!r}")
         for name in kwargs:
@@ -104,30 +81,21 @@ def record(cls=None, /, *, frozen=True):
             return values(self) == values(other)
         return NotImplemented
 
+    def __hash__(self):
+        return hash(values(self))
+
     def __repr__(self):
         shown = ", ".join([f"{name}={value!r}" for name, value in zip(names, values(self))])
         return f"{self.__class__.__qualname__}({shown})"
 
-    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__}
-    if frozen:
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-        def __hash__(self):
-            return hash(values(self))
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-        def __setattr__(self, name, value):
-            if type(self) is cls or name in names:
-                raise FrozenInstanceError(f"cannot assign to field {name!r}")
-            super(cls, self).__setattr__(name, value)
-
-        def __delattr__(self, name):
-            if type(self) is cls or name in names:
-                raise FrozenInstanceError(f"cannot delete field {name!r}")
-            super(cls, self).__delattr__(name)
-
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        cls.__hash__ = None  # mutable and compared by value, so unhashable
-    for name, method in methods.items():
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        name = method.__name__
         if getattr(cls, name) is getattr(object, name):
             method.__qualname__ = f"{title}.{name}"
             setattr(cls, name, method)

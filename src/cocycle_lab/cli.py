@@ -138,15 +138,20 @@ def _config_object(obj) -> dict:
 
 def _cmd_run(args) -> int:
     obj = _decode(args.config, _config_object) if args.config else {}
-    for key in CONFIG_FIELDS:
-        value = getattr(args, key)
-        if key != "bases" and value is not None:
-            obj[key] = value
+    flags = {key: getattr(args, key) for key in CONFIG_FIELDS if key != "bases"}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    obj.update(flags)
     bases = _flag_bases(args)
     if bases is not None:  # a model flag replaces the file's model
         obj.pop("depth", None)
         obj["bases"] = bases
-    report = run_suite(ExperimentConfig.from_json(obj), args.suite)
+    try:
+        config = ExperimentConfig.from_json(obj)
+    except UsageError:  # name a flag that is refused alone (_flag_bases checked the model's)
+        for key, value in flags.items():
+            ExperimentConfig.from_json({key: value}, "--" + key.replace("_", "-"))
+        raise
+    report = run_suite(config, args.suite)
     _emit(report.render(args.format), args)
     for failure in report.failures()[:5]:
         print(f"FAIL {failure['name']}: {failure['witness']}", file=sys.stderr)
@@ -307,10 +312,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
     try:
-        args, unknown = _parser().parse_known_args(argv)
-        if unknown:  # refused under the usage of the subcommand that was chosen
-            args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # refused under the usage of the parser that met the first of them
+            before = set(argv[: argv.index(args.command)])  # words the root parser met
+            error = parser.error if before & set(unknown) else args.usage_error
+            error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:  # --help exits 0, a refused flag 2, each with argparse's text
         return exc.code
     try:

@@ -570,6 +570,7 @@ class TransferReport:
     transfer g satisfies alpha(w, x) = g(wx) + beta(w, x) - g(x) exactly
     for every flip word and prefix, and |g| is bounded by the sum of the
     per-index rounding radii (at most the chain's base radius).
+    ``max_transfer`` is the largest |g|.
     """
 
     family: GeneratorFamily
@@ -577,9 +578,7 @@ class TransferReport:
     transfer: CylinderFunction
     radii: tuple[Fraction, ...]
     radius_bound: Fraction
-    # the transfer as int numerators over D, as h_approximate computed it;
-    # not a field, so outside ==, hash and repr
-    _transfer_kernel = None
+    max_transfer: Fraction
 
     @cached_property
     def beta(self) -> InvolutionCocycle:
@@ -638,16 +637,16 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
     base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
     rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
     differences, potential = _potential_walk(errors, family.depth, group)
-    g_table = tuple(potential[0])
+    g_table = potential[0]
+    top, bottom = max(g_table), min(g_table)
     transfer = CylinderFunction(family.bases, group, group.payloads_over(potential, den))
     bound = sum(radii, Fraction(0))
-    report = TransferReport(base, rounded, transfer, radii, bound)
-    object.__setattr__(report, "_transfer_kernel", (g_table, den))
+    report = TransferReport(base, rounded, transfer, radii, bound, Fraction(max(top, -bottom), den))
 
     if bound > chain.eps0:
         raise AssertionError("radius bound exceeds the base radius")
     limit = floor(bound * den)  # |g| / D > bound exactly when the int |g| > limit
-    if max(g_table) > limit or min(g_table) < -limit:
+    if top > limit or bottom < -limit:
         i = next(i for i, g in enumerate(g_table) if abs(g) > limit)
         raise AssertionError(
             f"transfer value {Fraction(g_table[i], den)} at "

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, inf, lcm, nextafter
+from sys import float_info
 from typing import Iterable, Iterator, Sequence
 
 from ._records import record
@@ -506,19 +507,19 @@ def measure_from_json(obj) -> Measure:
     _require_object(obj, "a measure")
     kind = obj.get("kind")
 
-    def field(key):
+    def listed(key):
         return _require_list(obj[key], key)
 
     if kind == "bernoulli":
-        return BernoulliMeasure(field("bases"), field("weights"))
+        return BernoulliMeasure(listed("bases"), listed("weights"))
     if kind == "markov":
-        bases, initial = field("bases"), obj["initial"]
-        matrices = [_require_list(m, "a transition matrix") for m in field("transitions")]
+        bases, initial = listed("bases"), obj["initial"]
+        matrices = [_require_list(m, "a transition matrix") for m in listed("transitions")]
         return MarkovMeasure(bases, initial, matrices)
     if kind == "dirac":
-        return DiracMeasure(field("bases"), field("point"))
+        return DiracMeasure(listed("bases"), listed("point"))
     if kind == "mixture":
-        components = [measure_from_json(c) for c in field("components")]
+        components = [measure_from_json(c) for c in listed("components")]
         return MixtureMeasure(components, obj["weights"])
     raise ValueError(f"unknown measure record {obj!r}")
 
@@ -571,8 +572,23 @@ def _index_mass(mu: Measure, bases: tuple[int, ...], indices: Iterable[int]) -> 
 
 def _exact_eps(f: CylinderFunction, eps):
     """The exceedance radius as every functional reads it: an exact
-    rational (``as_fraction``) on the exact groups, as given on ``real``."""
-    return as_fraction(eps) if f.group.exact else eps
+    rational (``as_fraction``) on the exact groups; on ``real`` a
+    ``Fraction`` becomes ``_float_below(eps)``, and any other radius is
+    read as given."""
+    if f.group.exact:
+        return as_fraction(eps)
+    return _float_below(eps) if isinstance(eps, Fraction) else eps
+
+
+def _float_below(eps: Fraction) -> float:
+    """The largest float e <= eps (-inf below the float range).  A float d
+    exceeds eps exactly when it exceeds e, so each entry's comparison is
+    one float comparison, not a Fraction one."""
+    try:
+        e = float(eps)  # the nearest float, which may lie above eps
+    except OverflowError:
+        return float_info.max if eps > 0 else -inf
+    return nextafter(e, -inf) if e > eps else e
 
 
 def _difference_metrics(f: CylinderFunction, g: CylinderFunction):

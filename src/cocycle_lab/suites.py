@@ -15,7 +15,7 @@ from math import inf
 from typing import Callable, Optional
 
 from . import sampling
-from ._records import field, record
+from ._records import record
 from .dynamics import MarkerSequence, Odometer
 from .involution_cocycles import (
     InvolutionCocycle,
@@ -33,7 +33,7 @@ class UsageError(ValueError):
     """Configuration or invocation errors (exit code 2)."""
 
 
-@record(frozen=False)
+@record
 class ExperimentConfig:
     """Model, value group, seed, and tuning knobs for one experiment."""
 
@@ -49,15 +49,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.bases, (list, tuple)):
             raise UsageError(f"bases must be a list of integers, got {self.bases!r}")
-        self.bases = tuple(self.bases)
+        object.__setattr__(self, "bases", tuple(self.bases))
         for k, b in enumerate(self.bases):
             if not _is_int(b):
                 raise UsageError(f"bases entry {k} must be an integer, got {b!r}")
         if len(self.bases) < 1:
             raise UsageError("depth must be >= 1")
         given = self.eps0, self.epsilon_max
-        self.eps0 = as_fraction(self.eps0)
-        self.epsilon_max = as_fraction(self.epsilon_max)
+        object.__setattr__(self, "eps0", as_fraction(self.eps0))
+        object.__setattr__(self, "epsilon_max", as_fraction(self.epsilon_max))
         if self.eps0 <= 0 or self.epsilon_max <= 0:
             raise UsageError("radii must be positive")
         for name, value in zip(("eps0", "epsilon_max"), given):
@@ -78,10 +78,11 @@ class ExperimentConfig:
                 raise UsageError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentConfig":
+    def from_json(cls, obj: dict, source: str = "bad config") -> "ExperimentConfig":
         """A config from its JSON keys: the field names, or ``depth`` for
         the 2-odometer of that depth in place of ``bases``.  A null value
-        keeps the default, except for ``bases`` and ``depth``."""
+        keeps the default, except for ``bases`` and ``depth``.  A refusal
+        reads ``<source>: <message>``."""
         kwargs = {k: v for k, v in obj.items() if v is not None or k == "bases"}
         try:
             for key in obj:
@@ -98,7 +99,7 @@ class ExperimentConfig:
                 kwargs["bases"] = binary_bases(depth)
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config: {exc}") from exc
+            raise UsageError(f"{source}: {exc}") from exc
 
     def model(self) -> Odometer:
         return Odometer(self.bases)
@@ -210,15 +211,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@record(frozen=False)
+@record
 class Report:
     """Deterministic experiment output: header, rows, and pass/fail checks."""
 
     suite: str
     header: dict
     columns: tuple[str, ...]
-    rows: list = field(default_factory=list)
-    checks: list = field(default_factory=list)
+    rows: list
+    checks: list
 
     @property
     def experiment_id(self) -> str:
@@ -272,14 +273,16 @@ class Report:
         raise UsageError(f"unknown format {fmt!r}")
 
 
-def _header(config: ExperimentConfig, suite: str) -> dict:
-    return {
+def _report(config: ExperimentConfig, suite: str, columns: tuple[str, ...]) -> Report:
+    """A suite's report, with no rows or checks yet."""
+    header = {
         "suite": suite,
         "seed": config.seed,
         "depth": len(config.bases),
         "bases": ",".join(str(b) for b in config.bases),
         "group": config.group,
     }
+    return Report(suite, header, columns, [], [])
 
 
 def density_suite(config: ExperimentConfig) -> Report:
@@ -297,7 +300,7 @@ def density_suite(config: ExperimentConfig) -> Report:
         raise UsageError(f"n_max must lie in 1..{model.depth - 1}")
     fair = BernoulliMeasure.uniform(config.bases)
     count = config.count or 5
-    report = Report("density", _header(config, "density"), ("generator", "n", "tau3", "bound", "certified"))
+    report = _report(config, "density", ("generator", "n", "tau3", "bound", "certified"))
     for g_idx in range(count):
         f = sampling.cylinder_function(rng, config.bases, group)
         rows = density_table(ZCocycle(model, f), markers, n_max, [fair])
@@ -325,11 +328,7 @@ def topology_suite(config: ExperimentConfig) -> Report:
     rng = config.rng()
     group = config.value_group()
     count = config.count or 100
-    report = Report(
-        "topology",
-        _header(config, "topology"),
-        ("case", "eps", "delta", "tau3", "tau4", "exceedance"),
-    )
+    report = _report(config, "topology", ("case", "eps", "delta", "tau3", "tau4", "exceedance"))
     report.header["epsilon_max"] = config.epsilon_max
     antecedents = 0
     bounds = {}  # (eps, delta) draws -> eps, delta, eps*delta, eps*delta/(1+eps)
@@ -384,9 +383,7 @@ def odometer_suite(config: ExperimentConfig) -> Report:
     if any(b != 2 for b in config.bases):
         raise UsageError("involution cocycles need the 2-odometer")
     count = config.count or 20
-    report = Report(
-        "odometer", _header(config, "odometer"), ("family", "generators", "identities", "roundtrip")
-    )
+    report = _report(config, "odometer", ("family", "generators", "identities", "roundtrip"))
     for idx in range(count):
         n_gen = rng.randint(1, min(5, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group)
@@ -419,19 +416,14 @@ def happrox_suite(config: ExperimentConfig) -> Report:
         raise UsageError("the dyadic approximation suite needs the rational group")
     chain = NeighborhoodChain(config.eps0)
     count = config.count or 20
-    report = Report(
-        "happrox",
-        _header(config, "happrox"),
-        ("family", "generators", "max_transfer", "bound", "dyadic"),
-    )
+    report = _report(config, "happrox", ("family", "generators", "max_transfer", "bound", "dyadic"))
     report.header["eps0"] = config.eps0
     for idx in range(count):
         n_gen = rng.randint(1, min(4, depth))
         family = sampling.invariant_family(rng, depth, n_gen, group_from_tag("rat"))
         result = h_approximate(family, chain)
         dyadic_ok = _dyadic_family(result.rounded_family)
-        g, den = result._transfer_kernel
-        max_g = Fraction(max(max(g), -min(g)), den)
+        max_g = result.max_transfer
         report.add_row(
             family=idx,
             generators=n_gen,
@@ -453,11 +445,7 @@ def gh_suite(config: ExperimentConfig) -> Report:
     rng = config.rng()
     model = config.model()
     count = config.count or 50
-    report = Report(
-        "gh",
-        _header(config, "gh"),
-        ("case", "coboundary", "cycle_sum", "empirical_sup", "bound"),
-    )
+    report = _report(config, "gh", ("case", "coboundary", "cycle_sum", "empirical_sup", "bound"))
     for case in range(count):
         f = sampling.small_integer_function(rng, config.bases, -2, 2)
         a = ZCocycle(model, f)

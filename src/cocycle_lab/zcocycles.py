@@ -818,9 +818,6 @@ class _Ring(_Channel):
     def measure(self, d):
         return d
 
-    def value(self, k, x):
-        return (x + self.step * k) % self.modulus
-
     def _inverse(self, k, v):
         return (v - self.step * k) % self.modulus
 

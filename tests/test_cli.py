@@ -237,7 +237,7 @@ def test_report_json_renders_fraction_and_decimal():
 
 
 def test_empty_report_csv_is_header_only():
-    report = Report("demo", {"seed": 0, "depth": 1}, ("a", "b"))
+    report = Report("demo", {"seed": 0, "depth": 1}, ("a", "b"), [], [])
     assert report.to_csv() == "a,b\n"
 
 

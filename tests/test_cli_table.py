@@ -157,6 +157,7 @@ CONFIGS = {
     ),
     "depth-and-bases": ("gh", {"depth": 4, "bases": [2, 2], "count": 1},
                         "give either bases or depth, not both"),
+    "bases-empty": ("gh", {"bases": [], "count": 1}, "depth must be >= 1"),
 }
 
 INPUTS = {
@@ -411,6 +412,13 @@ TABLE = [
         out="generator,n,tau3,bound,certified\n0,1,305/672,1/2,1\n0,2,25/128,1/4,1\n0,3,1/8,1/8,1\n"
         "1,1,2719/6720,1/2,1\n1,2,61/384,1/4,1\n1,3,739/6720,1/8,1\n",
     ),
+    # on real the tau3 cells are floats, written as their repr
+    Row(
+        "run-density-real-csv", "run density --depth 4 --count 2 --group real --format csv",
+        out="generator,n,tau3,bound,certified\n0,1,0.4726210421643148,1/2,1\n"
+        "0,2,0.19082017393272288,1/4,1\n0,3,0.125,1/8,1\n1,1,0.4600381264770468,1/2,1\n"
+        "1,2,0.25,1/4,1\n1,3,0.125,1/8,1\n",
+    ),
     *(
         Row(f"run-odometer-{group}", f"run odometer --depth 6 --count 3 --group {group}",
             out=DUMPS if group == "vec:2" else None)
@@ -549,19 +557,29 @@ TABLE = [
     ),
     refused("gamma-happrox-eps0-1-0", "gamma happrox --input family-3.json --eps0 1/0",
             "'1/0' has a zero denominator"),
+    # a refused run flag is named; a --config value is a "bad config"
     refused("run-happrox-eps0-1-0", "run happrox --depth 3 --count 1 --eps0 1/0",
-            "bad config: '1/0' has a zero denominator"),
+            "--eps0: '1/0' has a zero denominator"),
     refused("run-topology-epsilon-max-1-0", "run topology --depth 3 --count 1 --epsilon-max 1/0",
-            "bad config: '1/0' has a zero denominator"),
+            "--epsilon-max: '1/0' has a zero denominator"),
+    refused("run-topology-group-foo", "run topology --depth 3 --count 1 --group foo",
+            "--group: unknown group tag 'foo'"),
+    refused("run-gh-config-seed-x-horizon-flag", "run gh --count 2 --config config-seed-x.json --horizon 3",
+            "bad config: seed must be an integer, got 'x'"),
+    refused("run-gh-config-seed-x-horizon-flag--1",
+            "run gh --count 2 --config config-seed-x.json --horizon -1",
+            "--horizon: horizon must be >= 0 and an integer, got -1"),
+    # a flag replaces the file's value unchecked
+    Row("run-gh-config-horizon-x-horizon-flag", "run gh --count 2 --config config-horizon-x.json --horizon 3"),
     *(
         refused(f"run-{suite}-{flag[2:]}-1e400{fmt.replace(' --format ', '-')}",
                 f"run {suite} --depth 3 --count 1 {flag} 1e400{fmt}",
-                f"bad config: {name} must lie within the float range, got '1e400'")
+                f"{flag}: {name} must lie within the float range, got '1e400'")
         for suite, flag, name in (("happrox", "--eps0", "eps0"), ("topology", "--epsilon-max", "epsilon_max"))
         for fmt in ("", " --format json", " --format csv")
     ),
     refused("run-gh-horizon--1", "run gh --depth 3 --count 2 --horizon -1",
-            "bad config: horizon must be >= 0 and an integer, got -1"),
+            "--horizon: horizon must be >= 0 and an integer, got -1"),
     refused("cocycle-gh-horizon--3", "cocycle gh --depth 3 --horizon -3 --input gen.json",
             "horizon must be >= 0, got -3"),
     *(
@@ -597,8 +615,19 @@ TABLE = [
         refused(f"run-gh-depth-{name}", f"run gh --depth {depth}", f"{DEPTH_RANGE}, got {depth}")
         for name, depth in HUGE_DEPTHS.items()
     ),
+    *(
+        refused(f"run-{suite}-bases-{bases}", f"run {suite} --bases {bases}",
+                "involution cocycles need the 2-odometer")
+        for suite, bases in (("odometer", "3,2,2"), ("happrox", "2,3"))
+    ),
+    refused("run-density-n-max-9", "run density --depth 4 --n-max 9", "n_max must lie in 1..3"),
     refused("run-nosuch", "run nosuch",
             "unknown suite 'nosuch'; available: density, gh, happrox, odometer, topology"),
+    # a word before the subcommand is refused under the root usage, one after it under its own
+    Row("bogus-before-run", "--bogus run gh --depth 3", 2, out="",
+        err="usage: cocycle-lab [-h] {run,cocycle,gamma} ...\n"
+            "cocycle-lab: error: unrecognized arguments: --bogus\n"),
+    unrecognized("run-gh-bogus", "run gh --depth 3 --bogus", "--bogus"),
     # no suite reads measures, so `run` has no --measures flag
     unrecognized("run-density-measures",
                  "run density --depth 4 --seed 2 --count 2 --measures measures-d4.json",

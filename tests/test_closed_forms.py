@@ -413,6 +413,14 @@ def test_xor_transport_matches_inverse_tables(tag, depth, s, seed):
         assert_same_payloads(new, old)
 
 
+def test_transport_reads_the_permutation_of_an_automorphism():
+    model = Odometer.binary(3)
+    a = ZCocycle(model, CylinderFunction(model.bases, RATIONALS, tuple(range(8))))
+    moved = transport(a, model)  # the odometer itself: the rotation by 1
+    assert moved == transport(a, model.permutation)
+    assert moved.generator.table == (7, 0, 1, 2, 3, 4, 5, 6)
+
+
 def test_transports_reject_noncommuting_permutations_exhaustively():
     # depth 2: of the 24 permutations, exactly the 4 rotations commute with
     # the odometer and exactly the 4 XORs commute with both digit flips

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -210,6 +211,14 @@ def return_time_oracle(model, marker_set, start):
     return t
 
 
+def test_tower_tops_are_the_marker_tops():
+    model = Odometer.binary(5)
+    markers = MarkerSequence(model)
+    for n in range(1, 5):
+        decomposition = towers_from_marker(model, markers.marker_indices(n))
+        assert decomposition.top_indices() == markers.top_indices(n)
+
+
 def test_towers_whole_space():
     decomposition = towers_from_marker(M3, list(iter_prefixes(B3)))
     assert [t.height for t in decomposition.towers] == [1]
@@ -313,6 +322,9 @@ def test_disagreement_set_is_exactly_the_top_set():
     for n in range(1, 5):
         p = periodic_approx(m, markers.marker_indices(n))
         assert aut_distance(p, m, fair) == Fraction(1, 2**n)
+        # an automorphism with model.bases but no bases of its own
+        bare = SimpleNamespace(permutation=p.permutation, model=m)
+        assert aut_distance(bare, m, fair) == Fraction(1, 2**n)
 
 
 def test_periodic_approx_general_marker_periods():

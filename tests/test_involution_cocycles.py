@@ -37,8 +37,14 @@ from cocycle_lab.involution_cocycles import (
     word_reduce,
 )
 from cocycle_lab.sampling import coboundary_generator, invariant_family, payload
-from cocycle_lab.space import CylinderFunction, index_to_prefix, iter_prefixes, prefix_to_index
-from cocycle_lab.suites import _dyadic_family, _round_trip, render_json
+from cocycle_lab.space import (
+    CylinderFunction,
+    binary_bases,
+    index_to_prefix,
+    iter_prefixes,
+    prefix_to_index,
+)
+from cocycle_lab.suites import ExperimentConfig, _dyadic_family, _round_trip, render_json
 from cocycle_lab.values import (
     APPROX_REALS,
     DYADICS,
@@ -927,7 +933,8 @@ def fraction_h_approximate(family, chain):
     alpha, p_base = fraction_potential_walk(base)
     g_table = [p - q for p, q in zip(p_base, p_rounded)]
     transfer = CylinderFunction(family.bases, group, tuple(g_table))
-    report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)))
+    max_transfer = Fraction(max(map(abs, g_table)))
+    report = TransferReport(base, rounded, transfer, radii, sum(radii, Fraction(0)), max_transfer)
 
     bound = report.radius_bound
     if bound > chain.eps0:
@@ -995,8 +1002,7 @@ def _assert_kernels_match(fam, eps0s=(Fraction(1, 4),)):
         new = h_approximate(fam, chain)
         assert json.dumps(new.to_json()).encode() == json.dumps(report.to_json()).encode()
         _same(new.transfer.table, report.transfer.table)
-        g, g_den = new._transfer_kernel
-        _same(tuple(Fraction(v, g_den) for v in g), new.transfer.table)
+        _same(new.max_transfer, report.max_transfer)
         _same(new.rounded_family.tables, report.rounded_family.tables)
         assert "_generator_tables" not in vars(new.beta)
         nums, _, den = new.beta._kernel_tables
@@ -1184,8 +1190,7 @@ def test_h_approximate_on_grid_ties_and_dyadics_matches_the_fraction_kernel(tag,
         _same(new.family.tables, report.family.tables)
         _same(new.rounded_family.tables, report.rounded_family.tables)
         _same(new.transfer.table, report.transfer.table)
-        g, g_den = new._transfer_kernel
-        _same(tuple(Fraction(v, g_den) for v in g), new.transfer.table)
+        _same(new.max_transfer, report.max_transfer)
         _same(new.beta._generator_tables, beta)
         # a dyadic entry, a grid midpoint or 3/12 over an L divisible by 21, stays as it is
         for table, rounded in zip(fam.tables, new.rounded_family.tables):
@@ -1330,6 +1335,52 @@ def test_run_happrox_walks_once_per_family(monkeypatch):
     assert len(walks) == 4
 
 
+def _literal_happrox(config):
+    """The rows, checks and exit code of ``run happrox`` from its definition:
+    the suite's draws replayed through the public samplers, and each family
+    approximated by ``fraction_h_approximate``."""
+    rng = random.Random(config.seed)
+    depth = len(config.bases)
+    chain = NeighborhoodChain(config.eps0)
+    rows, checks = [], []
+    for idx in range(config.count):
+        n_gen = rng.randint(1, min(4, depth))
+        family = invariant_family(rng, depth, n_gen, RATIONALS)
+        report, _ = fraction_h_approximate(family, chain)
+        max_g = max(abs(g) for g in report.transfer.table)
+        dyadic = all(is_dyadic(v) for table in report.rounded_family.tables for v in table)
+        rows.append({"family": idx, "generators": n_gen, "max_transfer": max_g,
+                     "bound": sum(report.radii, Fraction(0)), "dyadic": dyadic})
+        checks += [
+            {"name": f"family{idx}-dyadic", "passed": dyadic, "witness": ""},
+            {"name": f"family{idx}-transfer-bound", "passed": max_g <= config.eps0,
+             "witness": f"max|g|={max_g}"},
+        ]
+    return rows, checks, 0 if all(c["passed"] for c in checks) else 1
+
+
+def _cell(value):
+    """A report cell; a Fraction cell as its Fraction, after checking its decimal."""
+    if isinstance(value, dict):
+        assert value["decimal"] == float(Fraction(value["fraction"]))
+        return Fraction(value["fraction"])
+    return value
+
+
+@pytest.mark.parametrize("eps0", ["1/4", "1/3", "1"])
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_run_happrox_is_its_literal_definition(depth, eps0):
+    for seed in range(3):
+        argv = ["--depth", str(depth), "--count", "3", "--seed", str(seed), "--eps0", eps0]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "happrox", *argv])
+        report = json.loads(out.getvalue())
+        rows = [{k: _cell(v) for k, v in row.items()} for row in report["rows"]]
+        config = ExperimentConfig(binary_bases(depth), seed=seed, eps0=eps0, count=3)
+        assert (rows, report["checks"], code) == _literal_happrox(config)
+
+
 @pytest.mark.parametrize("tag", ["rat", "dy"])
 def test_a_wrong_entry_of_the_walk_fails_the_dyadic_approximation(monkeypatch, tag):
     # the same wrong entry in walks of f and of fbar would cancel in alpha - beta
@@ -1467,12 +1518,11 @@ def test_kernel_values_become_payloads_as_per_entry_fractions_do(nums, den, tag)
 
 
 @pytest.mark.parametrize("tag", ["rat", "dy"])
-def test_the_transfer_numerators_give_happrox_its_max_transfer(tag):
+def test_the_max_transfer_is_the_largest_transfer_value(tag):
     fam = invariant_family(random.Random(19), 7, 3, group_from_tag(tag))
     report = h_approximate(fam, NeighborhoodChain(Fraction(1, 4)))
-    g, den = report._transfer_kernel
     oracle = max(abs(v) for v in report.transfer.table)
-    _same(Fraction(max(max(g), -min(g)), den), oracle)
+    _same(report.max_transfer, oracle)
 
 
 # --- the slice kernels against their per-entry forms ---------------------------------------

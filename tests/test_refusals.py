@@ -268,7 +268,7 @@ CASES = [
          _one_orbit_towers()),
      PeriodicityError, "two base points on one orbit (index 1)"),
     ("report-unknown-format",
-     lambda: Report("gh", {}, ("case",)).render("xml"),
+     lambda: Report("gh", {}, ("case",), [], []).render("xml"),
      UsageError, "unknown format 'xml'"),
     ("density-suite-non-binary-bases",
      lambda: density_suite(ExperimentConfig(bases=(2, 3))),
@@ -395,6 +395,8 @@ CASES = [
     ("vector-record-zero-denominator",
      lambda: RationalVectorGroup(2).payload_from_json({"t": "vec", "v": [[1, 0], [0, 1]]}),
      ValueError, "value record 1/0 has a zero denominator"),
+    ("family-bases-2-3", lambda: GeneratorFamily((2, 3), RATIONALS, ((1, 2, 3),)),
+     ValueError, "digit flips need an all-binary base vector"),
     # every table entry is validated: a bad entry last is refused too
     *(
         (f"int-{what}-float-{name}", call, UnsupportedValueError, "integer group needs int, got 2.0")

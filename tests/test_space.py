@@ -1,6 +1,8 @@
 """Cylinder functions, exact measures, and the tau functionals."""
 
 from fractions import Fraction
+from math import inf, nextafter
+from sys import float_info
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,6 +14,7 @@ from cocycle_lab.space import (
     DiracMeasure,
     MarkovMeasure,
     MixtureMeasure,
+    _float_below,
     _law_sums,
     _tau_sums,
     aut_distance,
@@ -186,6 +189,13 @@ def test_markov_inhomogeneous_chain_product():
     x = (1, 1, 0)
     assert mu.mass(x) == rat(3, 5) * rat(2, 3) * rat(1, 2)
     assert measure_of_cylinder_set(mu, list(iter_prefixes(B3))) == 1
+
+
+def test_markov_mass_on_the_empty_prefix_is_one():
+    mats = (((rat(1), rat(0)), (rat(1, 3), rat(2, 3))),) * 2
+    mu = MarkovMeasure(B3, (rat(2, 5), rat(3, 5)), mats)
+    assert mu.mass(()) == 1
+    assert mu.mass_table(()) == (1,)
 
 
 def test_mixture_mass():
@@ -598,6 +608,40 @@ def test_every_exceedance_reader_refuses_a_float_radius_on_an_exact_group(reader
     zero = CylinderFunction.constant((2,), APPROX_REALS, 0.0)
     read = EXCEEDANCE_READERS[reader]
     assert read(h, zero, 0.5) == read(h, zero, rat(1, 2))
+
+
+# --- the real radius as a float threshold -----------------------------------
+# past the float range: float() raises OverflowError there
+PAST_FLOATS = st.builds(lambda n, d, sign: sign * Fraction((1 << 1030) + n, d),
+                        st.integers(0, 1 << 60), st.integers(1, 4), st.sampled_from((1, -1)))
+FRACTION_RADII = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),  # a float exactly
+    st.fractions(),  # almost always between two floats
+    st.fractions(max_value=0),  # negative
+    PAST_FLOATS,
+)
+
+
+@given(FRACTION_RADII, st.lists(st.floats(allow_nan=False), max_size=4))
+def test_the_float_threshold_agrees_with_the_fraction_comparison(eps, others):
+    e = _float_below(eps)
+    assert Fraction(e) <= eps if abs(e) != inf else e == -inf and eps < -float_info.max
+    try:
+        near = float(eps)
+    except OverflowError:
+        near = float_info.max if eps > 0 else -float_info.max
+    # the floats on either side of eps, and a few others
+    for d in (near, nextafter(near, inf), nextafter(near, -inf), 0.0, inf, -inf, *others):
+        assert (d > e) == (d > eps)
+
+
+def test_the_float_threshold_steps_down_from_a_float_above_the_radius():
+    assert _float_below(Fraction(0.1)) == 0.1  # a float exactly
+    assert _float_below(Fraction(1, 10)) == nextafter(0.1, -inf)  # float(1/10) > 1/10
+    assert _float_below(Fraction(1, 3)) == 1 / 3  # float(1/3) < 1/3
+    assert _float_below(Fraction(-1, 10)) == -0.1  # float(-1/10) < -1/10
+    assert _float_below(Fraction(1 << 1030)) == float_info.max
+    assert _float_below(Fraction(-(1 << 1030))) == -inf
 
 
 @given(tables3, tables3)
