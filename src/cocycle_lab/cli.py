@@ -207,6 +207,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gh(args) -> int:
+    if args.horizon is not None and args.horizon < 0:  # named up front, as ``run`` names it
+        raise UsageError(f"--horizon: horizon must be >= 0, got {args.horizon}")
     a = _load_cocycle(args)
     # the report prints the cycle sum: one past the int digit limit is
     # refused (int-to-text's ValueError) before the scan, not after it

@@ -46,6 +46,7 @@ from .dynamics import delta_apply
 from .space import (
     CylinderFunction,
     DepthError,
+    _Trusted,
     binary_bases,
     check_bases,
     full_prefix_index,
@@ -95,7 +96,7 @@ def _check_binary(bases) -> tuple[int, ...]:
 
 
 @record
-class GeneratorFamily:
+class GeneratorFamily(_Trusted):
     """Finitely many generator functions f_1..f_N at a common depth m >= N.
 
     ``tables[n-1]`` holds the values of f_n indexed by digits n+1..m (the
@@ -542,7 +543,7 @@ def recover_generators(
     """
     bases = _check_binary(bases)
     f, group, den = _recovered_kernel(oracle, count, bases, group)
-    return GeneratorFamily(bases, group, tuple(group.payloads_over(t, den) for t in f))
+    return GeneratorFamily._trusted(bases, group, tuple(group.payloads_over(t, den) for t in f))
 
 
 def psi(n: int, family: GeneratorFamily, x: Sequence[int]) -> GroupValue:
@@ -634,12 +635,13 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
             rounded[v] = Fraction(w - e, den)
         errors.append((tuple(map(error.__getitem__, table)),))
         rounded_tables.append(tuple(map(rounded.__getitem__, table)))
-    base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
-    rounded = GeneratorFamily(family.bases, group, tuple(rounded_tables))
+    trusted = GeneratorFamily._trusted
+    base = family if family.group == group else trusted(family.bases, group, family.tables)
+    rounded = trusted(family.bases, group, tuple(rounded_tables))
     differences, potential = _potential_walk(errors, family.depth, group)
     g_table = potential[0]
     top, bottom = max(g_table), min(g_table)
-    transfer = CylinderFunction(family.bases, group, group.payloads_over(potential, den))
+    transfer = CylinderFunction._trusted(family.bases, group, group.payloads_over(potential, den))
     bound = sum(radii, Fraction(0))
     report = TransferReport(base, rounded, transfer, radii, bound, Fraction(max(top, -bottom), den))
 

@@ -16,7 +16,10 @@ an entry draws once (``int``, ``mod:m``) or twice (``rat``, ``dy``), each
 kind in a loop of its own, and its draws combine into one int key.
 The value of each key is read off a table built once per group and span
 (on ``mod:m`` the key is the value), and a ``vec:d`` entry is d ``rat``
-entries; ``real`` draws each entry through ``payload``.  On the first four
+entries; ``real`` draws each entry through ``payload``.  A keyed table is
+stored trusted, not validated again (``_trusted``: every value it reads
+is a valid payload); a keyed function carries its kernel form
+``group.numerators(table)``, built from its distinct keys.  On the first four
 groups the topology suite reads a case's mu-law from the draw keys
 (``_perturbation_law``): it consumes f's draws without building f, g or
 the measure.
@@ -135,14 +138,27 @@ def _payloads(rng: random.Random, group: Group, span: int, n: int) -> list:
     if keyed is None:
         return [payload(rng, group, span) for _ in range(n)]
     widths, values = keyed
-    return list(map(values.__getitem__, _keys(rng, widths, n)))
+    return tuple(map(values.__getitem__, _keys(rng, widths, n)))
+
+
+def _keyed_function(bases: tuple, group: Group, values, keys: list) -> CylinderFunction:
+    """The trusted function on ``values[k]`` for the drawn ``keys`` (bases
+    checked after the draws, as the constructor did), with its kernel form:
+    ``group.numerators`` of the distinct keys' values (the table's L), per key."""
+    distinct = list(set(keys))
+    columns, scale = group.numerators([values[k] for k in distinct])
+    kernel = [list(map(dict(zip(distinct, column)).__getitem__, keys)) for column in columns]
+    table = tuple(map(values.__getitem__, keys))
+    return CylinderFunction._trusted(check_bases(bases), group, table, (kernel, scale))
 
 
 def cylinder_function(
     rng: random.Random, bases: Sequence[int], group: Group, span: int = 8
 ) -> CylinderFunction:
-    bases = tuple(bases)
-    return CylinderFunction(bases, group, _payloads(rng, group, span, space_size(bases)))
+    bases, keyed = tuple(bases), _keyed(group, span)
+    if keyed is None:
+        return CylinderFunction(bases, group, _payloads(rng, group, span, space_size(bases)))
+    return _keyed_function(bases, group, keyed[1], _keys(rng, keyed[0], space_size(bases)))
 
 
 #: The spans of f and of the perturbation h in ``perturbed_pair``.
@@ -168,20 +184,17 @@ def small_integer_function(
     if hi < lo:
         rng.randint(lo, hi)  # raises randrange's empty-range ValueError, drawing nothing
     keys = _keys(rng, (hi - lo + 1,), space_size(bases))
-    return CylinderFunction(bases, INTEGERS, [lo + k for k in keys])
+    return _keyed_function(bases, INTEGERS, range(lo, hi + 1), keys)
 
 
 def coboundary_generator(
     rng: random.Random, bases: Sequence[int], group: Group, span: int = 8
 ) -> tuple[CylinderFunction, CylinderFunction]:
     """A generator that is a coboundary by construction, with its transfer."""
-    bases = tuple(bases)
     transfer = cylinder_function(rng, bases, group, span)
-    n = space_size(bases)
-    table = tuple(
-        group.sub(transfer.table[(i + 1) % n], transfer.table[i]) for i in range(n)
-    )
-    return CylinderFunction(bases, group, table), transfer
+    t = transfer.table
+    table = tuple(group.sub(t[(i + 1) % len(t)], t[i]) for i in range(len(t)))
+    return CylinderFunction._trusted(transfer.bases, group, table), transfer
 
 
 def invariant_family(
@@ -195,7 +208,9 @@ def invariant_family(
     if count > depth:
         raise ValueError("family size cannot exceed the depth")
     tables = tuple(_payloads(rng, group, span, 1 << (depth - n)) for n in range(1, count + 1))
-    return GeneratorFamily((2,) * depth, group, tables)
+    if _keyed(group, span) is None or not tables:  # the validated tables, and every refusal
+        return GeneratorFamily((2,) * depth, group, tables)
+    return GeneratorFamily._trusted(check_bases((2,) * depth), group, tables)
 
 
 def _bernoulli_cuts(rng: random.Random, bases: Sequence[int]) -> list[list[int]]:

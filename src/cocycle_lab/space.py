@@ -124,8 +124,29 @@ def iter_prefixes(bases: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield index_to_prefix(i, bases)
 
 
+class _Trusted:
+    """The trusted constructor of ``CylinderFunction`` and ``GeneratorFamily``."""
+
+    @classmethod
+    def _trusted(cls, bases, group: Group, tables, kernel=None):
+        """An instance from an internal builder, without ``__post_init__``'s
+        per-entry checks: the caller guarantees checked ``bases`` and tables
+        of the class's lengths, tuples of entries each its own ``validate``
+        form, type included, and a ``kernel`` exactly ``group.numerators(table)``,
+        which rides along until ``ZCocycle._sums`` takes it.  On ``real`` (its
+        arithmetic can overflow to inf) the tables are validated, the kernel dropped."""
+        if not group.exact:
+            return cls(bases, group, tables)
+        built = object.__new__(cls)
+        for name, value in zip(cls._fields, (bases, group, tables)):
+            object.__setattr__(built, name, value)
+        if kernel is not None:
+            object.__setattr__(built, "_carried", kernel)
+        return built
+
+
 @record
-class CylinderFunction:
+class CylinderFunction(_Trusted):
     """A depth-m function given by a table of group payloads.
 
     ``table[i]`` is the value on the depth-m cylinder whose prefix has
@@ -182,7 +203,7 @@ class CylinderFunction:
         if len(bases) < self.depth or bases[: self.depth] != self.bases:
             raise DepthError(f"{bases} does not extend {self.bases}")
         reps = space_size(bases) // self.size
-        return CylinderFunction(bases, self.group, self.table * reps)
+        return CylinderFunction._trusted(bases, self.group, self.table * reps)
 
     def _aligned(self, other: "CylinderFunction"):
         if self.group != other.group:
@@ -191,23 +212,19 @@ class CylinderFunction:
             return self, other.lift(self.bases)
         return self.lift(other.bases), other
 
-    def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
+    def _pointwise(self, other: "CylinderFunction", op) -> "CylinderFunction":
         f, g = self._aligned(other)
-        add = self.group.add
-        return CylinderFunction(
-            f.bases, f.group, tuple(add(a, b) for a, b in zip(f.table, g.table))
-        )
+        return CylinderFunction._trusted(f.bases, f.group, tuple(map(op, f.table, g.table)))
+
+    def __add__(self, other: "CylinderFunction") -> "CylinderFunction":
+        return self._pointwise(other, self.group.add)
 
     def __sub__(self, other: "CylinderFunction") -> "CylinderFunction":
-        f, g = self._aligned(other)
-        sub = self.group.sub
-        return CylinderFunction(
-            f.bases, f.group, tuple(sub(a, b) for a, b in zip(f.table, g.table))
-        )
+        return self._pointwise(other, self.group.sub)
 
     def __neg__(self) -> "CylinderFunction":
         neg = self.group.neg
-        return CylinderFunction(self.bases, self.group, tuple(map(neg, self.table)))
+        return CylinderFunction._trusted(self.bases, self.group, tuple(map(neg, self.table)))
 
     def to_json(self):
         """The function as JSON; entries that are one payload object share one value

@@ -99,8 +99,12 @@ class ZCocycle:
     def _sums(self) -> tuple:
         """The running sums in kernel form (C, S, L), read once for every use:
         per column of ``group.numerators`` of the lifted table, over its L,
-        C[t] = f(0) + ... + f(t-1) for t < N and the cycle sum S = C[N-1] + f(N-1)."""
-        columns, scale = self.group.numerators(self._table)
+        C[t] = f(0) + ... + f(t-1) for t < N and the cycle sum S = C[N-1] + f(N-1).
+        The generator's kernel is tiled; one its builder left (``_trusted``) is taken over."""
+        kernel = self.generator.__dict__.pop("_carried", None)
+        columns, scale = kernel or self.group.numerators(self.generator.table)
+        reps = self.model.size // self.generator.size
+        columns = [col * reps for col in columns] if reps > 1 else columns
         start = 0 if self.group.exact else 0.0
         sums = [list(accumulate(col[:-1], initial=start)) for col in columns]
         return sums, [c[-1] + col[-1] for c, col in zip(sums, columns)], scale
@@ -228,7 +232,7 @@ def coboundary_solve(a: ZCocycle) -> Optional[CoboundaryCertificate]:
     group = a.group
     if not group.values_equal(a.cycle_sum_payload, group.zero()):
         return None
-    transfer = CylinderFunction(a.model.bases, group, a._partial)
+    transfer = CylinderFunction._trusted(a.model.bases, group, a._partial)
     sums, _, scale = a._sums
     return CoboundaryCertificate(a.model, a.generator, transfer, _spread_bound(sums, scale, group))
 

@@ -3,13 +3,16 @@
 Each ``*_case`` function draws one object from ``random.Random(seed)``
 through ``cocycle_lab.sampling`` and again through the literal per-entry
 calls it must reproduce (``payload`` or ``rng.randint``).  It returns the
-outcomes, each the object (or the ValueError it raised), its repr and the
-generator state after the draw; the sampler is right when all are equal.
+outcomes, each the object (or the ValueError it raised), its repr, the
+generator state after the draw and the kernel form of each function in
+it: the one a sampler hands over, and ``group.numerators`` of the literal
+table.  The sampler is right when all are equal.
 
     PYTHONPATH=src python tests/sampling_oracle.py [SEEDS]
 
 runs every case over all tags, spans and depths for SEEDS seeds (default
-10) and prints one summary line; it exits 1 on the first mismatch.
+10) and prints one summary line, with the number of handed-over kernels
+checked and the time taken; it exits 1 on the first mismatch.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from time import perf_counter
 
 from cocycle_lab import sampling
 from cocycle_lab.involution_cocycles import GeneratorFamily
@@ -29,13 +33,30 @@ SPANS = (1, 2, 3, 4, 8)
 DEPTHS = range(11)
 
 
+def _functions(value) -> list:
+    """The cylinder functions in an outcome's value."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return [p for p in parts if isinstance(p, CylinderFunction)]
+
+
+def carried(value) -> int:
+    """How many functions in ``value`` carry a kernel form."""
+    return sum("_carried" in f.__dict__ for f in _functions(value))
+
+
+def kernels(value) -> list:
+    """The kernel form of each function in ``value``: the one it carries,
+    else ``group.numerators`` of its table."""
+    return [f.__dict__.get("_carried") or f.group.numerators(f.table) for f in _functions(value)]
+
+
 def outcome(draw, seed):
     rng = random.Random(seed)
     try:
         value = draw(rng)
     except ValueError as exc:
         value = (type(exc).__name__, str(exc))
-    return value, repr(value), rng.getstate()
+    return value, repr(value), rng.getstate(), kernels(value)
 
 
 def _literal_table(rng, group, span, n):
@@ -150,14 +171,19 @@ def all_cases(seed):
 
 def main(argv):
     seeds = int(argv[1]) if len(argv) > 1 else 10
-    checked = 0
+    checked = handed = 0
+    start = perf_counter()
     for seed in range(seeds):
         for name, outcomes in all_cases(seed):
             if any(o != outcomes[0] for o in outcomes[1:]):
                 print(f"mismatch: {name}")
                 return 1
             checked += 1
-    print(f"python {sys.version.split()[0]}: {checked} cases over {seeds} seeds agree")
+            handed += carried(outcomes[0][0])
+    print(
+        f"python {sys.version.split()[0]}: {checked} cases over {seeds} seeds agree, "
+        f"{handed} handed-over kernels among them, in {perf_counter() - start:.1f} s"
+    )
     return 0
 
 

@@ -4,9 +4,9 @@ Every JSON document the CLI reads -- generator tables (int and real),
 generator families, measure lists and run configs -- is mutated at depth
 <= 4: a value is replaced by one of a few wrong-typed, out-of-range or
 non-finite (NaN, Infinity, -Infinity) values, a key or list
-entry is dropped, a value is nested in up to about a thousand lists or
-objects (past the recursion limit of CPython up to 3.11), or the whole document is
-wrapped in a list.  Whatever the mutation, ``cli.main`` must return 0, 1 or
+entry is dropped, a value is nested in up to 20 lists or objects or in
+just more than the running interpreter's JSON decoder accepts, or the whole
+document is wrapped in a list.  Whatever the mutation, ``cli.main`` must return 0, 1 or
 2 and never print a traceback.
 """
 
@@ -112,7 +112,42 @@ def _text(doc) -> str:
     return text
 
 
-LEVELS = st.one_of(st.integers(1, 20), st.integers(900, 1100))
+@functools.cache
+def least_refused_nesting(kind: str) -> int:
+    """The least nesting of ``kind`` at which ``json.loads`` raises
+    ``RecursionError`` here, probed.  Up to CPython 3.11 it follows
+    ``sys.getrecursionlimit()`` less the frames on the stack; since 3.12 it
+    does not (a 1,200-deep list parses there), and moves by the few C calls
+    on the stack, such as this function's cache."""
+
+    def refused(levels):
+        try:
+            json.loads(Nested(0, levels, kind).text())
+        except RecursionError:
+            return True
+        return False
+
+    accepted, least = 0, 1000  # refused(least), and not refused(accepted)
+    while not refused(least):
+        accepted, least = least, 2 * least
+        assert least < 1 << 24, "json.loads never refused a nesting"
+    while least - accepted > 1:
+        mid = (accepted + least) // 2
+        accepted, least = (accepted, mid) if refused(mid) else (mid, least)
+    return least
+
+
+def _past_the_limit():
+    """Nestings just past the running interpreter's probed limit, of either
+    kind.  Probed from a script, the least refused nesting is 992 on
+    CPython 3.10.13 and 3.11.7, 1,495 on 3.12.1 and 9,996 on 3.13.0."""
+    least = max(map(least_refused_nesting, ("list", "dict"))) + 100
+    return st.integers(least, least + 200)
+
+
+#: Nestings that parse, and nestings that reach the ``RecursionError``
+#: branch of ``cli._decode`` on every interpreter (probed on first use).
+LEVELS = st.one_of(st.integers(1, 20), st.deferred(_past_the_limit))
 
 
 def _paths(doc, depth=4, path=()):
@@ -245,31 +280,6 @@ FLAGS = {
         "measures",
     ),
 }
-
-
-@functools.cache
-def least_refused_nesting(kind: str) -> int:
-    """The least nesting of ``kind`` at which ``json.loads`` raises
-    ``RecursionError`` here, probed.  Up to CPython 3.11 it follows
-    ``sys.getrecursionlimit()`` less the frames on the stack; since 3.12 it
-    does not (a 1,200-deep list parses there), and moves by the few C calls
-    on the stack, such as this function's cache."""
-
-    def refused(levels):
-        try:
-            json.loads(Nested(0, levels, kind).text())
-        except RecursionError:
-            return True
-        return False
-
-    accepted, least = 0, 1000  # refused(least), and not refused(accepted)
-    while not refused(least):
-        accepted, least = least, 2 * least
-        assert least < 1 << 24, "json.loads never refused a nesting"
-    while least - accepted > 1:
-        mid = (accepted + least) // 2
-        accepted, least = (accepted, mid) if refused(mid) else (mid, least)
-    return least
 
 
 @pytest.mark.parametrize("flag", FLAGS)

@@ -581,7 +581,7 @@ TABLE = [
     refused("run-gh-horizon--1", "run gh --depth 3 --count 2 --horizon -1",
             "--horizon: horizon must be >= 0 and an integer, got -1"),
     refused("cocycle-gh-horizon--3", "cocycle gh --depth 3 --horizon -3 --input gen.json",
-            "horizon must be >= 0, got -3"),
+            "--horizon: horizon must be >= 0, got -3"),
     *(
         refused(f"count-flag-{i}", command, f"{flag} must be >= 1, got {value}")
         for i, (command, flag, value) in enumerate((
