@@ -6,9 +6,9 @@ missing, unknown or repeated argument, then ``__post_init__`` if the
 instance has one), ``==`` between instances of one class over the
 fields, their ``hash``, a ``Name(field=value, ...)`` repr, and a
 ``__setattr__`` and ``__delattr__`` that refuse with
-``FrozenInstanceError``.  Each is a closure over the field names, and a
-record's state is its fields: a ``__post_init__`` that normalises one
-sets it through ``object.__setattr__``.
+``FrozenInstanceError``.  Each is a closure over the field names: what a
+record compares, hashes and shows is its fields (a ``__post_init__`` that
+normalises one sets it through ``object.__setattr__``).
 
 It exists for start-up time.  ``@dataclass`` compiles the source of
 every method it generates with ``exec``, and ``dataclasses`` imports

@@ -54,7 +54,7 @@ from .suites import (
     run as run_suite,
 )
 from .values import NeighborhoodChain, UnsupportedValueError, _require_object, as_fraction
-from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
+from .zcocycles import ZCocycle, _horizon, coboundary_solve, density_table, gh_check
 
 
 def _message(exc: Exception) -> str:
@@ -207,12 +207,14 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gh(args) -> int:
-    if args.horizon is not None and args.horizon < 0:  # named up front, as ``run`` names it
-        raise UsageError(f"--horizon: horizon must be >= 0, got {args.horizon}")
     a = _load_cocycle(args)
     # the report prints the cycle sum: one past the int digit limit is
     # refused (int-to-text's ValueError) before the scan, not after it
     render_json(a.cycle_sum.to_json())
+    try:
+        _horizon(args.horizon, 0)
+    except ValueError as exc:  # a refused horizon is named, as ``run`` names it
+        raise UsageError(f"--horizon: {exc}") from None
     _emit_json(gh_check(a, horizon=args.horizon).to_json(), args)
     return 0
 

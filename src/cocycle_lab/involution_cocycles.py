@@ -635,9 +635,8 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
             rounded[v] = Fraction(w - e, den)
         errors.append((tuple(map(error.__getitem__, table)),))
         rounded_tables.append(tuple(map(rounded.__getitem__, table)))
-    trusted = GeneratorFamily._trusted
-    base = family if family.group == group else trusted(family.bases, group, family.tables)
-    rounded = trusted(family.bases, group, tuple(rounded_tables))
+    base = family if family.group == group else GeneratorFamily(family.bases, group, family.tables)
+    rounded = GeneratorFamily._trusted(family.bases, group, tuple(rounded_tables))
     differences, potential = _potential_walk(errors, family.depth, group)
     g_table = potential[0]
     top, bottom = max(g_table), min(g_table)

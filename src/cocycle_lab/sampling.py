@@ -16,11 +16,10 @@ an entry draws once (``int``, ``mod:m``) or twice (``rat``, ``dy``), each
 kind in a loop of its own, and its draws combine into one int key.
 The value of each key is read off a table built once per group and span
 (on ``mod:m`` the key is the value), and a ``vec:d`` entry is d ``rat``
-entries; ``real`` draws each entry through ``payload``.  A keyed table is
-stored trusted, not validated again (``_trusted``: every value it reads
-is a valid payload); a keyed function carries its kernel form
-``group.numerators(table)``, built from its distinct keys.  On the first four
-groups the topology suite reads a case's mu-law from the draw keys
+entries; ``real`` draws each entry through ``payload``.  A keyed function
+is stored trusted (``_trusted``), with its kernel form: ``group.numerators``
+of its distinct keys' values (the table's L), read per key.  On the first
+four groups the topology suite reads a case's mu-law from the draw keys
 (``_perturbation_law``): it consumes f's draws without building f, g or
 the measure.
 """
@@ -130,21 +129,19 @@ def _keyed(group: Group, span: int):
     return (widths, values) if min(widths) >= 1 else None
 
 
-def _payloads(rng: random.Random, group: Group, span: int, n: int) -> list:
+def _payloads(rng: random.Random, group: Group, span: int, n: int) -> tuple:
     """n entries, equal to n literal ``payload(rng, group, span)`` calls."""
     if isinstance(group, RationalVectorGroup):
-        return list(zip(*[iter(_payloads(rng, RATIONALS, span, n * group.dim))] * group.dim))
+        return tuple(zip(*[iter(_payloads(rng, RATIONALS, span, n * group.dim))] * group.dim))
     keyed = _keyed(group, span)
     if keyed is None:
-        return [payload(rng, group, span) for _ in range(n)]
+        return tuple(payload(rng, group, span) for _ in range(n))
     widths, values = keyed
     return tuple(map(values.__getitem__, _keys(rng, widths, n)))
 
 
 def _keyed_function(bases: tuple, group: Group, values, keys: list) -> CylinderFunction:
-    """The trusted function on ``values[k]`` for the drawn ``keys`` (bases
-    checked after the draws, as the constructor did), with its kernel form:
-    ``group.numerators`` of the distinct keys' values (the table's L), per key."""
+    """The trusted function on ``values[k]`` for the drawn ``keys``, with its kernel."""
     distinct = list(set(keys))
     columns, scale = group.numerators([values[k] for k in distinct])
     kernel = [list(map(dict(zip(distinct, column)).__getitem__, keys)) for column in columns]
@@ -208,9 +205,7 @@ def invariant_family(
     if count > depth:
         raise ValueError("family size cannot exceed the depth")
     tables = tuple(_payloads(rng, group, span, 1 << (depth - n)) for n in range(1, count + 1))
-    if _keyed(group, span) is None or not tables:  # the validated tables, and every refusal
-        return GeneratorFamily((2,) * depth, group, tables)
-    return GeneratorFamily._trusted(check_bases((2,) * depth), group, tables)
+    return GeneratorFamily((2,) * depth, group, tables)
 
 
 def _bernoulli_cuts(rng: random.Random, bases: Sequence[int]) -> list[list[int]]:

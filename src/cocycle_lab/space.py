@@ -129,19 +129,16 @@ class _Trusted:
 
     @classmethod
     def _trusted(cls, bases, group: Group, tables, kernel=None):
-        """An instance from an internal builder, without ``__post_init__``'s
-        per-entry checks: the caller guarantees checked ``bases`` and tables
-        of the class's lengths, tuples of entries each its own ``validate``
-        form, type included, and a ``kernel`` exactly ``group.numerators(table)``,
-        which rides along until ``ZCocycle._sums`` takes it.  On ``real`` (its
-        arithmetic can overflow to inf) the tables are validated, the kernel dropped."""
-        if not group.exact:
+        """An instance without ``__post_init__``'s per-entry checks.  The caller
+        guarantees checked ``bases``, tables of the class's lengths that are
+        tuples of ``validate``-form entries (type included), and a ``kernel``
+        exactly ``group.numerators`` of a function's table (``_numerators``)."""
+        if not group.exact:  # real arithmetic can overflow to inf: validated
             return cls(bases, group, tables)
         built = object.__new__(cls)
-        for name, value in zip(cls._fields, (bases, group, tables)):
-            object.__setattr__(built, name, value)
+        built.__dict__.update(zip(cls._fields, (bases, group, tables)))
         if kernel is not None:
-            object.__setattr__(built, "_carried", kernel)
+            built.__dict__["_kernel"] = kernel
         return built
 
 
@@ -205,6 +202,10 @@ class CylinderFunction(_Trusted):
         reps = space_size(bases) // self.size
         return CylinderFunction._trusted(bases, self.group, self.table * reps)
 
+    def _numerators(self) -> tuple:
+        """``group.numerators(table)``: a trusted builder's kernel, handed over once."""
+        return self.__dict__.pop("_kernel", None) or self.group.numerators(self.table)
+
     def _aligned(self, other: "CylinderFunction"):
         if self.group != other.group:
             raise GroupMismatchError(f"{self.group!r} vs {other.group!r}")
@@ -223,8 +224,7 @@ class CylinderFunction(_Trusted):
         return self._pointwise(other, self.group.sub)
 
     def __neg__(self) -> "CylinderFunction":
-        neg = self.group.neg
-        return CylinderFunction._trusted(self.bases, self.group, tuple(map(neg, self.table)))
+        return CylinderFunction._trusted(self.bases, self.group, tuple(map(self.group.neg, self.table)))
 
     def to_json(self):
         """The function as JSON; entries that are one payload object share one value

@@ -98,11 +98,9 @@ class ZCocycle:
     @cached_property
     def _sums(self) -> tuple:
         """The running sums in kernel form (C, S, L), read once for every use:
-        per column of ``group.numerators`` of the lifted table, over its L,
-        C[t] = f(0) + ... + f(t-1) for t < N and the cycle sum S = C[N-1] + f(N-1).
-        The generator's kernel is tiled; one its builder left (``_trusted``) is taken over."""
-        kernel = self.generator.__dict__.pop("_carried", None)
-        columns, scale = kernel or self.group.numerators(self.generator.table)
+        per column of the generator's ``_numerators`` tiled to the model, over
+        its L, C[t] = f(0) + ... + f(t-1) for t < N and the cycle sum S = C[N-1] + f(N-1)."""
+        columns, scale = self.generator._numerators()
         reps = self.model.size // self.generator.size
         columns = [col * reps for col in columns] if reps > 1 else columns
         start = 0 if self.group.exact else 0.0
@@ -951,6 +949,17 @@ def _check_scan(group, size: int, scan_to: int, what: str, step) -> None:
         )
 
 
+def _horizon(horizon, size: int) -> int:
+    """A gh scan's horizon: 4N when None, else refused unless an int >= 0."""
+    if horizon is None:
+        return 4 * size
+    if not _is_int(horizon):
+        raise ValueError(f"horizon must be >= 0 and an integer, got {horizon!r}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    return horizon
+
+
 def gh_check(
     h,
     horizon: int | None = None,
@@ -985,12 +994,7 @@ def gh_check(
     a = _as_cocycle(h, model)
     group = a.group
     size = a.model.size
-    if horizon is None:
-        horizon = 4 * size
-    if not _is_int(horizon):
-        raise ValueError(f"horizon must be >= 0 and an integer, got {horizon!r}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    horizon = _horizon(horizon, size)
     decision = group.values_equal(a.cycle_sum_payload, group.zero())
     # For a coboundary the window sums are periodic in j with period N,
     # so radii beyond N-1 repeat earlier values.

@@ -4,15 +4,17 @@ Each ``*_case`` function draws one object from ``random.Random(seed)``
 through ``cocycle_lab.sampling`` and again through the literal per-entry
 calls it must reproduce (``payload`` or ``rng.randint``).  It returns the
 outcomes, each the object (or the ValueError it raised), its repr, the
-generator state after the draw and the kernel form of each function in
-it: the one a sampler hands over, and ``group.numerators`` of the literal
-table.  The sampler is right when all are equal.
+generator state after the draw and the kernel form the running sums read
+of each function in it (``CylinderFunction._numerators``: the one a
+sampler hands over).  The sampler is right when all are equal and the
+sampled functions' kernel forms equal ``group.numerators`` of the literal
+tables, L included.
 
     PYTHONPATH=src python tests/sampling_oracle.py [SEEDS]
 
 runs every case over all tags, spans and depths for SEEDS seeds (default
-10) and prints one summary line, with the number of handed-over kernels
-checked and the time taken; it exits 1 on the first mismatch.
+10) and prints one summary line, with the number of kernel forms checked
+and the time taken; it exits 1 on the first mismatch.
 """
 
 from __future__ import annotations
@@ -39,15 +41,14 @@ def _functions(value) -> list:
     return [p for p in parts if isinstance(p, CylinderFunction)]
 
 
-def carried(value) -> int:
-    """How many functions in ``value`` carry a kernel form."""
-    return sum("_carried" in f.__dict__ for f in _functions(value))
-
-
 def kernels(value) -> list:
-    """The kernel form of each function in ``value``: the one it carries,
-    else ``group.numerators`` of its table."""
-    return [f.__dict__.get("_carried") or f.group.numerators(f.table) for f in _functions(value)]
+    """The kernel form ``ZCocycle._sums`` reads of each function in ``value``."""
+    return [f._numerators() for f in _functions(value)]
+
+
+def numerators(value) -> list:
+    """``group.numerators`` of each function's table in ``value``."""
+    return [f.group.numerators(f.table) for f in _functions(value)]
 
 
 def outcome(draw, seed):
@@ -171,18 +172,19 @@ def all_cases(seed):
 
 def main(argv):
     seeds = int(argv[1]) if len(argv) > 1 else 10
-    checked = handed = 0
+    checked = forms = 0
     start = perf_counter()
     for seed in range(seeds):
         for name, outcomes in all_cases(seed):
-            if any(o != outcomes[0] for o in outcomes[1:]):
+            sampled, literal = outcomes[0], outcomes[-1]
+            if any(o != sampled for o in outcomes[1:]) or sampled[3] != numerators(literal[0]):
                 print(f"mismatch: {name}")
                 return 1
             checked += 1
-            handed += carried(outcomes[0][0])
+            forms += len(sampled[3])
     print(
         f"python {sys.version.split()[0]}: {checked} cases over {seeds} seeds agree, "
-        f"{handed} handed-over kernels among them, in {perf_counter() - start:.1f} s"
+        f"{forms} kernel forms among them, in {perf_counter() - start:.1f} s"
     )
     return 0
 

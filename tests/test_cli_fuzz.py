@@ -3,11 +3,11 @@
 Every JSON document the CLI reads -- generator tables (int and real),
 generator families, measure lists and run configs -- is mutated at depth
 <= 4: a value is replaced by one of a few wrong-typed, out-of-range or
-non-finite (NaN, Infinity, -Infinity) values, a key or list
-entry is dropped, a value is nested in up to 20 lists or objects or in
-just more than the running interpreter's JSON decoder accepts, or the whole
-document is wrapped in a list.  Whatever the mutation, ``cli.main`` must return 0, 1 or
-2 and never print a traceback.
+non-finite (NaN, Infinity, -Infinity) values, a key or list entry is
+dropped, a value is nested in up to 20 lists or objects or in a nesting
+within 300 levels of the least one the running interpreter's JSON decoder
+refuses, or the whole document is wrapped in a list.  Whatever the
+mutation, ``cli.main`` must return 0, 1 or 2 and never print a traceback.
 """
 
 import contextlib
@@ -137,17 +137,19 @@ def least_refused_nesting(kind: str) -> int:
     return least
 
 
-def _past_the_limit():
-    """Nestings just past the running interpreter's probed limit, of either
-    kind.  Probed from a script, the least refused nesting is 992 on
-    CPython 3.10.13 and 3.11.7, 1,495 on 3.12.1 and 9,996 on 3.13.0."""
-    least = max(map(least_refused_nesting, ("list", "dict"))) + 100
-    return st.integers(least, least + 200)
+def _around_the_limit():
+    """Nestings within 300 levels of the running interpreter's probed limit,
+    of either kind.  Probed from a script, the least refused nesting is 992
+    on CPython 3.10.13 and 3.11.7, 1,495 on 3.12.1 and 9,996 on 3.13.0."""
+    least = max(map(least_refused_nesting, ("list", "dict")))
+    return st.integers(least - 300, least + 300)
 
 
-#: Nestings that parse, and nestings that reach the ``RecursionError``
-#: branch of ``cli._decode`` on every interpreter (probed on first use).
-LEVELS = st.one_of(st.integers(1, 20), st.deferred(_past_the_limit))
+#: Shallow nestings, and deep ones on both sides of the decoder's limit:
+#: deep documents that parse and reach the CLI's checks, and ones that
+#: reach the ``RecursionError`` branch of ``cli._decode``, on every
+#: interpreter (probed on first use).
+LEVELS = st.one_of(st.integers(1, 20), st.deferred(_around_the_limit))
 
 
 def _paths(doc, depth=4, path=()):

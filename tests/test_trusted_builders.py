@@ -2,12 +2,15 @@
 (``CylinderFunction._trusted``, ``GeneratorFamily._trusted``); the
 validating public constructors stay the oracle.  Every builder's output
 must equal the public constructor's on its table, entry types included,
-and a kernel form a sampler hands over must be exactly
-``group.numerators`` of the table, with the same L.
+and the kernel form a sampler builds from its draw keys must be exactly
+``group.numerators`` of the table, with the same L, handed to the running
+sums once.
 """
 
 import random
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -22,7 +25,7 @@ from cocycle_lab.involution_cocycles import (
     recover_generators,
 )
 from cocycle_lab.space import CylinderFunction
-from cocycle_lab.values import NeighborhoodChain, group_from_tag
+from cocycle_lab.values import INTEGERS, NeighborhoodChain, group_from_tag
 from cocycle_lab.zcocycles import ZCocycle, coboundary_solve
 
 
@@ -36,17 +39,22 @@ def _same(a, b) -> bool:
 
 
 def assert_validated(built) -> None:
-    """``built`` is what the validating constructor makes of its own
-    fields, and a kernel it still carries is the one that would be computed."""
+    """``built`` is what the validating constructor makes of its own fields."""
     group = built.group
-    kernel = built.__dict__.get("_carried")
     if isinstance(built, GeneratorFamily):
         oracle = GeneratorFamily(built.bases, group, built.tables)
-        assert built == oracle and _same(built.tables, oracle.tables) and kernel is None
+        assert built == oracle and _same(built.tables, oracle.tables)
     else:
         oracle = CylinderFunction(built.bases, group, built.table)
         assert built == oracle and _same(built.table, oracle.table)
-        assert kernel is None or kernel == group.numerators(oracle.table)
+
+
+def _numerators_refused(group, carried: bool):
+    """A context in which ``group.numerators`` fails when ``carried``: the
+    kernel must come from the function's builder."""
+    if not carried:
+        return nullcontext()
+    return patch.object(type(group), "numerators", side_effect=AssertionError("recomputed"))
 
 
 @given(
@@ -61,24 +69,43 @@ def test_every_trusted_builder_equals_its_validated_form(seed, tag, span, depth)
         with pytest.raises(ValueError, match="base vector must be nonempty"):
             sampling.cylinder_function(rng, bases, group, span)
         return
-    f = sampling.cylinder_function(rng, bases, group, span)
-    g, transfer = sampling.coboundary_generator(rng, bases, group, span)
-    h = sampling.cylinder_function(rng, (2,), group, span)
-    small = sampling.small_integer_function(rng, bases, -span, span)
+    keyed = sampling._keyed(group, span) is not None
+
+    def draws(rng):
+        f = sampling.cylinder_function(rng, bases, group, span)
+        g, transfer = sampling.coboundary_generator(rng, bases, group, span)
+        h = sampling.cylinder_function(rng, (2,), group, span)
+        small = sampling.small_integer_function(rng, bases, -span, span)
+        return f, g, transfer, h, small
+
+    # a sampled function's kernel is group.numerators of its table, L included
+    carriers = ((0, keyed), (2, keyed), (3, keyed), (4, True))  # f, transfer, h, small
+    functions = draws(random.Random(seed))
+    for k, carried in carriers:
+        fn = functions[k]
+        with _numerators_refused(fn.group, carried):
+            kernel = fn._numerators()
+        assert kernel == fn.group.numerators(fn.table)
+
+    # the running sums take it over, tiled on a deeper model, as they read the
+    # validated lifted table, and the function keeps none
+    functions = draws(random.Random(seed))
+    for k, carried in carriers:
+        fn = functions[k]
+        model = Odometer(bases + (2,))
+        lifted = CylinderFunction(model.bases, fn.group, fn.table * (model.size // fn.size))
+        with _numerators_refused(fn.group, carried):
+            sums = ZCocycle(model, fn)._sums
+            if carried:
+                with pytest.raises(AssertionError, match="recomputed"):
+                    fn._numerators()
+        assert sums == ZCocycle(model, lifted)._sums
+
+    f, g, transfer, h, small = draws(rng)
+    assert small.group == INTEGERS
     family = sampling.invariant_family(rng, depth, rng.randint(1, depth), group, span)
     for built in (f, g, transfer, h, small, family):
         assert_validated(built)
-    keyed = [f, transfer, h] if group.exact and tag != "vec:2" else []
-    assert [x for x in (f, g, transfer, h, family) if "_carried" in x.__dict__] == keyed
-    assert "_carried" in small.__dict__
-
-    # the running sums read a handed-over kernel, tiled on a deeper model,
-    # as they read the validated table, and the function keeps no kernel
-    for fn, model in ((f, Odometer(bases + (2,))), (transfer, Odometer(bases))):
-        lifted = CylinderFunction(model.bases, group, fn.table * (model.size // fn.size))
-        assert ZCocycle(model, fn)._sums == ZCocycle(model, lifted)._sums
-        assert "_carried" not in fn.__dict__
-
     for built in (f.lift(bases + (2, 2)), f + h, h - f, -f, f + g, g - g):
         assert_validated(built)
     certificate = coboundary_solve(ZCocycle(Odometer(bases), g))
