@@ -89,6 +89,14 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
+def _flag(parse, value, flag: str):
+    """``parse(value)`` for a flag's value; a refusal names the flag."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _flag_bases(args) -> tuple[int, ...] | None:
     """The model named by --bases or else --depth; None when neither is given
     (an empty --bases is given, and refused)."""
@@ -149,7 +157,10 @@ def _cmd_run(args) -> int:
         config = ExperimentConfig.from_json(obj)
     except UsageError:  # name a flag that is refused alone (_flag_bases checked the model's)
         for key, value in flags.items():
-            ExperimentConfig.from_json({key: value}, "--" + key.replace("_", "-"))
+            flag = "--" + key.replace("_", "-")
+            if key in ("eps0", "epsilon_max"):  # named by the flag, not by the config key
+                _flag(as_fraction, value, flag)
+            ExperimentConfig.from_json({key: value}, flag)
         raise
     report = run_suite(config, args.suite)
     _emit(report.render(args.format), args)
@@ -211,10 +222,7 @@ def _cmd_gh(args) -> int:
     # the report prints the cycle sum: one past the int digit limit is
     # refused (int-to-text's ValueError) before the scan, not after it
     render_json(a.cycle_sum.to_json())
-    try:
-        _horizon(args.horizon, 0)
-    except ValueError as exc:  # a refused horizon is named, as ``run`` names it
-        raise UsageError(f"--horizon: {exc}") from None
+    _flag(lambda horizon: _horizon(horizon, 0), args.horizon, "--horizon")
     _emit_json(gh_check(a, horizon=args.horizon).to_json(), args)
     return 0
 
@@ -237,7 +245,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_happrox(args) -> int:
     family = _decode(args.input, GeneratorFamily.from_json)
-    chain = NeighborhoodChain(as_fraction(args.eps0))
+    chain = _flag(NeighborhoodChain, args.eps0, "--eps0")
     try:
         result = h_approximate(family, chain)
     except UnsupportedValueError as exc:  # a family outside Q

@@ -95,6 +95,23 @@ def _check_binary(bases) -> tuple[int, ...]:
     return bases
 
 
+def _shaped(tables, bases: tuple[int, ...], validate=None) -> tuple:
+    """The tables of a family at ``bases`` as tuples, each entry through ``validate``
+    if given, refused unless there are 1..depth of them and table n has 2^(depth - n)."""
+    if not tables:
+        raise ValueError("family needs at least one generator")
+    if len(tables) > len(bases):
+        raise DepthError(f"{len(tables)} generators need depth >= {len(tables)}, got {len(bases)}")
+    shaped = []
+    for n, table in enumerate(tables, start=1):
+        table = tuple(table if validate is None else map(validate, table))
+        expected = 1 << (len(bases) - n)
+        if len(table) != expected:
+            raise ValueError(f"generator {n} table has {len(table)} entries, needs {expected}")
+        shaped.append(table)
+    return tuple(shaped)
+
+
 @record
 class GeneratorFamily(_Trusted):
     """Finitely many generator functions f_1..f_N at a common depth m >= N.
@@ -109,25 +126,12 @@ class GeneratorFamily(_Trusted):
     tables: tuple
 
     def __post_init__(self):
-        bases = _check_binary(self.bases)
-        object.__setattr__(self, "bases", bases)
-        if not self.tables:
-            raise ValueError("family needs at least one generator")
-        if len(self.tables) > len(bases):
-            raise DepthError(
-                f"{len(self.tables)} generators need depth >= {len(self.tables)}, "
-                f"got {len(bases)}"
-            )
-        cleaned = []
-        for n, table in enumerate(self.tables, start=1):
-            expected = 1 << (len(bases) - n)
-            table = tuple(map(self.group.validate, table))
-            if len(table) != expected:
-                raise ValueError(
-                    f"generator {n} table has {len(table)} entries, needs {expected}"
-                )
-            cleaned.append(table)
-        object.__setattr__(self, "tables", tuple(cleaned))
+        object.__setattr__(self, "bases", _check_binary(self.bases))
+        object.__setattr__(self, "tables", _shaped(self.tables, self.bases, self.group.validate))
+
+    def _numerators(self) -> tuple[tuple, int]:
+        """``_kernel_form(tables, group)``: a decoded family's kernel, handed over once."""
+        return self.__dict__.pop("_kernel", None) or _kernel_form(self.tables, self.group)
 
     @property
     def depth(self) -> int:
@@ -186,19 +190,21 @@ class GeneratorFamily(_Trusted):
 
     @classmethod
     def from_json(cls, obj) -> "GeneratorFamily":
+        """The family of a JSON object, refused as the constructor refuses it, its
+        records decoded once (``Group._decoded``), carrying the kernel built there."""
         _require_object(obj, "a generator family")
         group = group_from_tag(obj["group"])
         bases = binary_bases(obj["depth"])
-        tables = [
-            group.payloads_from_json(_require_list(table, "an entry of tables"))
+        tables, kernel = group._decoded(
+            _require_list(table, "an entry of tables")
             for table in _require_list(obj["tables"], "tables")
-        ]
+        )
         count = obj.get("N", len(tables))
         if not _is_int(count):
             raise ValueError(f"N must be an integer, got {count!r}")
         if len(tables) != count:
             raise ValueError("N field disagrees with the number of tables")
-        return cls(bases, group, tables)
+        return cls._trusted(bases, group, _shaped(tables, bases), kernel)
 
 
 def word_reduce(word: Iterable[int]) -> frozenset[int]:
@@ -317,7 +323,7 @@ class InvolutionCocycle:
     @cached_property
     def _kernel_family(self) -> tuple[tuple, int]:
         """The family's tables in kernel form (``_kernel_form``) and their denominator."""
-        return _kernel_form(self.family.tables, self.group)
+        return self.family._numerators()
 
     @cached_property
     def _kernel_tables(self) -> tuple[tuple, list, int]:
@@ -621,7 +627,7 @@ def h_approximate(family: GeneratorFamily, chain: NeighborhoodChain) -> Transfer
         )
     group = RATIONALS
     radii = tuple(chain.radii(family.count))
-    f, base_den = _kernel_form(family.tables, group)
+    f, base_den = family._numerators()  # dy's numerators are rat's
     exponents = [_grid_exponent(eps) for eps in radii]
     den = lcm(base_den, 1 << max(exponents))
     scale = den // base_den

@@ -124,6 +124,13 @@ def iter_prefixes(bases: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield index_to_prefix(i, bases)
 
 
+def _sized(table: tuple, bases: tuple[int, ...]) -> tuple:
+    """``table``, refused unless it has one entry per prefix of ``bases``."""
+    if len(table) != space_size(bases):
+        raise ValueError(f"table length {len(table)} != {space_size(bases)} prefixes")
+    return table
+
+
 class _Trusted:
     """The trusted constructor of ``CylinderFunction`` and ``GeneratorFamily``."""
 
@@ -132,7 +139,8 @@ class _Trusted:
         """An instance without ``__post_init__``'s per-entry checks.  The caller
         guarantees checked ``bases``, tables of the class's lengths that are
         tuples of ``validate``-form entries (type included), and a ``kernel``
-        exactly ``group.numerators`` of a function's table (``_numerators``)."""
+        (a sampled or decoded one) exactly ``group.numerators`` of a function's
+        table or ``_kernel_form(tables, group)`` of a family's (``_numerators``)."""
         if not group.exact:  # real arithmetic can overflow to inf: validated
             return cls(bases, group, tables)
         built = object.__new__(cls)
@@ -158,12 +166,7 @@ class CylinderFunction(_Trusted):
 
     def __post_init__(self):
         object.__setattr__(self, "bases", check_bases(self.bases))
-        tab = tuple(map(self.group.validate, self.table))
-        if len(tab) != space_size(self.bases):
-            raise ValueError(
-                f"table length {len(tab)} != {space_size(self.bases)} prefixes"
-            )
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "table", _sized(tuple(map(self.group.validate, self.table)), self.bases))
 
     @classmethod
     def constant(cls, bases, group: Group, payload) -> "CylinderFunction":
@@ -238,12 +241,18 @@ class CylinderFunction(_Trusted):
 
     @classmethod
     def from_json(cls, obj) -> "CylinderFunction":
+        """The function of a JSON object, refused as the constructor refuses it, its
+        records decoded once (``Group._decoded``), carrying the kernel built there."""
         _require_object(obj, "a cylinder function")
         group = group_from_tag(obj["group"])
         bases = tuple(_require_list(obj["bases"], "bases"))
         if obj.get("depth", len(bases)) != len(bases):
             raise ValueError("depth field disagrees with bases length")
-        return cls(bases, group, group.payloads_from_json(_require_list(obj["table"], "table")))
+        (table,), kernel = group._decoded([_require_list(obj["table"], "table")])
+        bases = check_bases(bases)
+        if kernel is not None:  # one table's columns, as lists, as ``numerators`` gives them
+            kernel = list(map(list, kernel[0][0])), kernel[1]
+        return cls._trusted(bases, group, _sized(table, bases), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,11 @@ class ExperimentConfig:
         if len(self.bases) < 1:
             raise UsageError("depth must be >= 1")
         given = self.eps0, self.epsilon_max
-        object.__setattr__(self, "eps0", as_fraction(self.eps0))
-        object.__setattr__(self, "epsilon_max", as_fraction(self.epsilon_max))
+        for name, value in zip(("eps0", "epsilon_max"), given):
+            try:
+                object.__setattr__(self, name, as_fraction(value))
+            except (TypeError, ValueError) as exc:  # a config holds two radii: name the one refused
+                raise type(exc)(f"{name}: {exc}") from None
         if self.eps0 <= 0 or self.epsilon_max <= 0:
             raise UsageError("radii must be positive")
         for name, value in zip(("eps0", "epsilon_max"), given):
@@ -151,6 +154,16 @@ def _write_json(o, put, nl: str, memo: dict) -> None:
             put("[]")
             return
         inner = nl + "  "
+        if type(o[0]) is dict:  # a table of shared records is joined from one text per object
+            distinct = dict(zip(map(id, o), o))
+            if len(distinct) < len(o):
+                texts = {}  # a loop: a comprehension would make inner and memo cells, slowing every call
+                for key, v in distinct.items():
+                    parts = []
+                    _write_json(v, parts.append, inner, memo)
+                    texts[key] = "".join(parts)
+                put("[" + inner + ("," + inner).join(map(texts.__getitem__, map(id, o))) + nl + "]")
+                return
         put("[")
         sep, comma = inner, "," + inner
         for v in o:
@@ -193,9 +206,9 @@ def render_json(obj) -> str:
     pure-Python encoder (which ``indent`` selects): the text of every
     report and command output.  Dict keys must be str (a TypeError
     otherwise), as they are in every output.  One record object may
-    appear many times in ``obj`` (as ``payloads_to_json`` shares them);
-    its text is built once per indentation, so ``obj`` must not change
-    while it renders."""
+    appear many times in ``obj`` (as ``payloads_to_json`` shares them): its
+    text is built once per indentation, and a table of them is joined from
+    one text per object, so ``obj`` must not change while it renders."""
     parts = []
     _write_json(obj, parts.append, "\n", {})
     return "".join(parts)

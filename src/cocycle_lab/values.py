@@ -202,16 +202,24 @@ class Group:
         group, ``-0.0`` and NaN included, since only the very same object
         shares a record.  Entries that are one object get one dict; treat
         the records as read-only."""
-        distinct = {id(a): a for a in payloads}
+        distinct = dict(zip(map(id, payloads), payloads))
         records = {key: self.payload_to_json(a) for key, a in distinct.items()}
         return list(map(records.__getitem__, map(id, payloads)))
 
     def payloads_from_json(self, records) -> list:
         """``[payload_from_json(obj) for obj in records]``: every refusal
-        is the one that record raises alone, and a record that is not a
-        JSON object is refused in words."""
+        is the one that record raises alone, and one that is not a JSON
+        object is refused in words.  A thin map over ``_decoded``."""
+        return list(self._decoded([records])[0][0])
+
+    def _decoded(self, tables) -> tuple[list, tuple | None]:
+        """The payload tuples of an iterable of record lists, each record parsed
+        alone, and the kernel the decoder hands over: none here."""
         parse, what = self.payload_from_json, "a value record"
-        return [parse(obj if type(obj) is dict else _require_object(obj, what)) for obj in records]
+        return [
+            tuple([parse(obj if type(obj) is dict else _require_object(obj, what)) for obj in records])
+            for records in tables
+        ], None
 
     def __repr__(self) -> str:
         return self.tag
@@ -281,23 +289,27 @@ class RationalGroup(_ScalarGroup):
     def payload_from_json(self, obj):
         return _ratio(obj["n"], obj["d"])
 
-    def payloads_from_json(self, records) -> list:
-        """``[payload_from_json(obj) for obj in records]``, parsed once per
-        distinct (n, d) (``dy``: (n, k)) pair of plain ints; a record
-        without such a pair (a bool, a float, a missing key) is parsed
-        alone, so it raises what it raises alone, and one that is not a
-        JSON object is refused in words."""
-        parse, memo, out = self.payload_from_json, {}, []
-        for obj in records:
-            key = (obj.get("n"), obj.get(self._memo_key)) if type(obj) is dict else ()
-            if key and type(key[0]) is int and type(key[1]) is int:
-                value = memo.get(key)
-                if value is None:
-                    value = memo[key] = parse(obj)
-            else:
-                value = parse(_require_object(obj, "a value record"))
-            out.append(value)
-        return out
+    def _decoded(self, tables) -> tuple[list, tuple]:
+        """``Group._decoded``, each record a slot in the distinct payloads: parsed
+        once per (n, d) (``dy``: (n, k)) pair of plain ints in all the tables, or
+        alone (a bool, a float, a missing key, not an object: what it raises alone).
+        The kernel: ``numerators`` of the distinct payloads mapped over the slots."""
+        parse, values, memo, slots = self.payload_from_json, [], {}, []
+        for records in tables:
+            table = []
+            slots.append(table)
+            for obj in records:
+                key = (obj.get("n"), obj.get(self._memo_key)) if type(obj) is dict else ()
+                if not (key and type(key[0]) is int and type(key[1]) is int):  # alone, under its own key
+                    key, obj = object(), _require_object(obj, "a value record")
+                slot = memo.get(key)
+                if slot is None:
+                    values.append(parse(obj))
+                    slot = memo[key] = len(values) - 1
+                table.append(slot)
+        (column,), den = self.numerators(values)
+        payloads = [tuple(map(values.__getitem__, s)) for s in slots]
+        return payloads, (tuple((tuple(map(column.__getitem__, s)),) for s in slots), den)
 
 
 class DyadicGroup(RationalGroup):

@@ -127,10 +127,10 @@ CONFIGS = {
         for name, depth in HUGE_DEPTHS.items()
     },
     "eps0-0.25": ("happrox", {"depth": 3, "count": 1, "eps0": 0.25},
-                  "cannot interpret 0.25 as an exact rational"),
+                  "eps0: cannot interpret 0.25 as an exact rational"),
     **{
         f"{key.replace('_', '-')}-1-0": ("happrox", {"depth": 3, "count": 1, key: "1/0"},
-                                         "'1/0' has a zero denominator")
+                                         f"{key}: '1/0' has a zero denominator")
         for key in ("eps0", "epsilon_max")
     },
     **{
@@ -555,8 +555,15 @@ TABLE = [
                 f"bad config: {message}")
         for name, (args, _, message) in CONFIGS.items()
     ),
-    refused("gamma-happrox-eps0-1-0", "gamma happrox --input family-3.json --eps0 1/0",
-            "'1/0' has a zero denominator"),
+    *(
+        refused(f"gamma-happrox-eps0-{name}", f"gamma happrox --input family-3.json --eps0 {eps0}",
+                f"--eps0: {message}")
+        for name, eps0, message in (
+            ("1-0", "1/0", "'1/0' has a zero denominator"),
+            ("x", "x", "Invalid literal for Fraction: 'x'"),
+            ("0", "0", "base radius must be positive"),
+        )
+    ),
     # a refused run flag is named; a --config value is a "bad config"
     refused("run-happrox-eps0-1-0", "run happrox --depth 3 --count 1 --eps0 1/0",
             "--eps0: '1/0' has a zero denominator"),
