@@ -383,10 +383,11 @@ class IdentityCheck:
 
 
 def _oracle_tables(oracle, count: int, bases, group: Group | None):
-    """The first ``count`` generator tables of a cocycle or raw oracle, the
-    potential P to check them against, their group and their denominator,
-    in the kernel form of ``_kernel_form``.  A cocycle's are its cached
-    walk, whose P_N certifies its first tables too: delta_n P_N = delta_n P_n.
+    """The first ``count`` generator tables of a cocycle or raw oracle,
+    their group and denominator, in the kernel form of ``_kernel_form``,
+    and their first ``_coboundary_mismatch`` against a potential P, or
+    None.  A cocycle's are its cached walk and cached ``_first_mismatch``,
+    whose P_N certifies its first tables too: delta_n P_N = delta_n P_n.
     A raw oracle's P is one walk of the family read off the leading-zeros
     cylinders, on every group.  A count, bases or group the oracle cannot
     answer is a ValueError naming the value given and the one expected."""
@@ -403,8 +404,10 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
             raise ValueError(
                 f"group {group!r} does not match the cocycle's group {oracle.group!r}"
             )
-        tables, potential, den = oracle._kernel_tables
-        return tables[:count], potential, oracle.group, den
+        tables, _, den = oracle._kernel_tables
+        mismatch = oracle._first_mismatch
+        within = mismatch is not None and mismatch[0] <= count
+        return tables[:count], oracle.group, den, mismatch if within else None
     size = space_size(bases)
     tables = []
     for n in range(1, count + 1):
@@ -419,7 +422,8 @@ def _oracle_tables(oracle, count: int, bases, group: Group | None):
         tables.append(tuple(row))
     tables, den = _kernel_form(tables, group)
     f = tuple(tuple(c[:: 1 << n] for c in t) for n, t in enumerate(tables, start=1))
-    return tables, _potential_walk(f, len(bases), group)[1], group, den
+    potential = _potential_walk(f, len(bases), group)[1]
+    return tables, group, den, _coboundary_mismatch(tables, potential, group)
 
 
 def _coboundary_mismatch(tables, potential, group: Group):
@@ -448,16 +452,6 @@ def _coboundary_mismatch(tables, potential, group: Group):
             value = [c[first] for c in table]
             return n, first, value, [p[first ^ flip] - p[first] for p in potential]
     return None
-
-
-def _oracle_mismatch(oracle, tables, potential, group: Group):
-    """``_coboundary_mismatch`` of what ``_oracle_tables`` returned for
-    ``oracle``; a cocycle's is its cached ``_first_mismatch``, kept when it
-    falls within the tables asked for."""
-    if not isinstance(oracle, InvolutionCocycle):
-        return _coboundary_mismatch(tables, potential, group)
-    mismatch = oracle._first_mismatch
-    return mismatch if mismatch is not None and mismatch[0] <= len(tables) else None
 
 
 def verify_identities(
@@ -493,8 +487,8 @@ def verify_identities(
     elif count is None or bases is None:
         raise ValueError("a raw oracle needs explicit count and bases")
     bases = _check_binary(bases)
-    tables, potential, group, den = _oracle_tables(cocycle, count, bases, group)
-    if group.exact and _oracle_mismatch(cocycle, tables, potential, group) is None:
+    tables, group, den, mismatch = _oracle_tables(cocycle, count, bases, group)
+    if group.exact and mismatch is None:
         return IdentityCheck(True)
     tables = [group.payloads_over(table, den) for table in tables]
     add, equal, zero = group.add, group.values_equal, group.zero()
@@ -522,8 +516,7 @@ def _recovered_kernel(oracle, count: int, bases, group: Group | None):
     form (``_kernel_form``): its tables, group and denominator.  Raises
     what ``recover_generators`` raises."""
     bases = _check_binary(bases)
-    tables, potential, group, den = _oracle_tables(oracle, count, bases, group)
-    mismatch = _oracle_mismatch(oracle, tables, potential, group)
+    tables, group, den, mismatch = _oracle_tables(oracle, count, bases, group)
     if mismatch is not None:
         n, i, v, w = mismatch
         v, w = group.payloads_over(list(zip(v, w)), den)

@@ -34,7 +34,7 @@ from math import prod
 from typing import Sequence
 
 from .involution_cocycles import GeneratorFamily
-from .space import BernoulliMeasure, CylinderFunction, check_bases, space_size
+from .space import BernoulliMeasure, CylinderFunction, _kronecker, check_bases, space_size
 from .values import (
     APPROX_REALS,
     DYADICS,
@@ -242,12 +242,9 @@ def _perturbation_law(rng: random.Random, bases: Sequence[int], group: Group):
     _keys(rng, f_widths, n)
     h_keys = _keys(rng, h_widths, n)
     rows = _bernoulli_cuts(rng, bases)
-    nums = [1]
-    for row in rows:
-        nums = [m * c for c in row for m in nums]
     per_key = {}
     get = per_key.get
-    for k, m in zip(h_keys, nums):
+    for k, m in zip(h_keys, _kronecker(rows)):
         per_key[k] = get(k, 0) + m
     law = {}
     for k, m in per_key.items():

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm, nextafter
+from math import gcd, inf, lcm, nextafter, prod
 from sys import float_info
 from typing import Iterable, Iterator, Sequence
 
@@ -332,6 +332,14 @@ class Measure:
         raise NotImplementedError
 
 
+def _kronecker(rows) -> list:
+    """The products of one entry of each row, x_1 fastest: a product measure's mass numerators."""
+    table = [1]
+    for row in rows:
+        table = [m * w for w in row for m in table]
+    return table
+
+
 @record
 class BernoulliMeasure(Measure):
     """Product measure with per-coordinate rational weight vectors."""
@@ -361,14 +369,8 @@ class BernoulliMeasure(Measure):
         return m
 
     def _build_table(self, bases):
-        # Kronecker product of the weight rows, x_1 fastest, on integer
-        # numerators over the product of the rows' lcms
-        table, common = [1], 1
-        for row in self.weights[: len(bases)]:
-            nums, den = _integer_numerators(row)
-            table = [m * w for w in nums for m in table]
-            common *= den
-        return table, common
+        rows = [_integer_numerators(row) for row in self.weights[: len(bases)]]
+        return _kronecker([nums for nums, _ in rows]), prod(den for _, den in rows)
 
     def to_json(self):
         return {

@@ -25,12 +25,20 @@ from .involution_cocycles import (
     verify_identities,
 )
 from .space import BernoulliMeasure, _law_sums, _tau_sums, binary_bases
-from .values import NeighborhoodChain, _is_int, as_fraction, group_from_tag
-from .zcocycles import ZCocycle, coboundary_solve, density_table, gh_check
+from .values import NeighborhoodChain, _is_int, _positive_radius, as_fraction, group_from_tag
+from .zcocycles import ZCocycle, _horizon, coboundary_solve, density_table, gh_check
 
 
 class UsageError(ValueError):
     """Configuration or invocation errors (exit code 2)."""
+
+
+def _usage(check, *args):
+    """``check(*args)``, its ValueError raised as a UsageError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 @record
@@ -61,8 +69,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, as_fraction(value))
             except (TypeError, ValueError) as exc:  # a config holds two radii: name the one refused
                 raise type(exc)(f"{name}: {exc}") from None
-        if self.eps0 <= 0 or self.epsilon_max <= 0:
-            raise UsageError("radii must be positive")
+        for name in ("eps0", "epsilon_max"):
+            _usage(_positive_radius, name, getattr(self, name))
         for name, value in zip(("eps0", "epsilon_max"), given):
             try:  # the report prints each radius, and the cells it bounds, as floats too
                 float(getattr(self, name))
@@ -73,8 +81,7 @@ class ExperimentConfig:
         group_from_tag(self.group)  # validate
         if not _is_int(self.seed):
             raise UsageError(f"seed must be an integer, got {self.seed!r}")
-        if self.horizon is not None and not (_is_int(self.horizon) and self.horizon >= 0):
-            raise UsageError(f"horizon must be >= 0 and an integer, got {self.horizon!r}")
+        _usage(_horizon, self.horizon, 0)  # the size only stands in for a None horizon
         for name in ("count", "n_max"):
             value = getattr(self, name)
             if value is not None and not (_is_int(value) and value >= 1):
@@ -140,15 +147,14 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _write_json(o, put, nl: str, memo: dict) -> None:
+def _write_json(o, put, nl: str) -> None:
     """Append the text of ``o`` at indentation ``nl`` (a newline and the
     indent) through ``put``.  A dict of int and str values (a value
-    record) is rendered once per (indentation, object) into ``memo``, keyed
-    by its ``id``: every part of the document lives, unchanged, until the
-    render ends, so an id names one object and one text.  Module level,
-    not a closure over ``put``: a closure that calls itself is a reference
-    cycle, which would keep every part alive until the cyclic collector
-    runs."""
+    record) is joined in one step, and a list that repeats a record object
+    from one text per object, keyed by ``id`` (the list holds each object
+    until it is joined).  Module level, not a closure over ``put``: a
+    closure that calls itself is a reference cycle, which would keep every
+    part alive until the cyclic collector runs."""
     if isinstance(o, (list, tuple)):
         if not o:
             put("[]")
@@ -157,10 +163,10 @@ def _write_json(o, put, nl: str, memo: dict) -> None:
         if type(o[0]) is dict:  # a table of shared records is joined from one text per object
             distinct = dict(zip(map(id, o), o))
             if len(distinct) < len(o):
-                texts = {}  # a loop: a comprehension would make inner and memo cells, slowing every call
+                texts = {}  # a loop: a comprehension would make an inner cell, slowing every call
                 for key, v in distinct.items():
                     parts = []
-                    _write_json(v, parts.append, inner, memo)
+                    _write_json(v, parts.append, inner)
                     texts[key] = "".join(parts)
                 put("[" + inner + ("," + inner).join(map(texts.__getitem__, map(id, o))) + nl + "]")
                 return
@@ -169,14 +175,9 @@ def _write_json(o, put, nl: str, memo: dict) -> None:
         for v in o:
             put(sep)
             sep = comma
-            _write_json(v, put, inner, memo)
+            _write_json(v, put, inner)
         put(nl + "]")
     elif isinstance(o, dict):
-        key = (nl, id(o))
-        text = memo.get(key)
-        if text is not None:
-            put(text)
-            return
         if not o:
             put("{}")
             return
@@ -184,18 +185,17 @@ def _write_json(o, put, nl: str, memo: dict) -> None:
         for v in o.values():
             if type(v) is not int and type(v) is not str:
                 break
-        else:  # int and str values only; a bool or float keeps a record out of the memo
-            text = memo[key] = "{" + inner + ("," + inner).join(
+        else:  # int and str values only: a value record
+            put("{" + inner + ("," + inner).join(
                 [_json_string(k) + ": " + _json_scalar(v) for k, v in o.items()]
-            ) + nl + "}"
-            put(text)
+            ) + nl + "}")
             return
         put("{")
         sep, comma = inner, "," + inner
         for k, v in o.items():
             put(sep + _json_string(k) + ": ")
             sep = comma
-            _write_json(v, put, inner, memo)
+            _write_json(v, put, inner)
         put(nl + "}")
     else:
         put(_json_scalar(o))
@@ -205,12 +205,11 @@ def render_json(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without CPython's
     pure-Python encoder (which ``indent`` selects): the text of every
     report and command output.  Dict keys must be str (a TypeError
-    otherwise), as they are in every output.  One record object may
-    appear many times in ``obj`` (as ``payloads_to_json`` shares them): its
-    text is built once per indentation, and a table of them is joined from
-    one text per object, so ``obj`` must not change while it renders."""
+    otherwise), as they are in every output.  A table that repeats a
+    record object (as ``payloads_to_json`` shares them) is joined from one
+    text per object, so ``obj`` must not change while it renders."""
     parts = []
-    _write_json(obj, parts.append, "\n", {})
+    _write_json(obj, parts.append, "\n")
     return "".join(parts)
 
 

@@ -582,6 +582,13 @@ def value_from_json(obj) -> GroupValue:
     return GroupValue(group, group.payload_from_json(obj))
 
 
+def _positive_radius(name: str, radius):
+    """``radius``, refused unless positive by a ValueError naming it."""
+    if radius <= 0:
+        raise ValueError(f"{name} must be positive, got {radius}")
+    return radius
+
+
 @record
 class NeighborhoodChain:
     """Halving chain of neighborhood radii eps_n = eps0 * 2^(-n).
@@ -594,9 +601,7 @@ class NeighborhoodChain:
     eps0: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps0", as_fraction(self.eps0))
-        if self.eps0 <= 0:
-            raise ValueError("base radius must be positive")
+        object.__setattr__(self, "eps0", _positive_radius("eps0", as_fraction(self.eps0)))
 
     def epsilon(self, n: int) -> Fraction:
         if n < 0:
@@ -637,8 +642,7 @@ def round_to_dyadic(value: Fraction, eps: Fraction) -> Fraction:
     Ties round toward zero; dyadic inputs are returned unchanged.  The
     result r always satisfies |value - r| <= eps.
     """
-    if eps <= 0:
-        raise ValueError("radius must be positive")
+    _positive_radius("eps", eps)
     if is_dyadic(value):
         return value
     return _grid_round(value, eps)

@@ -175,17 +175,27 @@ def _spread_bound(columns, scale, group):
     groups, 2^(d-1) on Q^d), on ints over the one denominator L, divided
     by L once: an int on int, a Fraction on rat, dy and Q^d, a float on
     real.  On Z/m the distinct residues are sorted round the ring,
-    O(k log k) for k of them: one of the two residues of a farthest pair
-    lies at most floor(m/2) steps on from the other, so the diameter is the
-    largest distance from a residue a to the last residue at or below
-    a + floor(m/2), taken mod m with wrap-around.
+    O(k log k) for k of them, and the diameter is the largest distance
+    ``_farthest_on_ring`` finds from one of them.
     """
     projected = group.projections(columns)
     if projected is not None:
         return group.metric_over(max(max(col) - min(col) for col in projected), scale)
-    m = group.modulus
     ring = sorted(set(group.payloads_over(columns, scale)))
-    return max(group.metric(a, ring[bisect_right(ring, (a + m // 2) % m) - 1]) for a in ring)
+    return max(_farthest_on_ring(ring, ring, group).values())
+
+
+def _farthest_on_ring(ring, starts, group) -> dict:
+    """Each residue a of ``starts`` -> its largest distance on Z/m to the
+    sorted, nonempty residues ``ring``: the distance from a rises up to the
+    antipode a + floor(m/2) and falls past it, so it peaks at one of the
+    antipode's two ring neighbours (wrapping round), found by bisection."""
+    m, size, metric = group.modulus, len(ring), group.metric
+    far = {}
+    for a in starts:
+        k = bisect_right(ring, (a + m // 2) % m)
+        far[a] = max(metric(ring[k - 1], a), metric(ring[k % size], a))
+    return far
 
 
 @record
@@ -828,7 +838,7 @@ class _Ring(_Channel):
 
         With D = 0 (mod m) past the fold a window holds one whole period of
         its parity: one residue set per parity, sorted once, and the
-        farthest residue from each distinct R(b) is found by bisection.
+        farthest residue from each distinct R(b) is ``_farthest_on_ring``.
         Otherwise every window's distinct residues are kept, as they slide."""
         group, size, m = self.group, self.size, self.modulus
         period, step = self.period, self.step
@@ -837,16 +847,10 @@ class _Ring(_Channel):
             if size % 2:
                 sets = [s | {(x + step) % m for x in period[1 - c :: 2]} for c, s in enumerate(sets)]
             rings = [sorted(s) for s in sets]
-            farthest = [{}, {}]
-            far = []
-            for b, a in enumerate(period):
-                memo = farthest[(b + 1) & 1]
-                d = memo.get(a)
-                if d is None:
-                    ring = rings[(b + 1) & 1]
-                    k = bisect_right(ring, (a + m // 2) % m)
-                    d = memo[a] = max(group.metric(ring[k - 1], a), group.metric(ring[k % len(ring)], a))
-                far.append(d)
+            far_from = [  # R(b) reads ring (b + 1) & 1: ring 0 the odd b, ring 1 the even b
+                _farthest_on_ring(ring, set(period[1 - c :: 2]), group) for c, ring in enumerate(rings)
+            ]
+            far = [far_from[(b + 1) & 1][a] for b, a in enumerate(period)]
             return far, [sets[(b + 1) & 1] for b in range(size)]
         seq = _extended(period, step, size + 2 * scan_to + 1, group.add, group.scale)
         windows = _by_start(seq, scan_to + 1, size, _window_values)

@@ -14,7 +14,8 @@ tables, L included.
 
 runs every case over all tags, spans and depths for SEEDS seeds (default
 10) and prints one summary line, with the number of kernel forms checked
-and the time taken; it exits 1 on the first mismatch.
+and the time taken; it exits 1 on the first mismatch, and 2 on a SEEDS
+that is not an integer >= 1.
 """
 
 from __future__ import annotations
@@ -171,7 +172,13 @@ def all_cases(seed):
 
 
 def main(argv):
-    seeds = int(argv[1]) if len(argv) > 1 else 10
+    try:
+        seeds = int(argv[1]) if len(argv) > 1 else 10
+    except ValueError:
+        seeds = 0
+    if seeds < 1:
+        print(f"SEEDS must be an integer >= 1, got {argv[1]!r}", file=sys.stderr)
+        return 2
     checked = forms = 0
     start = perf_counter()
     for seed in range(seeds):

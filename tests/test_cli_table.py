@@ -133,6 +133,9 @@ CONFIGS = {
                                          f"{key}: '1/0' has a zero denominator")
         for key in ("eps0", "epsilon_max")
     },
+    "eps0-0": ("happrox", {"depth": 3, "count": 1, "eps0": 0}, "eps0 must be positive, got 0"),
+    "epsilon-max--1": ("topology", {"depth": 3, "count": 1, "epsilon_max": -1},
+                       "epsilon_max must be positive, got -1"),
     **{
         f"bases-{name}": ("gh", {"bases": bases, "count": 1},
                           f"bases entry {at} must be an integer, got {bases[at]!r}")
@@ -561,7 +564,7 @@ TABLE = [
         for name, eps0, message in (
             ("1-0", "1/0", "'1/0' has a zero denominator"),
             ("x", "x", "Invalid literal for Fraction: 'x'"),
-            ("0", "0", "base radius must be positive"),
+            ("0", "0", "eps0 must be positive, got 0"),
         )
     ),
     # a refused run flag is named; a --config value is a "bad config"
@@ -569,13 +572,17 @@ TABLE = [
             "--eps0: '1/0' has a zero denominator"),
     refused("run-topology-epsilon-max-1-0", "run topology --depth 3 --count 1 --epsilon-max 1/0",
             "--epsilon-max: '1/0' has a zero denominator"),
+    refused("run-happrox-eps0-0", "run happrox --depth 3 --count 1 --eps0 0",
+            "--eps0: eps0 must be positive, got 0"),
+    refused("run-topology-epsilon-max-0", "run topology --depth 3 --count 1 --epsilon-max 0",
+            "--epsilon-max: epsilon_max must be positive, got 0"),
     refused("run-topology-group-foo", "run topology --depth 3 --count 1 --group foo",
             "--group: unknown group tag 'foo'"),
     refused("run-gh-config-seed-x-horizon-flag", "run gh --count 2 --config config-seed-x.json --horizon 3",
             "bad config: seed must be an integer, got 'x'"),
     refused("run-gh-config-seed-x-horizon-flag--1",
             "run gh --count 2 --config config-seed-x.json --horizon -1",
-            "--horizon: horizon must be >= 0 and an integer, got -1"),
+            "--horizon: horizon must be >= 0, got -1"),
     # a flag replaces the file's value unchecked
     Row("run-gh-config-horizon-x-horizon-flag", "run gh --count 2 --config config-horizon-x.json --horizon 3"),
     *(
@@ -586,7 +593,7 @@ TABLE = [
         for fmt in ("", " --format json", " --format csv")
     ),
     refused("run-gh-horizon--1", "run gh --depth 3 --count 2 --horizon -1",
-            "--horizon: horizon must be >= 0 and an integer, got -1"),
+            "--horizon: horizon must be >= 0, got -1"),
     refused("cocycle-gh-horizon--3", "cocycle gh --depth 3 --horizon -3 --input gen.json",
             "--horizon: horizon must be >= 0, got -3"),
     *(

@@ -4,6 +4,8 @@ literal definitions: the O(N * H) window scan, its radius-by-radius
 extension past the horizon, and the pairwise diameter."""
 
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cocycle_lab import zcocycles
+from cocycle_lab.cli import main
 from cocycle_lab.dynamics import Odometer
-from cocycle_lab.space import MAX_POINTS, CylinderFunction, index_to_prefix, space_size
+from cocycle_lab.sampling import small_integer_function
+from cocycle_lab.space import MAX_POINTS, CylinderFunction, binary_bases, index_to_prefix, space_size
+from cocycle_lab.suites import ExperimentConfig
 from cocycle_lab.values import (
     APPROX_REALS,
     DYADICS,
@@ -241,13 +246,16 @@ def test_real_spread_bound_is_the_float_pairwise_diameter(values):
 
 
 def test_z_mod_m_spread_bound_on_every_residue_set():
-    # the ring diameter against the pairwise one, on every set of residues
-    # of Z/m for m <= 8 (even and odd halves) and on wide moduli
+    # the ring diameter against the pairwise one, and the farthest residue
+    # of the set from every residue a against brute force, on every set of
+    # residues of Z/m for m <= 8 (even and odd halves) and on wide moduli
     for m in range(1, 9):
         group = integers_mod(m)
         for k in range(1, m + 1):
             for values in itertools.combinations(range(m), k):
                 assert _spread_bound(*group.numerators(values), group) == pairwise_diameter(values, group)
+                farthest = {a: max(group.metric(a, v) for v in values) for a in range(m)}
+                assert zcocycles._farthest_on_ring(list(values), range(m), group) == farthest
     for m in (16, 101, 1000003):
         group = integers_mod(m)
         for values in itertools.combinations((0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 1), 3):
@@ -525,3 +533,52 @@ def test_real_sums_that_round_alike_across_periods(bases, table):
     a = ZCocycle(Odometer(bases), CylinderFunction(bases, APPROX_REALS, table))
     for horizon in range(4 * a.model.size + 1):
         assert_matches_scan(a, horizon)
+
+
+def _literal_gh(config):
+    """The gh suite's rows and checks from the public sampler and the
+    literal definitions: the coboundary decision is the vanishing of f
+    summed once round the orbit of the all-zeros prefix, the sup and the
+    witness are ``scan_gh_check``'s, and the bound is the pairwise
+    diameter of the partial sums along that orbit."""
+    rng = random.Random(config.seed)
+    model = config.model()
+    rows, checks = [], []
+    for case in range(config.count):
+        f = small_integer_function(rng, config.bases, -2, 2)
+        x, partial = (0,) * model.depth, [0]
+        for _ in range(model.size):
+            partial.append(partial[-1] + f.eval(x).payload)
+            x = model.step(x)
+        cycle_sum = partial.pop()
+        coboundary = cycle_sum == 0
+        scan = scan_gh_check(ZCocycle(model, f), config.horizon)
+        bound = pairwise_diameter(partial, INTEGERS) if coboundary else ""
+        rows.append(dict(case=case, coboundary=coboundary, cycle_sum=cycle_sum,
+                         empirical_sup=scan.empirical_sup, bound=bound))
+        checks.append({"name": f"case{case}-agreement", "passed": scan.decision == coboundary, "witness": ""})
+        if coboundary:
+            checks.append({"name": f"case{case}-sup-bound", "passed": scan.empirical_sup <= bound,
+                           "witness": f"sup={scan.empirical_sup} M={bound}"})
+        else:
+            checks.append({"name": f"case{case}-witness", "passed": scan.witness is not None, "witness": ""})
+    return rows, checks
+
+
+@pytest.mark.parametrize("horizon", [None, 0, 1, 3])
+def test_run_gh_equals_its_literal_recomputation(horizon, capsys):
+    """Depths 1-6 over three seeds, at the default horizon 4N and at short
+    ones; coboundaries and non-coboundaries both occur, on long orbits too."""
+    decisions = set()
+    for depth in range(1, 7):
+        for seed in (0, 1, 7):
+            config = ExperimentConfig(bases=binary_bases(depth), seed=seed, horizon=horizon, count=8)
+            argv = ["run", "gh", "--depth", str(depth), "--seed", str(seed), "--count", "8"]
+            code = main(argv + ([] if horizon is None else ["--horizon", str(horizon)]))
+            report = json.loads(capsys.readouterr().out)
+            rows, checks = _literal_gh(config)
+            assert report["rows"] == rows
+            assert report["checks"] == checks
+            assert code == (0 if all(c["passed"] for c in checks) else 1)
+            decisions.update((row["coboundary"], depth >= 5) for row in rows)
+    assert decisions == {(False, False), (False, True), (True, False), (True, True)}

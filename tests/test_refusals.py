@@ -257,7 +257,16 @@ CASES = [
      ValueError, "index must be >= 0"),
     ("round-to-dyadic-nonpositive-radius",
      lambda: round_to_dyadic(Fraction(1, 3), Fraction(0)),
-     ValueError, "radius must be positive"),
+     ValueError, "eps must be positive, got 0"),
+    ("round-to-dyadic-zero-int-radius",
+     lambda: round_to_dyadic(Fraction(1, 3), 0),
+     ValueError, "eps must be positive, got 0"),
+    ("chain-zero-radius",
+     lambda: NeighborhoodChain(0),
+     ValueError, "eps0 must be positive, got 0"),
+    ("config-zero-radius",
+     lambda: ExperimentConfig(eps0=0),
+     UsageError, "eps0 must be positive, got 0"),
     ("skew-orbit-start-in-the-wrong-group",
      lambda: skew_orbit(_int_function(B2, (1, 0, 0, -1)), ((0, 0), GroupValue(RATIONALS, 0)), 1),
      DepthError, "starting group value lives in the wrong group"),

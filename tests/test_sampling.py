@@ -30,6 +30,7 @@ from sampling_oracle import (
     coboundary_case,
     cylinder_case,
     family_case,
+    main,
     outcome,
     pair_case,
     small_integer_case,
@@ -43,6 +44,14 @@ depths = st.integers(DEPTHS.start, DEPTHS.stop - 1)
 
 def agree(outcomes):
     return all(o == outcomes[0] for o in outcomes[1:])
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "x", "1.5", ""])
+def test_the_oracle_script_refuses_a_seed_count_below_one(count, capsys):
+    assert main(["sampling_oracle.py", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SEEDS must be an integer >= 1, got {count!r}\n"
 
 
 @pytest.mark.parametrize("tag", TAGS)
